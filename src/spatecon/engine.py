@@ -25,7 +25,7 @@ marginals are Gaussian mixtures over that grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
 from . import marginals as mg
 from .errors import InvalidInputError, NumericFailureError
-from .gmrf import RHO_INTERNAL_EPS, CholeskyHandle
+from .gmrf import RHO_INTERNAL_EPS, CholeskyHandle, SymbolicFactor
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * _LOG_2PI
@@ -104,6 +104,11 @@ class CompiledModel:
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
     tau_obs: float | None = 1e8  # None means exp(theta["log_tau_obs"])
+    # Analysis of the pattern the engine factors: set by the first
+    # factorization, reused by every later one whose pattern it covers.
+    symbolic: SymbolicFactor | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -170,6 +175,13 @@ class GaussianState:
     var_eta: np.ndarray
 
 
+def _factor(model: CompiledModel, mat: sp.spmatrix, context: str) -> CholeskyHandle:
+    """Factor mat, reusing and updating the model's pattern analysis."""
+    factor = CholeskyHandle(mat, context=context, symbolic=model.symbolic)
+    model.symbolic = factor.symbolic
+    return factor
+
+
 # ---------------------------------------------------------------------------
 # Gaussian observation layer
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def gaussian_evidence(
     c_vec = -(g.T @ qz0)
     const = float(z0 @ qz0)
 
-    factor = CholeskyHandle(a_tilde, context=f"theta = {dict(theta)}")
+    factor = _factor(model, a_tilde, f"theta = {dict(theta)}")
     w = factor.solve(c_vec)
     s_min = const - float(c_vec @ w)
     log_z = (
@@ -242,34 +254,25 @@ def gaussian_evidence(
     mean_x, mean_c = mean_z[:n], mean_z[n:]
     mean_eta = mean_x + model.b_design @ mean_c
 
-    minv = factor.inverse_dense()
+    # Variances of (u_obs, x_miss) from the selected inverse; the p
+    # coefficient columns, with cov_c and the cross terms, from one solve.
+    # cov_c is copied so that a kept state holds p x p, not (n+p) x p.
     c0 = n_o + n_m
-    cov_c = minv[c0:, c0:]
+    var_z = factor.marginal_variances(np.arange(c0))
+    cols = factor.inverse_columns(np.arange(c0, c0 + p))
+    cov_c = cols[c0:].copy()
     var_eta = np.empty(n)
     var_x = np.empty(n)
     # Observed rows: eta = y - u, so Var(eta) is the u-block diagonal and
-    # Var(x) = Var(u + X_b c).
-    du = np.arange(n_o)
-    var_eta[obs] = minv[du, du]
-    if p:
-        xb_o = model.b_design[obs]
-        cross_uc = minv[:n_o, c0:]
-        quad = np.einsum("ij,jk,ik->i", xb_o, cov_c, xb_o)
-        var_x[obs] = minv[du, du] + 2.0 * np.einsum("ij,ij->i", xb_o, cross_uc) + quad
-    else:
-        var_x[obs] = minv[du, du]
-    if n_m:
-        dm = n_o + np.arange(n_m)
-        var_x[mis] = minv[dm, dm]
-        if p:
-            xb_m = model.b_design[mis]
-            cross_mc = minv[n_o : n_o + n_m, c0:]
-            quad_m = np.einsum("ij,jk,ik->i", xb_m, cov_c, xb_m)
-            var_eta[mis] = (
-                minv[dm, dm] + 2.0 * np.einsum("ij,ij->i", xb_m, cross_mc) + quad_m
-            )
-        else:
-            var_eta[mis] = minv[dm, dm]
+    # Var(x) = Var(u + X_b c). Missing rows: x is a coordinate of its own.
+    var_eta[obs] = var_z[:n_o]
+    var_x[obs] = _with_design_variance(
+        var_z[:n_o], cols[:n_o], cov_c, model.b_design[obs]
+    )
+    var_x[mis] = var_z[n_o:]
+    var_eta[mis] = _with_design_variance(
+        var_z[n_o:], cols[n_o:c0], cov_c, model.b_design[mis]
+    )
     state = GaussianState(
         mean_x=mean_x,
         var_x=np.maximum(var_x, 0.0),
@@ -337,7 +340,7 @@ def laplace_inner(
         d_full = np.zeros(n)
         d_full[obs] = d_site
         h = _hessian_matrix(q_prior, xb, d_full)
-        factor = CholeskyHandle(h, context=f"probit Hessian, theta = {dict(theta)}")
+        factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
         delta = factor.solve(grad)
         t = 1.0
         while t >= 2.0**-30:
@@ -359,26 +362,16 @@ def laplace_inner(
     d_full = np.zeros(n)
     d_full[obs] = d_site
     h = _hessian_matrix(q_prior, xb, d_full)
-    factor = CholeskyHandle(h, context=f"probit Hessian, theta = {dict(theta)}")
+    factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
     log_laplace = (
         float(ll.sum()) + 0.5 * logdet_qp - 0.5 * float(z @ (q_prior @ z))
         - 0.5 * factor.logdet()
     )
 
-    minv = factor.inverse_dense()
-    cov_c = minv[n:, n:]
-    dx = np.arange(n)
-    var_x = minv[dx, dx]
-    if p:
-        cross = minv[:n, n:]
-        var_eta = (
-            var_x
-            + 2.0 * np.einsum("ij,ij->i", xb, cross)
-            + np.einsum("ij,jk,ik->i", xb, cov_c, xb)
-        )
-    else:
-        var_eta = var_x.copy()
-    var_eta = np.maximum(var_eta, 0.0)
+    var_x = factor.marginal_variances(np.arange(n))
+    cols = factor.inverse_columns(np.arange(n, n + p))
+    cov_c = cols[n:].copy()
+    var_eta = np.maximum(_with_design_variance(var_x, cols[:n], cov_c, xb), 0.0)
 
     log_z = log_laplace + _site_corrections(eta[obs], y_o, var_eta[obs])
     if not want_state:
@@ -392,6 +385,17 @@ def laplace_inner(
         var_eta=var_eta,
     )
     return log_z, state
+
+
+def _with_design_variance(var_v, cross, cov_c, xb) -> np.ndarray:
+    """Var(v + X_b c) per row from Var(v), Cov(v, c) and Cov(c)."""
+    if xb.shape[1] == 0:
+        return var_v.copy()
+    return (
+        var_v
+        + 2.0 * np.einsum("ij,ij->i", xb, cross)
+        + np.einsum("ij,jk,ik->i", xb, cov_c, xb)
+    )
 
 
 def _hessian_matrix(q_prior, xb, d_full) -> sp.csc_matrix:
@@ -468,10 +472,6 @@ class HyperGrid:
         for d, v in zip(self.dims, self.points[g]):
             theta[d] = float(v)
         return theta
-
-    def axis_values(self, name: str) -> np.ndarray:
-        j = self.dims.index(name)
-        return np.unique(self.points[:, j])
 
     def axis_masses(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         j = self.dims.index(name)
@@ -863,8 +863,3 @@ def fit_compiled(
         predictive=predictive,
         settings=settings,
     )
-
-
-def dic(fit: FitResult) -> tuple[float, float]:
-    """(DIC, effective number of parameters) of a fitted model."""
-    return fit.dic, fit.p_eff

@@ -11,6 +11,14 @@ which is sparse and symmetric. This module builds that matrix, factors it
 (sparse LDL^T via SuperLU in symmetric mode), and exposes the conditional
 distribution of x given beta. The autocorrelation parameter lives on an
 internal (0, 1) scale mapped affinely onto (rho_min, rho_max).
+
+Marginal variances come from selected inversion (Takahashi, Fagan & Chen
+1973; Rue, Martino & Chopin 2009, sec. 3): the entries of the inverse on
+the pattern of the factor L, in O(nnz(L)) memory rather than the (n+p)^2
+of a dense inverse. A SymbolicFactor keeps the fill-reducing order, the
+symbolic pattern of L and the recursion's gather plan of one sparsity
+pattern, so repeated factorizations of matrices on that pattern skip the
+ordering and the analysis.
 """
 
 from __future__ import annotations
@@ -189,52 +197,272 @@ def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPr
     return JointPrecision(p_mat=p_mat, n=n, p=p, logdet=float(logdet))
 
 
+class SymbolicFactor:
+    """Analysis of one symmetric sparsity pattern, reusable across matrices.
+
+    Holds the analysed pattern, its fill-reducing order (order[k] is the
+    original index of the k-th pivot) and, built on first use, the
+    symbolic pattern of the factor L of the permuted matrix together with
+    the gather plan of the Takahashi recursion. Any matrix whose pattern
+    lies inside the analysed one can be factored in this order, with the
+    missing entries stored as zeros.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, order: np.ndarray):
+        n = indptr.size - 1
+        self.n = n
+        self.order = order
+        self.indptr, self.indices = indptr, indices
+        self._keys = _pattern_keys(indptr, indices, n)
+        # Data positions of the analysed pattern in the permuted matrix.
+        marks = sp.csc_matrix(
+            (np.arange(1.0, indices.size + 1.0), indices, indptr), shape=(n, n)
+        )
+        permuted = sp.csc_matrix(marks[order][:, order])
+        permuted.sort_indices()
+        self._perm_map = permuted.data.astype(np.intp) - 1
+        self._perm_indptr, self._perm_indices = permuted.indptr, permuted.indices
+        self._l_pattern = None
+
+    def scatter(self, mat: sp.csc_matrix) -> np.ndarray | None:
+        """mat's entries on the analysed pattern (zeros where mat has none),
+        or None when mat has an entry outside it."""
+        if np.array_equal(mat.indptr, self.indptr) and np.array_equal(
+            mat.indices, self.indices
+        ):
+            return mat.data
+        keys = _pattern_keys(mat.indptr, mat.indices, self.n)
+        pos = np.searchsorted(self._keys, keys)
+        if not np.all(self._keys.take(pos, mode="clip") == keys):
+            return None
+        data = np.zeros(self._keys.size)
+        data[pos] = mat.data
+        return data
+
+    def permute(self, data: np.ndarray) -> sp.csc_matrix:
+        """The matrix with the given pattern data, rows and columns in order."""
+        return sp.csc_matrix(
+            (data[self._perm_map], self._perm_indices, self._perm_indptr),
+            shape=(self.n, self.n),
+        )
+
+    def l_pattern(self):
+        """(indptr, indices, keys, fused, plan, plan_ptr) of L, built once.
+
+        Column j of L has the rows struct_j = {j} + lower(A_j) + the union
+        of struct_c - {c} over the children c of j in the elimination tree
+        (Davis 2006, ch. 4); parent(j) is the second entry of struct_j.
+        With S_j = struct_j - {j}, column j is fused when S_j = {j + 1} +
+        S_{j+1} (j and j + 1 lie in one supernode): Sigma[S_j, S_j] is then
+        Sigma[S_{j+1}, S_{j+1}] bordered by column j + 1 of Sigma. For every
+        other column, plan[plan_ptr[j]:plan_ptr[j + 1]] holds the storage
+        positions of Sigma[S_j, S_j] in row-major order.
+        """
+        if self._l_pattern is not None:
+            return self._l_pattern
+        n = self.n
+        # The structure of A + A', as SuperLU's symmetric mode factors it.
+        marks = sp.csc_matrix(
+            (np.ones(self._perm_indices.size), self._perm_indices, self._perm_indptr),
+            shape=(n, n),
+        )
+        both = sp.csc_matrix(marks + marks.T)
+        both.sort_indices()
+        indptr, indices = both.indptr, both.indices
+        children: list[list[int]] = [[] for _ in range(n)]
+        structs = []
+        for j in range(n):
+            col = indices[indptr[j] : indptr[j + 1]]
+            parts = [np.array([j]), col[col > j]]
+            parts.extend(structs[c][1:] for c in children[j])
+            s = np.unique(np.concatenate(parts))
+            structs.append(s)
+            if s.size > 1:
+                children[s[1]].append(j)
+        l_indptr = np.zeros(n + 1, dtype=np.intp)
+        l_indptr[1:] = np.cumsum([s.size for s in structs])
+        l_indices = np.concatenate(structs).astype(np.intp)
+        l_keys = _pattern_keys(l_indptr, l_indices, n)
+        sizes = np.diff(l_indptr)
+        fused = np.zeros(n, dtype=bool)
+        fused[:-1] = (sizes[:-1] == sizes[1:] + 1) & (
+            l_indices[l_indptr[:-2] + 1] == np.arange(1, n)
+        )
+        plan_ptr = np.zeros(n + 1, dtype=np.intp)
+        plan_ptr[1:] = np.cumsum(np.where(fused, 0, (sizes - 1) ** 2))
+        plan = np.empty(plan_ptr[-1], dtype=np.intp)
+        for j in np.flatnonzero(~fused & (sizes > 1)):
+            rows = structs[j][1:]
+            lo = np.minimum.outer(rows, rows)
+            hi = np.maximum.outer(rows, rows)
+            plan[plan_ptr[j] : plan_ptr[j + 1]] = np.searchsorted(
+                l_keys, (lo * n + hi).ravel()
+            )
+        self._l_pattern = (l_indptr, l_indices, l_keys, fused, plan, plan_ptr)
+        return self._l_pattern
+
+
+def _pattern_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """col * n + row for each stored entry; sorted for a sorted CSC pattern."""
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return cols * n + indices
+
+
 class CholeskyHandle:
     """Sparse symmetric factorization of an SPD matrix.
 
-    Wraps SuperLU in symmetric mode (minimum-degree ordering on A'A,
-    no partial pivoting), which for an SPD input is an LDL^T
-    factorization: positive pivots, log-determinant from the U diagonal.
+    Wraps SuperLU in symmetric mode (no partial pivoting), which for an
+    SPD input is an LDL^T factorization: positive pivots, log-determinant
+    from the U diagonal. The first factorization of a pattern orders it by
+    minimum degree on A + A'; pass the resulting `symbolic` back in and a
+    matrix whose pattern lies inside it is pre-permuted and factored in
+    that order, with no new ordering. Marginal variances come from the
+    selected inverse on the pattern of L, in O(nnz(L)) memory.
     """
 
-    def __init__(self, mat: sp.csc_matrix, context: str = ""):
+    def __init__(
+        self, mat: sp.csc_matrix, context: str = "", symbolic: SymbolicFactor | None = None
+    ):
         mat = sp.csc_matrix(mat)
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        data = symbolic.scatter(mat) if symbolic is not None else None
         try:
-            self._lu = spla.splu(
-                mat,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            if data is None:
+                self._base = None
+                pattern = (mat.indptr, mat.indices)
+                self._lu = _splu(mat, "MMD_AT_PLUS_A")
+            else:
+                self._base = symbolic.order
+                pattern = (symbolic.indptr, symbolic.indices)
+                self._lu = _splu(symbolic.permute(data), "NATURAL")
         except RuntimeError as exc:
             raise NumericFailureError(
                 f"factorization failed ({context or 'singular matrix'}): {exc}"
             ) from exc
         diag = self._lu.U.diagonal()
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+        if (
+            np.any(diag <= 0)
+            or not np.all(np.isfinite(diag))
+            or not np.array_equal(self._lu.perm_r, self._lu.perm_c)
+        ):
             raise NumericFailureError(
                 f"matrix is not positive definite ({context or 'non-SPD input'})"
             )
+        # L U = A[order][:, order]; a pre-permuted matrix is normally kept in
+        # its order, and a changed order gets its own analysis.
+        order = np.argsort(self._lu.perm_c)
+        if self._base is not None:
+            order = self._base[order]
+        if data is None or not np.array_equal(order, symbolic.order):
+            symbolic = SymbolicFactor(*pattern, order)
+        self.symbolic = symbolic
+        self._d = diag
         self._logdet = float(np.sum(np.log(diag)))
+        self._sigma = None
         self.shape = mat.shape
 
     def logdet(self) -> float:
         return self._logdet
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        if self._base is None:
+            return self._lu.solve(b)
+        x = np.empty_like(b)
+        x[self._base] = self._lu.solve(b[self._base])
+        return x
 
     def inverse_dense(self) -> np.ndarray:
-        """Dense inverse (for marginal variances; intended for moderate n)."""
-        return self._lu.solve(np.eye(self.shape[0]))
+        """Dense inverse, O(n^2) memory: the reference the selected inverse
+        is tested and benchmarked against. The engine never calls it."""
+        return self.solve(np.eye(self.shape[0]))
+
+    def _selected(self) -> np.ndarray:
+        """Sigma = A^{-1} on the pattern of L (permuted order), by the
+        Takahashi recursion from the last column to the first:
+        Sigma[S_j, j] = -Sigma[S_j, S_j] L[S_j, j] and
+        Sigma[j, j] = 1 / d_j - L[S_j, j]' Sigma[S_j, j]
+        (Takahashi, Fagan & Chen 1973; Rue & Held 2005, sec. 2.3)."""
+        if self._sigma is not None:
+            return self._sigma
+        n = self.shape[0]
+        l_indptr, _, l_keys, fused, plan, plan_ptr = self.symbolic.l_pattern()
+        lu_l = self._lu.L.tocsc()
+        keys = _pattern_keys(lu_l.indptr, lu_l.indices, n)
+        pos = np.searchsorted(l_keys, keys)
+        # SuperLU may leave out entries that cancel to zero, never add any.
+        inside = l_keys.take(pos, mode="clip") == keys
+        if not np.all(inside | (lu_l.data == 0.0)):
+            raise NumericFailureError("factor has entries outside its symbolic pattern")
+        l_vals = np.zeros(l_keys.size)
+        l_vals[pos[inside]] = lu_l.data[inside]
+        sigma = np.empty(l_keys.size)
+        starts, plans, d = l_indptr.tolist(), plan_ptr.tolist(), self._d
+        block = np.empty((0, 0))  # Sigma[S_j, S_j] of the previous column
+        for j in range(n - 1, -1, -1):
+            a, b = starts[j], starts[j + 1]
+            m = b - a - 1
+            if m == 0:
+                sigma[a] = 1.0 / d[j]
+                block = np.empty((0, 0))
+                continue
+            if fused[j]:
+                bordered = np.empty((m, m))
+                bordered[1:, 1:] = block
+                bordered[0, :] = bordered[:, 0] = sigma[b : b + m]
+                block = bordered
+            else:
+                block = sigma[plan[plans[j] : plans[j + 1]]].reshape(m, m)
+            l_col = l_vals[a + 1 : b]
+            s = -(block @ l_col)
+            sigma[a + 1 : b] = s
+            sigma[a] = 1.0 / d[j] - l_col @ s
+        self._sigma = sigma
+        return sigma
+
+    def selected_inverse(self) -> sp.csc_matrix:
+        """The entries of the inverse on the pattern of L + L', in the
+        original coordinates."""
+        n = self.shape[0]
+        l_indptr, l_indices, *_ = self.symbolic.l_pattern()
+        sigma = self._selected()
+        order = self.symbolic.order
+        rows = order[l_indices]
+        cols = order[np.repeat(np.arange(n), np.diff(l_indptr))]
+        off = rows != cols
+        return sp.csc_matrix(
+            (
+                np.concatenate([sigma, sigma[off]]),
+                (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
+            ),
+            shape=self.shape,
+        )
 
     def marginal_variances(self, indices) -> np.ndarray:
         """Diagonal entries of the inverse at the requested coordinates."""
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
+        l_indptr = self.symbolic.l_pattern()[0]
+        diag = np.empty(self.shape[0])
+        diag[self.symbolic.order] = self._selected()[l_indptr[:-1]]
+        return diag[indices]
+
+    def inverse_columns(self, indices) -> np.ndarray:
+        """Columns of the inverse at the requested coordinates, one solve."""
+        indices = np.atleast_1d(np.asarray(indices, dtype=int))
         rhs = np.zeros((self.shape[0], indices.size))
         rhs[indices, np.arange(indices.size)] = 1.0
-        sol = self._lu.solve(rhs)
-        return sol[indices, np.arange(indices.size)]
+        return self.solve(rhs)
+
+
+def _splu(mat: sp.csc_matrix, permc_spec: str):
+    return spla.splu(
+        mat,
+        permc_spec=permc_spec,
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 def factorize(p: JointPrecision | sp.spmatrix, context: str = "") -> CholeskyHandle:

@@ -73,7 +73,7 @@ def trace_functions(
     if method == "auto":
         method = "eig" if n <= _DENSE_TRACE_LIMIT else "series"
     if method == "eig":
-        lam = np.linalg.eigvals(w.toarray())
+        lam = w.eigenvalues()
         denom = 1.0 - rho_values[:, None] * lam[None, :]
         if np.any(np.abs(denom) < 1e-12):
             raise NumericFailureError("rho hits a reciprocal eigenvalue of W")

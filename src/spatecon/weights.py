@@ -44,6 +44,7 @@ class WeightsMatrix:
     standardized: bool = False
     has_islands: bool = False
     _rho_bounds: tuple[float, float] | None = field(default=None, compare=False)
+    _eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.mat
@@ -66,12 +67,14 @@ class WeightsMatrix:
     def rho_max(self) -> float:
         return self.rho_range()[1]
 
-    def is_structurally_symmetric(self, verify: bool = True) -> bool:
-        """Check whether the nonzero pattern is symmetric."""
-        pattern = self.mat.copy()
-        pattern.data = np.ones_like(pattern.data)
-        diff = pattern - pattern.T
-        return diff.nnz == 0
+    def eigenvalues(self) -> np.ndarray:
+        """Every (complex) eigenvalue of the matrix, from one dense
+        decomposition cached on the instance; the array is read-only."""
+        if self._eigenvalues is None:
+            eigs = np.linalg.eigvals(self.mat.toarray())
+            eigs.flags.writeable = False
+            object.__setattr__(self, "_eigenvalues", eigs)
+        return self._eigenvalues
 
     def rho_range(self) -> tuple[float, float]:
         """Admissible open interval for the autocorrelation parameter.
@@ -84,8 +87,11 @@ class WeightsMatrix:
                 "rho_range requires a row-standardized weights matrix"
             )
         if self._rho_bounds is None:
-            bounds = _eigen_rho_bounds(self.mat)
-            object.__setattr__(self, "_rho_bounds", bounds)
+            if self.n <= _DENSE_EIG_LIMIT:
+                eigs = self.eigenvalues()
+            else:
+                eigs = _iterative_extreme_eigs(self.mat)
+            object.__setattr__(self, "_rho_bounds", _eigen_rho_bounds(eigs))
         return self._rho_bounds
 
     def toarray(self) -> np.ndarray:
@@ -185,12 +191,7 @@ def lag_covariates(x: np.ndarray, w: WeightsMatrix) -> np.ndarray:
     return w.mat @ x
 
 
-def _eigen_rho_bounds(mat: sp.csr_matrix) -> tuple[float, float]:
-    n = mat.shape[0]
-    if n <= _DENSE_EIG_LIMIT:
-        eigs = np.linalg.eigvals(mat.toarray())
-    else:
-        eigs = _iterative_extreme_eigs(mat)
+def _eigen_rho_bounds(eigs: np.ndarray) -> tuple[float, float]:
     # Keep eigenvalues that are real to numerical tolerance.
     real = eigs.real[np.abs(eigs.imag) <= 1e-9 * np.maximum(1.0, np.abs(eigs))]
     pos = real[real > 1e-12]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spatecon import (
+    CholeskyHandle,
     InvalidParameterError,
     NumericFailureError,
     RhoParam,
@@ -21,6 +22,7 @@ from spatecon import (
     rho_to_internal,
     row_standardize,
 )
+from spatecon.gmrf import SymbolicFactor
 
 
 def chain_weights(n):
@@ -146,6 +148,121 @@ class TestFactorize:
         h = factorize(sp.csc_matrix(spd))
         inv = np.linalg.inv(spd)
         assert_allclose(h.marginal_variances([0, 3, 7]), inv[[0, 3, 7], [0, 3, 7]], rtol=1e-9)
+
+
+def random_spd(rng, n, p=0, density=0.08):
+    """Sparse SPD matrix of size n + p; the last p rows and columns are
+    dense, like the coefficient block of a joint precision."""
+    sym = sp.random(n, n, density=density, random_state=rng, data_rvs=rng.standard_normal)
+    m = np.zeros((n + p, n + p))
+    m[:n, :n] = (sym + sym.T).toarray()
+    m[n:, :n] = rng.normal(size=(p, n)) / np.sqrt(n)
+    m[:n, n:] = m[n:, :n].T
+    m[n:, n:] = rng.normal(size=(p, p)) / np.sqrt(n)
+    m = (m + m.T) / 2.0
+    shift = np.abs(m).sum(axis=1).max() + 1.0
+    return sp.csc_matrix(m + shift * np.eye(n + p))
+
+
+def assert_matches_dense_on_pattern(h):
+    """Every selected-inverse entry equals the dense inverse's to 1e-10,
+    relative to sqrt(Sigma_ii Sigma_jj), the scale of a covariance entry
+    (an entry that cancels to ~0 has no relative precision of its own)."""
+    sel = h.selected_inverse().tocoo()
+    dense = h.inverse_dense()
+    diag = np.diag(dense)
+    scale = np.sqrt(diag[sel.row] * diag[sel.col])
+    assert np.all(np.abs(sel.data - dense[sel.row, sel.col]) <= 1e-10 * scale)
+    return sel
+
+
+class TestSelectedInverse:
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_random_spd_matches_dense_inverse(self, p):
+        rng = np.random.default_rng(31 + p)
+        fused_seen = set()
+        for _ in range(8):
+            n = int(rng.integers(5, 60))
+            h = factorize(random_spd(rng, n, p))
+            sel = assert_matches_dense_on_pattern(h)
+            # The pattern holds at least the diagonal and every entry of A.
+            assert sel.nnz >= n + p
+            fused_seen |= set(h.symbolic.l_pattern()[3].tolist())
+            assert_allclose(
+                h.marginal_variances(np.arange(n + p)),
+                np.diag(h.inverse_dense()),
+                rtol=1e-10,
+            )
+        # Both ways of forming Sigma[S_j, S_j] ran: gathered and bordered.
+        assert fused_seen == {False, True}
+
+    def test_joint_precision_pattern_holds_coefficient_columns(self):
+        rng = np.random.default_rng(33)
+        w = random_weights(rng, 40, 4)
+        spec = SlmSpec(w=w, x_design=rng.normal(size=(40, 3)))
+        jp = joint_precision(spec, RhoParam.from_external(0.6, w.rho_range()), 2.0)
+        h = factorize(jp)
+        assert_matches_dense_on_pattern(h)
+        cols = h.inverse_columns([40, 41, 42])
+        assert_allclose(cols, h.inverse_dense()[:, 40:], rtol=1e-10, atol=1e-14)
+
+    def test_cancelled_factor_entry_is_filled(self):
+        # In the natural order L[2, 1] is structurally present (A[2, 1] != 0)
+        # but cancels exactly: A[2, 1] = L[2, 0] L[1, 0] d_0. SuperLU drops it;
+        # the recursion still needs Sigma[2, 1] on the pattern.
+        lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]])
+        a = sp.csc_matrix(lower @ np.diag([4.0, 2.0, 3.0]) @ lower.T)
+        natural = SymbolicFactor(a.indptr, a.indices, np.arange(3))
+        h = CholeskyHandle(a, symbolic=natural)
+        assert h.symbolic is natural
+        assert h._lu.L.nnz < natural.l_pattern()[1].size
+        sel = assert_matches_dense_on_pattern(h)
+        assert sel.nnz == 9
+        assert_allclose(sel.toarray(), np.linalg.inv(a.toarray()), rtol=1e-12)
+
+    def test_subset_pattern_reuses_analysis(self):
+        rng = np.random.default_rng(35)
+        a = random_spd(rng, 30, 2)
+        h = factorize(a)
+        # Drop one off-diagonal pair: the pattern is a subset, the analysis
+        # is reused, the missing entries enter as zeros.
+        b = a.tolil()
+        i, j = next((i, j) for i, j in zip(*a.nonzero()) if i < j < 30)
+        b[i, j] = b[j, i] = 0.0
+        b = sp.csc_matrix(b)
+        b.eliminate_zeros()
+        assert b.nnz == a.nnz - 2
+        h_sub = CholeskyHandle(2.0 * b, symbolic=h.symbolic)
+        assert h_sub.symbolic is h.symbolic
+        assert_matches_dense_on_pattern(h_sub)
+        assert abs(h_sub.logdet() - np.linalg.slogdet(2.0 * b.toarray())[1]) < 1e-9
+        rhs = rng.normal(size=32)
+        assert_allclose(h_sub.solve(rhs), np.linalg.solve(2.0 * b.toarray(), rhs), rtol=1e-10)
+        # The same answer as a fresh analysis of b.
+        fresh = factorize(2.0 * b)
+        assert_allclose(
+            h_sub.marginal_variances(np.arange(32)),
+            fresh.marginal_variances(np.arange(32)),
+            rtol=1e-12,
+        )
+
+    def test_new_pattern_is_analysed_again(self):
+        rng = np.random.default_rng(36)
+        a = random_spd(rng, 25)
+        h = factorize(a)
+        b = a.tolil()
+        i, j = next(
+            (i, j) for i in range(25) for j in range(i + 1, 25) if a[i, j] == 0.0
+        )
+        b[i, j] = b[j, i] = 0.1
+        b = sp.csc_matrix(b)
+        h_new = CholeskyHandle(b, symbolic=h.symbolic)
+        assert h_new.symbolic is not h.symbolic
+        assert_matches_dense_on_pattern(h_new)
+        # The analysis follows the matrix: b's pattern now covers a's.
+        h_back = CholeskyHandle(a, symbolic=h_new.symbolic)
+        assert h_back.symbolic is h_new.symbolic
+        assert_matches_dense_on_pattern(h_back)
 
 
 class TestConditionalLatent:

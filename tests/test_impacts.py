@@ -239,6 +239,45 @@ class TestApproxImpacts:
         assert abs(summ.total.marginal.sd() - summ.total.sd) < 1e-6
 
 
+class TestSpectrumCache:
+    def test_one_eigvals_call_per_weights_matrix(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        w_a, w_b = random_weights(rng, 30, 3), random_weights(rng, 30, 4)
+        y, x = simulate_slm(rng, w_a, [1.0, 0.6, -0.3], 0.4, 0.5)
+        real_eigvals = np.linalg.eigvals
+        calls = []
+
+        def counting_eigvals(a):
+            calls.append(a.shape)
+            return real_eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        fits = [
+            se.fit(se.build("slm", y, x, w_a)),
+            se.fit(se.build("sdm", y, x, w_a)),
+            se.fit(se.build("slm", y, x, w_b)),
+        ]
+        got = [average_impacts(f) for f in fits]
+        assert calls == [(30, 30), (30, 30)]
+
+        # Bit for bit the impacts of recomputing the spectrum on every call.
+        monkeypatch.setattr(
+            se.WeightsMatrix, "eigenvalues", lambda self: real_eigvals(self.mat.toarray())
+        )
+        for summaries, f in zip(got, fits):
+            for name, summ in average_impacts(f).items():
+                for part in ("direct", "indirect", "total"):
+                    a, b = getattr(summaries[name], part), getattr(summ, part)
+                    assert (a.mean, a.sd) == (b.mean, b.sd)
+
+    def test_cached_spectrum_is_read_only(self):
+        w = chain_weights(5)
+        lam = w.eigenvalues()
+        assert lam is w.eigenvalues()
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+
+
 class TestProbitScaling:
     def _fit_with_eta(self, eta):
         rng = np.random.default_rng(13)
