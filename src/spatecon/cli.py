@@ -20,6 +20,7 @@ from . import impacts as impacts_mod
 from . import models, selection
 from .dataio import RunConfig, fmt, parse_config
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
+from .gmrf import badly_scaled
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -316,13 +317,8 @@ def validate_config(config: RunConfig) -> list[str]:
         vals = y[~np.isnan(y)]
         if not np.all(np.isin(vals, (0.0, 1.0))):
             issues.append("non-binary response with probit likelihood")
-    if x is not None and x.shape[1] >= 2:
-        sds = x.std(axis=0)
-        pos = sds[sds > 0]
-        if pos.size >= 2 and pos.max() / pos.min() > 1e4:
-            issues.append(
-                "covariate scales differ by more than 1e4; consider rescaling"
-            )
+    if x is not None and badly_scaled(x):
+        issues.append("covariate scales differ by more than 1e4; consider rescaling")
     if not config.kinds:
         issues.append("no model kinds requested")
     if w.has_islands:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,8 +188,6 @@ class RunConfig:
     scan_k_max: int | None = None
     scan_prior: str = "uniform"
     impacts_enabled: bool = True
-    seed: int = 0
-    config_dir: Path = field(default_factory=Path)
 
     def load_weights(self) -> WeightsMatrix:
         from .weights import knn_adjacency, row_standardize
@@ -285,7 +283,6 @@ def parse_config(path) -> RunConfig:
     grid = GridSettings(**grid_kwargs)
 
     out_dir = resolve(_get(parser, "output", "directory", "out") or "out")
-    seed = int(_get(parser, "output", "seed", "0") or 0)
 
     scan_kind = _get(parser, "scan", "kind") if parser.has_section("scan") else None
     scan_k_min = _get(parser, "scan", "k_min") if parser.has_section("scan") else None
@@ -316,6 +313,4 @@ def parse_config(path) -> RunConfig:
         scan_k_max=int(scan_k_max) if scan_k_max else None,
         scan_prior=scan_prior,
         impacts_enabled=impacts_enabled,
-        seed=seed,
-        config_dir=base,
     )

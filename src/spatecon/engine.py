@@ -36,7 +36,12 @@ from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
 from . import marginals as mg
 from .errors import InvalidInputError, NumericFailureError
-from .gmrf import RHO_INTERNAL_EPS, CholeskyHandle, SymbolicFactor
+from .gmrf import (
+    RHO_INTERNAL_EPS,
+    CholeskyHandle,
+    SymbolicFactor,
+    canonical_csc,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * _LOG_2PI
@@ -93,7 +98,9 @@ class CompiledModel:
     """Latent structure the engine consumes.
 
     prior_builder(theta) must return the sparse joint precision of
-    z = (x, c) and its log determinant.
+    z = (x, c) and its log determinant. A precision whose sparsity pattern
+    is the same at every theta keeps one Assembly and one analysis for
+    the whole fit.
     """
 
     y: np.ndarray
@@ -105,8 +112,13 @@ class CompiledModel:
     rho_bounds: tuple[float, float] | None = None
     tau_obs: float | None = 1e8  # None means exp(theta["log_tau_obs"])
     # Analysis of the pattern the engine factors: set by the first
-    # factorization, reused by every later one whose pattern it covers.
+    # factorization, reused by every later one.
     symbolic: SymbolicFactor | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # How the factored matrix is assembled from the prior; rebuilt only
+    # when the prior's sparsity pattern changes.
+    assembly: "Assembly | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -175,9 +187,194 @@ class GaussianState:
     var_eta: np.ndarray
 
 
-def _factor(model: CompiledModel, mat: sp.spmatrix, context: str) -> CholeskyHandle:
-    """Factor mat, reusing and updating the model's pattern analysis."""
-    factor = CholeskyHandle(mat, context=context, symbolic=model.symbolic)
+@dataclass
+class Assembly:
+    """How the matrix the engine factors is made from the prior precision.
+
+    In coordinates (v, c) with x = E v + F c (plus a constant), E a signed
+    permutation and F a fixed n x p block, the prior's share is G'QG for
+    G = [[E, F], [0, I]]. Splitting Q = [[A, B], [B', C]] by x and c,
+
+        G'QG = [[E'AE, E'R], [R'E, C + F'R + B'F]],   R = A F + B,
+
+    one sparse-by-dense product and a scatter onto a fixed pattern. The
+    Gaussian layer uses the residual shift (E maps the observed rows onto
+    -u, F = -X_b on them) and adds tau_obs on the u diagonal; the probit
+    Hessian uses E = I, F = 0 and adds the curvature D by the same split
+    with F = X_b: [D, D X_b; X_b'D, X_b'D X_b]. Q is symmetric, so its
+    c-x block is never read. Everything here depends only on the sparsity
+    pattern of Q (q_indptr, q_indices).
+    """
+
+    n: int
+    p: int
+    q_indptr: np.ndarray
+    q_indices: np.ndarray
+    indptr: np.ndarray  # CSC pattern of the factored matrix
+    indices: np.ndarray
+    a_src: np.ndarray  # A as CSC: data q.data[a_src], rows a_rows, a_ptr
+    a_rows: np.ndarray
+    a_ptr: np.ndarray
+    b_src: np.ndarray  # entries of B and C: q.data[*_src] at flat *_at
+    b_at: np.ndarray
+    c_src: np.ndarray
+    c_at: np.ndarray
+    v_of_x: np.ndarray  # E: x_i = sign_i v_{v_of_x[i]}
+    sign: np.ndarray
+    vv_pos: np.ndarray  # positions of E'AE, in the order of a_src
+    vv_sign: np.ndarray
+    cross_pos: np.ndarray  # (n, p) positions of E'R and of R'E
+    cross_t_pos: np.ndarray
+    cc_pos: np.ndarray  # (p, p)
+    obs_pos: np.ndarray  # diagonal positions of the observation term
+    obs_rows: np.ndarray  # the observed rows of x
+    f: np.ndarray | None
+    z0: np.ndarray | None  # the Gaussian shift: z = G z' + z0
+
+    def shift(self, zs: np.ndarray) -> np.ndarray:
+        """G z' for z' = (v, c)."""
+        n = self.n
+        x = self.sign * zs[:n][self.v_of_x]
+        if self.f is not None:
+            x += self.f @ zs[n:]
+        return np.concatenate([x, zs[n:]])
+
+    def shift_t(self, z: np.ndarray) -> np.ndarray:
+        """G' z for z = (x, c)."""
+        n = self.n
+        v = np.empty(n)
+        v[self.v_of_x] = self.sign * z[:n]
+        c = z[n:] if self.f is None else z[n:] + self.f.T @ z[:n]
+        return np.concatenate([v, c])
+
+    def fits(self, q: sp.csc_matrix) -> bool:
+        return np.array_equal(q.indptr, self.q_indptr) and np.array_equal(
+            q.indices, self.q_indices
+        )
+
+    def prior_data(self, q: sp.csc_matrix) -> np.ndarray:
+        """The entries of G'QG on the assembly's pattern."""
+        n, p = self.n, self.p
+        out = np.zeros(self.indices.size)
+        a = q.data[self.a_src]
+        out[self.vv_pos] = self.vv_sign * a
+        if p:
+            b = np.zeros(n * p)
+            b[self.b_at] = q.data[self.b_src]
+            b = b.reshape(n, p)
+            c = np.zeros(p * p)
+            c[self.c_at] = q.data[self.c_src]
+            c = c.reshape(p, p)
+            if self.f is not None:
+                r = sp.csc_matrix((a, self.a_rows, self.a_ptr), shape=(n, n)) @ self.f + b
+                c = c + self.f.T @ r + b.T @ self.f
+            else:
+                r = b
+            out[self.cross_pos] = self.sign[:, None] * r
+            out[self.cross_t_pos] = out[self.cross_pos]
+            out[self.cc_pos] = c
+        return out
+
+    def with_curvature(self, base: np.ndarray, d: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """base plus [D, D X_b; X_b'D, X_b'D X_b], D = diag(d) on the
+        observed rows (d holds their curvatures)."""
+        out = base.copy()
+        out[self.obs_pos] += d
+        if self.p:
+            r = np.zeros((self.n, self.p))
+            r[self.obs_rows] = d[:, None] * xb[self.obs_rows]
+            out[self.cross_pos] += r
+            out[self.cross_t_pos] += r
+            out[self.cc_pos] += xb.T @ r
+        return out
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        size = self.indptr.size - 1
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+
+def _prior(model: CompiledModel, theta: Mapping[str, float]):
+    """(Q, log|Q|, assembly) at theta; the assembly is rebuilt when Q's
+    pattern differs from the one it was built for."""
+    q, logdet = model.prior_builder(theta)
+    q = canonical_csc(q)
+    if model.assembly is None or not model.assembly.fits(q):
+        model.assembly = _build_assembly(model, q)
+    return q, logdet, model.assembly
+
+
+def _build_assembly(model: CompiledModel, q: sp.csc_matrix) -> Assembly:
+    n, p = model.n, model.p
+    size = n + p
+    obs, mis = model.obs_idx, model.miss_idx
+    v_of_x, sign = np.arange(n), np.ones(n)
+    f = z0 = None
+    obs_v = obs
+    if model.likelihood == "gaussian":
+        # v = (u_obs, x_miss): x = y - u - X_b c on observed rows.
+        v_of_x[obs], v_of_x[mis] = np.arange(obs.size), obs.size + np.arange(mis.size)
+        sign[obs] = -1.0
+        obs_v = np.arange(obs.size)
+        if np.any(model.b_design[obs]):
+            f = np.zeros((n, p))
+            f[obs] = -model.b_design[obs]
+        z0 = np.zeros(size)
+        z0[obs] = model.y[obs]
+    rows = q.indices
+    cols = np.repeat(np.arange(size), np.diff(q.indptr))
+    xx = (rows < n) & (cols < n)
+    a_src = np.flatnonzero(xx)
+    a_rows, a_cols = rows[xx], cols[xx]
+    xc = np.flatnonzero((rows < n) & (cols >= n))
+    cc = np.flatnonzero((rows >= n) & (cols >= n))
+    vv_keys = v_of_x[a_cols] * size + v_of_x[a_rows]
+    cross_r = np.repeat(v_of_x, p).reshape(n, p)
+    cross_c = np.broadcast_to(n + np.arange(p), (n, p))
+    cc_r, cc_c = np.meshgrid(n + np.arange(p), n + np.arange(p), indexing="ij")
+    cross_keys, cross_t_keys = cross_c * size + cross_r, cross_r * size + cross_c
+    cc_keys = cc_c * size + cc_r
+    obs_keys = obs_v * (size + 1)
+    keys = np.unique(
+        np.concatenate([vv_keys, obs_keys, cross_keys.ravel(), cross_t_keys.ravel(), cc_keys.ravel()])
+    )
+
+    def at(k):
+        return np.searchsorted(keys, k)
+
+    return Assembly(
+        n=n,
+        p=p,
+        q_indptr=q.indptr.copy(),
+        q_indices=q.indices.copy(),
+        indptr=np.searchsorted(keys, np.arange(size + 1) * size),
+        indices=keys % size,
+        a_src=a_src,
+        a_rows=a_rows,
+        a_ptr=np.searchsorted(a_cols, np.arange(n + 1)),
+        b_src=xc,
+        b_at=rows[xc] * p + cols[xc] - n,
+        c_src=cc,
+        c_at=(rows[cc] - n) * p + cols[cc] - n,
+        v_of_x=v_of_x,
+        sign=sign,
+        vv_pos=at(vv_keys),
+        vv_sign=sign[a_rows] * sign[a_cols],
+        cross_pos=at(cross_keys),
+        cross_t_pos=at(cross_t_keys),
+        cc_pos=at(cc_keys),
+        obs_pos=at(obs_keys),
+        obs_rows=obs,
+        f=f,
+        z0=z0,
+    )
+
+
+def _factor(model: CompiledModel, data: np.ndarray, context: str) -> CholeskyHandle:
+    """Factor the matrix with the given data on the model's assembly
+    pattern, ordering and analysing the pattern on first use."""
+    factor = CholeskyHandle(
+        model.assembly.matrix(data), context=context, symbolic=model.symbolic
+    )
     model.symbolic = factor.symbolic
     return factor
 
@@ -187,57 +384,24 @@ def _factor(model: CompiledModel, mat: sp.spmatrix, context: str) -> CholeskyHan
 # ---------------------------------------------------------------------------
 
 
-def _residual_shift_map(model: CompiledModel) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Unimodular map z = G z' + z0 with z' = (u_obs, x_miss, c).
-
-    On observed rows x = y - u - X_b c, so the copy penalty becomes the
-    diagonal tau_obs * ||u||^2 and no large-scale cancellation occurs.
-    """
-    n, p = model.n, model.p
-    obs, mis = model.obs_idx, model.miss_idx
-    n_o, n_m = obs.size, mis.size
-    rows, cols, vals = [], [], []
-    rows.extend(obs)
-    cols.extend(range(n_o))
-    vals.extend([-1.0] * n_o)
-    if p:
-        xb = model.b_design[obs]
-        r, c = np.nonzero(xb)
-        rows.extend(obs[r])
-        cols.extend(n_o + n_m + c)
-        vals.extend(-xb[r, c])
-    rows.extend(mis)
-    cols.extend(range(n_o, n_o + n_m))
-    vals.extend([1.0] * n_m)
-    rows.extend(range(n, n + p))
-    cols.extend(range(n_o + n_m, n_o + n_m + p))
-    vals.extend([1.0] * p)
-    g = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n + p, n + p)
-    )
-    z0 = np.zeros(n + p)
-    z0[obs] = model.y[obs]
-    return g, z0
-
-
 def gaussian_evidence(
     model: CompiledModel, theta: Mapping[str, float], want_state: bool = False
 ) -> tuple[float, GaussianState | None]:
     """Exact log pi(y | theta) for the Gaussian copy likelihood."""
-    q_prior, logdet_qp = model.prior_builder(theta)
+    q_prior, logdet_qp, plan = _prior(model, theta)
     tau_obs = model.tau_obs_value(theta)
     n, p = model.n, model.p
     obs, mis = model.obs_idx, model.miss_idx
     n_o, n_m = obs.size, mis.size
 
-    g, z0 = _residual_shift_map(model)
+    z0 = plan.z0
     qz0 = q_prior @ z0
-    shift = np.concatenate([np.full(n_o, tau_obs), np.zeros(n_m + p)])
-    a_tilde = ((g.T @ (q_prior @ g)) + sp.diags(shift)).tocsc()
-    c_vec = -(g.T @ qz0)
+    a_data = plan.prior_data(q_prior)
+    a_data[plan.obs_pos] += tau_obs
+    c_vec = -plan.shift_t(qz0)
     const = float(z0 @ qz0)
 
-    factor = _factor(model, a_tilde, f"theta = {dict(theta)}")
+    factor = _factor(model, a_data, f"theta = {dict(theta)}")
     w = factor.solve(c_vec)
     s_min = const - float(c_vec @ w)
     log_z = (
@@ -250,7 +414,7 @@ def gaussian_evidence(
     if not want_state:
         return log_z, None
 
-    mean_z = g @ w + z0
+    mean_z = plan.shift(w) + z0
     mean_x, mean_c = mean_z[:n], mean_z[n:]
     mean_eta = mean_x + model.b_design @ mean_c
 
@@ -311,7 +475,8 @@ def laplace_inner(
     """
     if model.likelihood != "probit":
         raise InvalidInputError("laplace_inner requires a probit model")
-    q_prior, logdet_qp = model.prior_builder(theta)
+    q_prior, logdet_qp, plan = _prior(model, theta)
+    q_data = plan.prior_data(q_prior)
     n, p = model.n, model.p
     obs = model.obs_idx
     y_o = model.y[obs]
@@ -337,9 +502,7 @@ def laplace_inner(
         gnorm = float(np.max(np.abs(grad)))
         if step_inf < 1e-8 and gnorm < 1e-7:
             break
-        d_full = np.zeros(n)
-        d_full[obs] = d_site
-        h = _hessian_matrix(q_prior, xb, d_full)
+        h = plan.with_curvature(q_data, d_site, xb)
         factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
         delta = factor.solve(grad)
         t = 1.0
@@ -359,9 +522,7 @@ def laplace_inner(
 
     eta = eta_of(z)
     ll, s_site, d_site = _probit_site_derivs(eta[obs], y_o)
-    d_full = np.zeros(n)
-    d_full[obs] = d_site
-    h = _hessian_matrix(q_prior, xb, d_full)
+    h = plan.with_curvature(q_data, d_site, xb)
     factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
     log_laplace = (
         float(ll.sum()) + 0.5 * logdet_qp - 0.5 * float(z @ (q_prior @ z))
@@ -396,19 +557,6 @@ def _with_design_variance(var_v, cross, cov_c, xb) -> np.ndarray:
         + 2.0 * np.einsum("ij,ij->i", xb, cross)
         + np.einsum("ij,jk,ik->i", xb, cov_c, xb)
     )
-
-
-def _hessian_matrix(q_prior, xb, d_full) -> sp.csc_matrix:
-    n = d_full.shape[0]
-    p = xb.shape[1]
-    d_mat = sp.diags(d_full)
-    if p == 0:
-        return (q_prior + sp.block_diag([d_mat])).tocsc()
-    dx = d_full[:, None] * xb
-    blocks = sp.bmat(
-        [[d_mat, sp.csr_matrix(dx)], [sp.csr_matrix(dx.T), sp.csr_matrix(xb.T @ dx)]]
-    )
-    return (q_prior + blocks).tocsc()
 
 
 def _site_corrections(eta_hat, y_o, var_eta_o, nodes: int = 41) -> float:
@@ -805,6 +953,9 @@ def fit_compiled(
     """Full inference pass: grid, marginals, evidence, DIC, predictions."""
     settings = settings or GridSettings()
     grid, states = _build_grid(model, settings, want_states=True)
+    # A kept fit holds its results, not the factorization workspace; a
+    # later evaluation of the model analyses its pattern again.
+    model.symbolic = model.assembly = None
     weights = grid.weights
     g_count, n, p = len(states), model.n, model.p
 

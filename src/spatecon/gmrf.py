@@ -7,9 +7,10 @@ zero-mean Gaussian Markov random field whose precision has the block form
     [ tau (I - rho W')(I - rho W)    -tau (I - rho W') X ]
     [ -tau X' (I - rho W)             Q + tau X'X        ]
 
-which is sparse and symmetric. This module builds that matrix, factors it
-(sparse LDL^T via SuperLU in symmetric mode), and exposes the conditional
-distribution of x given beta. The autocorrelation parameter lives on an
+which is sparse and symmetric. This module builds that matrix (as a
+weighted sum of sparse terms fixed per model, on one sparsity pattern for
+every rho and tau), factors it (sparse LDL^T via SuperLU in symmetric
+mode), and exposes the conditional distribution of x given beta. The autocorrelation parameter lives on an
 internal (0, 1) scale mapped affinely onto (rho_min, rho_max).
 
 Marginal variances come from selected inversion (Takahashi, Fagan & Chen
@@ -24,7 +25,7 @@ ordering and the analysis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,6 +95,9 @@ class SlmSpec:
     rho_prior: tuple[float, float] = DEFAULT_RHO_PRIOR
     tau_prior: tuple[float, float] = DEFAULT_TAU_PRIOR
     tau_fixed: float | None = None
+    _terms: "PrecisionTerms | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         x = np.asarray(self.x_design, dtype=float)
@@ -120,7 +124,7 @@ class SlmSpec:
             except np.linalg.LinAlgError as exc:
                 raise InvalidInputError("q_beta must be positive definite") from exc
         object.__setattr__(self, "q_beta", q)
-        _warn_on_bad_scaling(x)
+        warn_on_bad_scaling(x, stacklevel=3)
 
     @property
     def n(self) -> int:
@@ -133,19 +137,84 @@ class SlmSpec:
     def bounds(self) -> tuple[float, float]:
         return self.w.rho_range()
 
+    def precision_terms(self) -> "PrecisionTerms":
+        """The fixed parts of the joint precision, built on first use."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", PrecisionTerms.of(self))
+        return self._terms
 
-def _warn_on_bad_scaling(x: np.ndarray) -> None:
-    # Columns on wildly different scales destabilize the factorization;
-    # warn, never rescale silently.
+
+def badly_scaled(x: np.ndarray) -> bool:
+    """True when two nonconstant columns differ in scale by more than 1e4."""
     if x.shape[1] < 2:
-        return
+        return False
     sds = x.std(axis=0)
     sds = sds[sds > 0]
-    if sds.size >= 2 and sds.max() / sds.min() > 1e4:
+    return bool(sds.size >= 2 and sds.max() / sds.min() > 1e4)
+
+
+def warn_on_bad_scaling(x: np.ndarray, stacklevel: int = 2) -> None:
+    # Columns on wildly different scales destabilize the factorization;
+    # warn, never rescale silently.
+    if badly_scaled(x):
         warnings.warn(
             "covariate columns differ in scale by more than 1e4; consider rescaling",
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
+
+
+@dataclass(frozen=True)
+class PrecisionTerms:
+    """The joint precision as a fixed combination of sparse terms,
+
+        P(rho, tau) = Q_beta + tau (K0 - rho K1 + rho^2 K2),
+
+    with K0 = [I, -X; -X', X'X], K1 = [W + W', -W'X; -X'W, 0] and
+    K2 = [W'W, 0; 0, 0], since (I - rho W)'(I - rho W) = I - rho (W + W')
+    + rho^2 W'W. Every term is stored on one union CSC pattern, so the
+    pattern of P never depends on (rho, tau).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray  # rows: Q_beta, K0, K1, K2
+    logdet_q: float
+
+    @classmethod
+    def of(cls, spec: SlmSpec) -> "PrecisionTerms":
+        n, p = spec.n, spec.p
+        size = n + p
+        w = sp.csc_matrix(spec.w.mat)
+        x = spec.x_design
+        wtx = w.T @ x
+
+        def term(top_left, top_right, bottom_right) -> sp.csc_matrix:
+            if p == 0:
+                return sp.csc_matrix(top_left)
+            right = sp.csc_matrix(top_right)
+            return sp.csc_matrix(
+                sp.bmat([[top_left, right], [right.T, sp.csc_matrix(bottom_right)]])
+            )
+
+        zeros_x, zeros_p = np.zeros((n, p)), np.zeros((p, p))
+        terms = [
+            term(sp.csc_matrix((n, n)), zeros_x, spec.q_beta),
+            term(sp.identity(n), -x, x.T @ x),
+            term(w + w.T, -wtx, zeros_p),
+            term(w.T @ w, zeros_x, zeros_p),
+        ]
+        # The union of the structures; ones never cancel.
+        union = sp.csc_matrix((size, size))
+        for t in terms:
+            t.sum_duplicates()
+            union = union + sp.csc_matrix((np.ones(t.nnz), t.indices, t.indptr), (size, size))
+        union.sort_indices()
+        keys = _pattern_keys(union.indptr, union.indices, size)
+        data = np.zeros((len(terms), keys.size))
+        for row, t in zip(data, terms):
+            row[np.searchsorted(keys, _pattern_keys(t.indptr, t.indices, size))] = t.data
+        logdet_q = float(np.linalg.slogdet(spec.q_beta)[1]) if p else 0.0
+        return cls(union.indptr, union.indices, data, logdet_q)
 
 
 @dataclass(frozen=True)
@@ -163,7 +232,9 @@ class JointPrecision:
 def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPrecision:
     """Assemble the joint precision of (x, beta) at given (rho, tau).
 
-    rho may be a RhoParam or an external-scale float.
+    rho may be a RhoParam or an external-scale float. The result is a
+    weighted sum of spec.precision_terms() on their fixed pattern, so
+    every (rho, tau) gives the same sparsity pattern.
     """
     if not np.isfinite(tau) or tau <= 0:
         raise InvalidParameterError(f"tau must be a positive finite number, got {tau}")
@@ -177,23 +248,11 @@ def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPr
             f"rho = {rho_ext} is at or outside the admissible range {bounds}"
         )
     n, p = spec.n, spec.p
-    a = sp.identity(n, format="csr") - rho_ext * spec.w.mat
-    logdet_a = _logabsdet_sparse(a.tocsc())
-    top_left = tau * (a.T @ a)
-    if p == 0:
-        p_mat = top_left.tocsc()
-        logdet = n * np.log(tau) + 2.0 * logdet_a
-    else:
-        x = spec.x_design
-        atx = a.T @ x
-        top_right = sp.csr_matrix(-tau * atx)
-        bottom_right = sp.csr_matrix(spec.q_beta + tau * (x.T @ x))
-        p_mat = sp.bmat(
-            [[top_left, top_right], [top_right.T, bottom_right]], format="csc"
-        )
-        sign, logdet_q = np.linalg.slogdet(spec.q_beta)
-        logdet = n * np.log(tau) + 2.0 * logdet_a + logdet_q
-    p_mat.eliminate_zeros()
+    terms = spec.precision_terms()
+    q_b, k0, k1, k2 = terms.data
+    data = q_b + tau * (k0 - rho_ext * k1 + rho_ext**2 * k2)
+    p_mat = sp.csc_matrix((data, terms.indices, terms.indptr), shape=(n + p, n + p))
+    logdet = n * np.log(tau) + 2.0 * spec.w.log_abs_det(rho_ext) + terms.logdet_q
     return JointPrecision(p_mat=p_mat, n=n, p=p, logdet=float(logdet))
 
 
@@ -302,6 +361,15 @@ class SymbolicFactor:
         return self._l_pattern
 
 
+def canonical_csc(mat) -> sp.csc_matrix:
+    """mat in CSC form with sorted indices and no duplicate entries."""
+    mat = sp.csc_matrix(mat)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
+
+
 def _pattern_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """col * n + row for each stored entry; sorted for a sorted CSC pattern."""
     cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -323,10 +391,7 @@ class CholeskyHandle:
     def __init__(
         self, mat: sp.csc_matrix, context: str = "", symbolic: SymbolicFactor | None = None
     ):
-        mat = sp.csc_matrix(mat)
-        if not mat.has_canonical_format:
-            mat = mat.copy()
-            mat.sum_duplicates()
+        mat = canonical_csc(mat)
         data = symbolic.scatter(mat) if symbolic is not None else None
         try:
             if data is None:
@@ -457,10 +522,13 @@ class CholeskyHandle:
 
 
 def _splu(mat: sp.csc_matrix, permc_spec: str):
+    # relax=1 keeps SuperLU's relaxed supernodes to single columns: the
+    # same factor, with less work in gstrf on these matrices.
     return spla.splu(
         mat,
         permc_spec=permc_spec,
         diag_pivot_thresh=0.0,
+        relax=1,
         options={"SymmetricMode": True},
     )
 
@@ -503,16 +571,3 @@ def conditional_latent(
             ) from exc
     prec = (tau * (a.T @ a)).tocsc()
     return mean, prec
-
-
-def _logabsdet_sparse(a: sp.csc_matrix) -> float:
-    """log |det A| of a general sparse matrix via sparse LU."""
-    try:
-        lu = spla.splu(a)
-    except RuntimeError as exc:
-        raise NumericFailureError(f"sparse LU failed (singular matrix?): {exc}") from exc
-    diag_u = lu.U.diagonal()
-    diag_l = lu.L.diagonal()
-    if np.any(diag_u == 0):
-        raise NumericFailureError("matrix is singular to working precision")
-    return float(np.sum(np.log(np.abs(diag_u))) + np.sum(np.log(np.abs(diag_l))))

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import marginals as mg
 from .engine import FitResult
@@ -90,7 +89,7 @@ def trace_functions(
         raise NumericFailureError(
             f"power series diverges: |rho| * spectral-radius bound = {bad.max():.3f} >= 1"
         )
-    moments = _trace_moments(w.mat, series_terms)  # tr(W^k)/n, k = 0..K
+    moments = w.trace_moments(series_terms)  # tr(W^k)/n, k = 0..K, cached on w
     powers = rho_values[:, None] ** np.arange(series_terms + 1)[None, :]
     t1 = powers @ moments
     t2 = powers[:, :-1] @ moments[1:]
@@ -104,22 +103,6 @@ def trace_functions(
             stacklevel=2,
         )
     return t1, t2
-
-
-def _trace_moments(mat: sp.csr_matrix, terms: int, block: int = 512) -> np.ndarray:
-    """Exact tr(W^k)/n for k = 0..terms via blocked matrix powers."""
-    n = mat.shape[0]
-    moments = np.zeros(terms + 1)
-    moments[0] = 1.0
-    for start in range(0, n, block):
-        cols = np.arange(start, min(start + block, n))
-        v = np.zeros((n, cols.size))
-        v[cols, np.arange(cols.size)] = 1.0
-        for k in range(1, terms + 1):
-            v = mat @ v
-            moments[k] += float(np.sum(v[cols, np.arange(cols.size)]))
-    moments[1:] /= n
-    return moments
 
 
 def product_moments(mu_x: float, sd_x: float, mu_y: float, sd_y: float) -> tuple[float, float]:

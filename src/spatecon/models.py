@@ -35,6 +35,7 @@ from .gmrf import (
     SlmSpec,
     joint_precision,
     rho_to_internal,
+    warn_on_bad_scaling,
 )
 from .weights import WeightsMatrix
 
@@ -137,22 +138,10 @@ def build(
         raise InvalidInputError("weights matrix missing or non-conformable with y")
     if not w.standardized:
         raise InvalidInputError("weights must be row-standardized (see row_standardize)")
-    if likelihood == "probit":
-        vals = y[~np.isnan(y)]
-        if not np.all(np.isin(vals, (0.0, 1.0))):
-            raise InvalidInputError("probit requires a binary 0/1 response")
-
+    # A probit response is checked for 0/1 values by CompiledModel.
     x_raw = _as_design(x, n)
     p_raw = x_raw.shape[1]
-    if p_raw >= 2:
-        sds = x_raw.std(axis=0)
-        pos = sds[sds > 0]
-        if pos.size >= 2 and pos.max() / pos.min() > 1e4:
-            warnings.warn(
-                "covariate columns differ in scale by more than 1e4; "
-                "consider rescaling",
-                stacklevel=2,
-            )
+    warn_on_bad_scaling(x_raw)
     if covariate_names is None:
         covariate_names = tuple(f"x{j + 1}" for j in range(p_raw))
     covariate_names = tuple(covariate_names)
@@ -195,7 +184,7 @@ def build(
     slm_spec = None
     if kind != "slx":
         slm_w = m if kind == "sdem" else w
-        slm_spec = SlmSpec(
+        slm_spec = _spec_warned_by_build(
             w=slm_w,
             x_design=z_design,
             q_beta=priors.q_beta_diag * np.eye(z_design.shape[1]),
@@ -237,6 +226,14 @@ def build(
         slm=slm_spec,
         compiled=compiled,
     )
+
+
+def _spec_warned_by_build(**fields) -> SlmSpec:
+    """An SlmSpec without its covariate-scale warning: build() has given
+    it once already, for the whole design."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="covariate columns differ in scale")
+        return SlmSpec(**fields)
 
 
 def _initial_log_tau(y: np.ndarray, x: np.ndarray) -> float:
@@ -318,7 +315,7 @@ def _layers(
 
         def prior_builder(theta: Mapping[str, float]):
             tau_u = math.exp(theta["log_tau_iid"])
-            q = sp.diags(np.concatenate([np.full(n, tau_u), q_fixed_diag])).tocsc()
+            q = _diagonal(np.concatenate([np.full(n, tau_u), q_fixed_diag]))
             logdet = n * math.log(tau_u) + logdet_q_fixed
             return q, logdet
 
@@ -336,13 +333,25 @@ def _layers(
             rho = RhoParam.from_internal(theta["rho_internal"], rho_bounds)
             tau = math.exp(theta["log_tau"])
             jp = joint_precision(slm_spec, rho, tau)
-            if p_b:
-                q = sp.block_diag([jp.p_mat, sp.diags(q_fixed_diag)], format="csc")
-            else:
-                q = jp.p_mat
-            return q, jp.logdet + logdet_q_fixed
+            return _append_diagonal(jp.p_mat, q_fixed_diag), jp.logdet + logdet_q_fixed
 
     return tuple(dims), prior_builder
+
+
+def _diagonal(d: np.ndarray) -> sp.csc_matrix:
+    m = d.size
+    return sp.csc_matrix((d, np.arange(m), np.arange(m + 1)), shape=(m, m))
+
+
+def _append_diagonal(mat: sp.csc_matrix, d: np.ndarray) -> sp.csc_matrix:
+    """[[mat, 0], [0, diag(d)]] in CSC, built from mat's arrays."""
+    if d.size == 0:
+        return mat
+    n, m = mat.shape[0], d.size
+    indptr = np.concatenate([mat.indptr, mat.indptr[-1] + np.arange(1, m + 1)])
+    indices = np.concatenate([mat.indices, np.arange(n, n + m)])
+    data = np.concatenate([mat.data, d])
+    return sp.csc_matrix((data, indices, indptr), shape=(n + m, n + m))
 
 
 def fit(model: ModelSpec, settings: GridSettings | None = None) -> FitResult:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 
@@ -45,6 +46,8 @@ class WeightsMatrix:
     has_islands: bool = False
     _rho_bounds: tuple[float, float] | None = field(default=None, compare=False)
     _eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _lu_order: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _trace_moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.mat
@@ -75,6 +78,32 @@ class WeightsMatrix:
             eigs.flags.writeable = False
             object.__setattr__(self, "_eigenvalues", eigs)
         return self._eigenvalues
+
+    def log_abs_det(self, rho: float) -> float:
+        """log |det(I - rho W)|.
+
+        Up to n = 2000 it is sum_i log |1 - rho lambda_i| over the cached
+        spectrum (Ord 1975). Above, it comes from a sparse LU of
+        I - rho W in one column order per matrix, found by the first
+        factorization and reused by every later one.
+        """
+        if self.n <= _DENSE_EIG_LIMIT:
+            return float(np.sum(np.log(np.abs(1.0 - rho * self.eigenvalues()))))
+        a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
+        if self._lu_order is None:
+            logdet, order = _logabsdet_sparse(a)
+            object.__setattr__(self, "_lu_order", order)
+            return logdet
+        return _logabsdet_sparse(a[:, self._lu_order], "NATURAL")[0]
+
+    def trace_moments(self, terms: int) -> np.ndarray:
+        """tr(W^k)/n for k = 0..terms, cached per number of terms; the
+        array is read-only."""
+        if terms not in self._trace_moments:
+            moments = _trace_moments(self.mat, terms)
+            moments.flags.writeable = False
+            self._trace_moments[terms] = moments
+        return self._trace_moments[terms]
 
     def rho_range(self) -> tuple[float, float]:
         """Admissible open interval for the autocorrelation parameter.
@@ -133,17 +162,42 @@ def knn_adjacency(coords: np.ndarray, k: int) -> WeightsMatrix:
             stacklevel=2,
         )
 
-    # Pairwise distances with a stable per-row sort: equal distances keep
-    # index order, which implements smallest-index tie breaking.
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-
+    order = _knn_order(coords, k)
     rows = np.repeat(np.arange(n), k)
     cols = order.ravel()
     data = np.ones(n * k)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     return WeightsMatrix(mat=mat, standardized=False)
+
+
+def _knn_order(coords: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of each point's k nearest other points, nearest first,
+    equal squared distances in index order.
+
+    A k-d tree proposes the m nearest points of each row. A row is settled
+    once the farthest proposal lies clearly beyond its k-th nearest, so no
+    point left out can tie with the k-th; other rows are queried again
+    with m doubled. The settled candidates are ranked by the squared
+    distance computed exactly as a brute-force pairwise sort would.
+    """
+    n = coords.shape[0]
+    tree = cKDTree(coords)
+    order = np.empty((n, k), dtype=np.intp)
+    todo = np.arange(n)
+    m = min(k + 2, n)
+    while todo.size:
+        dist, idx = tree.query(coords[todo], k=m)
+        idx = np.where(idx == todo[:, None], n, idx)  # the point itself drops out
+        d2 = ((coords[todo, None, :] - coords[np.minimum(idx, n - 1)]) ** 2).sum(axis=2)
+        d2[idx == n] = np.inf
+        rank = np.lexsort((idx, d2))
+        idx = np.take_along_axis(idx, rank, axis=1)
+        kth = np.take_along_axis(d2, rank, axis=1)[:, k - 1]
+        done = (dist[:, -1] > np.sqrt(kth) * (1.0 + 1e-9)) | (m == n)
+        order[todo[done]] = idx[done, :k]
+        todo = todo[~done]
+        m = min(2 * m, n)
+    return order
 
 
 def row_standardize(w: WeightsMatrix) -> WeightsMatrix:
@@ -249,3 +303,33 @@ def _iterative_extreme_eigs(mat: sp.csr_matrix) -> np.ndarray:
     except spla.ArpackNoConvergence as exc:  # pragma: no cover
         raise NumericFailureError(f"eigen solver did not converge: {exc}") from exc
     return np.concatenate([top, bot])
+
+
+def _logabsdet_sparse(a: sp.csc_matrix, permc_spec: str = "COLAMD"):
+    """log |det A| of a general sparse matrix by sparse LU, and the column
+    order the LU pivoted in (A[:, order] factors with no new ordering)."""
+    try:
+        lu = spla.splu(a, permc_spec=permc_spec)
+    except RuntimeError as exc:
+        raise NumericFailureError(f"sparse LU failed (singular matrix?): {exc}") from exc
+    diag_u = lu.U.diagonal()
+    if np.any(diag_u == 0):
+        raise NumericFailureError("matrix is singular to working precision")
+    # L has a unit diagonal.
+    return float(np.sum(np.log(np.abs(diag_u)))), np.argsort(lu.perm_c)
+
+
+def _trace_moments(mat: sp.csr_matrix, terms: int, block: int = 512) -> np.ndarray:
+    """Exact tr(W^k)/n for k = 0..terms via blocked matrix powers."""
+    n = mat.shape[0]
+    moments = np.zeros(terms + 1)
+    moments[0] = 1.0
+    for start in range(0, n, block):
+        cols = np.arange(start, min(start + block, n))
+        v = np.zeros((n, cols.size))
+        v[cols, np.arange(cols.size)] = 1.0
+        for k in range(1, terms + 1):
+            v = mat @ v
+            moments[k] += float(np.sum(v[cols, np.arange(cols.size)]))
+    moments[1:] /= n
+    return moments

@@ -1,6 +1,7 @@
 """Impact matrices, trace functions, product moments, posterior summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,54 @@ class TestSpectrumCache:
         assert lam is w.eigenvalues()
         with pytest.raises(ValueError):
             lam[0] = 0.0
+
+
+class TestTraceMomentCache:
+    def test_one_moment_build_per_weights_matrix(self, monkeypatch):
+        # The series path, forced at a small n: one build of tr(W^k)/n per
+        # weights matrix, however many covariates and fits read it.
+        from spatecon import impacts, weights
+
+        monkeypatch.setattr(impacts, "_DENSE_TRACE_LIMIT", 10)
+        rng = np.random.default_rng(16)
+        w_a, w_b = random_weights(rng, 40, 4), random_weights(rng, 40, 5)
+        y, x = simulate_slm(rng, w_a, [1.0, 0.6, -0.3], 0.3, 0.5)
+        real_moments = weights._trace_moments
+        calls = []
+
+        def counting_moments(mat, terms):
+            calls.append(mat.shape)
+            return real_moments(mat, terms)
+
+        monkeypatch.setattr(weights, "_trace_moments", counting_moments)
+        fits = [
+            se.fit(se.build("slm", y, x, w_a)),
+            se.fit(se.build("sdm", y, x, w_a)),
+            se.fit(se.build("slm", y, x, w_b)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # series truncation notes
+            got = [average_impacts(f) for f in fits]
+            assert calls == [(40, 40), (40, 40)]
+
+            # Bit for bit the impacts of rebuilding the moments on every call.
+            monkeypatch.setattr(
+                se.WeightsMatrix,
+                "trace_moments",
+                lambda self, terms: real_moments(self.mat, terms),
+            )
+            for summaries, f in zip(got, fits):
+                for name, summ in average_impacts(f).items():
+                    for part in ("direct", "indirect", "total"):
+                        a, b = getattr(summaries[name], part), getattr(summ, part)
+                        assert (a.mean, a.sd) == (b.mean, b.sd)
+
+    def test_cached_moments_are_read_only(self):
+        w = chain_weights(6)
+        m = w.trace_moments(8)
+        assert m is w.trace_moments(8)
+        with pytest.raises(ValueError):
+            m[0] = 0.0
 
 
 class TestProbitScaling:

@@ -52,6 +52,22 @@ class TestKnnAdjacency:
         assert np.all(w.sum(axis=1) == k)
         assert np.all(np.diag(w) == 0)
 
+    def test_ties_go_to_the_smallest_index(self):
+        # A lattice, where every distance ties several ways, plus a stack
+        # of duplicates whose ties run past the first neighbour query.
+        grid = np.array([[i, j] for i in range(7) for j in range(7)], dtype=float)
+        stack = np.repeat([[3.0, 3.0]], 9, axis=0)
+        coords = np.vstack([stack, grid, stack])
+        n = coords.shape[0]
+        d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        for k in (1, 4, 8, 13):
+            with pytest.warns(UserWarning, match="duplicate"):
+                w = knn_adjacency(coords, k).toarray()
+            expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            for i in range(n):
+                assert set(np.flatnonzero(w[i])) == set(expected[i])
+
     def test_entry_count_is_nk(self):
         rng = np.random.default_rng(5)
         coords = rng.uniform(size=(23, 2))
