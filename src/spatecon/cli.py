@@ -186,10 +186,10 @@ def _impact_outputs(fits: dict, out: _OutputTracker) -> None:
         )
 
 
-def cmd_fit(config: RunConfig, out: _OutputTracker, threads: int) -> int:
+def _fit_kinds(config: RunConfig):
+    """Build and fit each configured kind in turn, yielding (kind, fit)."""
     y, x, cov_names = config.load_data()
     w = config.load_weights()
-    fits = {}
     for kind in config.kinds:
         spec = models.build(
             kind, y, x, w,
@@ -197,8 +197,14 @@ def cmd_fit(config: RunConfig, out: _OutputTracker, threads: int) -> int:
             priors=config.priors,
             covariate_names=tuple(cov_names) if cov_names else None,
         )
-        fits[kind] = models.fit(spec, config.grid)
-        _fit_outputs(fits[kind], kind, out)
+        yield kind, models.fit(spec, config.grid)
+
+
+def cmd_fit(config: RunConfig, out: _OutputTracker, threads: int) -> int:
+    fits = {}
+    for kind, fit in _fit_kinds(config):
+        fits[kind] = fit
+        _fit_outputs(fit, kind, out)
 
     all_names: list[str] = []
     for fit in fits.values():
@@ -285,18 +291,7 @@ def cmd_scan(config: RunConfig, out: _OutputTracker, threads: int) -> int:
 
 
 def cmd_impacts(config: RunConfig, out: _OutputTracker, threads: int) -> int:
-    y, x, cov_names = config.load_data()
-    w = config.load_weights()
-    fits = {}
-    for kind in config.kinds:
-        spec = models.build(
-            kind, y, x, w,
-            likelihood=config.likelihood,
-            priors=config.priors,
-            covariate_names=tuple(cov_names) if cov_names else None,
-        )
-        fits[kind] = models.fit(spec, config.grid)
-    _impact_outputs(fits, out)
+    _impact_outputs(dict(_fit_kinds(config)), out)
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ marginals are Gaussian mixtures over that grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -121,6 +122,11 @@ class CompiledModel:
     assembly: "Assembly | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Probit latent mode of the last converged inner Newton solve: the
+    # next theta's solve starts from it.
+    last_mode: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -165,13 +171,18 @@ class CompiledModel:
         return math.exp(theta["log_tau_obs"])
 
 
+def _theta_bounds(name: str) -> tuple[float, float]:
+    """The interval _clamp_theta holds a hyperparameter to."""
+    if name == "rho_internal":
+        return RHO_INTERNAL_EPS, 1.0 - RHO_INTERNAL_EPS
+    return -40.0, 40.0
+
+
 def _clamp_theta(theta: dict[str, float]) -> dict[str, float]:
     out = dict(theta)
     for name, value in out.items():
-        if name == "rho_internal":
-            out[name] = min(max(value, RHO_INTERNAL_EPS), 1.0 - RHO_INTERNAL_EPS)
-        else:
-            out[name] = min(max(value, -40.0), 40.0)
+        lo, hi = _theta_bounds(name)
+        out[name] = min(max(value, lo), hi)
     return out
 
 
@@ -469,6 +480,19 @@ def laplace_inner(
 ) -> tuple[float, GaussianState | None]:
     """Newton mode + Laplace evidence for the probit likelihood.
 
+    Newton starts from the model's last converged mode (model.last_mode,
+    zero when there is none) and leaves the mode it finds there for the
+    next call. At each iterate z it factors the Hessian H(z) and solves
+    for the step; it stops at the first z whose gradient sup-norm is
+    below 1e-7 and whose Newton step is below 1e-10, and that factor of
+    H(z) gives the log determinant, the latent variances and the
+    coefficient columns. The evidence carries the distance of z from the
+    mode at first order (through log|H(z)| and the site corrections), so
+    the step bound, not the gradient bound, sets how closely two starts
+    agree. The objective is strictly concave, so Newton with backtracking
+    reaches the same mode from any start; a repeated theta costs one
+    factorization.
+
     The returned evidence includes per-site Gauss-Hermite correction
     factors (exact for independent sites); the Gaussian posterior is the
     plain mode/curvature approximation.
@@ -489,22 +513,21 @@ def laplace_inner(
         ll, _, _ = _probit_site_derivs(eta_of(z)[obs], y_o)
         return float(-0.5 * z @ (q_prior @ z) + ll.sum())
 
-    z = np.zeros(n + p)
+    z = np.zeros(n + p) if model.last_mode is None else model.last_mode
     obj = objective(z)
-    step_inf = np.inf
-    factor = None
     for _ in range(100):
         eta = eta_of(z)
-        _, s_site, d_site = _probit_site_derivs(eta[obs], y_o)
+        ll, s_site, d_site = _probit_site_derivs(eta[obs], y_o)
         s_full = np.zeros(n)
         s_full[obs] = s_site
-        grad = -(q_prior @ z) + np.concatenate([s_full, xb.T @ s_full])
+        qz = q_prior @ z
+        grad = -qz + np.concatenate([s_full, xb.T @ s_full])
         gnorm = float(np.max(np.abs(grad)))
-        if step_inf < 1e-8 and gnorm < 1e-7:
-            break
         h = plan.with_curvature(q_data, d_site, xb)
         factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
         delta = factor.solve(grad)
+        if gnorm < 1e-7 and float(np.max(np.abs(delta))) < 1e-10:
+            break
         t = 1.0
         while t >= 2.0**-30:
             cand = z + t * delta
@@ -514,18 +537,14 @@ def laplace_inner(
             t *= 0.5
         z = z + t * delta
         obj = objective(z)
-        step_inf = float(np.max(np.abs(t * delta)))
     else:
         raise NumericFailureError(
             f"probit Newton did not converge (last gradient sup-norm {gnorm:.3e})"
         )
+    model.last_mode = z
 
-    eta = eta_of(z)
-    ll, s_site, d_site = _probit_site_derivs(eta[obs], y_o)
-    h = plan.with_curvature(q_data, d_site, xb)
-    factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
     log_laplace = (
-        float(ll.sum()) + 0.5 * logdet_qp - 0.5 * float(z @ (q_prior @ z))
+        float(ll.sum()) + 0.5 * logdet_qp - 0.5 * float(z @ qz)
         - 0.5 * factor.logdet()
     )
 
@@ -559,6 +578,15 @@ def _with_design_variance(var_v, cross, cov_c, xb) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite nodes and weights, computed once per
+    node count and shared read-only."""
+    u_nodes, w_nodes = np.polynomial.hermite_e.hermegauss(nodes)
+    u_nodes.flags.writeable = w_nodes.flags.writeable = False
+    return u_nodes, w_nodes
+
+
 def _site_corrections(eta_hat, y_o, var_eta_o, nodes: int = 41) -> float:
     """Sum of log E[exp(remainder)] over sites.
 
@@ -567,7 +595,7 @@ def _site_corrections(eta_hat, y_o, var_eta_o, nodes: int = 41) -> float:
     i.e. the part of the site log likelihood the Gaussian approximation
     drops. Evaluated with probabilists' Gauss-Hermite nodes.
     """
-    u_nodes, w_nodes = np.polynomial.hermite_e.hermegauss(nodes)
+    u_nodes, w_nodes = _gauss_hermite(nodes)
     log_w = np.log(w_nodes) - 0.5 * math.log(2.0 * math.pi)
     ll0, g0, d0 = _probit_site_derivs(eta_hat, y_o)
     s = np.sqrt(np.maximum(var_eta_o, 0.0))[:, None] * u_nodes[None, :]
@@ -641,20 +669,34 @@ def _log_posterior_fn(model: CompiledModel):
     return f
 
 
-def _numeric_hessian(f, x0: np.ndarray, h: float) -> np.ndarray:
+def _numeric_hessian(
+    f, x0: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Central-difference Hessian of f at x0 with step h per axis.
+
+    An axis whose bound lo or hi lies within h of x0 gets half the room
+    left as its step, so every stencil point stays strictly inside the
+    bounds and none is clamped into a one-sided stencil.
+    """
     d = x0.size
+    room = np.minimum(x0 - lo, hi - x0)
+    if np.any(room <= 0.0):
+        raise NumericFailureError(
+            f"hyperparameter mode {x0.tolist()} lies on the bound of its domain"
+        )
+    steps = np.minimum(h, 0.5 * room)
     hess = np.empty((d, d))
     f0 = f(x0)
     for i in range(d):
         ei = np.zeros(d)
-        ei[i] = h
-        hess[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / h**2
+        ei[i] = steps[i]
+        hess[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / steps[i] ** 2
         for j in range(i + 1, d):
             ej = np.zeros(d)
-            ej[j] = h
+            ej[j] = steps[j]
             hess[i, j] = hess[j, i] = (
                 f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4.0 * h**2)
+            ) / (4.0 * steps[i] * steps[j])
     return hess
 
 
@@ -677,7 +719,8 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
             f"(nit = {res.nit}, nfev = {res.nfev})"
         )
     mode = np.array([model.theta_from_vector(res.x)[dim.name] for dim in free])
-    hess = _numeric_hessian(f, mode, settings.hess_step)
+    lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
+    hess = _numeric_hessian(f, mode, settings.hess_step, lo, hi)
     neg_h = -hess
     try:
         eigval, eigvec = np.linalg.eigh(neg_h)
@@ -692,6 +735,9 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
 
 
 def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool):
+    # Every exploration starts cold, from no mode and no analysis, so its
+    # result does not depend on what was evaluated on the model before.
+    model.symbolic = model.assembly = model.last_mode = None
     free = model.free_dims()
     d = len(free)
     theta_fixed = {dim.name: dim.fixed for dim in model.hyper_dims if dim.fixed is not None}
@@ -905,7 +951,7 @@ def _probit_dic(
 ) -> tuple[float, float]:
     obs = model.obs_idx
     y_o = model.y[obs]
-    u_nodes, w_nodes = np.polynomial.hermite_e.hermegauss(nodes)
+    u_nodes, w_nodes = _gauss_hermite(nodes)
     wbar = w_nodes / w_nodes.sum()
     e_d = 0.0
     eta_bar = np.zeros(model.n)
@@ -953,9 +999,10 @@ def fit_compiled(
     """Full inference pass: grid, marginals, evidence, DIC, predictions."""
     settings = settings or GridSettings()
     grid, states = _build_grid(model, settings, want_states=True)
-    # A kept fit holds its results, not the factorization workspace; a
-    # later evaluation of the model analyses its pattern again.
-    model.symbolic = model.assembly = None
+    # A kept fit holds its results, not the factorization workspace or
+    # the last mode; a later evaluation analyses its pattern again and
+    # starts Newton from zero.
+    model.symbolic = model.assembly = model.last_mode = None
     weights = grid.weights
     g_count, n, p = len(states), model.n, model.p
 

@@ -18,6 +18,7 @@ from oracles import (
 from scipy import integrate, stats
 
 import spatecon as se
+from spatecon import engine
 from spatecon.engine import (
     CompiledModel,
     GridSettings,
@@ -26,6 +27,7 @@ from spatecon.engine import (
     log_conditional_evidence,
     marginal_likelihood,
 )
+from spatecon.gmrf import RHO_INTERNAL_EPS
 from spatecon.marginals import mixture_moments
 
 
@@ -454,3 +456,45 @@ class TestReproducibility:
         assert np.array_equal(f1.weights, f2.weights)
         assert np.array_equal(f1.coef_means, f2.coef_means)
         assert math.isfinite(f1.log_mlik)
+
+
+class TestNumericHessian:
+    """The mode's Hessian stencil stays inside the domain theta_from_vector
+    clamps to, also for a mode within hess_step of a bound."""
+
+    A = np.array([[3.0, 0.5], [0.5, 2.0]])
+    B = np.array([0.7, -0.2])
+
+    def clamp_recording_quadratic(self, model, x0):
+        clamped = []
+
+        def f(vec):
+            theta = model.theta_from_vector(vec)
+            v = np.array([theta["rho_internal"], theta["log_tau"]])
+            clamped.append(not np.array_equal(v, vec))
+            d = v - x0
+            return float(-0.5 * d @ self.A @ d + self.B @ d)
+
+        return f, clamped
+
+    @pytest.mark.parametrize(
+        "rho", [RHO_INTERNAL_EPS + 3e-5, 1.0 - RHO_INTERNAL_EPS - 2e-5, 0.4]
+    )
+    def test_quadratic_near_the_rho_bound(self, rho):
+        rng = np.random.default_rng(41)
+        w = random_weights(rng, 10, 3)
+        model = se.build("slm", rng.normal(size=10), None, w).compiled
+        assert [d.name for d in model.free_dims()] == ["rho_internal", "log_tau"]
+        lo, hi = np.array([engine._theta_bounds(d.name) for d in model.free_dims()]).T
+        x0 = np.array([rho, 0.3])
+        f, clamped = self.clamp_recording_quadratic(model, x0)
+        hess = engine._numeric_hessian(f, x0, 1e-4, lo, hi)
+        assert len(clamped) == 9 and not any(clamped)
+        assert_allclose(hess, -self.A, rtol=1e-6)
+
+    def test_mode_on_the_bound_is_a_numeric_failure(self):
+        x0 = np.array([RHO_INTERNAL_EPS, 0.0])
+        lo = np.array([RHO_INTERNAL_EPS, -40.0])
+        hi = np.array([1.0 - RHO_INTERNAL_EPS, 40.0])
+        with pytest.raises(se.NumericFailureError, match="bound"):
+            engine._numeric_hessian(lambda v: 0.0, x0, 1e-4, lo, hi)

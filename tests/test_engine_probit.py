@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import gradient_at_mode, random_weights
+from oracles import gradient_at_mode, random_weights, simulate_slm
 from scipy import integrate, stats
 
 import spatecon as se
+from spatecon import engine
 from spatecon.engine import CompiledModel, laplace_inner
 
 
@@ -206,3 +207,88 @@ class TestProbitDic:
             )
         )
         assert 0.0 < fit.p_eff < n
+
+
+def correlated_probit_model(kind, missing=3, seed=31, n=60):
+    rng = np.random.default_rng(seed)
+    w = random_weights(rng, n, 4)
+    y, x = simulate_slm(rng, w, [0.2, 1.0, -0.8], 0.5, 1.0)
+    y = (y > 0).astype(float)
+    y[rng.choice(n, size=missing, replace=False)] = np.nan
+    return se.build(kind, y, x, w, likelihood="probit")
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    real_init = se.CholeskyHandle.__init__
+
+    def init(self, *args, **kwargs):
+        calls.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(se.CholeskyHandle, "__init__", init)
+    return calls
+
+
+class TestHotStart:
+    """Newton starts from the model's last mode; the result must not
+    depend on where it starts."""
+
+    THETA = {"rho_internal": 0.6, "log_tau": 0.0}
+
+    @pytest.mark.parametrize("kind", ["slm", "sem"])
+    @pytest.mark.parametrize("start_rho", [0.62, 1e-3, 0.999])
+    def test_hot_start_matches_cold_start(self, kind, start_rho):
+        model = correlated_probit_model(kind).compiled
+        lz_cold, cold = laplace_inner(model, self.THETA)
+        model.last_mode = None
+        laplace_inner(model, {"rho_internal": start_rho, "log_tau": 0.0})
+        start = model.last_mode.copy()
+        lz_hot, hot = laplace_inner(model, self.THETA)
+        # Every start is away from the mode it has to reach.
+        assert np.max(np.abs(start[: model.n] - cold.mean_x)) > 1e-3
+        assert abs(lz_hot - lz_cold) <= 1e-10 * abs(lz_cold)
+        for field in ("mean_x", "var_x", "mean_c", "var_eta"):
+            got, want = getattr(hot, field), getattr(cold, field)
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), field
+
+    def test_repeated_theta_costs_one_factorization(self, monkeypatch):
+        model = correlated_probit_model("slm").compiled
+        lz_first, first = laplace_inner(model, self.THETA)
+        calls = count_factorizations(monkeypatch)
+        lz_again, again = laplace_inner(model, self.THETA)
+        assert len(calls) == 1
+        assert lz_again == lz_first
+        assert np.array_equal(again.mean_x, first.mean_x)
+        assert np.array_equal(again.var_x, first.var_x)
+
+    def test_refit_is_bit_identical(self):
+        model = correlated_probit_model("slm", missing=0)
+        f1 = se.fit(model)
+        # Leave a far mode on the model: the next fit must not start from it.
+        laplace_inner(model.compiled, {"rho_internal": 0.999, "log_tau": 0.0})
+        f2 = se.fit(model)
+        assert model.compiled.last_mode is None
+        assert f1.log_mlik == f2.log_mlik
+        assert np.array_equal(f1.coef_means, f2.coef_means)
+        assert np.array_equal(f1.coef_covs, f2.coef_covs)
+        assert np.array_equal(f1.grid.points, f2.grid.points)
+        assert np.array_equal(f1.grid.log_evidence, f2.grid.log_evidence)
+
+    def test_fit_factorizations_per_evidence(self, monkeypatch):
+        # Hot-started Newton makes 3.9 factorizations per evidence call
+        # on this fit; starting every theta from zero and factoring again
+        # at the mode makes 9.
+        model = correlated_probit_model("slm", missing=0)
+        evidence_calls = []
+        real_evidence = engine.log_conditional_evidence
+
+        def counting_evidence(*args, **kwargs):
+            evidence_calls.append(1)
+            return real_evidence(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "log_conditional_evidence", counting_evidence)
+        factorizations = count_factorizations(monkeypatch)
+        se.fit(model)
+        assert len(evidence_calls) > 20
+        assert len(factorizations) <= 5 * len(evidence_calls)
