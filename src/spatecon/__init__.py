@@ -6,7 +6,6 @@ from .engine import (
     HyperGrid,
     explore_hypergrid,
     laplace_inner,
-    latent_marginal,
     log_conditional_evidence,
     marginal_likelihood,
 )
@@ -21,8 +20,6 @@ from .gmrf import (
     JointPrecision,
     RhoParam,
     SlmSpec,
-    conditional_latent,
-    factorize,
     joint_precision,
     rho_to_external,
     rho_to_internal,
@@ -56,9 +53,7 @@ __all__ = [
     "SpateconError",
     "WeightsMatrix",
     "build",
-    "conditional_latent",
     "explore_hypergrid",
-    "factorize",
     "fit",
     "from_dense",
     "gaussian_mixture_marginal",
@@ -66,7 +61,6 @@ __all__ = [
     "knn_adjacency",
     "lag_covariates",
     "laplace_inner",
-    "latent_marginal",
     "log_conditional_evidence",
     "marginal_likelihood",
     "rho_range",

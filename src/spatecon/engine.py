@@ -880,21 +880,29 @@ class FitResult:
         means, variances = self.coef_mixture(name_or_idx)
         return mg.mixture_moments(means, variances, self.weights)
 
+    def combination_mixture(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Per-grid mean and variance of a_g . c, Gaussian given theta_g.
+
+        rows is a (G, p) array with one weight row per grid point, a (p,)
+        row shared by all of them, or a mapping from coefficient names to
+        weights.
+        """
+        if isinstance(rows, Mapping):
+            a = np.zeros(len(self.coef_names))
+            for name, val in rows.items():
+                a[self.coef_index(name)] = val
+            rows = a
+        rows = np.broadcast_to(np.asarray(rows, dtype=float), self.coef_means.shape)
+        means = np.einsum("gj,gj->g", rows, self.coef_means)
+        variances = np.einsum("gj,gjk,gk->g", rows, self.coef_covs, rows)
+        return means, variances
+
     def linear_combination_moments(self, coeffs: Mapping[str, float]) -> tuple[float, float]:
         """Mixture mean/variance of sum_j a_j beta_j (within-grid covariances kept)."""
-        a = np.zeros(len(self.coef_names))
-        for name, val in coeffs.items():
-            a[self.coef_index(name)] = val
-        means = self.coef_means @ a
-        variances = np.einsum("j,gjk,k->g", a, self.coef_covs, a)
-        return mg.mixture_moments(means, variances, self.weights)
+        return mg.mixture_moments(*self.combination_mixture(coeffs), self.weights)
 
     def linear_combination_marginal(self, coeffs: Mapping[str, float]) -> mg.Marginal:
-        a = np.zeros(len(self.coef_names))
-        for name, val in coeffs.items():
-            a[self.coef_index(name)] = val
-        means = self.coef_means @ a
-        variances = np.einsum("j,gjk,k->g", a, self.coef_covs, a)
+        means, variances = self.combination_mixture(coeffs)
         return mg.gaussian_mixture_marginal(
             means, variances, self.weights, self.settings.mixture_points
         )
@@ -919,11 +927,6 @@ class FitResult:
         if self.tau_marginal is not None:
             out["tau"] = self.tau_marginal.summary()
         return out
-
-
-def latent_marginal(fit: FitResult, index: int) -> mg.Marginal:
-    """Mixture marginal of one latent coordinate (module-level alias)."""
-    return fit.latent_marginal(index)
 
 
 def _gaussian_dic(model: CompiledModel, grid, weights, states) -> tuple[float, float]:
@@ -985,11 +988,9 @@ def _predictive_marginals(
                 means, variances + noise, weights, settings.mixture_points
             )
         else:
-            eta_marg = mg.gaussian_mixture_marginal(
+            out[int(i)] = mg.probit_mixture_marginal(
                 means, variances, weights, settings.mixture_points
             )
-            phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            out[int(i)] = mg.transform_marginal(eta_marg, ndtr, deriv=phi)
     return out
 
 

@@ -9,9 +9,9 @@ zero-mean Gaussian Markov random field whose precision has the block form
 
 which is sparse and symmetric. This module builds that matrix (as a
 weighted sum of sparse terms fixed per model, on one sparsity pattern for
-every rho and tau), factors it (sparse LDL^T via SuperLU in symmetric
-mode), and exposes the conditional distribution of x given beta. The autocorrelation parameter lives on an
-internal (0, 1) scale mapped affinely onto (rho_min, rho_max).
+every rho and tau) and factors it (sparse LDL^T via SuperLU in symmetric
+mode). The autocorrelation parameter lives on an internal (0, 1) scale
+mapped affinely onto (rho_min, rho_max).
 
 Marginal variances come from selected inversion (Takahashi, Fagan & Chen
 1973; Rue, Martino & Chopin 2009, sec. 3): the entries of the inverse on
@@ -531,43 +531,3 @@ def _splu(mat: sp.csc_matrix, permc_spec: str):
         relax=1,
         options={"SymmetricMode": True},
     )
-
-
-def factorize(p: JointPrecision | sp.spmatrix, context: str = "") -> CholeskyHandle:
-    """Factor an SPD precision matrix; raises NumericFailureError otherwise."""
-    mat = p.p_mat if isinstance(p, JointPrecision) else p
-    return CholeskyHandle(mat, context=context)
-
-
-def conditional_latent(
-    spec: SlmSpec, rho: RhoParam | float, tau: float, beta: np.ndarray
-) -> tuple[np.ndarray, sp.csc_matrix]:
-    """Mean and precision of x given beta.
-
-    mean solves (I - rho W) m = X beta; precision is
-    tau (I - rho W')(I - rho W).
-    """
-    if not np.isfinite(tau) or tau <= 0:
-        raise InvalidParameterError(f"tau must be a positive finite number, got {tau}")
-    rho_ext = rho.external if isinstance(rho, RhoParam) else float(rho)
-    bounds = spec.bounds()
-    if not bounds[0] < rho_ext < bounds[1]:
-        raise InvalidParameterError(
-            f"rho = {rho_ext} is at or outside the admissible range {bounds}"
-        )
-    beta = np.asarray(beta, dtype=float).ravel()
-    if beta.shape != (spec.p,):
-        raise InvalidInputError(f"beta must have length {spec.p}, got {beta.shape}")
-    n = spec.n
-    a = (sp.identity(n, format="csr") - rho_ext * spec.w.mat).tocsc()
-    if spec.p == 0 or not np.any(beta):
-        mean = np.zeros(n)
-    else:
-        try:
-            mean = spla.splu(a).solve(spec.x_design @ beta)
-        except RuntimeError as exc:
-            raise NumericFailureError(
-                f"(I - rho W) is singular at rho = {rho_ext}: {exc}"
-            ) from exc
-    prec = (tau * (a.T @ a)).tocsc()
-    return mean, prec

@@ -8,14 +8,18 @@ The n x n impact matrix of covariate r is model dependent:
     SDEM, SLX  : beta_r I + gamma_r W
 
 Average direct impact = trace / n, average total = grand sum / n,
-indirect = total - direct. For SEM/SDEM/SLX the averages are linear in
-the coefficients and inference is exact. For SLM/SDM the posterior of
-the average impact is approximated by treating the rho-dependent factor
-and the coefficient factor as independent, combining their means and
-variances with the exact product-moment formulas, and reporting a
-Gaussian with those moments. Probit impacts are the Gaussian-case
-impacts scaled by the average standard-normal density of the linear
-predictor at its posterior mean.
+indirect = total - direct. Given the hyperparameters theta_g of a grid
+point, every average is linear in the coefficients c:
+
+    direct   = t1(rho_g) beta_r + t2(rho_g) gamma_r
+    total    = (beta_r + gamma_r) / (1 - rho_g)
+
+with t1, t2 the trace functions below for SLM/SDM and t1 = 1, t2 = 0,
+a total factor of 1 for SEM/SDEM/SLX (gamma_r = 0 for SEM and SLM).
+Since c | theta_g is Gaussian, each impact's posterior is the exact
+Gaussian mixture sum_g w_g N(a_g . mu_g, a_g' Sigma_g a_g) over the
+grid. Probit impacts are these scaled by the average standard-normal
+density of the linear predictor at its posterior mean.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from . import marginals as mg
 from .engine import FitResult
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
+from .gmrf import rho_to_external
 from .marginals import Marginal
 from .weights import WeightsMatrix
 
@@ -105,15 +110,6 @@ def trace_functions(
     return t1, t2
 
 
-def product_moments(mu_x: float, sd_x: float, mu_y: float, sd_y: float) -> tuple[float, float]:
-    """Mean and sd of the product of two independent random variables."""
-    if sd_x < 0 or sd_y < 0:
-        raise InvalidParameterError("standard deviations must be nonnegative")
-    mean = mu_x * mu_y
-    var = (mu_x * sd_y) ** 2 + (mu_y * sd_x) ** 2 + (sd_x * sd_y) ** 2
-    return mean, math.sqrt(var)
-
-
 @dataclass(frozen=True)
 class ImpactStat:
     mean: float
@@ -121,31 +117,13 @@ class ImpactStat:
     marginal: Marginal | None
 
 
-def _gaussian_stat(mean: float, sd: float) -> ImpactStat:
-    """Gaussian summary; a degenerate sd yields a point mass (no marginal)."""
-    if sd <= 1e-12 * max(1.0, abs(mean)):
-        return ImpactStat(mean, sd, None)
-    return ImpactStat(mean, sd, mg.gaussian_marginal(mean, sd))
-
-
 @dataclass(frozen=True)
 class ImpactSummary:
     covariate: str
-    method: str  # "exact" or "gaussian_product"
+    method: str  # "exact", or "probit_scaled" for a probit fit
     direct: ImpactStat
     indirect: ImpactStat
     total: ImpactStat
-
-
-def _scaled(stat: ImpactStat, s: float) -> ImpactStat:
-    marg = None
-    if stat.marginal is not None and s != 1.0:
-        marg = mg.transform_marginal(
-            stat.marginal, lambda x: s * x, deriv=lambda x: np.full_like(x, s)
-        )
-    elif stat.marginal is not None:
-        marg = stat.marginal
-    return ImpactStat(mean=s * stat.mean, sd=abs(s) * stat.sd, marginal=marg)
 
 
 def probit_scaling(fit: FitResult) -> float:
@@ -156,120 +134,53 @@ def probit_scaling(fit: FitResult) -> float:
     return float(np.mean(np.exp(-0.5 * eta * eta)) / math.sqrt(2.0 * math.pi))
 
 
-def _coef_stat(fit: FitResult, name: str) -> ImpactStat:
-    mean, var = fit.coef_moments(name)
-    return ImpactStat(mean, math.sqrt(var), fit.coef_marginal(name))
-
-
-def average_impacts_exact(fit: FitResult, covariate: str) -> ImpactSummary:
-    """Exact impact averages for SEM, SDEM and SLX."""
-    kind = fit.kind
-    if kind not in ("sem", "sdem", "slx"):
-        raise InvalidParameterError(f"exact impacts are not available for {kind!r}")
-    direct = _coef_stat(fit, covariate)
-    gamma_name = fit.model.gamma_name(covariate) if fit.model is not None else None
-    if kind == "sem" or gamma_name is None:
-        indirect = ImpactStat(0.0, 0.0, None)
-        total = direct
-    else:
-        t_mean, t_var = fit.linear_combination_moments({covariate: 1.0, gamma_name: 1.0})
-        total = ImpactStat(
-            t_mean,
-            math.sqrt(t_var),
-            fit.linear_combination_marginal({covariate: 1.0, gamma_name: 1.0}),
-        )
-        ind_var = max(t_var - direct.sd**2, 0.0)
-        indirect = _gaussian_stat(total.mean - direct.mean, math.sqrt(ind_var))
-    return ImpactSummary(covariate, "exact", direct, indirect, total)
-
-
-def _rho_factor_moments(fit: FitResult) -> tuple[float, float]:
-    """Moments of 1/(1 - rho) under the external rho marginal."""
-    marg = fit.rho_marginal
-    if marg is None:
-        raise InvalidInputError("fit has no rho marginal")
-    if marg.support[-1] >= 1.0 - 1e-6:
-        # mass against the upper bound makes 1/(1 - rho) blow up
-        tail = marg.expectation(lambda r: (r >= 1.0 - 1e-6).astype(float))
-        if tail > 1e-6:
-            raise NumericFailureError(
-                "rho marginal carries mass within 1e-6 of 1; total impact diverges"
-            )
-    transformed = mg.transform_marginal(
-        marg, lambda r: 1.0 / (1.0 - r), deriv=lambda r: 1.0 / (1.0 - r) ** 2
-    )
-    return transformed.mean(), transformed.sd()
-
-
-def _trace_moments_under_rho(fit: FitResult) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Quadrature moments of the two trace functions under the rho marginal."""
-    marg = fit.rho_marginal
-    w = fit.model.slm.w
-    t1, t2 = trace_functions(w, marg.support)
-    m1 = float(np.trapezoid(t1 * marg.density, marg.support))
-    v1 = float(np.trapezoid(t1**2 * marg.density, marg.support)) - m1**2
-    m2 = float(np.trapezoid(t2 * marg.density, marg.support))
-    v2 = float(np.trapezoid(t2**2 * marg.density, marg.support)) - m2**2
-    return (m1, math.sqrt(max(v1, 0.0))), (m2, math.sqrt(max(v2, 0.0)))
-
-
-def average_impacts_approx(fit: FitResult, covariate: str) -> ImpactSummary:
-    """Gaussian product-moment approximation for SLM and SDM."""
-    kind = fit.kind
-    if kind not in ("slm", "sdm"):
-        raise InvalidParameterError(f"approximate impacts apply to slm/sdm, not {kind!r}")
-    gamma_name = fit.model.gamma_name(covariate) if kind == "sdm" else None
-
-    # Total: X = 1/(1 - rho), Y = beta_r (+ gamma_r), assumed independent.
-    mu_x, sd_x = _rho_factor_moments(fit)
-    if gamma_name is None:
-        mu_y, var_y = fit.coef_moments(covariate)
-    else:
-        mu_y, var_y = fit.linear_combination_moments({covariate: 1.0, gamma_name: 1.0})
-    t_mean, t_sd = product_moments(mu_x, sd_x, mu_y, math.sqrt(var_y))
-    total = _gaussian_stat(t_mean, t_sd)
-
-    # Direct: trace terms, each an independent product with its coefficient.
-    (m1, s1), (m2, s2) = _trace_moments_under_rho(fit)
-    mu_b, var_b = fit.coef_moments(covariate)
-    d_mean, d_sd = product_moments(m1, s1, mu_b, math.sqrt(var_b))
-    d_var = d_sd**2
-    if gamma_name is not None:
-        mu_g, var_g = fit.coef_moments(gamma_name)
-        g_mean, g_sd = product_moments(m2, s2, mu_g, math.sqrt(var_g))
-        d_mean += g_mean
-        d_var += g_sd**2
-    direct = _gaussian_stat(d_mean, math.sqrt(d_var))
-
-    i_mean = total.mean - direct.mean
-    i_var = max(total.sd**2 - direct.sd**2, 0.0)
-    indirect = _gaussian_stat(i_mean, math.sqrt(i_var))
-    return ImpactSummary(covariate, "gaussian_product", direct, indirect, total)
-
-
 def average_impacts(fit: FitResult, covariates=None) -> dict[str, ImpactSummary]:
     """Impact summaries for every (or selected) covariates of a fit.
 
-    Probit fits are scaled by probit_scaling(fit), applied to all three
-    averages (the constant-density approximation of the link derivative).
+    Each impact is the grid mixture of its conditional Gaussians. Probit
+    fits are scaled by probit_scaling(fit), applied to all three averages
+    (the constant-density approximation of the link derivative).
     """
     if fit.model is None:
         raise InvalidInputError("fit is not attached to a model; use models.fit()")
     names = list(covariates) if covariates is not None else list(fit.model.covariate_names)
-    scale = probit_scaling(fit) if fit.likelihood == "probit" else 1.0
+    g_count, p = fit.coef_means.shape
+    if fit.kind in ("slm", "sdm"):
+        rho = np.array(
+            [
+                rho_to_external(fit.grid.theta_at(g)["rho_internal"], fit.rho_bounds)
+                for g in range(g_count)
+            ]
+        )
+        t1, t2 = trace_functions(fit.model.slm.w, rho)
+        total_factor = 1.0 / (1.0 - rho)
+    else:
+        t1, t2, total_factor = np.ones(g_count), np.zeros(g_count), np.ones(g_count)
+    if fit.likelihood == "probit":
+        scale, method = probit_scaling(fit), "probit_scaled"
+    else:
+        scale, method = 1.0, "exact"
+
     out: dict[str, ImpactSummary] = {}
     for name in names:
-        if fit.kind in ("sem", "sdem", "slx"):
-            summ = average_impacts_exact(fit, name)
-        else:
-            summ = average_impacts_approx(fit, name)
-        if scale != 1.0:
-            summ = ImpactSummary(
-                covariate=summ.covariate,
-                method=summ.method,
-                direct=_scaled(summ.direct, scale),
-                indirect=_scaled(summ.indirect, scale),
-                total=_scaled(summ.total, scale),
-            )
-        out[name] = summ
+        beta = np.zeros(p)
+        beta[fit.coef_index(name)] = 1.0
+        gamma = np.zeros(p)
+        gamma_name = fit.model.gamma_name(name)
+        if gamma_name is not None:
+            gamma[fit.coef_index(gamma_name)] = 1.0
+        direct = scale * (t1[:, None] * beta + t2[:, None] * gamma)
+        total = scale * (total_factor[:, None] * (beta + gamma))
+        stats = []
+        for rows in (direct, total - direct, total):
+            means, variances = fit.combination_mixture(rows)
+            mean, var = mg.mixture_moments(means, variances, fit.weights)
+            sd = math.sqrt(var)
+            marginal = None
+            if sd > 1e-12 * max(1.0, abs(mean)):
+                marginal = mg.gaussian_mixture_marginal(
+                    means, variances, fit.weights, fit.settings.mixture_points
+                )
+            stats.append(ImpactStat(mean, sd, marginal))
+        out[name] = ImpactSummary(name, method, *stats)
     return out

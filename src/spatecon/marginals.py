@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -114,6 +115,32 @@ def gaussian_mixture_marginal(
         weights[:, None] * np.exp(-0.5 * z**2) / (sds[:, None] * _SQRT_2PI), axis=0
     )
     return normalized(x, dens)
+
+
+def probit_mixture_marginal(
+    means, variances, weights, n_points: int = 401, span: float = 6.0
+) -> Marginal:
+    """Marginal of p = Phi(eta) for a Gaussian mixture eta, from its CDF.
+
+    The CDF of p is F(q) = sum_g w_g Phi((Phi^{-1}(q) - m_g) / s_g). The
+    support is Phi of n_points over every component's mean +- span * sd,
+    points where Phi rounds to one value merged. The density at a point
+    is the mass F puts between its two neighbours over their distance,
+    so it stays finite and nonnegative where Phi is flat in double
+    precision, and the mass on a uniform stretch of support is exact.
+    """
+    means = np.asarray(means, dtype=float)
+    sds = np.sqrt(np.maximum(np.asarray(variances, dtype=float), 1e-300))
+    weights = np.asarray(weights, dtype=float)
+    # Phi(7) = 1 - 1.3e-12 is still below one, so the support keeps
+    # distinct points however far into the upper tail the mixture sits.
+    lo = min(float(np.min(means - span * sds)), 7.0)
+    hi = max(float(np.max(means + span * sds)), -7.0)
+    q = np.unique(ndtr(np.linspace(lo, hi, n_points)))
+    cdf = weights @ ndtr((ndtri(q)[None, :] - means[:, None]) / sds[:, None])
+    j = np.arange(q.size)
+    up, down = np.minimum(j + 1, q.size - 1), np.maximum(j - 1, 0)
+    return normalized(q, (cdf[up] - cdf[down]) / (q[up] - q[down]))
 
 
 def gaussian_marginal(mean: float, sd: float, n_points: int = 401, span: float = 6.0) -> Marginal:

@@ -12,6 +12,7 @@ from scipy import stats
 
 from spatecon import knn_adjacency, row_standardize
 from spatecon.gmrf import rho_to_external
+from spatecon.impacts import impact_matrix_dense
 
 
 def random_weights(rng, n, k=3):
@@ -270,3 +271,66 @@ def reference_probit_system(model, theta, z):
         - 0.5 * np.linalg.slogdet(h)[1] + corrections
     )
     return h, log_z
+
+
+def impact_weights(fit, w):
+    """Weights of (beta_r, gamma_r) in the average direct and total impacts
+    of an SLM or SDM fit at each grid point, as two (G, 2) arrays, read off
+    the dense impact matrices at the grid point's rho."""
+    direct, total = [], []
+    for g in range(len(fit.weights)):
+        rho = rho_to_external(fit.grid.theta_at(g)["rho_internal"], fit.rho_bounds)
+        mats = [impact_matrix_dense(fit.kind, w, rho, *bg) for bg in ((1.0, 0.0), (0.0, 1.0))]
+        direct.append([np.trace(s) / w.n for s in mats])
+        total.append([s.sum() / w.n for s in mats])
+    return np.array(direct), np.array(total)
+
+
+def _impact_coefficients(fit, covariate):
+    gamma = fit.model.gamma_name(covariate)
+    return [fit.coef_names.index(n) for n in [covariate] + ([gamma] if gamma else [])]
+
+
+def impact_mixture(fit, w, covariate):
+    """{impact: (mean, sd)} of the grid mixture of the conditional Gaussian
+    impacts, built from impact_weights."""
+    idx = _impact_coefficients(fit, covariate)
+    direct, total = impact_weights(fit, w)
+    out = {}
+    for which, a in (("direct", direct), ("indirect", total - direct), ("total", total)):
+        a = a[:, : len(idx)]
+        mu = fit.coef_means[:, idx]
+        cov = fit.coef_covs[:, idx][:, :, idx]
+        means = np.sum(a * mu, axis=1)
+        variances = np.einsum("gi,gij,gj->g", a, cov, a)
+        mean = float(fit.weights @ means)
+        var = float(fit.weights @ (variances + means**2)) - mean**2
+        out[which] = (mean, math.sqrt(var))
+    return out
+
+
+def sample_impacts(fit, w, covariate, draws, rng):
+    """{impact: draws} from joint draws of (grid point, beta_r, gamma_r)."""
+    idx = _impact_coefficients(fit, covariate)
+    direct, total = impact_weights(fit, w)
+    gsel = rng.choice(len(fit.weights), size=draws, p=fit.weights)
+    out = {"direct": np.empty(draws), "total": np.empty(draws)}
+    for g in range(len(fit.weights)):
+        mask = gsel == g
+        if not mask.any():
+            continue
+        c = rng.multivariate_normal(
+            fit.coef_means[g][idx], fit.coef_covs[g][np.ix_(idx, idx)], size=int(mask.sum())
+        )
+        out["direct"][mask] = c @ direct[g, : len(idx)]
+        out["total"][mask] = c @ total[g, : len(idx)]
+    out["indirect"] = out["total"] - out["direct"]
+    return out
+
+
+def monte_carlo_moments(samples):
+    """(mean, sd, standard error of the mean, standard error of the sd)."""
+    n = samples.size
+    mean, sd = float(samples.mean()), float(samples.std())
+    se_var = float(np.std((samples - mean) ** 2)) / math.sqrt(n)
+    return mean, sd, sd / math.sqrt(n), se_var / (2.0 * sd)

@@ -136,7 +136,7 @@ class TestImpactsVerb:
             assert (out / name).exists(), name
         lines = (out / "slm_impacts.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "covariate"
-        assert lines[2].split(",")[-1] == "gaussian_product"
+        assert lines[2].split(",")[-1] == "exact"
         sdem_lines = (out / "sdem_impacts.csv").read_text().splitlines()
         assert sdem_lines[2].split(",")[-1] == "exact"
 

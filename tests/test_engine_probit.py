@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import gradient_at_mode, random_weights, simulate_slm
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 import spatecon as se
 from spatecon import engine
@@ -154,6 +154,23 @@ class TestProbitGrid:
         assert pred.support[0] >= 0.0
         assert pred.support[-1] <= 1.0
         assert abs(pred.integral() - 1.0) < 1e-6
+
+    def test_predictive_matches_exact_cdf_past_the_flat_link(self):
+        # The eta mixtures of these sites reach past eta = 8.3, where Phi
+        # rounds to one; p = Phi(eta) is still a proper marginal whose mean
+        # and quantiles agree with the mixture's exact CDF.
+        fit = se.fit(correlated_probit_model("slm"))
+        assert sorted(fit.predictive) == sorted(np.flatnonzero(np.isnan(fit.model.y)))
+        for i, pred in fit.predictive.items():
+            m, s = fit.eta_means[:, i], np.sqrt(fit.eta_vars[:, i])
+            assert 0.0 <= pred.support[0] and pred.support[-1] <= 1.0
+            exact_mean = float(fit.weights @ stats.norm.cdf(m / np.sqrt(1.0 + s * s)))
+            assert abs(pred.mean() - exact_mean) < 1e-4
+            for level in (0.025, 0.5, 0.975):
+                eta_q = optimize.brentq(
+                    lambda e: fit.weights @ stats.norm.cdf((e - m) / s) - level, -60, 60
+                )
+                assert abs(pred.quantile(level) - stats.norm.cdf(eta_q)) < 1e-3
 
 
 class TestAllKindsProbit:

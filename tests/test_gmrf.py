@@ -1,4 +1,4 @@
-"""Joint precision of the spatial-lag effect, factorization, conditionals."""
+"""Joint precision of the spatial-lag effect and its factorization."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from spatecon import (
     NumericFailureError,
     RhoParam,
     SlmSpec,
-    conditional_latent,
-    factorize,
     from_dense,
     joint_precision,
     knn_adjacency,
@@ -114,7 +112,7 @@ class TestJointPrecision:
 
 class TestFactorize:
     def test_identity(self):
-        h = factorize(sp.identity(6, format="csc"))
+        h = CholeskyHandle(sp.identity(6, format="csc"))
         assert abs(h.logdet()) < 1e-14
         b = np.arange(6.0)
         assert_allclose(h.solve(b), b, atol=1e-14)
@@ -123,7 +121,7 @@ class TestFactorize:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5))
         spd = a @ a.T + 5 * np.eye(5)
-        h = factorize(sp.csc_matrix(spd))
+        h = CholeskyHandle(sp.csc_matrix(spd))
         want = float(np.sum(np.log(np.linalg.eigvalsh(spd))))
         assert abs(h.logdet() - want) < 1e-9
 
@@ -131,7 +129,7 @@ class TestFactorize:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(20, 20))
         spd = sp.csc_matrix(a @ a.T + 20 * np.eye(20))
-        h = factorize(spd)
+        h = CholeskyHandle(spd)
         b = rng.normal(size=20)
         z = h.solve(b)
         assert np.max(np.abs(spd @ z - b)) < 1e-9 * np.max(np.abs(b))
@@ -139,13 +137,13 @@ class TestFactorize:
     def test_non_spd_detected(self):
         indef = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
         with pytest.raises(NumericFailureError):
-            factorize(indef)
+            CholeskyHandle(indef)
 
     def test_marginal_variances(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        h = factorize(sp.csc_matrix(spd))
+        h = CholeskyHandle(sp.csc_matrix(spd))
         inv = np.linalg.inv(spd)
         assert_allclose(h.marginal_variances([0, 3, 7]), inv[[0, 3, 7], [0, 3, 7]], rtol=1e-9)
 
@@ -183,7 +181,7 @@ class TestSelectedInverse:
         fused_seen = set()
         for _ in range(8):
             n = int(rng.integers(5, 60))
-            h = factorize(random_spd(rng, n, p))
+            h = CholeskyHandle(random_spd(rng, n, p))
             sel = assert_matches_dense_on_pattern(h)
             # The pattern holds at least the diagonal and every entry of A.
             assert sel.nnz >= n + p
@@ -201,7 +199,7 @@ class TestSelectedInverse:
         w = random_weights(rng, 40, 4)
         spec = SlmSpec(w=w, x_design=rng.normal(size=(40, 3)))
         jp = joint_precision(spec, RhoParam.from_external(0.6, w.rho_range()), 2.0)
-        h = factorize(jp)
+        h = CholeskyHandle(jp.p_mat)
         assert_matches_dense_on_pattern(h)
         cols = h.inverse_columns([40, 41, 42])
         assert_allclose(cols, h.inverse_dense()[:, 40:], rtol=1e-10, atol=1e-14)
@@ -223,7 +221,7 @@ class TestSelectedInverse:
     def test_subset_pattern_reuses_analysis(self):
         rng = np.random.default_rng(35)
         a = random_spd(rng, 30, 2)
-        h = factorize(a)
+        h = CholeskyHandle(a)
         # Drop one off-diagonal pair: the pattern is a subset, the analysis
         # is reused, the missing entries enter as zeros.
         b = a.tolil()
@@ -239,7 +237,7 @@ class TestSelectedInverse:
         rhs = rng.normal(size=32)
         assert_allclose(h_sub.solve(rhs), np.linalg.solve(2.0 * b.toarray(), rhs), rtol=1e-10)
         # The same answer as a fresh analysis of b.
-        fresh = factorize(2.0 * b)
+        fresh = CholeskyHandle(2.0 * b)
         assert_allclose(
             h_sub.marginal_variances(np.arange(32)),
             fresh.marginal_variances(np.arange(32)),
@@ -249,7 +247,7 @@ class TestSelectedInverse:
     def test_new_pattern_is_analysed_again(self):
         rng = np.random.default_rng(36)
         a = random_spd(rng, 25)
-        h = factorize(a)
+        h = CholeskyHandle(a)
         b = a.tolil()
         i, j = next(
             (i, j) for i in range(25) for j in range(i + 1, 25) if a[i, j] == 0.0
@@ -263,34 +261,6 @@ class TestSelectedInverse:
         h_back = CholeskyHandle(a, symbolic=h_new.symbolic)
         assert h_back.symbolic is h_new.symbolic
         assert_matches_dense_on_pattern(h_back)
-
-
-class TestConditionalLatent:
-    def test_zero_beta_zero_mean(self):
-        w = chain_weights(5)
-        spec = SlmSpec(w=w, x_design=np.ones((5, 1)))
-        mean, _ = conditional_latent(spec, 0.4, 1.0, np.zeros(1))
-        assert_allclose(mean, 0.0, atol=1e-14)
-
-    def test_rho_zero_mean_is_xbeta(self):
-        rng = np.random.default_rng(6)
-        w = chain_weights(6)
-        x = rng.normal(size=(6, 2))
-        spec = SlmSpec(w=w, x_design=x)
-        beta = np.array([1.0, -2.0])
-        mean, prec = conditional_latent(spec, 0.0, 2.5, beta)
-        assert_allclose(mean, x @ beta, atol=1e-12)
-        assert_allclose(prec.toarray(), 2.5 * np.eye(6), atol=1e-12)
-
-    def test_matches_dense_solve(self):
-        rng = np.random.default_rng(7)
-        w = random_weights(rng, 8, 2)
-        x = rng.normal(size=(8, 2))
-        spec = SlmSpec(w=w, x_design=x)
-        beta = rng.normal(size=2)
-        mean, _ = conditional_latent(spec, 0.55, 1.0, beta)
-        dense = np.linalg.solve(np.eye(8) - 0.55 * w.toarray(), x @ beta)
-        assert np.max(np.abs(mean - dense)) < 1e-10
 
 
 class TestRhoTransform:

@@ -1,26 +1,26 @@
-"""Impact matrices, trace functions, product moments, posterior summaries."""
+"""Impact matrices, trace functions, grid-mixture posterior summaries."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import random_weights, simulate_slm
+from oracles import (
+    impact_mixture,
+    monte_carlo_moments,
+    random_weights,
+    sample_impacts,
+    simulate_slm,
+)
 
 import spatecon as se
 from spatecon.impacts import (
     average_impacts,
-    average_impacts_approx,
-    average_impacts_exact,
     impact_matrix_dense,
     probit_scaling,
-    product_moments,
     trace_functions,
 )
-from spatecon.marginals import gaussian_marginal
 
 
 def chain_weights(n):
@@ -87,40 +87,6 @@ class TestTraceFunctions:
             trace_functions(w, [1.2], method="series")
 
 
-class TestProductMoments:
-    def test_constants(self):
-        assert product_moments(2.0, 0.0, 3.0, 0.0) == (6.0, 0.0)
-
-    def test_centered_unit(self):
-        mean, sd = product_moments(0.0, 1.0, 0.0, 1.0)
-        assert mean == 0.0
-        assert abs(sd - 1.0) < 1e-15
-
-    def test_monte_carlo(self):
-        rng = np.random.default_rng(123)
-        xs = rng.normal(1.5, 0.3, size=10**6)
-        ys = rng.normal(-2.0, 0.5, size=10**6)
-        mean, sd = product_moments(1.5, 0.3, -2.0, 0.5)
-        prod = xs * ys
-        assert abs(mean - prod.mean()) < 0.01 * abs(mean)
-        assert abs(sd - prod.std()) < 0.01 * sd
-
-    @given(
-        mu_x=st.floats(-3, 3),
-        sd_x=st.floats(0, 2),
-        mu_y=st.floats(-3, 3),
-        sd_y=st.floats(0, 2),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_symmetric_and_exact_when_degenerate(self, mu_x, sd_x, mu_y, sd_y):
-        a = product_moments(mu_x, sd_x, mu_y, sd_y)
-        b = product_moments(mu_y, sd_y, mu_x, sd_x)
-        assert a == pytest.approx(b, abs=1e-12)
-        mean0, sd0 = product_moments(mu_x, 0.0, mu_y, sd_y)
-        assert mean0 == pytest.approx(mu_x * mu_y, abs=1e-12)
-        assert sd0 == pytest.approx(abs(mu_x) * sd_y, abs=1e-12)
-
-
 class TestAverageIdentities:
     def test_trace_formula_matches_dense_sums_all_kinds(self):
         # grand-sum / trace identities, every kind, random parameter draws
@@ -160,10 +126,12 @@ class TestExactImpacts:
         w = random_weights(rng, 15, 3)
         y, x = simulate_slm(rng, w, [1.0, 0.8], 0.3, 0.5)
         fit = se.fit(se.build("sem", y, x, w))
-        summ = average_impacts_exact(fit, "x1")
+        summ = average_impacts(fit)["x1"]
         assert summ.indirect.mean == 0.0
         assert summ.indirect.sd == 0.0
+        assert summ.indirect.marginal is None
         assert summ.total.mean == summ.direct.mean
+        assert summ.method == "exact"
 
     def test_total_is_direct_plus_indirect(self):
         rng = np.random.default_rng(8)
@@ -181,25 +149,40 @@ class TestExactImpacts:
         w = random_weights(rng, 20, 3)
         y, x = simulate_slm(rng, w, [0.5, 1.0], 0.0, 0.5)
         fit = se.fit(se.build("slx", y, x, w))
-        summ = average_impacts_exact(fit, "x1")
+        summ = average_impacts(fit)["x1"]
         want_direct, _ = fit.coef_moments("x1")
         want_total, _ = fit.linear_combination_moments({"x1": 1.0, "lag.x1": 1.0})
         assert abs(summ.direct.mean - want_direct) < 1e-12
         assert abs(summ.total.mean - want_total) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["sdem", "slx"])
+    def test_indirect_is_the_lag_coefficient(self, kind):
+        # indirect = gamma_r exactly: its sd is that of lag.x1's mixture,
+        # not sqrt(Var(beta + gamma) - Var(beta)).
+        rng = np.random.default_rng(8)
+        w = random_weights(rng, 60, 4)
+        y, x = simulate_slm(rng, w, [1.0, 0.8, -0.3], 0.3, 0.5)
+        fit = se.fit(se.build(kind, y, x, w))
+        for name in ("x1", "x2"):
+            summ = average_impacts(fit)[name]
+            mean, var = fit.coef_moments("lag." + name)
+            assert abs(summ.indirect.mean - mean) <= 1e-12 * max(1.0, abs(mean))
+            assert abs(summ.indirect.sd - math.sqrt(var)) <= 1e-12 * math.sqrt(var)
+
 
 class TestApproxImpacts:
     def test_degenerate_rho_total_equals_coefficient(self):
-        # rho marginal collapsed at 0: the total impact IS the coefficient
+        # rho fixed at 0: every impact matrix is beta_r I, so direct and
+        # total ARE the coefficient
         rng = np.random.default_rng(10)
         w = random_weights(rng, 15, 3)
         y, x = simulate_slm(rng, w, [1.0, 0.7], 0.2, 0.5)
-        fit = se.fit(se.build("slm", y, x, w))
+        fit = se.fit(se.build("slm", y, x, w, priors=se.ModelPriors(rho_fixed=0.0)))
         b_mean, b_var = fit.coef_moments("x1")
-        fit.rho_marginal = gaussian_marginal(0.0, 1e-9)
-        summ = average_impacts_approx(fit, "x1")
-        assert abs(summ.total.mean - b_mean) < 1e-6 * max(1, abs(b_mean))
-        assert abs(summ.total.sd - math.sqrt(b_var)) < 1e-6
+        summ = average_impacts(fit)["x1"]
+        for stat in (summ.total, summ.direct):
+            assert abs(stat.mean - b_mean) <= 1e-12 * max(1, abs(b_mean))
+            assert abs(stat.sd - math.sqrt(b_var)) <= 1e-12 * math.sqrt(b_var)
 
     def test_sdm_total_against_mixture_sampling_oracle(self):
         rng = np.random.default_rng(11)
@@ -207,35 +190,36 @@ class TestApproxImpacts:
         w = random_weights(rng, n, 3)
         y, x = simulate_slm(rng, w, [0.5, 1.5], 0.4, 0.5)
         fit = se.fit(se.build("sdm", y, x, w))
-        summ = average_impacts_approx(fit, "x1")
+        summ = average_impacts(fit)["x1"]
 
         # oracle: 1e5 joint draws from the grid mixture pushed through
-        # (beta + gamma) / (1 - rho)
-        draws = 10**5
-        gsel = rng.choice(len(fit.weights), size=draws, p=fit.weights)
-        j_b = fit.coef_index("x1")
-        j_g = fit.coef_index("lag.x1")
-        lo, hi = fit.rho_bounds
-        rho_col = fit.grid.dims.index("rho_internal")
-        samples = np.empty(draws)
-        for g in range(len(fit.weights)):
-            mask = gsel == g
-            m_draws = int(mask.sum())
-            if not m_draws:
-                continue
-            mean = fit.coef_means[g][[j_b, j_g]]
-            cov = fit.coef_covs[g][np.ix_([j_b, j_g], [j_b, j_g])]
-            bg = rng.multivariate_normal(mean, cov, size=m_draws)
-            rho_ext = lo + fit.grid.points[g, rho_col] * (hi - lo)
-            samples[mask] = bg.sum(axis=1) / (1.0 - rho_ext)
-        assert abs(summ.total.mean - samples.mean()) < 0.03 * abs(samples.mean())
+        # the dense impact matrices
+        samples = sample_impacts(fit, w, "x1", 10**5, rng)["total"]
+        mean, sd, se_mean, se_sd = monte_carlo_moments(samples)
+        assert abs(summ.total.mean - mean) < 3.0 * se_mean
+        assert abs(summ.total.sd - sd) < 3.0 * se_sd
+
+    @pytest.mark.parametrize("kind", ["slm", "sdm"])
+    def test_matches_dense_grid_mixture(self, kind):
+        rng = np.random.default_rng(8)
+        w = random_weights(rng, 60, 4)
+        y, x = simulate_slm(rng, w, [1.0, 0.8, -0.3], 0.4, 0.5)
+        fit = se.fit(se.build(kind, y, x, w))
+        got = average_impacts(fit)
+        for name in ("x1", "x2"):
+            want = impact_mixture(fit, w, name)
+            for which, (mean, sd) in want.items():
+                stat = getattr(got[name], which)
+                assert abs(stat.mean - mean) <= 1e-10 * abs(mean), (name, which)
+                assert abs(stat.sd - sd) <= 1e-10 * sd, (name, which)
 
     def test_reported_marginals_are_gaussian_with_stated_moments(self):
+        # the marginal is the Gaussian mixture whose moments are reported
         rng = np.random.default_rng(12)
         w = random_weights(rng, 15, 3)
         y, x = simulate_slm(rng, w, [1.0, 0.7], 0.4, 0.5)
         fit = se.fit(se.build("slm", y, x, w))
-        summ = average_impacts_approx(fit, "x1")
+        summ = average_impacts(fit)["x1"]
         assert abs(summ.total.marginal.mean() - summ.total.mean) < 1e-6
         assert abs(summ.total.marginal.sd() - summ.total.sd) < 1e-6
 
@@ -374,6 +358,8 @@ class TestProbitScaling:
         fit = se.fit(se.build("sem", y, x, w, likelihood="probit"))
         scale = probit_scaling(fit)
         scaled = average_impacts(fit)["x1"]
-        raw = average_impacts_exact(fit, "x1")
-        assert abs(scaled.direct.mean - scale * raw.direct.mean) < 1e-12
-        assert abs(scaled.direct.sd - scale * raw.direct.sd) < 1e-12
+        mean, var = fit.coef_moments("x1")
+        assert scaled.method == "probit_scaled"
+        for stat in (scaled.direct, scaled.total):
+            assert abs(stat.mean - scale * mean) < 1e-12
+            assert abs(stat.sd - scale * math.sqrt(var)) < 1e-12

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
 from spatecon import InvalidParameterError, transform_marginal
 from spatecon.marginals import (
@@ -12,6 +13,7 @@ from spatecon.marginals import (
     gaussian_marginal,
     gaussian_mixture_marginal,
     mixture_moments,
+    probit_mixture_marginal,
 )
 
 
@@ -54,6 +56,22 @@ def test_quantiles_of_standard_normal():
     lo, hi = m.quantile([0.025, 0.975])
     assert abs(lo + 1.959964) < 1e-3
     assert abs(hi - 1.959964) < 1e-3
+
+
+class TestProbitMixture:
+    def test_mean_matches_closed_form(self):
+        means, variances, weights = [-0.4, 0.3, 1.1], [0.5, 1.2, 0.8], [0.2, 0.5, 0.3]
+        m = probit_mixture_marginal(means, variances, weights)
+        want = np.dot(weights, norm.cdf(np.array(means) / np.sqrt(1.0 + np.array(variances))))
+        assert abs(m.integral() - 1.0) < 1e-12
+        assert abs(m.mean() - want) < 1e-4
+
+    def test_mass_where_phi_rounds_to_one(self):
+        # every component sits past eta = 8.3, where Phi(eta) == 1.0
+        m = probit_mixture_marginal([20.0, 25.0], [1.0, 4.0], [0.5, 0.5])
+        assert np.all(np.diff(m.support) > 0)
+        assert m.support[-1] == 1.0
+        assert m.mean() > 1.0 - 1e-12
 
 
 class TestTransform:
