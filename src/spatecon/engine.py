@@ -670,13 +670,14 @@ def _log_posterior_fn(model: CompiledModel):
 
 
 def _numeric_hessian(
-    f, x0: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray
+    f, x0: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray, f0: float | None = None
 ) -> np.ndarray:
     """Central-difference Hessian of f at x0 with step h per axis.
 
     An axis whose bound lo or hi lies within h of x0 gets half the room
     left as its step, so every stencil point stays strictly inside the
-    bounds and none is clamped into a one-sided stencil.
+    bounds and none is clamped into a one-sided stencil. f0, when given,
+    is f(x0); the stencil then costs 2 d^2 evaluations of f.
     """
     d = x0.size
     room = np.minimum(x0 - lo, hi - x0)
@@ -686,7 +687,8 @@ def _numeric_hessian(
         )
     steps = np.minimum(h, 0.5 * room)
     hess = np.empty((d, d))
-    f0 = f(x0)
+    if f0 is None:
+        f0 = f(x0)
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = steps[i]
@@ -706,21 +708,33 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
     if d == 0:
         return np.empty(0), np.empty(0)
     f = _log_posterior_fn(model)
-    x0 = np.array([dim.init for dim in free])
-    res = scipy.optimize.minimize(
-        lambda v: -f(v),
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-7, "maxiter": 400 * d, "maxfev": 600 * d},
-    )
+    lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
+    if d == 1:
+        # One free hyperparameter (every probit fit, SLX, a fixed rho):
+        # bounded Brent search over its whole domain (Brent 1973).
+        res = scipy.optimize.minimize_scalar(
+            lambda t: -f([t]),
+            bounds=(lo[0], hi[0]),
+            method="bounded",
+            options={"xatol": 1e-5},
+        )
+    else:
+        res = scipy.optimize.minimize(
+            lambda v: -f(v),
+            np.array([dim.init for dim in free]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-4, "fatol": 1e-7, "maxiter": 400 * d, "maxfev": 600 * d},
+        )
     if not res.success:
         raise NumericFailureError(
             f"hyperparameter mode search did not converge: {res.message} "
             f"(nit = {res.nit}, nfev = {res.nfev})"
         )
-    mode = np.array([model.theta_from_vector(res.x)[dim.name] for dim in free])
-    lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
-    hess = _numeric_hessian(f, mode, settings.hess_step, lo, hi)
+    x = np.atleast_1d(res.x)
+    mode = np.array([model.theta_from_vector(x)[dim.name] for dim in free])
+    # The optimizer's value at its x is f(mode) unless clamping moved it.
+    f0 = -float(res.fun) if np.array_equal(mode, x) else None
+    hess = _numeric_hessian(f, mode, settings.hess_step, lo, hi, f0)
     neg_h = -hess
     try:
         eigval, eigvec = np.linalg.eigh(neg_h)

@@ -18,8 +18,9 @@ with t1, t2 the trace functions below for SLM/SDM and t1 = 1, t2 = 0,
 a total factor of 1 for SEM/SDEM/SLX (gamma_r = 0 for SEM and SLM).
 Since c | theta_g is Gaussian, each impact's posterior is the exact
 Gaussian mixture sum_g w_g N(a_g . mu_g, a_g' Sigma_g a_g) over the
-grid. Probit impacts are these scaled by the average standard-normal
-density of the linear predictor at its posterior mean.
+grid. A probit fit scales each row a_g by the link derivative averaged
+over the sites under that grid point's Gaussian of the linear predictor,
+s_g = mean_i E phi(eta_i).
 """
 
 from __future__ import annotations
@@ -126,20 +127,25 @@ class ImpactSummary:
     total: ImpactStat
 
 
-def probit_scaling(fit: FitResult) -> float:
-    """Average standard-normal density at the posterior-mean linear predictor."""
+def probit_scaling(fit: FitResult) -> np.ndarray:
+    """Per grid point g, the standard-normal density averaged over the sites
+    under eta_i ~ N(m_gi, v_gi): s_g = mean_i E phi(eta_i), where
+    E phi(eta_i) = phi(m_gi / sqrt(1 + v_gi)) / sqrt(1 + v_gi) exactly."""
     if fit.likelihood != "probit":
         raise InvalidInputError("probit_scaling applies to probit fits")
-    eta = fit.eta_mean
-    return float(np.mean(np.exp(-0.5 * eta * eta)) / math.sqrt(2.0 * math.pi))
+    sd = np.sqrt(1.0 + fit.eta_vars)
+    dens = np.exp(-0.5 * (fit.eta_means / sd) ** 2) / sd
+    return np.mean(dens, axis=1) / math.sqrt(2.0 * math.pi)
 
 
 def average_impacts(fit: FitResult, covariates=None) -> dict[str, ImpactSummary]:
     """Impact summaries for every (or selected) covariates of a fit.
 
-    Each impact is the grid mixture of its conditional Gaussians. Probit
-    fits are scaled by probit_scaling(fit), applied to all three averages
-    (the constant-density approximation of the link derivative).
+    Each impact is the grid mixture of its conditional Gaussians. A probit
+    fit scales the rows of grid point g by probit_scaling(fit)[g], for all
+    three averages: the link derivative phi(eta_i) is replaced by its
+    average over the sites and over eta given theta_g, independent of the
+    coefficients (the approximation that remains).
     """
     if fit.model is None:
         raise InvalidInputError("fit is not attached to a model; use models.fit()")
@@ -157,7 +163,7 @@ def average_impacts(fit: FitResult, covariates=None) -> dict[str, ImpactSummary]
     else:
         t1, t2, total_factor = np.ones(g_count), np.zeros(g_count), np.ones(g_count)
     if fit.likelihood == "probit":
-        scale, method = probit_scaling(fit), "probit_scaled"
+        scale, method = probit_scaling(fit)[:, None], "probit_scaled"
     else:
         scale, method = 1.0, "exact"
 

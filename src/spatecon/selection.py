@@ -19,7 +19,7 @@ from . import models
 from .engine import FitResult, GridSettings
 from .errors import InvalidInputError, InvalidParameterError
 from .marginals import Marginal, combine_on_common_support
-from .weights import knn_adjacency, row_standardize
+from .weights import knn_adjacency, knn_truncate, row_standardize
 
 
 def posterior_model_probs(log_mliks, prior_probs=None) -> np.ndarray:
@@ -112,9 +112,11 @@ def neighbor_scan(
     else:
         raise InvalidParameterError(f"unknown scan prior {prior!r}")
     prior_weights = prior_weights / prior_weights.sum()
+    # One neighbour query at the largest k; every k reads its graph off it.
+    widest = knn_adjacency(coords, max(k_range))
 
     def fit_one(k: int) -> FitResult:
-        w = row_standardize(knn_adjacency(coords, k))
+        w = row_standardize(knn_truncate(widest, coords, k))
         spec = models.build(
             kind,
             y,

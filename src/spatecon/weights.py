@@ -47,6 +47,9 @@ class WeightsMatrix:
     _rho_bounds: tuple[float, float] | None = field(default=None, compare=False)
     _eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
     _lu_order: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _last_log_abs_det: tuple[float, float] | None = field(
+        default=None, compare=False, repr=False
+    )
     _trace_moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -85,16 +88,22 @@ class WeightsMatrix:
         Up to n = 2000 it is sum_i log |1 - rho lambda_i| over the cached
         spectrum (Ord 1975). Above, it comes from a sparse LU of
         I - rho W in one column order per matrix, found by the first
-        factorization and reused by every later one.
+        factorization and reused by every later one. The last (rho, value)
+        pair is kept, so a repeated rho costs no LU.
         """
         if self.n <= _DENSE_EIG_LIMIT:
             return float(np.sum(np.log(np.abs(1.0 - rho * self.eigenvalues()))))
+        last = self._last_log_abs_det
+        if last is not None and last[0] == rho:
+            return last[1]
         a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
         if self._lu_order is None:
             logdet, order = _logabsdet_sparse(a)
             object.__setattr__(self, "_lu_order", order)
-            return logdet
-        return _logabsdet_sparse(a[:, self._lu_order], "NATURAL")[0]
+        else:
+            logdet = _logabsdet_sparse(a[:, self._lu_order], "NATURAL")[0]
+        object.__setattr__(self, "_last_log_abs_det", (rho, logdet))
+        return logdet
 
     def trace_moments(self, terms: int) -> np.ndarray:
         """tr(W^k)/n for k = 0..terms, cached per number of terms; the
@@ -162,12 +171,39 @@ def knn_adjacency(coords: np.ndarray, k: int) -> WeightsMatrix:
             stacklevel=2,
         )
 
-    order = _knn_order(coords, k)
+    return _knn_matrix(_knn_order(coords, k))
+
+
+def knn_truncate(w: WeightsMatrix, coords: np.ndarray, k: int) -> WeightsMatrix:
+    """knn_adjacency(coords, k), read off w = knn_adjacency(coords, m) for
+    some m >= k with no new neighbour query: each row keeps the k nearest
+    of its m neighbours, ranked and tie-broken as knn_adjacency ranks them.
+    """
+    n = w.n
+    nbrs = w.mat.indices.reshape(n, -1)
+    if not 1 <= k <= nbrs.shape[1]:
+        raise InvalidParameterError(f"k must be in 1..{nbrs.shape[1]}, got {k}")
+    ranked, _ = _rank_candidates(np.asarray(coords, dtype=float), np.arange(n), nbrs)
+    return _knn_matrix(ranked[:, :k])
+
+
+def _knn_matrix(order: np.ndarray) -> WeightsMatrix:
+    """Binary adjacency with row i's ones in the columns order[i]."""
+    n, k = order.shape
     rows = np.repeat(np.arange(n), k)
-    cols = order.ravel()
-    data = np.ones(n * k)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    mat = sp.csr_matrix((np.ones(n * k), (rows, order.ravel())), shape=(n, n))
     return WeightsMatrix(mat=mat, standardized=False)
+
+
+def _rank_candidates(coords: np.ndarray, rows: np.ndarray, idx: np.ndarray):
+    """Each row's candidate neighbours idx[i] of point rows[i], sorted by
+    squared distance, then by index (n marks no candidate, ranked last);
+    returns the sorted candidates and their squared distances."""
+    n = coords.shape[0]
+    d2 = ((coords[rows, None, :] - coords[np.minimum(idx, n - 1)]) ** 2).sum(axis=2)
+    d2[idx == n] = np.inf
+    rank = np.lexsort((idx, d2))
+    return np.take_along_axis(idx, rank, axis=1), np.take_along_axis(d2, rank, axis=1)
 
 
 def _knn_order(coords: np.ndarray, k: int) -> np.ndarray:
@@ -188,11 +224,8 @@ def _knn_order(coords: np.ndarray, k: int) -> np.ndarray:
     while todo.size:
         dist, idx = tree.query(coords[todo], k=m)
         idx = np.where(idx == todo[:, None], n, idx)  # the point itself drops out
-        d2 = ((coords[todo, None, :] - coords[np.minimum(idx, n - 1)]) ** 2).sum(axis=2)
-        d2[idx == n] = np.inf
-        rank = np.lexsort((idx, d2))
-        idx = np.take_along_axis(idx, rank, axis=1)
-        kth = np.take_along_axis(d2, rank, axis=1)[:, k - 1]
+        idx, d2 = _rank_candidates(coords, todo, idx)
+        kth = d2[:, k - 1]
         done = (dist[:, -1] > np.sqrt(kth) * (1.0 + 1e-9)) | (m == n)
         order[todo[done]] = idx[done, :k]
         todo = todo[~done]

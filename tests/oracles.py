@@ -291,11 +291,14 @@ def _impact_coefficients(fit, covariate):
     return [fit.coef_names.index(n) for n in [covariate] + ([gamma] if gamma else [])]
 
 
-def impact_mixture(fit, w, covariate):
+def impact_mixture(fit, w, covariate, scale=None):
     """{impact: (mean, sd)} of the grid mixture of the conditional Gaussian
-    impacts, built from impact_weights."""
+    impacts, built from impact_weights; scale[g], if given, multiplies the
+    weights of grid point g."""
     idx = _impact_coefficients(fit, covariate)
     direct, total = impact_weights(fit, w)
+    if scale is not None:
+        direct, total = direct * scale[:, None], total * scale[:, None]
     out = {}
     for which, a in (("direct", direct), ("indirect", total - direct), ("total", total)):
         a = a[:, : len(idx)]

@@ -203,6 +203,28 @@ def test_sparse_log_determinant_reuses_one_column_order(monkeypatch):
         assert abs(g - v) <= 1e-12 * abs(v)
 
 
+def test_sparse_log_determinant_repeats_no_lu_at_one_rho(monkeypatch):
+    w = random_weights(np.random.default_rng(14), weights._DENSE_EIG_LIMIT + 1, 4)
+    calls = []
+    real = weights._logabsdet_sparse
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "_logabsdet_sparse", counting)
+    first = w.log_abs_det(0.4)
+    again = w.log_abs_det(0.4)
+    assert len(calls) == 1
+    assert again == first
+    other = w.log_abs_det(0.6)
+    assert len(calls) == 2
+    assert other != first
+    # Only the last rho is kept.
+    assert abs(w.log_abs_det(0.4) - first) <= 1e-12 * abs(first)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("kind", ["slm", "sdm", "sem"])
 def test_build_warns_once_about_covariate_scale(kind):
     rng = np.random.default_rng(15)

@@ -293,19 +293,105 @@ class TestHotStart:
         assert np.array_equal(f1.grid.log_evidence, f2.grid.log_evidence)
 
     def test_fit_factorizations_per_evidence(self, monkeypatch):
-        # Hot-started Newton makes 3.9 factorizations per evidence call
+        # Hot-started Newton makes 4.6 factorizations per evidence call
         # on this fit; starting every theta from zero and factoring again
-        # at the mode makes 9.
+        # at the mode makes 9. The one free hyperparameter (rho) costs a
+        # bounded Brent search, a 2-point Hessian stencil and 7 grid points.
         model = correlated_probit_model("slm", missing=0)
-        evidence_calls = []
-        real_evidence = engine.log_conditional_evidence
-
-        def counting_evidence(*args, **kwargs):
-            evidence_calls.append(1)
-            return real_evidence(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "log_conditional_evidence", counting_evidence)
+        stages = count_evidence_by_stage(monkeypatch)
         factorizations = count_factorizations(monkeypatch)
         se.fit(model)
-        assert len(evidence_calls) > 20
-        assert len(factorizations) <= 5 * len(evidence_calls)
+        assert stages == {"mode": 9, "hessian": 2, "grid": 7}
+        assert len(factorizations) <= 5 * sum(stages.values())
+
+
+def count_evidence_by_stage(monkeypatch):
+    """Evidence calls of a fit, counted per stage: mode search, Hessian
+    stencil and grid."""
+    counts = {"mode": 0, "hessian": 0, "grid": 0}
+    stage = ["mode"]
+    real_hessian = engine._numeric_hessian
+    real_evidence = engine.log_conditional_evidence
+
+    def hessian(*args, **kwargs):
+        stage[0] = "hessian"
+        try:
+            return real_hessian(*args, **kwargs)
+        finally:
+            stage[0] = "grid"
+
+    def evidence(*args, **kwargs):
+        counts[stage[0]] += 1
+        return real_evidence(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_numeric_hessian", hessian)
+    monkeypatch.setattr(engine, "log_conditional_evidence", evidence)
+    return counts
+
+
+def one_free_hyperparameter_model(case):
+    if case == "probit_slm":
+        return correlated_probit_model("slm", missing=0)
+    rng = np.random.default_rng(61)
+    w = random_weights(rng, 50, 4)
+    y, x = simulate_slm(rng, w, [0.5, 1.0, -0.6], 0.4, 0.7)
+    if case == "gaussian_slx":
+        return se.build("slx", y, x, w)
+    return se.build("slm", y, x, w, priors=se.ModelPriors(rho_fixed=0.3))
+
+
+def scan_mode(f, lo, hi, points=99):
+    """Argmax of f on a dense grid over [lo, hi], then on a grid 25 times
+    finer around it, refined by the parabola through the finest three."""
+    xs = np.linspace(lo, hi, points)
+    i = int(np.argmax([f([x]) for x in xs]))
+    h = (xs[1] - xs[0]) / 25.0
+    xs = xs[i] + h * np.arange(-50, 51)
+    vals = np.array([f([x]) for x in xs])
+    j = int(np.argmax(vals))
+    assert 0 < j < xs.size - 1
+    lo_v, mid, hi_v = vals[j - 1 : j + 2]
+    return xs[j] - 0.5 * h * (hi_v - lo_v) / (hi_v - 2.0 * mid + lo_v)
+
+
+class TestModeSearch:
+    """One free hyperparameter: a bounded Brent search, not Nelder-Mead."""
+
+    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
+    def test_one_dimensional_mode_matches_a_dense_scan(self, case, monkeypatch):
+        model = one_free_hyperparameter_model(case)
+        called = []
+        monkeypatch.setattr(
+            optimize, "minimize", lambda *a, **k: called.append(1)
+        )
+        fit = se.fit(model)
+        assert not called
+        (name,) = fit.grid.dims
+        assert (name == "rho_internal") == (case == "probit_slm")
+        f = engine._log_posterior_fn(model.compiled)
+        got = fit.grid.mode_point[0]
+        if name == "rho_internal":
+            want = scan_mode(f, 0.01, 0.99)
+        else:
+            want = scan_mode(f, got - 3.0, got + 3.0, points=61)
+        assert abs(got - want) <= 1e-5
+
+    def test_failed_one_dimensional_search_is_a_numeric_failure(self, monkeypatch):
+        real = optimize.minimize_scalar
+
+        def one_iteration(*args, **kwargs):
+            return real(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 1}})
+
+        monkeypatch.setattr(optimize, "minimize_scalar", one_iteration)
+        with pytest.raises(se.NumericFailureError, match="did not converge: Maximum"):
+            se.fit(one_free_hyperparameter_model("gaussian_slx"))
+
+    @pytest.mark.parametrize("kind, stencil", [("slx", 2), ("slm", 8)])
+    def test_hessian_stencil_reuses_the_value_at_the_mode(self, kind, stencil, monkeypatch):
+        rng = np.random.default_rng(62)
+        w = random_weights(rng, 40, 4)
+        y, x = simulate_slm(rng, w, [0.5, 1.0], 0.4, 0.7)
+        stages = count_evidence_by_stage(monkeypatch)
+        fit = se.fit(se.build(kind, y, x, w))
+        assert len(fit.grid.dims) == {"slx": 1, "slm": 2}[kind]
+        assert stages["hessian"] == stencil

@@ -30,6 +30,17 @@ def chain_weights(n):
     return se.row_standardize(se.from_dense(a))
 
 
+def correlated_probit_slm(n, seed):
+    rng = np.random.default_rng(seed)
+    w = random_weights(rng, n, 3)
+    x = rng.normal(size=(n, 2))
+    eta = np.linalg.solve(
+        np.eye(n) - 0.4 * w.toarray(), 0.3 + x @ np.array([1.0, -0.8]) + rng.normal(size=n)
+    )
+    y = (eta > 0).astype(float)
+    return se.fit(se.build("slm", y, x, w, likelihood="probit"))
+
+
 class TestImpactMatrixDense:
     def test_sem_is_scaled_identity(self):
         w = chain_weights(4)
@@ -323,19 +334,41 @@ class TestProbitScaling:
                 priors=se.ModelPriors(rho_fixed=0.0),
             )
         )
+        # A degenerate Gaussian of eta at every grid point: phi at eta.
         fit.eta_means = np.tile(np.asarray(eta, dtype=float), (len(fit.weights), 1))
+        fit.eta_vars = np.zeros_like(fit.eta_means)
         return fit
 
     def test_all_zero_eta(self):
         fit = self._fit_with_eta([0.0, 0.0, 0.0])
-        assert abs(probit_scaling(fit) - 1 / math.sqrt(2 * math.pi)) < 1e-12
+        s = probit_scaling(fit)
+        assert s.shape == fit.weights.shape
+        assert np.all(np.abs(s - 1 / math.sqrt(2 * math.pi)) < 1e-12)
 
     def test_two_point_eta(self):
         fit = self._fit_with_eta([0.0, 1.96])
         from scipy.stats import norm
 
         want = (norm.pdf(0.0) + norm.pdf(1.96)) / 2.0
-        assert abs(probit_scaling(fit) - want) < 1e-12
+        assert np.all(np.abs(probit_scaling(fit) - want) < 1e-12)
+
+    def test_scale_is_expected_density_under_each_grid_gaussian(self):
+        from scipy import integrate
+        from scipy.stats import norm
+
+        fit = correlated_probit_slm(n=12, seed=21)
+        s = probit_scaling(fit)
+        for g in (0, int(np.argmax(fit.weights)), len(fit.weights) - 1):
+            dens = []
+            for m, v in zip(fit.eta_means[g], fit.eta_vars[g]):
+                sd = math.sqrt(v)
+                val, _ = integrate.quad(
+                    lambda e: norm.pdf(e) * norm.pdf(e, m, sd),
+                    min(m - 12 * sd, -12.0), max(m + 12 * sd, 12.0),
+                    points=(0.0, m), epsabs=1e-14, epsrel=1e-12, limit=200,
+                )
+                dens.append(val)
+            assert abs(s[g] - np.mean(dens)) <= 1e-9 * s[g], g
 
     def test_scaling_bounded_by_mode_density(self):
         rng = np.random.default_rng(14)
@@ -346,20 +379,24 @@ class TestProbitScaling:
         y = (eta > 0).astype(float)
         fit = se.fit(se.build("slm", y, x, w, likelihood="probit"))
         s = probit_scaling(fit)
-        assert 0.0 < s <= 1 / math.sqrt(2 * math.pi) + 1e-15
+        assert np.all(s > 0.0)
+        assert np.all(s <= 1 / math.sqrt(2 * math.pi) + 1e-15)
 
     def test_probit_impacts_are_scaled_gaussian_case(self):
-        rng = np.random.default_rng(15)
-        n = 40
-        w = random_weights(rng, n, 3)
-        x = rng.normal(size=(n, 2))
-        eta = 0.3 + x @ np.array([1.0, -0.8]) + rng.normal(size=n)
-        y = (eta > 0).astype(float)
-        fit = se.fit(se.build("sem", y, x, w, likelihood="probit"))
-        scale = probit_scaling(fit)
-        scaled = average_impacts(fit)["x1"]
-        mean, var = fit.coef_moments("x1")
-        assert scaled.method == "probit_scaled"
-        for stat in (scaled.direct, scaled.total):
-            assert abs(stat.mean - scale * mean) < 1e-12
-            assert abs(stat.sd - scale * math.sqrt(var)) < 1e-12
+        # Each grid point's Gaussian-case impact rows, read off the dense
+        # impact matrices at its rho, times that point's expected density.
+        from scipy.stats import norm
+
+        fit = correlated_probit_slm(n=40, seed=15)
+        w = fit.model.slm.w
+        sd = np.sqrt(1.0 + fit.eta_vars)
+        scale = np.mean(norm.pdf(fit.eta_means / sd) / sd, axis=1)
+        got = average_impacts(fit)
+        for name in ("x1", "x2"):
+            assert got[name].method == "probit_scaled"
+            want = impact_mixture(fit, w, name, scale=scale)
+            for which, (mean, sd_) in want.items():
+                stat = getattr(got[name], which)
+                assert abs(stat.mean - mean) <= 1e-10 * abs(mean), (name, which)
+                assert abs(stat.sd - sd_) <= 1e-10 * sd_, (name, which)
+

@@ -111,6 +111,40 @@ class TestNeighborScan:
         threaded = selection.neighbor_scan(coords, y, x, "sem", [3, 4], threads=2)
         assert_allclose(serial.posterior_probs, threaded.posterior_probs, atol=0)
 
+    def test_each_scanned_graph_is_its_own_knn_adjacency(self, monkeypatch):
+        # A lattice, where distances tie several ways, plus duplicate points;
+        # the scan queries neighbours once, at the largest k.
+        grid = np.array([[i, j] for i in range(6) for j in range(6)], dtype=float)
+        coords = np.vstack([grid, [[2.0, 3.0], [2.0, 3.0]]])
+        rng = np.random.default_rng(8)
+        y, x = rng.normal(size=coords.shape[0]), rng.normal(size=(coords.shape[0], 1))
+        seen = {}
+        real_fit = se.fit
+
+        def recording_fit(spec, settings=None):
+            seen[spec.w.mat.nnz // len(y)] = spec.w
+            return real_fit(spec, settings)
+
+        monkeypatch.setattr(selection.models, "fit", recording_fit)
+        queries = []
+        real_order = se.weights._knn_order
+
+        def counting_order(*args):
+            queries.append(args[1])
+            return real_order(*args)
+
+        monkeypatch.setattr(se.weights, "_knn_order", counting_order)
+        with pytest.warns(UserWarning, match="duplicate"):
+            selection.neighbor_scan(coords, y, x, "sem", [5, 3, 8, 4])
+        assert queries == [8]
+        assert sorted(seen) == [3, 4, 5, 8]
+        monkeypatch.undo()
+        for k, got in seen.items():
+            with pytest.warns(UserWarning, match="duplicate"):
+                want = se.row_standardize(se.knn_adjacency(coords, k)).mat
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.mat, part), getattr(want, part)), (k, part)
+
     def test_bad_k_rejected(self):
         rng = np.random.default_rng(6)
         coords, y, x = self.make_data(rng, n=10)
