@@ -211,6 +211,17 @@ def _get(parser, section, key, default=None):
     return default
 
 
+def _typed(parser, path, section, key, convert):
+    """[section] key converted by convert (int or float); None if unset."""
+    val = _get(parser, section, key)
+    if val is None:
+        return None
+    try:
+        return convert(val)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: [{section}] {key}: {exc}") from exc
+
+
 def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -241,8 +252,7 @@ def parse_config(path) -> RunConfig:
         raise InvalidInputError(
             f"{path}: [data] needs exactly one of weights_file or points_csv"
         )
-    knn_k = _get(parser, "data", "k")
-    knn_k = int(knn_k) if knn_k is not None else None
+    knn_k = _typed(parser, path, "data", "k", int)
 
     kinds_raw = _get(parser, "model", "kinds", "slm") if parser.has_section("model") else "slm"
     kinds = [k.strip().lower() for k in kinds_raw.split(",") if k.strip()]
@@ -262,10 +272,7 @@ def parse_config(path) -> RunConfig:
             if val is None:
                 continue
             if key in numeric:
-                try:
-                    prior_kwargs[key] = float(val)
-                except ValueError as exc:
-                    raise InvalidInputError(f"{path}: [priors] {key}: {exc}") from exc
+                prior_kwargs[key] = _typed(parser, path, "priors", key, float)
             elif key == "tau_obs_hyper":
                 prior_kwargs[key] = val.lower() in ("1", "true", "yes")
             else:
@@ -273,20 +280,17 @@ def parse_config(path) -> RunConfig:
     priors = ModelPriors(**prior_kwargs)
 
     grid_kwargs = {}
-    if parser.has_section("grid"):
-        if _get(parser, "grid", "k"):
-            grid_kwargs["k"] = int(_get(parser, "grid", "k"))
-        if _get(parser, "grid", "step"):
-            grid_kwargs["step"] = float(_get(parser, "grid", "step"))
-        if _get(parser, "grid", "drop"):
-            grid_kwargs["drop"] = float(_get(parser, "grid", "drop"))
+    for key, convert in (("k", int), ("step", float), ("drop", float)):
+        val = _typed(parser, path, "grid", key, convert)
+        if val is not None:
+            grid_kwargs[key] = val
     grid = GridSettings(**grid_kwargs)
 
     out_dir = resolve(_get(parser, "output", "directory", "out") or "out")
 
     scan_kind = _get(parser, "scan", "kind") if parser.has_section("scan") else None
-    scan_k_min = _get(parser, "scan", "k_min") if parser.has_section("scan") else None
-    scan_k_max = _get(parser, "scan", "k_max") if parser.has_section("scan") else None
+    scan_k_min = _typed(parser, path, "scan", "k_min", int)
+    scan_k_max = _typed(parser, path, "scan", "k_max", int)
     scan_prior = (
         _get(parser, "scan", "prior", "uniform") if parser.has_section("scan") else "uniform"
     ) or "uniform"
@@ -309,8 +313,8 @@ def parse_config(path) -> RunConfig:
         grid=grid,
         output_dir=out_dir,
         scan_kind=scan_kind.lower() if scan_kind else None,
-        scan_k_min=int(scan_k_min) if scan_k_min else None,
-        scan_k_max=int(scan_k_max) if scan_k_max else None,
+        scan_k_min=scan_k_min,
+        scan_k_max=scan_k_max,
         scan_prior=scan_prior,
         impacts_enabled=impacts_enabled,
     )

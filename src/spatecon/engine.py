@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -36,7 +37,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
 from . import marginals as mg
-from .errors import InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 from .gmrf import (
     RHO_INTERNAL_EPS,
     CholeskyHandle,
@@ -92,6 +93,15 @@ class GridSettings:
     dic_gh_nodes: int = 21
     hyper_marginal_points: int = 201
     mixture_points: int = 401
+
+    def __post_init__(self):
+        step, drop = (v if isinstance(v, numbers.Real) else math.nan for v in (self.step, self.drop))
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 0):
+            raise InvalidParameterError(f"grid k must be an integer >= 0, got {self.k!r}")
+        if not (math.isfinite(step) and step > 0):
+            raise InvalidParameterError(f"grid step must be finite and > 0, got {self.step!r}")
+        if not (math.isfinite(drop) and drop >= 0):
+            raise InvalidParameterError(f"grid drop must be finite and >= 0, got {self.drop!r}")
 
 
 @dataclass

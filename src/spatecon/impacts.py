@@ -26,6 +26,7 @@ s_g = mean_i E phi(eta_i).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .gmrf import rho_to_external
 from .marginals import Marginal
 from .weights import WeightsMatrix
 
-_DENSE_TRACE_LIMIT = 2000
 _SERIES_TERMS = 50
 
 
@@ -63,30 +63,24 @@ def impact_matrix_dense(
     raise InvalidParameterError(f"unknown model kind {kind!r}")
 
 
-def trace_functions(
-    w: WeightsMatrix, rho_values, method: str = "auto", series_terms: int = _SERIES_TERMS
-) -> tuple[np.ndarray, np.ndarray]:
+def trace_functions(w: WeightsMatrix, rho_values) -> tuple[np.ndarray, np.ndarray]:
     """(tr((I - rho W)^{-1})/n, tr((I - rho W)^{-1} W)/n) for each rho.
 
-    For n <= 2000 a single eigendecomposition of W serves all rho values;
-    beyond that a truncated Neumann series in exact traces of W^k is used
-    (valid for |rho| * spectral radius < 1; the truncation tail bound is
-    |rho|^{K+1} / (1 - |rho|) for a row-standardized matrix).
+    When w holds a dense spectrum (n <= 2000, see WeightsMatrix.spectrum)
+    it serves all rho values; beyond that a Neumann series of _SERIES_TERMS
+    terms in exact traces of W^k is used (valid for |rho| * spectral
+    radius < 1; the truncation tail bound is |rho|^{K+1} / (1 - |rho|) for
+    a row-standardized matrix).
     """
     rho_values = np.atleast_1d(np.asarray(rho_values, dtype=float))
-    n = w.n
-    if method == "auto":
-        method = "eig" if n <= _DENSE_TRACE_LIMIT else "series"
-    if method == "eig":
-        lam = w.eigenvalues()
+    lam = w.spectrum()
+    if lam is not None:
         denom = 1.0 - rho_values[:, None] * lam[None, :]
         if np.any(np.abs(denom) < 1e-12):
             raise NumericFailureError("rho hits a reciprocal eigenvalue of W")
-        t1 = np.real(np.sum(1.0 / denom, axis=1)) / n
-        t2 = np.real(np.sum(lam[None, :] / denom, axis=1)) / n
+        t1 = np.real(np.sum(1.0 / denom, axis=1)) / w.n
+        t2 = np.real(np.sum(lam[None, :] / denom, axis=1)) / w.n
         return t1, t2
-    if method != "series":
-        raise InvalidParameterError(f"unknown trace method {method!r}")
     radius_bound = min(
         float(np.max(np.abs(w.mat).sum(axis=1))), float(np.max(np.abs(w.mat).sum(axis=0)))
     )
@@ -95,16 +89,14 @@ def trace_functions(
         raise NumericFailureError(
             f"power series diverges: |rho| * spectral-radius bound = {bad.max():.3f} >= 1"
         )
-    moments = w.trace_moments(series_terms)  # tr(W^k)/n, k = 0..K, cached on w
-    powers = rho_values[:, None] ** np.arange(series_terms + 1)[None, :]
+    moments = w.trace_moments(_SERIES_TERMS)  # tr(W^k)/n, k = 0..K, cached on w
+    powers = rho_values[:, None] ** np.arange(_SERIES_TERMS + 1)[None, :]
     t1 = powers @ moments
     t2 = powers[:, :-1] @ moments[1:]
-    tail = np.abs(rho_values) ** (series_terms + 1) / (1.0 - np.abs(rho_values))
+    tail = np.abs(rho_values) ** (_SERIES_TERMS + 1) / (1.0 - np.abs(rho_values))
     if np.any(tail > 1e-8):
-        import warnings
-
         warnings.warn(
-            f"trace series truncated at K = {series_terms}; "
+            f"trace series truncated at K = {_SERIES_TERMS}; "
             f"worst tail bound {tail.max():.2e}",
             stacklevel=2,
         )

@@ -98,10 +98,13 @@ def neighbor_scan(
     settings: GridSettings | None = None,
     threads: int = 1,
 ) -> ModelSet:
-    """Fit one model kind across kNN adjacencies for each k in k_range."""
+    """Fit one model kind across kNN adjacencies for each k in k_range,
+    on up to `threads` worker threads."""
     k_range = [int(k) for k in k_range]
     if not k_range:
         raise InvalidParameterError("k_range must be nonempty")
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     n = np.asarray(y).shape[0]
     if any(k < 1 or k >= n for k in k_range):
         raise InvalidParameterError(f"every k must satisfy 1 <= k < n = {n}")
@@ -128,21 +131,13 @@ def neighbor_scan(
         )
         return models.fit(spec, settings)
 
-    results: list[FitResult | Exception] = [None] * len(k_range)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {i: pool.submit(fit_one, k) for i, k in enumerate(k_range)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    results[i] = exc
-    else:
-        for i, k in enumerate(k_range):
+    results: list[FitResult | Exception] = []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for fut in [pool.submit(fit_one, k) for k in k_range]:
             try:
-                results[i] = fit_one(k)
-            except Exception as exc:  # noqa: BLE001
-                results[i] = exc
+                results.append(fut.result())
+            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                results.append(exc)
 
     entries: list[ModelSetEntry] = []
     kept_priors: list[float] = []

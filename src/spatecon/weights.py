@@ -7,8 +7,11 @@ immutable after construction: every operation returns a new object.
 
 The admissible range (rho_min, rho_max) of the autocorrelation parameter
 is determined by the real eigenvalues of the standardized matrix:
-rho_max = 1 / max(lambda), rho_min = 1 / min(lambda). For a
-row-standardized matrix rho_max is exactly 1.
+rho_max = 1 / max(lambda), rho_min = 1 / min(lambda). A nonnegative W
+whose rows all sum to one has max(lambda) = 1 (Perron-Frobenius), so its
+rho_max is exactly 1.0. _DENSE_EIG_LIMIT is the one size switch: up to
+n = 2000 a dense spectrum serves every spectral quantity; above it the
+bounds come from ARPACK solves started from a vector fixed by n.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 
-# Dense eigendecomposition below this size; iterative above.
+# Dense eigendecomposition up to this size; iterative and sparse above.
 _DENSE_EIG_LIMIT = 2000
 
 
@@ -82,6 +85,11 @@ class WeightsMatrix:
             object.__setattr__(self, "_eigenvalues", eigs)
         return self._eigenvalues
 
+    def spectrum(self) -> np.ndarray | None:
+        """eigenvalues() up to n = 2000, else None: the log-determinant, rho
+        bounds and impact traces take their sparse paths on None."""
+        return self.eigenvalues() if self.n <= _DENSE_EIG_LIMIT else None
+
     def log_abs_det(self, rho: float) -> float:
         """log |det(I - rho W)|.
 
@@ -91,8 +99,9 @@ class WeightsMatrix:
         factorization and reused by every later one. The last (rho, value)
         pair is kept, so a repeated rho costs no LU.
         """
-        if self.n <= _DENSE_EIG_LIMIT:
-            return float(np.sum(np.log(np.abs(1.0 - rho * self.eigenvalues()))))
+        lam = self.spectrum()
+        if lam is not None:
+            return float(np.sum(np.log(np.abs(1.0 - rho * lam))))
         last = self._last_log_abs_det
         if last is not None and last[0] == rho:
             return last[1]
@@ -117,19 +126,23 @@ class WeightsMatrix:
     def rho_range(self) -> tuple[float, float]:
         """Admissible open interval for the autocorrelation parameter.
 
-        Requires a standardized matrix. The result is cached on the
-        instance (idempotent, safe under concurrent readers).
+        Requires a standardized matrix. rho_max is 1.0 if W is row-stochastic
+        within 1e-12; the other extremes come from spectrum() or one
+        fixed-start ARPACK solve each. Cached on the instance (idempotent,
+        safe under concurrent readers).
         """
         if not self.standardized:
             raise InvalidParameterError(
                 "rho_range requires a row-standardized weights matrix"
             )
         if self._rho_bounds is None:
-            if self.n <= _DENSE_EIG_LIMIT:
-                eigs = self.eigenvalues()
-            else:
-                eigs = _iterative_extreme_eigs(self.mat)
-            object.__setattr__(self, "_rho_bounds", _eigen_rho_bounds(eigs))
+            stochastic = _row_stochastic(self.mat)
+            lam = self.spectrum()
+            if lam is None:
+                lam = _arnoldi_real_eigs(self.mat, "SR")
+                if not stochastic:
+                    lam = np.concatenate([lam, _arnoldi_real_eigs(self.mat, "LR")])
+            object.__setattr__(self, "_rho_bounds", _eigen_rho_bounds(lam, stochastic))
         return self._rho_bounds
 
     def toarray(self) -> np.ndarray:
@@ -278,64 +291,48 @@ def lag_covariates(x: np.ndarray, w: WeightsMatrix) -> np.ndarray:
     return w.mat @ x
 
 
-def _eigen_rho_bounds(eigs: np.ndarray) -> tuple[float, float]:
-    # Keep eigenvalues that are real to numerical tolerance.
-    real = eigs.real[np.abs(eigs.imag) <= 1e-9 * np.maximum(1.0, np.abs(eigs))]
+def _row_stochastic(mat: sp.csr_matrix) -> bool:
+    """Nonnegative, with every row summing to one within 1e-12."""
+    sums = np.asarray(mat.sum(axis=1)).ravel()
+    return bool(np.all(mat.data >= 0.0) and np.all(np.abs(sums - 1.0) <= 1e-12))
+
+
+def _real(eigs: np.ndarray) -> np.ndarray:
+    """The eigenvalues that are real to numerical tolerance."""
+    return eigs.real[np.abs(eigs.imag) <= 1e-9 * np.maximum(1.0, np.abs(eigs))]
+
+
+def _eigen_rho_bounds(eigs: np.ndarray, stochastic: bool) -> tuple[float, float]:
+    """(1 / min(lambda), 1 / max(lambda)) over the real eigenvalues in eigs;
+    rho_max is 1.0 for a row-stochastic W."""
+    real = _real(eigs)
     pos = real[real > 1e-12]
     neg = real[real < -1e-12]
-    if pos.size == 0 or neg.size == 0:
+    if neg.size == 0 or (pos.size == 0 and not stochastic):
         raise NumericFailureError(
             "weights matrix has no usable real eigenvalue pair for rho bounds"
         )
-    rho_max = 1.0 / float(pos.max())
-    rho_min = 1.0 / float(neg.min())
-    return rho_min, rho_max
+    rho_max = 1.0 if stochastic else 1.0 / float(pos.max())
+    return 1.0 / float(neg.min()), rho_max
 
 
-def _iterative_extreme_eigs(mat: sp.csr_matrix) -> np.ndarray:
-    """Extreme real eigenvalues of a large standardized matrix.
-
-    If the matrix came from a symmetric adjacency, D^{1/2} W D^{-1/2} is
-    symmetric and a shifted Lanczos/power scheme on that similarity
-    transform is reliable. Otherwise fall back to sparse Arnoldi on W.
-    """
-    pattern = mat.copy()
-    pattern.data = np.ones_like(pattern.data)
-    symmetric_pattern = (pattern - pattern.T).nnz == 0
-    if symmetric_pattern:
-        # Recover the similarity scaling from the entries: rows scaled by
-        # s_i make s_i w_ij / s_j symmetric iff s_i^2 w_ij = s_j^2 w_ji.
-        # For binary-origin rows w_ij = 1/d_i, so s_i = sqrt(d_i).
-        with np.errstate(divide="ignore"):
-            row_min = np.array(
-                [mat.data[mat.indptr[i]:mat.indptr[i + 1]].min()
-                 if mat.indptr[i + 1] > mat.indptr[i] else 1.0
-                 for i in range(mat.shape[0])]
-            )
-        d = 1.0 / row_min
-        s = sp.diags(np.sqrt(d))
-        s_inv = sp.diags(1.0 / np.sqrt(d))
-        sym = s @ mat @ s_inv
-        asym = sp.csr_matrix(abs(sym - sym.T))
-        scale = max(abs(sym).max(), 1.0)
-        if asym.nnz == 0 or asym.max() <= 1e-10 * scale:
-            sym = (sym + sym.T) * 0.5
-            try:
-                top = spla.eigsh(sym, k=1, which="LA", return_eigenvectors=False)
-                bot = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
-            except spla.ArpackNoConvergence as exc:  # pragma: no cover
-                raise NumericFailureError(
-                    f"eigen solver did not converge: {exc}"
-                ) from exc
-            return np.concatenate([top, bot]).astype(complex)
-        # weighted rows: the binary-origin scaling does not symmetrize;
-        # fall through to general Arnoldi
-    try:
-        top = spla.eigs(mat, k=2, which="LR", return_eigenvectors=False)
-        bot = spla.eigs(mat, k=2, which="SR", return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover
-        raise NumericFailureError(f"eigen solver did not converge: {exc}") from exc
-    return np.concatenate([top, bot])
+def _arnoldi_real_eigs(mat: sp.csr_matrix, which: str) -> np.ndarray:
+    """The k >= 2 eigenvalues of smallest ("SR") or largest ("LR") real
+    part, k doubled until a real one is among them, by ARPACK's Arnoldi
+    iteration. The start vector, a fixed-seed draw that depends on n alone
+    (not the all-ones eigenvector of lambda = 1), makes the result a
+    function of W."""
+    n = mat.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n)
+    k = 2
+    while True:
+        try:
+            eigs = spla.eigs(mat, k=k, which=which, v0=v0, return_eigenvectors=False)
+        except spla.ArpackNoConvergence as exc:  # pragma: no cover
+            raise NumericFailureError(f"eigen solver did not converge: {exc}") from exc
+        if _real(eigs).size or 2 * k >= n - 1:
+            return eigs
+        k *= 2
 
 
 def _logabsdet_sparse(a: sp.csc_matrix, permc_spec: str = "COLAMD"):

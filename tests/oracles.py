@@ -9,14 +9,25 @@ import math
 
 import numpy as np
 from scipy import stats
+from scipy.spatial import Delaunay
 
-from spatecon import knn_adjacency, row_standardize
+from spatecon import from_dense, knn_adjacency, row_standardize
 from spatecon.gmrf import rho_to_external
 from spatecon.impacts import impact_matrix_dense
 
 
 def random_weights(rng, n, k=3):
     return row_standardize(knn_adjacency(rng.uniform(size=(n, 2)), k))
+
+
+def delaunay_weights(rng, n):
+    """Row-standardized Delaunay contiguity of n uniform points."""
+    coords = rng.uniform(size=(n, 2))
+    adj = np.zeros((n, n))
+    for simplex in Delaunay(coords).simplices:
+        for a in simplex:
+            adj[a, simplex[simplex != a]] = 1.0
+    return row_standardize(from_dense(adj))
 
 
 def simulate_slm(rng, w, beta, rho, sigma):

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay
 
 import spatecon as se
 from spatecon import engine, weights
 from spatecon.engine import CompiledModel, gaussian_evidence, log_conditional_evidence
 
 from oracles import (
+    delaunay_weights,
     random_weights,
     reference_gaussian_system,
     reference_probit_system,
@@ -159,15 +159,6 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     assert len(splu_calls) == len(evidence_calls)
     # One ordering, then every factorization reuses it.
     assert splu_calls.count("MMD_AT_PLUS_A") == 1
-
-
-def delaunay_weights(rng, n):
-    coords = rng.uniform(size=(n, 2))
-    adj = np.zeros((n, n))
-    for simplex in Delaunay(coords).simplices:
-        for a in simplex:
-            adj[a, simplex[simplex != a]] = 1.0
-    return se.row_standardize(se.from_dense(adj))
 
 
 @pytest.mark.parametrize("make", ["knn", "delaunay"])

@@ -106,6 +106,36 @@ class TestFitVerb:
         cfg.write_text("[data]\nresponse = y\n")
         assert main(["fit", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("grid", "k = abc", "[grid] k:"),
+            ("grid", "k = 1.5", "[grid] k:"),
+            ("grid", "k = -1", "grid k must be"),
+            ("grid", "step = 0", "grid step must be"),
+            ("grid", "step = -0.5", "grid step must be"),
+            ("grid", "step = nan", "grid step must be"),
+            ("grid", "drop = -1", "grid drop must be"),
+            ("grid", "drop = inf", "grid drop must be"),
+            ("data", "k = x", "[data] k:"),
+            ("scan", "k_min = 2.5", "[scan] k_min:"),
+            ("scan", "k_max = many", "[scan] k_max:"),
+        ],
+    )
+    def test_bad_config_value_exits_2_without_outputs(
+        self, tmp_path, capsys, section, line, message
+    ):
+        cfg = make_inputs(tmp_path)
+        text = cfg.read_text()
+        if f"[{section}]" in text:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        else:
+            text += f"\n[{section}]\n{line}\n"
+        cfg.write_text(text)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_failure_exits_3_and_cleans_up(self, tmp_path, monkeypatch):
         cfg = make_inputs(tmp_path, kinds="sem,slm")
         from spatecon import cli as cli_mod

@@ -82,20 +82,28 @@ class TestTraceFunctions:
         assert abs(t1[0] - np.trace(a_inv) / 5) < 1e-10
         assert abs(t2[0] - np.trace(a_inv @ w.toarray()) / 5) < 1e-10
 
-    def test_series_agrees_with_eig(self):
+    def test_series_agrees_with_eig(self, monkeypatch):
+        from spatecon import impacts, weights
+
         rng = np.random.default_rng(3)
         w = random_weights(rng, 100, 4)
         rhos = [0.5, -0.3, 0.2]
-        t1e, t2e = trace_functions(w, rhos, method="eig")
-        t1s, t2s = trace_functions(w, rhos, method="series", series_terms=120)
+        t1e, t2e = trace_functions(w, rhos)
+        # The series path, forced at a small n.
+        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(impacts, "_SERIES_TERMS", 120)
+        t1s, t2s = trace_functions(w, rhos)
         assert np.max(np.abs(t1e - t1s)) < 1e-8
         assert np.max(np.abs(t2e - t2s)) < 1e-8
 
-    def test_series_divergence_flagged(self):
+    def test_series_divergence_flagged(self, monkeypatch):
+        from spatecon import weights
+
+        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
         rng = np.random.default_rng(4)
         w = random_weights(rng, 20, 3)
         with pytest.raises(se.NumericFailureError, match="diverges"):
-            trace_functions(w, [1.2], method="series")
+            trace_functions(w, [1.2])
 
 
 class TestAverageIdentities:
@@ -278,9 +286,9 @@ class TestTraceMomentCache:
     def test_one_moment_build_per_weights_matrix(self, monkeypatch):
         # The series path, forced at a small n: one build of tr(W^k)/n per
         # weights matrix, however many covariates and fits read it.
-        from spatecon import impacts, weights
+        from spatecon import weights
 
-        monkeypatch.setattr(impacts, "_DENSE_TRACE_LIMIT", 10)
+        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
         rng = np.random.default_rng(16)
         w_a, w_b = random_weights(rng, 40, 4), random_weights(rng, 40, 5)
         y, x = simulate_slm(rng, w_a, [1.0, 0.6, -0.3], 0.3, 0.5)

@@ -111,6 +111,12 @@ class TestNeighborScan:
         threaded = selection.neighbor_scan(coords, y, x, "sem", [3, 4], threads=2)
         assert_allclose(serial.posterior_probs, threaded.posterior_probs, atol=0)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_fewer_than_one_thread_rejected(self, threads):
+        coords, y, x = self.make_data(np.random.default_rng(5), n=30)
+        with pytest.raises(se.InvalidParameterError, match="threads"):
+            selection.neighbor_scan(coords, y, x, "sem", [3, 4], threads=threads)
+
     def test_each_scanned_graph_is_its_own_knn_adjacency(self, monkeypatch):
         # A lattice, where distances tie several ways, plus duplicate points;
         # the scan queries neighbours once, at the largest k.

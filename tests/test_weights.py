@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -15,7 +16,10 @@ from spatecon import (
     rho_range,
     row_standardize,
 )
+from spatecon import weights
 from spatecon.dataio import read_weights, write_weights
+
+from oracles import delaunay_weights, random_weights
 
 
 def random_standardized(rng, n, k=3):
@@ -149,16 +153,92 @@ class TestRhoRange:
         assert_allclose(lo, 1.0 / real[real < 0].min(), rtol=1e-10)
 
     def test_row_standardized_upper_bound_is_one(self):
-        rng = np.random.default_rng(23)
         for seed in range(5):
             w = random_standardized(np.random.default_rng(seed), 15, 3)
-            assert abs(w.rho_max - 1.0) < 1e-10
+            assert w.rho_max == 1.0
 
     def test_requires_standardized(self):
         coords = np.random.default_rng(0).uniform(size=(10, 2))
         w = knn_adjacency(coords, 2)
         with pytest.raises(InvalidParameterError):
             rho_range(w)
+
+
+def island_weights(rng, n, k=3):
+    """kNN weights with the first five rows emptied, row-standardized."""
+    adj = knn_adjacency(rng.uniform(size=(n, 2)), k).toarray()
+    adj[:5] = 0.0
+    with pytest.warns(UserWarning, match="island"):
+        return row_standardize(from_dense(adj))
+
+
+SPARSE_CASES = {
+    "knn": lambda: random_weights(np.random.default_rng(1), 300, 4),
+    "delaunay": lambda: delaunay_weights(np.random.default_rng(2), 300),
+    "islands": lambda: island_weights(np.random.default_rng(3), 300),
+}
+
+
+class TestSparseRhoRange:
+    """The ARPACK bounds path, forced at n = 300 by lowering the switch."""
+
+    @pytest.fixture(autouse=True)
+    def sparse_path(self, monkeypatch):
+        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
+
+    @staticmethod
+    def dense_bounds(w):
+        eigs = np.linalg.eigvals(w.toarray())
+        real = eigs.real[np.abs(eigs.imag) < 1e-9]
+        return 1.0 / real.min(), 1.0 / real.max()
+
+    @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+    def test_matches_dense_eig_oracle(self, case):
+        w = SPARSE_CASES[case]()
+        lo, hi = rho_range(w)
+        want_lo, want_hi = self.dense_bounds(w)
+        assert_allclose(lo, want_lo, rtol=1e-10)
+        if w.has_islands:
+            assert_allclose(hi, want_hi, rtol=1e-10)
+        else:
+            assert hi == 1.0
+
+    @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+    def test_fresh_instances_agree_bit_for_bit(self, case):
+        w = SPARSE_CASES[case]()
+        again = weights.WeightsMatrix(w.mat.copy(), w.standardized, w.has_islands)
+        assert rho_range(w) == rho_range(again)
+
+    @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+    def test_one_arpack_call_unless_lambda_max_is_needed(self, case, monkeypatch):
+        w = SPARSE_CASES[case]()
+        real_eigs = spla.eigs
+        calls = []
+
+        def counting_eigs(*args, **kwargs):
+            calls.append(kwargs["which"])
+            return real_eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigs", counting_eigs)
+        rho_range(w)
+        assert calls == (["SR", "LR"] if w.has_islands else ["SR"])
+
+    def test_complex_pair_first_asks_for_more_eigenvalues(self, monkeypatch):
+        # On this W the two eigenvalues of smallest real part are a complex
+        # pair; a second solve with k = 4 reaches the smallest real one.
+        w = random_weights(np.random.default_rng(6), 300, 6)
+        real_eigs = spla.eigs
+        ks = []
+
+        def counting_eigs(*args, **kwargs):
+            ks.append(kwargs["k"])
+            return real_eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigs", counting_eigs)
+        lo, hi = rho_range(w)
+        assert ks == [2, 4]
+        assert_allclose(lo, self.dense_bounds(w)[0], rtol=1e-10)
+        assert hi == 1.0
 
 
 class TestLagCovariates:
