@@ -200,7 +200,7 @@ def _fit_kinds(config: RunConfig):
         yield kind, models.fit(spec, config.grid)
 
 
-def cmd_fit(config: RunConfig, out: _OutputTracker, threads: int) -> int:
+def cmd_fit(config: RunConfig, out: _OutputTracker) -> int:
     fits = {}
     for kind, fit in _fit_kinds(config):
         fits[kind] = fit
@@ -290,7 +290,7 @@ def cmd_scan(config: RunConfig, out: _OutputTracker, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_impacts(config: RunConfig, out: _OutputTracker, threads: int) -> int:
+def cmd_impacts(config: RunConfig, out: _OutputTracker) -> int:
     _impact_outputs(dict(_fit_kinds(config)), out)
     return EXIT_OK
 
@@ -321,7 +321,7 @@ def validate_config(config: RunConfig) -> list[str]:
     return issues
 
 
-def cmd_validate(config: RunConfig, out: _OutputTracker, threads: int) -> int:
+def cmd_validate(config: RunConfig, out: _OutputTracker) -> int:
     issues = validate_config(config)
     if issues:
         for issue in issues:
@@ -336,10 +336,13 @@ def main(argv=None) -> int:
         prog="spatecon",
         description="Fit Bayesian spatial econometrics models from a config file.",
     )
-    parser.add_argument("verb", choices=["fit", "scan", "impacts", "validate"])
-    parser.add_argument("--config", required=True, help="path to the INI run config")
-    parser.add_argument("--output", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1, help="parallel fits in scans")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for verb in ("fit", "scan", "impacts", "validate"):
+        sub = verbs.add_parser(verb)
+        sub.add_argument("--config", required=True, help="path to the INI run config")
+        sub.add_argument("--output", default=None, help="override the output directory")
+        if verb == "scan":
+            sub.add_argument("--threads", type=int, default=1, help="parallel fits")
     args = parser.parse_args(argv)
 
     try:
@@ -351,14 +354,11 @@ def main(argv=None) -> int:
         config.output_dir = Path(args.output)
 
     out = _OutputTracker(config.output_dir)
-    handlers = {
-        "fit": cmd_fit,
-        "scan": cmd_scan,
-        "impacts": cmd_impacts,
-        "validate": cmd_validate,
-    }
+    handlers = {"fit": cmd_fit, "impacts": cmd_impacts, "validate": cmd_validate}
     try:
-        return handlers[args.verb](config, out, args.threads)
+        if args.verb == "scan":
+            return cmd_scan(config, out, args.threads)
+        return handlers[args.verb](config, out)
     except (InvalidInputError, InvalidParameterError) as exc:
         out.cleanup()
         print(f"error: {exc}", file=sys.stderr)

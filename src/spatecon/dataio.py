@@ -222,6 +222,25 @@ def _typed(parser, path, section, key, convert):
         raise InvalidInputError(f"{path}: [{section}] {key}: {exc}") from exc
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _flag(parser, path, section, key, default: bool) -> bool:
+    """[section] key as a boolean (1/true/yes/on or 0/false/no/off, any
+    case); default if unset."""
+    val = _get(parser, section, key)
+    if val is None:
+        return default
+    if val.lower() in _TRUE:
+        return True
+    if val.lower() in _FALSE:
+        return False
+    raise InvalidInputError(
+        f"{path}: [{section}] {key}: expected one of {'/'.join(_TRUE + _FALSE)}, got {val!r}"
+    )
+
+
 def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -274,7 +293,7 @@ def parse_config(path) -> RunConfig:
             if key in numeric:
                 prior_kwargs[key] = _typed(parser, path, "priors", key, float)
             elif key == "tau_obs_hyper":
-                prior_kwargs[key] = val.lower() in ("1", "true", "yes")
+                prior_kwargs[key] = _flag(parser, path, "priors", key, False)
             else:
                 raise InvalidInputError(f"{path}: [priors] unknown key {key!r}")
     priors = ModelPriors(**prior_kwargs)
@@ -295,10 +314,7 @@ def parse_config(path) -> RunConfig:
         _get(parser, "scan", "prior", "uniform") if parser.has_section("scan") else "uniform"
     ) or "uniform"
 
-    impacts_enabled = True
-    if parser.has_section("impacts"):
-        val = _get(parser, "impacts", "enabled", "true") or "true"
-        impacts_enabled = val.lower() in ("1", "true", "yes")
+    impacts_enabled = _flag(parser, path, "impacts", "enabled", True)
 
     return RunConfig(
         data_csv=data_csv,

@@ -25,6 +25,7 @@ marginals are Gaussian mixtures over that grid.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from .gmrf import (
     CholeskyHandle,
     SymbolicFactor,
     canonical_csc,
+    marginal_variance_stack,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -181,6 +183,11 @@ class CompiledModel:
         return math.exp(theta["log_tau_obs"])
 
 
+# Step of the central differences in the evidence gradient, on the
+# internal scale of each hyperparameter.
+_DIFF_STEP = 1e-5
+
+
 def _theta_bounds(name: str) -> tuple[float, float]:
     """The interval _clamp_theta holds a hyperparameter to."""
     if name == "rho_internal":
@@ -198,7 +205,10 @@ def _clamp_theta(theta: dict[str, float]) -> dict[str, float]:
 
 @dataclass
 class GaussianState:
-    """Conditional Gaussian of z = (x, c) given theta and the data."""
+    """Conditional Gaussian of z = (x, c) given theta and the data.
+
+    var_x and var_eta are None while a grid row's variances are pending
+    (gaussian_evidence)."""
 
     mean_x: np.ndarray
     var_x: np.ndarray
@@ -406,14 +416,28 @@ def _factor(model: CompiledModel, data: np.ndarray, context: str) -> CholeskyHan
 
 
 def gaussian_evidence(
-    model: CompiledModel, theta: Mapping[str, float], want_state: bool = False
-) -> tuple[float, GaussianState | None]:
-    """Exact log pi(y | theta) for the Gaussian copy likelihood."""
+    model: CompiledModel,
+    theta: Mapping[str, float],
+    want_state: bool = False,
+    wrt: Sequence[str] = (),
+    pending: list | None = None,
+) -> tuple[float, GaussianState | np.ndarray | None]:
+    """Exact log pi(y | theta) for the Gaussian copy likelihood.
+
+    With wrt (names of hyperparameters), the second item is the gradient
+    of log pi(y | theta) with respect to them, from the same factorization
+    and its selected inverse (_evidence_gradient). With want_state it is
+    the conditional Gaussian of z; given a pending list, the state's
+    latent variances are left for _finish_variances, which reads those of
+    a whole grid row off one Takahashi sweep. The list keeps the factor's
+    L and D values; the factor itself, with its SuperLU object, is
+    dropped on return.
+    """
     q_prior, logdet_qp, plan = _prior(model, theta)
     tau_obs = model.tau_obs_value(theta)
     n, p = model.n, model.p
-    obs, mis = model.obs_idx, model.miss_idx
-    n_o, n_m = obs.size, mis.size
+    obs = model.obs_idx
+    n_o = obs.size
 
     z0 = plan.z0
     qz0 = q_prior @ z0
@@ -432,41 +456,123 @@ def gaussian_evidence(
         - 0.5 * factor.logdet()
         - 0.5 * s_min
     )
+    mean_z = plan.shift(w) + z0
+    if wrt:
+        return log_z, _evidence_gradient(
+            model, theta, wrt, q_prior, plan, factor, mean_z, w[:n_o]
+        )
     if not want_state:
         return log_z, None
 
-    mean_z = plan.shift(w) + z0
     mean_x, mean_c = mean_z[:n], mean_z[n:]
-    mean_eta = mean_x + model.b_design @ mean_c
+    # The p coefficient columns, with cov_c and the cross terms, from one
+    # solve; cov_c is copied so that a kept state holds p x p, not
+    # (n+p) x p.
+    cols = factor.inverse_columns(np.arange(n, n + p))
+    state = GaussianState(
+        mean_x=mean_x,
+        var_x=None,
+        mean_c=mean_c,
+        cov_c=cols[n:].copy(),
+        mean_eta=mean_x + model.b_design @ mean_c,
+        var_eta=None,
+    )
+    if pending is None:
+        _set_variances(model, state, factor.marginal_variances(np.arange(n)), cols)
+    else:
+        pending.append((state, factor.symbolic, factor.factor_values(), cols))
+    return log_z, state
 
-    # Variances of (u_obs, x_miss) from the selected inverse; the p
-    # coefficient columns, with cov_c and the cross terms, from one solve.
-    # cov_c is copied so that a kept state holds p x p, not (n+p) x p.
-    c0 = n_o + n_m
-    var_z = factor.marginal_variances(np.arange(c0))
-    cols = factor.inverse_columns(np.arange(c0, c0 + p))
-    cov_c = cols[c0:].copy()
-    var_eta = np.empty(n)
-    var_x = np.empty(n)
+
+def _set_variances(model: CompiledModel, state: GaussianState, var_z, cols) -> None:
+    """Fill in var_x and var_eta from the variances var_z of (u_obs,
+    x_miss) and the coefficient columns of the inverse."""
+    obs, mis = model.obs_idx, model.miss_idx
+    n_o = obs.size
+    var_eta = np.empty(model.n)
+    var_x = np.empty(model.n)
     # Observed rows: eta = y - u, so Var(eta) is the u-block diagonal and
     # Var(x) = Var(u + X_b c). Missing rows: x is a coordinate of its own.
     var_eta[obs] = var_z[:n_o]
     var_x[obs] = _with_design_variance(
-        var_z[:n_o], cols[:n_o], cov_c, model.b_design[obs]
+        var_z[:n_o], cols[:n_o], state.cov_c, model.b_design[obs]
     )
     var_x[mis] = var_z[n_o:]
     var_eta[mis] = _with_design_variance(
-        var_z[n_o:], cols[n_o:c0], cov_c, model.b_design[mis]
+        var_z[n_o:], cols[n_o : model.n], state.cov_c, model.b_design[mis]
     )
-    state = GaussianState(
-        mean_x=mean_x,
-        var_x=np.maximum(var_x, 0.0),
-        mean_c=mean_c,
-        cov_c=cov_c,
-        mean_eta=mean_eta,
-        var_eta=np.maximum(var_eta, 0.0),
-    )
-    return log_z, state
+    state.var_x = np.maximum(var_x, 0.0)
+    state.var_eta = np.maximum(var_eta, 0.0)
+
+
+def _finish_variances(model: CompiledModel, pending: list) -> None:
+    """Set the variances of the states gaussian_evidence left pending,
+    with one Takahashi sweep per run of states on one analysis (a grid
+    row normally shares one), and empty the list."""
+    for symbolic, run in itertools.groupby(pending, key=lambda item: item[1]):
+        run = list(run)
+        var_z = marginal_variance_stack(symbolic, [item[2] for item in run], np.arange(model.n))
+        for (state, _, _, cols), var in zip(run, var_z):
+            _set_variances(model, state, var, cols)
+    pending.clear()
+
+
+def _evidence_gradient(
+    model: CompiledModel,
+    theta: Mapping[str, float],
+    wrt: Sequence[str],
+    q_prior: sp.csc_matrix,
+    plan: Assembly,
+    factor: CholeskyHandle,
+    mean_z: np.ndarray,
+    resid: np.ndarray,
+) -> np.ndarray:
+    """Gradient of the Gaussian log pi(y | theta) with respect to the
+    hyperparameters named in wrt:
+
+        d/dt = 1/2 d log|Q|/dt - 1/2 tr(M^{-1} dM/dt) - 1/2 mu' (dQ/dt) mu,
+
+    with M the factored matrix and mu the conditional mean of z (the last
+    term is the envelope theorem on the quadratic minimum). dM/dt =
+    G' (dQ/dt) G is Assembly.prior_data of dQ/dt, and the trace is a dot
+    product with the selected inverse (CholeskyHandle.inverse_dot). dQ/dt
+    and d log|Q|/dt are central differences of the prior builder at
+    t +- h (h = _DIFF_STEP; the mode search keeps t that far inside the
+    clamp) and need no factorization: they are exact to rounding in rho,
+    in which Q is quadratic, and in log tau, in which log|Q| is linear (Q
+    itself gains the relative error h^2/6). log tau_obs enters through
+    the likelihood alone, in closed form: n_o/2 - tau_obs/2 (tr Sigma_uu
+    + u'u) for the residuals u. Rho is differentiated last: above n =
+    2000 its log-determinant costs an LU per point, and the other axes'
+    differences reuse the one cached at theta.
+    """
+    grad = np.zeros(len(wrt))
+    h = _DIFF_STEP
+    for i in sorted(range(len(wrt)), key=lambda i: wrt[i] == "rho_internal"):
+        name = wrt[i]
+        if name == "log_tau_obs":
+            tau_obs = model.tau_obs_value(theta)
+            n_o = resid.size
+            trace = float(np.sum(factor.marginal_variances(np.arange(n_o))))
+            grad[i] = 0.5 * n_o - 0.5 * tau_obs * (trace + float(resid @ resid))
+            continue
+        q_hi, logdet_hi = model.prior_builder({**theta, name: theta[name] + h})
+        q_lo, logdet_lo = model.prior_builder({**theta, name: theta[name] - h})
+        q_hi, q_lo = canonical_csc(q_hi), canonical_csc(q_lo)
+        if not (plan.fits(q_hi) and plan.fits(q_lo)):
+            raise InvalidInputError(
+                "evidence gradients need a prior whose sparsity pattern does not depend on theta"
+            )
+        dq = sp.csc_matrix(
+            ((q_hi.data - q_lo.data) / (2.0 * h), q_prior.indices, q_prior.indptr),
+            shape=q_prior.shape,
+        )
+        grad[i] = 0.5 * (
+            (logdet_hi - logdet_lo) / (2.0 * h)
+            - factor.inverse_dot(plan.matrix(plan.prior_data(dq)))
+            - float(mean_z @ (dq @ mean_z))
+        )
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +721,25 @@ def _site_corrections(eta_hat, y_o, var_eta_o, nodes: int = 41) -> float:
 
 
 def log_conditional_evidence(
-    model, theta: Mapping[str, float], want_state: bool = True
-) -> tuple[float, GaussianState | None]:
-    """log pi(y | theta) and the conditional Gaussian for any likelihood."""
+    model,
+    theta: Mapping[str, float],
+    want_state: bool = True,
+    wrt: Sequence[str] = (),
+    pending: list | None = None,
+) -> tuple[float, GaussianState | np.ndarray | None]:
+    """log pi(y | theta) and the conditional Gaussian for any likelihood.
+
+    wrt and pending are for the Gaussian likelihood (gaussian_evidence):
+    with wrt the second item is the gradient of log pi(y | theta) with
+    respect to the named hyperparameters; with pending the state's latent
+    variances wait for _finish_variances.
+    """
     compiled = getattr(model, "compiled", model)
     theta = _clamp_theta(dict(theta))
     if compiled.likelihood == "gaussian":
-        return gaussian_evidence(compiled, theta, want_state)
+        return gaussian_evidence(compiled, theta, want_state, wrt, pending)
+    if wrt:
+        raise InvalidInputError("evidence gradients need the Gaussian likelihood")
     return laplace_inner(compiled, theta, want_state)
 
 
@@ -679,6 +797,26 @@ def _log_posterior_fn(model: CompiledModel):
     return f
 
 
+def _log_posterior_and_gradient_fn(model: CompiledModel):
+    """vec -> (log pi(theta | y) + const, its gradient), one factorization
+    per call; the log priors are differentiated by central differences."""
+    free = model.free_dims()
+    names = tuple(d.name for d in free)
+
+    def fg(vec):
+        theta = model.theta_from_vector(vec)
+        log_z, grad = log_conditional_evidence(model, theta, want_state=False, wrt=names)
+        lp = sum(d.log_prior(theta[d.name]) for d in free)
+        h = _DIFF_STEP
+        dlp = [
+            (d.log_prior(theta[d.name] + h) - d.log_prior(theta[d.name] - h)) / (2.0 * h)
+            for d in free
+        ]
+        return log_z + lp, grad + np.array(dlp)
+
+    return fg
+
+
 def _numeric_hessian(
     f, x0: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray, f0: float | None = None
 ) -> np.ndarray:
@@ -713,6 +851,17 @@ def _numeric_hessian(
 
 
 def _mode_and_scale(model: CompiledModel, settings: GridSettings):
+    """Posterior mode of the free hyperparameters and the grid's scale per
+    axis (the sd of each axis under the Hessian at the mode).
+
+    One free hyperparameter (every probit fit, SLX, a fixed rho): bounded
+    Brent over its whole domain (Brent 1973). Two or more, which only the
+    Gaussian likelihood has: L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on
+    the exact evidence gradient, each point one factorization
+    (_evidence_gradient), within _theta_bounds narrowed by the gradient's
+    difference step. The Hessian is a central-difference stencil on the
+    log posterior that reuses the search's value at the mode.
+    """
     free = model.free_dims()
     d = len(free)
     if d == 0:
@@ -720,8 +869,6 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
     f = _log_posterior_fn(model)
     lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
     if d == 1:
-        # One free hyperparameter (every probit fit, SLX, a fixed rho):
-        # bounded Brent search over its whole domain (Brent 1973).
         res = scipy.optimize.minimize_scalar(
             lambda t: -f([t]),
             bounds=(lo[0], hi[0]),
@@ -729,12 +876,31 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
             options={"xatol": 1e-5},
         )
     else:
+        if model.likelihood != "gaussian":
+            raise InvalidInputError(
+                f"a {model.likelihood} model takes at most one free hyperparameter, "
+                f"got {d}"
+            )
+        fg = _log_posterior_and_gradient_fn(model)
+
+        def neg(vec):
+            value, grad = fg(vec)
+            return -value, -grad
+
+        inner = np.column_stack([lo + _DIFF_STEP, hi - _DIFF_STEP])
         res = scipy.optimize.minimize(
-            lambda v: -f(v),
-            np.array([dim.init for dim in free]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-7, "maxiter": 400 * d, "maxfev": 600 * d},
+            neg,
+            np.clip([dim.init for dim in free], inner[:, 0], inner[:, 1]),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=inner,
+            options={"ftol": 1e-10, "gtol": 1e-5, "maxiter": 200},
         )
+        # A line search stalled by round-off in the log posterior (status
+        # 2) is converged when the quasi-Newton estimate of the gain left,
+        # g' B^{-1} g / 2, is negligible.
+        if res.status == 2 and 0.5 * res.jac @ res.hess_inv.dot(res.jac) <= 1e-8:
+            res.success = True
     if not res.success:
         raise NumericFailureError(
             f"hyperparameter mode search did not converge: {res.message} "
@@ -769,31 +935,41 @@ def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool)
 
     if d == 0:
         points = np.zeros((1, 0))
+        rows = np.zeros(1, dtype=int)
         delta = 1.0
     else:
         offsets = np.arange(-settings.k, settings.k + 1)
         axes = [mode[j] + settings.step * sigma[j] * offsets for j in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
+        # A grid row: the 2k + 1 consecutive points along the last axis.
+        rows = np.arange(points.shape[0]) // offsets.size
         # rho stays strictly inside (0, 1); out-of-domain points are dropped
         # rather than piled up at the boundary.
         keep = np.ones(points.shape[0], dtype=bool)
         for j, dim in enumerate(free):
             if dim.name == "rho_internal":
                 keep &= (points[:, j] > 0.0) & (points[:, j] < 1.0)
-        points = points[keep]
+        points, rows = points[keep], rows[keep]
         delta = float(np.prod(settings.step * sigma))
 
     log_ev = np.empty(points.shape[0])
     log_pr = np.empty(points.shape[0])
     states: list[GaussianState] = []
+    # Gaussian states leave their latent variances pending until the end
+    # of their grid row, which shares one Takahashi sweep.
+    pending = [] if want_states else None
     for g in range(points.shape[0]):
         theta = model.theta_from_vector(points[g])
-        lz, state = log_conditional_evidence(model, theta, want_state=want_states)
+        lz, state = log_conditional_evidence(
+            model, theta, want_state=want_states, pending=pending
+        )
         log_ev[g] = lz
         log_pr[g] = sum(dim.log_prior(theta[dim.name]) for dim in free)
         if want_states:
             states.append(state)
+            if g + 1 == points.shape[0] or rows[g + 1] != rows[g]:
+                _finish_variances(model, pending)
 
     log_post = log_ev + log_pr
     keep = log_post >= log_post.max() - settings.drop

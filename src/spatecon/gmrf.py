@@ -19,7 +19,12 @@ the pattern of the factor L, in O(nnz(L)) memory rather than the (n+p)^2
 of a dense inverse. A SymbolicFactor keeps the fill-reducing order, the
 symbolic pattern of L and the recursion's gather plan of one sparsity
 pattern, so repeated factorizations of matrices on that pattern skip the
-ordering and the analysis.
+ordering and the analysis. One recursion, _takahashi, serves a single
+factor and a stack of factors on one analysis alike: stacked, each
+column's gather, product and dot run once for the whole stack
+(marginal_variance_stack). The same selected inverse gives the trace
+tr(A^{-1} B) of any B on the analysed pattern as one dot product
+(CholeskyHandle.inverse_dot).
 """
 
 from __future__ import annotations
@@ -282,6 +287,8 @@ class SymbolicFactor:
         self._perm_map = permuted.data.astype(np.intp) - 1
         self._perm_indptr, self._perm_indices = permuted.indptr, permuted.indices
         self._l_pattern = None
+        self._lu_layout = None
+        self._positions = None
 
     def scatter(self, mat: sp.csc_matrix) -> np.ndarray | None:
         """mat's entries on the analysed pattern (zeros where mat has none),
@@ -360,6 +367,44 @@ class SymbolicFactor:
         self._l_pattern = (l_indptr, l_indices, l_keys, fused, plan, plan_ptr)
         return self._l_pattern
 
+    def l_values(self, lu_l: sp.csc_matrix) -> np.ndarray:
+        """The values of a factor's L, as SuperLU stores it, on the symbolic
+        pattern of L. SuperLU keeps each column's rows in supernode order
+        and may leave out entries that cancel to zero, never add any; the
+        map from its layout onto the pattern is built once and reused while
+        the layout stays the same."""
+        layout = self._lu_layout
+        if layout is None or not (
+            np.array_equal(layout[0], lu_l.indptr) and np.array_equal(layout[1], lu_l.indices)
+        ):
+            l_keys = self.l_pattern()[2]
+            keys = _pattern_keys(lu_l.indptr, lu_l.indices, self.n)
+            pos = np.searchsorted(l_keys, keys)
+            outside = np.flatnonzero(l_keys.take(pos, mode="clip") != keys)
+            pos[outside] = l_keys.size  # a spare slot, dropped below
+            layout = self._lu_layout = (lu_l.indptr, lu_l.indices, pos, outside)
+        _, _, pos, outside = layout
+        if np.any(lu_l.data[outside] != 0.0):
+            raise NumericFailureError("factor has entries outside its symbolic pattern")
+        size = self.l_pattern()[2].size
+        values = np.zeros(size + 1)
+        values[pos] = lu_l.data
+        return values[:size]
+
+    def positions(self) -> np.ndarray:
+        """For each entry of the analysed pattern, the storage position of
+        its (symmetric) entry in the selected inverse, built once."""
+        if self._positions is None:
+            n = self.n
+            l_keys = self.l_pattern()[2]
+            rank = np.empty(n, dtype=np.int64)
+            rank[self.order] = np.arange(n)
+            rows = rank[self.indices]
+            cols = rank[np.repeat(np.arange(n), np.diff(self.indptr))]
+            keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+            self._positions = np.searchsorted(l_keys, keys)
+        return self._positions
+
 
 def canonical_csc(mat) -> sp.csc_matrix:
     """mat in CSC form with sorted indices and no duplicate entries."""
@@ -386,6 +431,8 @@ class CholeskyHandle:
     matrix whose pattern lies inside it is pre-permuted and factored in
     that order, with no new ordering. Marginal variances come from the
     selected inverse on the pattern of L, in O(nnz(L)) memory.
+    factor_values() is all the selected inverse needs: a caller may keep
+    those and drop the handle, with its SuperLU factor, before the sweep.
     """
 
     def __init__(
@@ -444,48 +491,18 @@ class CholeskyHandle:
         is tested and benchmarked against. The engine never calls it."""
         return self.solve(np.eye(self.shape[0]))
 
+    def factor_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values of L on the symbolic pattern, pivots D): all the
+        selected inverse reads of the factor. The L values are a fresh
+        array on every call."""
+        return self.symbolic.l_values(self._lu.L.tocsc()), self._d
+
     def _selected(self) -> np.ndarray:
-        """Sigma = A^{-1} on the pattern of L (permuted order), by the
-        Takahashi recursion from the last column to the first:
-        Sigma[S_j, j] = -Sigma[S_j, S_j] L[S_j, j] and
-        Sigma[j, j] = 1 / d_j - L[S_j, j]' Sigma[S_j, j]
-        (Takahashi, Fagan & Chen 1973; Rue & Held 2005, sec. 2.3)."""
-        if self._sigma is not None:
-            return self._sigma
-        n = self.shape[0]
-        l_indptr, _, l_keys, fused, plan, plan_ptr = self.symbolic.l_pattern()
-        lu_l = self._lu.L.tocsc()
-        keys = _pattern_keys(lu_l.indptr, lu_l.indices, n)
-        pos = np.searchsorted(l_keys, keys)
-        # SuperLU may leave out entries that cancel to zero, never add any.
-        inside = l_keys.take(pos, mode="clip") == keys
-        if not np.all(inside | (lu_l.data == 0.0)):
-            raise NumericFailureError("factor has entries outside its symbolic pattern")
-        l_vals = np.zeros(l_keys.size)
-        l_vals[pos[inside]] = lu_l.data[inside]
-        sigma = np.empty(l_keys.size)
-        starts, plans, d = l_indptr.tolist(), plan_ptr.tolist(), self._d
-        block = np.empty((0, 0))  # Sigma[S_j, S_j] of the previous column
-        for j in range(n - 1, -1, -1):
-            a, b = starts[j], starts[j + 1]
-            m = b - a - 1
-            if m == 0:
-                sigma[a] = 1.0 / d[j]
-                block = np.empty((0, 0))
-                continue
-            if fused[j]:
-                bordered = np.empty((m, m))
-                bordered[1:, 1:] = block
-                bordered[0, :] = bordered[:, 0] = sigma[b : b + m]
-                block = bordered
-            else:
-                block = sigma[plan[plans[j] : plans[j + 1]]].reshape(m, m)
-            l_col = l_vals[a + 1 : b]
-            s = -(block @ l_col)
-            sigma[a + 1 : b] = s
-            sigma[a] = 1.0 / d[j] - l_col @ s
-        self._sigma = sigma
-        return sigma
+        """Sigma = A^{-1} on the pattern of L (permuted order): the
+        Takahashi recursion on a stack of one."""
+        if self._sigma is None:
+            self._sigma = _takahashi(self.symbolic.l_pattern(), *self.factor_values())
+        return self._sigma
 
     def selected_inverse(self) -> sp.csc_matrix:
         """The entries of the inverse on the pattern of L + L', in the
@@ -508,10 +525,16 @@ class CholeskyHandle:
     def marginal_variances(self, indices) -> np.ndarray:
         """Diagonal entries of the inverse at the requested coordinates."""
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        l_indptr = self.symbolic.l_pattern()[0]
-        diag = np.empty(self.shape[0])
-        diag[self.symbolic.order] = self._selected()[l_indptr[:-1]]
-        return diag[indices]
+        return _diagonal(self.symbolic, self._selected())[indices]
+
+    def inverse_dot(self, mat: sp.csc_matrix) -> float:
+        """tr(A^{-1} B) = sum_ij (A^{-1})_ij B_ij for a symmetric B whose
+        pattern lies inside the analysed one: a dot product with the
+        selected inverse, which holds every entry of A^{-1} that B meets."""
+        data = self.symbolic.scatter(canonical_csc(mat))
+        if data is None:
+            raise InvalidInputError("matrix has entries outside the analysed pattern")
+        return float(self._selected()[self.symbolic.positions()] @ data)
 
     def inverse_columns(self, indices) -> np.ndarray:
         """Columns of the inverse at the requested coordinates, one solve."""
@@ -519,6 +542,80 @@ class CholeskyHandle:
         rhs = np.zeros((self.shape[0], indices.size))
         rhs[indices, np.arange(indices.size)] = 1.0
         return self.solve(rhs)
+
+
+def marginal_variance_stack(
+    symbolic: SymbolicFactor, values: list[tuple[np.ndarray, np.ndarray]], indices
+) -> np.ndarray:
+    """Diagonal entries of G inverses at the requested coordinates, as a
+    (G, len(indices)) array, from one Takahashi sweep over the stacked
+    factor_values() of G factors analysed by `symbolic`."""
+    l_vals = np.stack([v[0] for v in values], axis=-1)
+    d = np.stack([v[1] for v in values], axis=-1)
+    return _diagonal(symbolic, _takahashi(symbolic.l_pattern(), l_vals, d))[indices].T
+
+
+def _diagonal(symbolic: SymbolicFactor, sigma: np.ndarray) -> np.ndarray:
+    """The diagonal of the selected inverse(s) sigma, original order."""
+    diag = np.empty((symbolic.n,) + sigma.shape[1:])
+    diag[symbolic.order] = sigma[symbolic.l_pattern()[0][:-1]]
+    return diag
+
+
+def _takahashi(l_pattern, l_vals: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sigma = A^{-1} on the pattern of L (permuted order) for A = L D L',
+    by the Takahashi recursion from the last column to the first:
+
+        Sigma[S_j, j] = -Sigma[S_j, S_j] L[S_j, j],
+        Sigma[j, j] = 1 / d_j - L[S_j, j]' Sigma[S_j, j]
+
+    (Takahashi, Fagan & Chen 1973; Rue & Held 2005, sec. 2.3). l_vals and
+    d are (nnz(L),) and (n,) for one factor, or (nnz(L), G) and (n, G)
+    for a stack of G factors on one pattern, which then share every
+    column's gather, product and dot. Sigma overwrites l_vals: column j
+    reads its own L values once, before it writes its own Sigma entries,
+    and otherwise reads only Sigma of the columns after it.
+
+    A run of fused columns j0 < ... < j1 (a supernode: S_j = {j + 1} +
+    S_{j+1}) fills one buffer from the bottom right: the block of j1 is
+    gathered by the plan, and each column's block Sigma[S_j, S_j] is the
+    block below it bordered by column j + 1 of Sigma.
+    """
+    l_indptr, _, _, fused, plan, plan_ptr = l_pattern
+    stack = l_vals.shape[1:]
+    sigma = l_vals
+    inv_d = 1.0 / d
+    starts, plans, fused = l_indptr.tolist(), plan_ptr.tolist(), fused.tolist()
+    if stack:
+        # Buffers hold the stack first: (G, m, m) blocks times (G, m, 1).
+        def product(block, col):
+            return np.matmul(block, col.T[..., None])[..., 0].T
+    else:
+        product = np.matmul
+    j = len(starts) - 2
+    while j >= 0:
+        top = j
+        while top > 0 and fused[top - 1]:
+            top -= 1
+        a, b = starts[j], starts[j + 1]
+        m = b - a - 1
+        k = j - top  # Sigma[S_j, S_j] is buf[..., k:, k:]
+        buf = np.empty(stack + (m + k, m + k))
+        buf[..., k:, k:] = sigma[plan[plans[j] : plans[j + 1]]].T.reshape(stack + (m, m))
+        while True:
+            l_col = l_vals[a + 1 : b]
+            t = product(buf[..., k:, k:], l_col)  # -Sigma[S_j, j]
+            sigma[a] = inv_d[j] + np.vecdot(l_col, t, axis=0)
+            np.negative(t, out=sigma[a + 1 : b])
+            if k == 0:
+                break
+            j, k, b, m = j - 1, k - 1, a, m + 1
+            a = starts[j]
+            border = sigma[b : b + m].T
+            buf[..., k, k:] = border
+            buf[..., k:, k] = border
+        j -= 1
+    return sigma
 
 
 def _splu(mat: sp.csc_matrix, permc_spec: str):

@@ -136,6 +136,53 @@ class TestFitVerb:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("impacts", "enabled", "ture"),
+            ("impacts", "enabled", "2"),
+            ("impacts", "enabled", "enabled"),
+            ("priors", "tau_obs_hyper", "yes please"),
+            ("priors", "tau_obs_hyper", "nope"),
+        ],
+    )
+    def test_bad_boolean_exits_2_without_outputs(self, tmp_path, capsys, section, key, value):
+        cfg = make_inputs(tmp_path)
+        cfg.write_text(cfg.read_text() + f"\n[{section}]\n{key} = {value}\n")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert f"[{section}] {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "value, on",
+        [("1", True), ("true", True), ("Yes", True), ("ON", True),
+         ("0", False), ("FALSE", False), ("no", False), ("Off", False)],
+    )
+    def test_boolean_spellings(self, tmp_path, value, on):
+        cfg = make_inputs(tmp_path)
+        text = cfg.read_text()
+        cfg.write_text(text + f"\n[impacts]\nenabled = {value}\n\n[priors]\ntau_obs_hyper = {value}\n")
+        config = parse_config(cfg)
+        assert config.impacts_enabled is on
+        assert config.priors.tau_obs_hyper is on
+
+    def test_impacts_switched_off_writes_no_impact_tables(self, tmp_path):
+        cfg = make_inputs(tmp_path, kinds="slm")
+        cfg.write_text(cfg.read_text() + "\n[impacts]\nenabled = off\n")
+        assert main(["fit", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert (out / "slm_summary.json").exists()
+        assert not list(out.glob("*impacts*"))
+
+    @pytest.mark.parametrize("verb", ["fit", "impacts", "validate"])
+    def test_threads_belongs_to_scan_alone(self, tmp_path, capsys, verb):
+        cfg = make_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_failure_exits_3_and_cleans_up(self, tmp_path, monkeypatch):
         cfg = make_inputs(tmp_path, kinds="sem,slm")
         from spatecon import cli as cli_mod

@@ -20,6 +20,7 @@ from spatecon import (
     rho_to_internal,
     row_standardize,
 )
+from spatecon import gmrf
 from spatecon.gmrf import SymbolicFactor
 
 
@@ -261,6 +262,91 @@ class TestSelectedInverse:
         h_back = CholeskyHandle(a, symbolic=h_new.symbolic)
         assert h_back.symbolic is h_new.symbolic
         assert_matches_dense_on_pattern(h_back)
+
+
+def same_pattern_stack(rng, n, p, count):
+    """count SPD matrices on one pattern: random_spd's with its
+    off-diagonal entries scaled by symmetric factors in [0.2, 1], which
+    keeps them diagonally dominant."""
+    base = random_spd(rng, n, p).toarray()
+    diag = np.diag(np.diag(base))
+    out = []
+    for _ in range(count):
+        f = rng.uniform(0.2, 1.0, size=base.shape)
+        out.append(sp.csc_matrix(diag + (base - diag) * (f + f.T) / 2.0))
+    return out
+
+
+def stacked_sigma(handles):
+    symbolic = handles[0].symbolic
+    values = [h.factor_values() for h in handles]
+    l_vals = np.stack([v[0] for v in values], axis=-1)
+    d = np.stack([v[1] for v in values], axis=-1)
+    return gmrf._takahashi(symbolic.l_pattern(), l_vals, d)
+
+
+class TestStackedSelectedInverse:
+    """One Takahashi sweep over a stack of factors on one analysis."""
+
+    def assert_stack_matches(self, handles):
+        symbolic = handles[0].symbolic
+        l_indptr, l_indices = symbolic.l_pattern()[:2]
+        rows = symbolic.order[l_indices]
+        cols = symbolic.order[np.repeat(np.arange(symbolic.n), np.diff(l_indptr))]
+        sigma = stacked_sigma(handles)
+        assert sigma.shape == (l_indices.size, len(handles))
+        variances = gmrf.marginal_variance_stack(
+            symbolic, [h.factor_values() for h in handles], np.arange(symbolic.n)
+        )
+        for g, h in enumerate(handles):
+            own = h._selected()
+            diag = np.diag(h.inverse_dense())
+            scale = np.sqrt(diag[rows] * diag[cols])
+            # The stack reproduces each factor's own sweep...
+            assert np.all(np.abs(sigma[:, g] - own) <= 1e-12 * scale)
+            # ...which matches the dense inverse on the pattern of L.
+            assert_matches_dense_on_pattern(h)
+            assert_allclose(variances[g], diag, rtol=1e-10)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_matches_dense_inverse(self, count, p):
+        rng = np.random.default_rng(41 + p + count)
+        fused_seen = set()
+        for _ in range(5):
+            mats = same_pattern_stack(rng, int(rng.integers(8, 50)), p, count)
+            first = CholeskyHandle(mats[0])
+            handles = [first] + [CholeskyHandle(m, symbolic=first.symbolic) for m in mats[1:]]
+            assert all(h.symbolic is first.symbolic for h in handles)
+            self.assert_stack_matches(handles)
+            fused_seen |= set(first.symbolic.l_pattern()[3].tolist())
+        assert fused_seen == {False, True}
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_cancelled_factor_entry(self, count):
+        # L[2, 1] cancels in the natural order whatever the pivots (see
+        # TestSelectedInverse); every factor of the stack fills it with 0.
+        lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]])
+        pivots = ([4.0, 2.0, 3.0], [1.0, 5.0, 2.0], [3.0, 3.0, 0.5])[:count]
+        mats = [sp.csc_matrix(lower @ np.diag(d) @ lower.T) for d in pivots]
+        natural = SymbolicFactor(mats[0].indptr, mats[0].indices, np.arange(3))
+        handles = [CholeskyHandle(m, symbolic=natural) for m in mats]
+        assert all(h._lu.L.nnz < natural.l_pattern()[1].size for h in handles)
+        self.assert_stack_matches(handles)
+        sigma = stacked_sigma(handles)
+        for g, m in enumerate(mats):
+            inverse = np.linalg.inv(m.toarray())
+            assert_allclose(sigma[:, g], inverse[[0, 1, 2, 1, 2, 2], [0, 0, 0, 1, 1, 2]], rtol=1e-12)
+
+    def test_inverse_dot_is_the_trace(self):
+        rng = np.random.default_rng(44)
+        a = random_spd(rng, 40, 3)
+        h = CholeskyHandle(a)
+        b = a.copy()
+        b.data = rng.normal(size=b.nnz)
+        b = sp.csc_matrix(b + b.T)
+        want = np.trace(np.linalg.inv(a.toarray()) @ b.toarray())
+        assert abs(h.inverse_dot(b) - want) <= 1e-10 * np.abs(b.data).sum()
 
 
 class TestRhoTransform:
