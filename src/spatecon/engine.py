@@ -818,7 +818,13 @@ def _log_posterior_and_gradient_fn(model: CompiledModel):
 
 
 def _numeric_hessian(
-    f, x0: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray, f0: float | None = None
+    f,
+    x0: np.ndarray,
+    h: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    f0: float | None = None,
+    extrapolate: bool = False,
 ) -> np.ndarray:
     """Central-difference Hessian of f at x0 with step h per axis.
 
@@ -826,6 +832,12 @@ def _numeric_hessian(
     left as its step, so every stencil point stays strictly inside the
     bounds and none is clamped into a one-sided stencil. f0, when given,
     is f(x0); the stencil then costs 2 d^2 evaluations of f.
+
+    With extrapolate, for an f whose noise lies well above rounding, each
+    diagonal entry is the Richardson extrapolation (4 D(s/2) - D(s)) / 3
+    of the central second differences D at s = 10 h and s/2: two more
+    evaluations per axis, 17 times less noise gain than D(h) (about
+    5.7 / s^2 against 4 / h^2) and a truncation error of O(s^4).
     """
     d = x0.size
     room = np.minimum(x0 - lo, hi - x0)
@@ -837,10 +849,20 @@ def _numeric_hessian(
     hess = np.empty((d, d))
     if f0 is None:
         f0 = f(x0)
+
+    def second_difference(i, step):
+        e = np.zeros(d)
+        e[i] = step
+        return (f(x0 + e) - 2.0 * f0 + f(x0 - e)) / step**2
+
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = steps[i]
-        hess[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / steps[i] ** 2
+        if extrapolate:
+            s = min(10.0 * h, 0.5 * room[i])
+            hess[i, i] = (4.0 * second_difference(i, 0.5 * s) - second_difference(i, s)) / 3.0
+        else:
+            hess[i, i] = second_difference(i, steps[i])
         for j in range(i + 1, d):
             ej = np.zeros(d)
             ej[j] = steps[j]
@@ -860,7 +882,8 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
     the exact evidence gradient, each point one factorization
     (_evidence_gradient), within _theta_bounds narrowed by the gradient's
     difference step. The Hessian is a central-difference stencil on the
-    log posterior that reuses the search's value at the mode.
+    log posterior that reuses the search's value at the mode, extrapolated
+    from two wider steps for a probit evidence (see _numeric_hessian).
     """
     free = model.free_dims()
     d = len(free)
@@ -910,7 +933,13 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
     mode = np.array([model.theta_from_vector(x)[dim.name] for dim in free])
     # The optimizer's value at its x is f(mode) unless clamping moved it.
     f0 = -float(res.fun) if np.array_equal(mode, x) else None
-    hess = _numeric_hessian(f, mode, settings.hess_step, lo, hi, f0)
+    # A probit evidence carries the inner Newton's stopping error (about
+    # 1e-11 on the test fits), and its site corrections read variances
+    # whose last bits depend on the inverse that supplies them; D(h) would
+    # multiply either by 4 / h^2 = 4e8.
+    hess = _numeric_hessian(
+        f, mode, settings.hess_step, lo, hi, f0, extrapolate=model.likelihood == "probit"
+    )
     neg_h = -hess
     try:
         eigval, eigvec = np.linalg.eigh(neg_h)
@@ -1100,12 +1129,6 @@ class FitResult:
     def linear_combination_moments(self, coeffs: Mapping[str, float]) -> tuple[float, float]:
         """Mixture mean/variance of sum_j a_j beta_j (within-grid covariances kept)."""
         return mg.mixture_moments(*self.combination_mixture(coeffs), self.weights)
-
-    def linear_combination_marginal(self, coeffs: Mapping[str, float]) -> mg.Marginal:
-        means, variances = self.combination_mixture(coeffs)
-        return mg.gaussian_mixture_marginal(
-            means, variances, self.weights, self.settings.mixture_points
-        )
 
     def latent_marginal(self, index: int) -> mg.Marginal:
         if not 0 <= index < self.n:

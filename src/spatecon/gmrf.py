@@ -504,24 +504,6 @@ class CholeskyHandle:
             self._sigma = _takahashi(self.symbolic.l_pattern(), *self.factor_values())
         return self._sigma
 
-    def selected_inverse(self) -> sp.csc_matrix:
-        """The entries of the inverse on the pattern of L + L', in the
-        original coordinates."""
-        n = self.shape[0]
-        l_indptr, l_indices, *_ = self.symbolic.l_pattern()
-        sigma = self._selected()
-        order = self.symbolic.order
-        rows = order[l_indices]
-        cols = order[np.repeat(np.arange(n), np.diff(l_indptr))]
-        off = rows != cols
-        return sp.csc_matrix(
-            (
-                np.concatenate([sigma, sigma[off]]),
-                (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
-            ),
-            shape=self.shape,
-        )
-
     def marginal_variances(self, indices) -> np.ndarray:
         """Diagonal entries of the inverse at the requested coordinates."""
         indices = np.atleast_1d(np.asarray(indices, dtype=int))

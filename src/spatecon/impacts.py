@@ -14,8 +14,10 @@ point, every average is linear in the coefficients c:
     direct   = t1(rho_g) beta_r + t2(rho_g) gamma_r
     total    = (beta_r + gamma_r) / (1 - rho_g)
 
-with t1, t2 the trace functions below for SLM/SDM and t1 = 1, t2 = 0,
-a total factor of 1 for SEM/SDEM/SLX (gamma_r = 0 for SEM and SLM).
+with t1 = tr((I - rho W)^{-1})/n and t2 = tr((I - rho W)^{-1} W)/n for
+SLM/SDM, exact functions of W's spectrum or of its LU log-determinants
+(trace_functions), and t1 = 1, t2 = 0, a total factor of 1 for
+SEM/SDEM/SLX (gamma_r = 0 for SEM and SLM).
 Since c | theta_g is Gaussian, each impact's posterior is the exact
 Gaussian mixture sum_g w_g N(a_g . mu_g, a_g' Sigma_g a_g) over the
 grid. A probit fit scales each row a_g by the link derivative averaged
@@ -26,7 +28,6 @@ s_g = mean_i E phi(eta_i).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,39 +39,26 @@ from .gmrf import rho_to_external
 from .marginals import Marginal
 from .weights import WeightsMatrix
 
-_SERIES_TERMS = 50
-
-
-def impact_matrix_dense(
-    kind: str, w: WeightsMatrix, rho: float, beta_r: float, gamma_r: float = 0.0
-) -> np.ndarray:
-    """Dense impact matrix; the verification oracle for the averages."""
-    kind = kind.lower()
-    n = w.n
-    if kind == "sem":
-        return beta_r * np.eye(n)
-    if kind in ("sdem", "slx"):
-        return beta_r * np.eye(n) + gamma_r * w.toarray()
-    if kind in ("slm", "sdm"):
-        if kind == "slm":
-            gamma_r = 0.0
-        a = np.eye(n) - rho * w.toarray()
-        rhs = beta_r * np.eye(n) + gamma_r * w.toarray()
-        try:
-            return np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"(I - rho W) singular at rho = {rho}") from exc
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
+# Richardson step as a fraction of the distance to the nearer rho bound.
+# At 0.005 the O(h^4) term still showed (t2(0) = 6e-12 on a 10-site kNN W,
+# 2e-11 relative at rho = -0.5 at n = 2100); at 0.001 the n = 2100 kNN W
+# matches dense inverses to 1.6e-11 relative from rho = -1.5 to 0.99.
+_STEP_FRACTION = 0.001
 
 
 def trace_functions(w: WeightsMatrix, rho_values) -> tuple[np.ndarray, np.ndarray]:
-    """(tr((I - rho W)^{-1})/n, tr((I - rho W)^{-1} W)/n) for each rho.
+    """(t1, t2) = (tr((I - rho W)^{-1})/n, tr((I - rho W)^{-1} W)/n) for
+    each rho.
 
-    When w holds a dense spectrum (n <= 2000, see WeightsMatrix.spectrum)
-    it serves all rho values; beyond that a Neumann series of _SERIES_TERMS
-    terms in exact traces of W^k is used (valid for |rho| * spectral
-    radius < 1; the truncation tail bound is |rho|^{K+1} / (1 - |rho|) for
-    a row-standardized matrix).
+    A W with a spectrum (WeightsMatrix.spectrum) sums 1 / (1 - rho lambda)
+    and lambda / (1 - rho lambda). Any other W uses two identities:
+
+        n t2(rho) = -d/drho log |I - rho W|,    t1 = 1 + rho t2,
+
+    the first differenced at each distinct rho by Richardson-extrapolated
+    central differences of sparse-LU log-determinants (four LUs, each
+    memoised on w), with the step h = _STEP_FRACTION times the distance
+    to the nearer bound of rho_range(): the error is O((h / distance)^4).
     """
     rho_values = np.atleast_1d(np.asarray(rho_values, dtype=float))
     lam = w.spectrum()
@@ -78,29 +66,22 @@ def trace_functions(w: WeightsMatrix, rho_values) -> tuple[np.ndarray, np.ndarra
         denom = 1.0 - rho_values[:, None] * lam[None, :]
         if np.any(np.abs(denom) < 1e-12):
             raise NumericFailureError("rho hits a reciprocal eigenvalue of W")
-        t1 = np.real(np.sum(1.0 / denom, axis=1)) / w.n
-        t2 = np.real(np.sum(lam[None, :] / denom, axis=1)) / w.n
+        t1 = np.sum(1.0 / denom, axis=1) / w.n
+        t2 = np.sum(lam[None, :] / denom, axis=1) / w.n
         return t1, t2
-    radius_bound = min(
-        float(np.max(np.abs(w.mat).sum(axis=1))), float(np.max(np.abs(w.mat).sum(axis=0)))
-    )
-    bad = np.abs(rho_values) * radius_bound
-    if np.any(bad >= 1.0):
-        raise NumericFailureError(
-            f"power series diverges: |rho| * spectral-radius bound = {bad.max():.3f} >= 1"
+    lo, hi = w.rho_range()
+    if not np.all((rho_values > lo) & (rho_values < hi)):
+        raise InvalidParameterError(f"rho outside the admissible range ({lo}, {hi})")
+    uniq, where = np.unique(rho_values, return_inverse=True)
+    slopes = np.empty(uniq.size)
+    for i, rho in enumerate(uniq):
+        h = _STEP_FRACTION * min(hi - rho, rho - lo)
+        d_h, d_half = (
+            (w.log_abs_det(rho + s) - w.log_abs_det(rho - s)) / (2.0 * s) for s in (h, h / 2)
         )
-    moments = w.trace_moments(_SERIES_TERMS)  # tr(W^k)/n, k = 0..K, cached on w
-    powers = rho_values[:, None] ** np.arange(_SERIES_TERMS + 1)[None, :]
-    t1 = powers @ moments
-    t2 = powers[:, :-1] @ moments[1:]
-    tail = np.abs(rho_values) ** (_SERIES_TERMS + 1) / (1.0 - np.abs(rho_values))
-    if np.any(tail > 1e-8):
-        warnings.warn(
-            f"trace series truncated at K = {_SERIES_TERMS}; "
-            f"worst tail bound {tail.max():.2e}",
-            stacklevel=2,
-        )
-    return t1, t2
+        slopes[i] = (4.0 * d_half - d_h) / 3.0
+    t2 = -slopes[where] / w.n
+    return 1.0 + rho_values * t2, t2
 
 
 @dataclass(frozen=True)

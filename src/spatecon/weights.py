@@ -9,9 +9,15 @@ The admissible range (rho_min, rho_max) of the autocorrelation parameter
 is determined by the real eigenvalues of the standardized matrix:
 rho_max = 1 / max(lambda), rho_min = 1 / min(lambda). A nonnegative W
 whose rows all sum to one has max(lambda) = 1 (Perron-Frobenius), so its
-rho_max is exactly 1.0. _DENSE_EIG_LIMIT is the one size switch: up to
-n = 2000 a dense spectrum serves every spectral quantity; above it the
-bounds come from ARPACK solves started from a vector fixed by n.
+rho_max is exactly 1.0.
+
+The structure of W, not its size, picks the spectral path. A W that
+row_standardize made from a symmetric matrix A is similar to the
+symmetric D^{-1/2} A D^{-1/2} (D the row sums), so up to n = 2000 its
+real spectrum comes from one eigvalsh and serves the bounds and the
+log-determinant. Every other W takes the sparse path: the bounds from
+fixed-start ARPACK solves, log |I - rho W| from sparse LUs in one column
+order, memoised per rho on the instance.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 
-# Dense eigendecomposition up to this size; iterative and sparse above.
+# Largest symmetric-source W whose spectrum is taken densely (eigvalsh).
 _DENSE_EIG_LIMIT = 2000
 
 
@@ -47,13 +53,13 @@ class WeightsMatrix:
     mat: sp.csr_matrix
     standardized: bool = False
     has_islands: bool = False
+    # s with diag(s) W diag(1/s) symmetric, set by row_standardize when its
+    # input is symmetric: the square roots of that input's row sums.
+    _symmetric_scale: np.ndarray | None = field(default=None, compare=False, repr=False)
     _rho_bounds: tuple[float, float] | None = field(default=None, compare=False)
-    _eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
     _lu_order: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _last_log_abs_det: tuple[float, float] | None = field(
-        default=None, compare=False, repr=False
-    )
-    _trace_moments: dict = field(default_factory=dict, compare=False, repr=False)
+    _log_abs_dets: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.mat
@@ -76,52 +82,43 @@ class WeightsMatrix:
     def rho_max(self) -> float:
         return self.rho_range()[1]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Every (complex) eigenvalue of the matrix, from one dense
-        decomposition cached on the instance; the array is read-only."""
-        if self._eigenvalues is None:
-            eigs = np.linalg.eigvals(self.mat.toarray())
-            eigs.flags.writeable = False
-            object.__setattr__(self, "_eigenvalues", eigs)
-        return self._eigenvalues
-
     def spectrum(self) -> np.ndarray | None:
-        """eigenvalues() up to n = 2000, else None: the log-determinant, rho
-        bounds and impact traces take their sparse paths on None."""
-        return self.eigenvalues() if self.n <= _DENSE_EIG_LIMIT else None
+        """The real eigenvalues of a symmetric-source W with n <= 2000, in
+        ascending order, from one eigvalsh of diag(s) W diag(1/s) cached on
+        the instance (the array is read-only); None for every other W, whose
+        log-determinant and rho bounds take the sparse path."""
+        if self._symmetric_scale is None or self.n > _DENSE_EIG_LIMIT:
+            return None
+        if self._spectrum is None:
+            s = self._symmetric_scale
+            b = (sp.diags(s) @ self.mat @ sp.diags(1.0 / s)).toarray()
+            lam = np.linalg.eigvalsh(0.5 * (b + b.T))
+            lam.flags.writeable = False
+            object.__setattr__(self, "_spectrum", lam)
+        return self._spectrum
 
     def log_abs_det(self, rho: float) -> float:
         """log |det(I - rho W)|.
 
-        Up to n = 2000 it is sum_i log |1 - rho lambda_i| over the cached
-        spectrum (Ord 1975). Above, it comes from a sparse LU of
-        I - rho W in one column order per matrix, found by the first
-        factorization and reused by every later one. The last (rho, value)
-        pair is kept, so a repeated rho costs no LU.
+        With a spectrum it is sum_i log |1 - rho lambda_i| (Ord 1975).
+        Otherwise it comes from a sparse LU of I - rho W in one column
+        order per matrix, found by the first factorization and reused by
+        every later one; each value is kept per rho on the instance, so a
+        repeated rho costs no LU.
         """
         lam = self.spectrum()
         if lam is not None:
             return float(np.sum(np.log(np.abs(1.0 - rho * lam))))
-        last = self._last_log_abs_det
-        if last is not None and last[0] == rho:
-            return last[1]
-        a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
-        if self._lu_order is None:
-            logdet, order = _logabsdet_sparse(a)
-            object.__setattr__(self, "_lu_order", order)
-        else:
-            logdet = _logabsdet_sparse(a[:, self._lu_order], "NATURAL")[0]
-        object.__setattr__(self, "_last_log_abs_det", (rho, logdet))
-        return logdet
-
-    def trace_moments(self, terms: int) -> np.ndarray:
-        """tr(W^k)/n for k = 0..terms, cached per number of terms; the
-        array is read-only."""
-        if terms not in self._trace_moments:
-            moments = _trace_moments(self.mat, terms)
-            moments.flags.writeable = False
-            self._trace_moments[terms] = moments
-        return self._trace_moments[terms]
+        rho = float(rho)
+        if rho not in self._log_abs_dets:
+            a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
+            if self._lu_order is None:
+                logdet, order = _logabsdet_sparse(a)
+                object.__setattr__(self, "_lu_order", order)
+            else:
+                logdet = _logabsdet_sparse(a[:, self._lu_order], "NATURAL")[0]
+            self._log_abs_dets[rho] = logdet
+        return self._log_abs_dets[rho]
 
     def rho_range(self) -> tuple[float, float]:
         """Admissible open interval for the autocorrelation parameter.
@@ -250,7 +247,8 @@ def row_standardize(w: WeightsMatrix) -> WeightsMatrix:
     """Scale each nonempty row to sum to one.
 
     Empty rows (islands) are allowed but flagged with a warning; an
-    all-zero matrix is rejected.
+    all-zero matrix is rejected. A symmetric input leaves its similarity
+    scale on the result, which opens the eigvalsh path of spectrum().
     """
     mat = w.mat.tocsr(copy=True)
     sums = np.asarray(mat.sum(axis=1)).ravel()
@@ -264,9 +262,13 @@ def row_standardize(w: WeightsMatrix) -> WeightsMatrix:
         )
     scale = np.ones_like(sums)
     scale[nonzero] = 1.0 / sums[nonzero]
-    mat = sp.diags(scale) @ mat
+    # D^{1/2} W D^{-1/2} = D^{-1/2} A D^{-1/2} for W = D^{-1} A, A >= 0.
+    symmetric = bool(np.all(mat.data >= 0.0)) and (mat != mat.T).nnz == 0
     return WeightsMatrix(
-        mat=mat.tocsr(), standardized=True, has_islands=bool(np.any(~nonzero))
+        mat=(sp.diags(scale) @ mat).tocsr(),
+        standardized=True,
+        has_islands=bool(np.any(~nonzero)),
+        _symmetric_scale=np.sqrt(1.0 / scale) if symmetric else None,
     )
 
 
@@ -321,18 +323,20 @@ def _arnoldi_real_eigs(mat: sp.csr_matrix, which: str) -> np.ndarray:
     part, k doubled until a real one is among them, by ARPACK's Arnoldi
     iteration. The start vector, a fixed-seed draw that depends on n alone
     (not the all-ones eigenvector of lambda = 1), makes the result a
-    function of W."""
+    function of W. ARPACK needs k < n - 1; a W too small for that gets all
+    of its eigenvalues from one dense decomposition."""
     n = mat.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
     k = 2
-    while True:
+    while k < n - 1:
         try:
             eigs = spla.eigs(mat, k=k, which=which, v0=v0, return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:  # pragma: no cover
             raise NumericFailureError(f"eigen solver did not converge: {exc}") from exc
-        if _real(eigs).size or 2 * k >= n - 1:
+        if _real(eigs).size:
             return eigs
         k *= 2
+    return np.linalg.eigvals(mat.toarray())
 
 
 def _logabsdet_sparse(a: sp.csc_matrix, permc_spec: str = "COLAMD"):
@@ -347,19 +351,3 @@ def _logabsdet_sparse(a: sp.csc_matrix, permc_spec: str = "COLAMD"):
         raise NumericFailureError("matrix is singular to working precision")
     # L has a unit diagonal.
     return float(np.sum(np.log(np.abs(diag_u)))), np.argsort(lu.perm_c)
-
-
-def _trace_moments(mat: sp.csr_matrix, terms: int, block: int = 512) -> np.ndarray:
-    """Exact tr(W^k)/n for k = 0..terms via blocked matrix powers."""
-    n = mat.shape[0]
-    moments = np.zeros(terms + 1)
-    moments[0] = 1.0
-    for start in range(0, n, block):
-        cols = np.arange(start, min(start + block, n))
-        v = np.zeros((n, cols.size))
-        v[cols, np.arange(cols.size)] = 1.0
-        for k in range(1, terms + 1):
-            v = mat @ v
-            moments[k] += float(np.sum(v[cols, np.arange(cols.size)]))
-    moments[1:] /= n
-    return moments

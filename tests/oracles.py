@@ -8,12 +8,18 @@ sparse-factorization code paths.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import stats
 from scipy.spatial import Delaunay
 
-from spatecon import from_dense, knn_adjacency, row_standardize
+from spatecon import (
+    InvalidParameterError,
+    NumericFailureError,
+    from_dense,
+    knn_adjacency,
+    row_standardize,
+)
 from spatecon.gmrf import rho_to_external
-from spatecon.impacts import impact_matrix_dense
 
 
 def random_weights(rng, n, k=3):
@@ -284,6 +290,38 @@ def reference_probit_system(model, theta, z):
     return h, log_z
 
 
+def impact_matrix_dense(kind, w, rho, beta_r, gamma_r=0.0):
+    """Dense n x n impact matrix of one covariate; the oracle for the
+    average impacts."""
+    kind = kind.lower()
+    n = w.n
+    if kind == "sem":
+        return beta_r * np.eye(n)
+    if kind in ("sdem", "slx"):
+        return beta_r * np.eye(n) + gamma_r * w.toarray()
+    if kind in ("slm", "sdm"):
+        if kind == "slm":
+            gamma_r = 0.0
+        a = np.eye(n) - rho * w.toarray()
+        rhs = beta_r * np.eye(n) + gamma_r * w.toarray()
+        try:
+            return np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"(I - rho W) singular at rho = {rho}") from exc
+    raise InvalidParameterError(f"unknown model kind {kind!r}")
+
+
+def dense_trace_functions(w, rho_values):
+    """(tr((I - rho W)^{-1})/n, tr((I - rho W)^{-1} W)/n) from dense inverses."""
+    wd = w.toarray()
+    t1, t2 = [], []
+    for rho in rho_values:
+        a_inv = np.linalg.inv(np.eye(w.n) - rho * wd)
+        t1.append(np.trace(a_inv) / w.n)
+        t2.append(np.sum(a_inv * wd.T) / w.n)
+    return np.array(t1), np.array(t2)
+
+
 def impact_weights(fit, w):
     """Weights of (beta_r, gamma_r) in the average direct and total impacts
     of an SLM or SDM fit at each grid point, as two (G, 2) arrays, read off
@@ -348,3 +386,22 @@ def monte_carlo_moments(samples):
     mean, sd = float(samples.mean()), float(samples.std())
     se_var = float(np.std((samples - mean) ** 2)) / math.sqrt(n)
     return mean, sd, sd / math.sqrt(n), se_var / (2.0 * sd)
+
+
+def selected_inverse(handle):
+    """The entries of a CholeskyHandle's selected inverse on the pattern of
+    L + L', as a sparse matrix in the original coordinates."""
+    n = handle.shape[0]
+    l_indptr, l_indices, *_ = handle.symbolic.l_pattern()
+    sigma = handle._selected()
+    order = handle.symbolic.order
+    rows = order[l_indices]
+    cols = order[np.repeat(np.arange(n), np.diff(l_indptr))]
+    off = rows != cols
+    return sp.csc_matrix(
+        (
+            np.concatenate([sigma, sigma[off]]),
+            (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
+        ),
+        shape=handle.shape,
+    )

@@ -15,6 +15,7 @@ import pytest
 from oracles import (
     dense_evidence,
     gradient_at_mode,
+    impact_matrix_dense,
     log_gamma_logpdf,
     logit_normal_logpdf,
     monte_carlo_moments,
@@ -28,7 +29,7 @@ import spatecon as se
 from spatecon import selection
 from spatecon.engine import laplace_inner, log_conditional_evidence
 from spatecon.gmrf import RhoParam, SlmSpec, joint_precision
-from spatecon.impacts import average_impacts, impact_matrix_dense, trace_functions
+from spatecon.impacts import average_impacts, trace_functions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -141,8 +141,9 @@ def test_assembly_is_rebuilt_only_when_the_prior_pattern_changes():
 
 def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     model = gaussian_model("slm", n=60)
-    splu_calls, evidence_calls = [], []
+    splu_calls, evidence_calls, logdet_lus, logdet_rhos = [], [], [], []
     real_splu, real_evidence = spla.splu, engine.log_conditional_evidence
+    real_lu, real_log_abs_det = weights._logabsdet_sparse, se.WeightsMatrix.log_abs_det
 
     def counting_splu(*args, **kwargs):
         splu_calls.append(kwargs.get("permc_spec"))
@@ -152,13 +153,26 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
         evidence_calls.append(1)
         return real_evidence(*args, **kwargs)
 
+    def counting_lu(*args, **kwargs):
+        logdet_lus.append(1)
+        return real_lu(*args, **kwargs)
+
+    def recording_log_abs_det(self, rho):
+        logdet_rhos.append(rho)
+        return real_log_abs_det(self, rho)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(engine, "log_conditional_evidence", counting_evidence)
+    monkeypatch.setattr(weights, "_logabsdet_sparse", counting_lu)
+    monkeypatch.setattr(se.WeightsMatrix, "log_abs_det", recording_log_abs_det)
     se.fit(model)
     assert len(evidence_calls) > 50
-    assert len(splu_calls) == len(evidence_calls)
+    # Each LU of I - rho W is one splu call of its own, one per distinct rho.
+    assert len(logdet_lus) == len(set(logdet_rhos))
+    assert len(splu_calls) - len(logdet_lus) == len(evidence_calls)
     # One ordering, then every factorization reuses it.
     assert splu_calls.count("MMD_AT_PLUS_A") == 1
+    assert splu_calls.count("COLAMD") == 1
 
 
 @pytest.mark.parametrize("make", ["knn", "delaunay"])
@@ -176,10 +190,10 @@ def test_eigen_log_determinant_matches_sparse_lu(make):
 def test_sparse_log_determinant_reuses_one_column_order(monkeypatch):
     rng = np.random.default_rng(13)
     w = random_weights(rng, 80, 4)
+    assert w.spectrum() is None  # a kNN W takes the sparse path at any n
     lo, hi = w.rho_range()
     rhos = (0.8 * lo, 0.3, 0.9 * hi)
-    want = [w.log_abs_det(rho) for rho in rhos]  # from the spectrum
-    monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
+    want = [np.linalg.slogdet(np.eye(w.n) - rho * w.toarray())[1] for rho in rhos]
     specs = []
     real_splu = spla.splu
 
@@ -195,7 +209,7 @@ def test_sparse_log_determinant_reuses_one_column_order(monkeypatch):
 
 
 def test_sparse_log_determinant_repeats_no_lu_at_one_rho(monkeypatch):
-    w = random_weights(np.random.default_rng(14), weights._DENSE_EIG_LIMIT + 1, 4)
+    w = random_weights(np.random.default_rng(14), 300, 4)
     calls = []
     real = weights._logabsdet_sparse
 
@@ -211,9 +225,25 @@ def test_sparse_log_determinant_repeats_no_lu_at_one_rho(monkeypatch):
     other = w.log_abs_det(0.6)
     assert len(calls) == 2
     assert other != first
-    # Only the last rho is kept.
-    assert abs(w.log_abs_det(0.4) - first) <= 1e-12 * abs(first)
-    assert len(calls) == 3
+    # Every rho is kept, not only the last one.
+    assert w.log_abs_det(0.4) == first
+    assert w.log_abs_det(0.6) == other
+    assert len(calls) == 2
+    for rho, value in ((0.4, first), (0.6, other)):
+        want = np.linalg.slogdet(np.eye(w.n) - rho * w.toarray())[1]
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_sparse_log_determinant_does_not_depend_on_call_order():
+    # The first LU finds the column order and later ones reuse it; a fresh
+    # instance asked in the reverse order returns the same bits.
+    for seed in range(5):
+        w = random_weights(np.random.default_rng(seed), 150, 5)
+        rhos = np.random.default_rng(seed).uniform(-1.5, 0.99, size=6)
+        forward = [w.log_abs_det(rho) for rho in rhos]
+        fresh = se.WeightsMatrix(w.mat.copy(), w.standardized, w.has_islands)
+        backward = [fresh.log_abs_det(rho) for rho in rhos[::-1]][::-1]
+        assert forward == backward
 
 
 @pytest.mark.parametrize("kind", ["slm", "sdm", "sem"])

@@ -296,12 +296,13 @@ class TestHotStart:
         # Hot-started Newton makes 4.6 factorizations per evidence call
         # on this fit; starting every theta from zero and factoring again
         # at the mode makes 9. The one free hyperparameter (rho) costs a
-        # bounded Brent search, a 2-point Hessian stencil and 7 grid points.
+        # bounded Brent search, a 4-point extrapolated Hessian stencil and
+        # 7 grid points.
         model = correlated_probit_model("slm", missing=0)
         stages = count_evidence_by_stage(monkeypatch)
         factorizations = count_factorizations(monkeypatch)
         se.fit(model)
-        assert stages == {"mode": 9, "hessian": 2, "grid": 7}
+        assert stages == {"mode": 9, "hessian": 4, "grid": 7}
         assert len(factorizations) <= 5 * sum(stages.values())
 
 

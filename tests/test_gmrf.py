@@ -23,6 +23,8 @@ from spatecon import (
 from spatecon import gmrf
 from spatecon.gmrf import SymbolicFactor
 
+from oracles import selected_inverse
+
 
 def chain_weights(n):
     a = np.zeros((n, n))
@@ -167,7 +169,7 @@ def assert_matches_dense_on_pattern(h):
     """Every selected-inverse entry equals the dense inverse's to 1e-10,
     relative to sqrt(Sigma_ii Sigma_jj), the scale of a covariance entry
     (an entry that cancels to ~0 has no relative precision of its own)."""
-    sel = h.selected_inverse().tocoo()
+    sel = selected_inverse(h).tocoo()
     dense = h.inverse_dense()
     diag = np.diag(dense)
     scale = np.sqrt(diag[sel.row] * diag[sel.col])

@@ -1,12 +1,15 @@
 """Impact matrices, trace functions, grid-mixture posterior summaries."""
 
+import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import (
+    delaunay_weights,
+    dense_trace_functions,
+    impact_matrix_dense,
     impact_mixture,
     monte_carlo_moments,
     random_weights,
@@ -15,9 +18,9 @@ from oracles import (
 )
 
 import spatecon as se
+from spatecon import weights
 from spatecon.impacts import (
     average_impacts,
-    impact_matrix_dense,
     probit_scaling,
     trace_functions,
 )
@@ -28,6 +31,10 @@ def chain_weights(n):
     for i in range(n - 1):
         a[i, i + 1] = a[i + 1, i] = 1.0
     return se.row_standardize(se.from_dense(a))
+
+
+def refuse_eigvals(a):
+    raise AssertionError(f"np.linalg.eigvals called on a {a.shape} matrix")
 
 
 def correlated_probit_slm(n, seed):
@@ -82,28 +89,69 @@ class TestTraceFunctions:
         assert abs(t1[0] - np.trace(a_inv) / 5) < 1e-10
         assert abs(t2[0] - np.trace(a_inv @ w.toarray()) / 5) < 1e-10
 
-    def test_series_agrees_with_eig(self, monkeypatch):
-        from spatecon import impacts, weights
-
+    def test_sparse_route_agrees_with_dense_inverse(self):
         rng = np.random.default_rng(3)
         w = random_weights(rng, 100, 4)
+        assert w.spectrum() is None
         rhos = [0.5, -0.3, 0.2]
-        t1e, t2e = trace_functions(w, rhos)
-        # The series path, forced at a small n.
-        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
-        monkeypatch.setattr(impacts, "_SERIES_TERMS", 120)
-        t1s, t2s = trace_functions(w, rhos)
-        assert np.max(np.abs(t1e - t1s)) < 1e-8
-        assert np.max(np.abs(t2e - t2s)) < 1e-8
+        t1, t2 = trace_functions(w, rhos)
+        want_t1, want_t2 = dense_trace_functions(w, rhos)
+        assert np.max(np.abs(t1 - want_t1)) < 1e-8
+        assert np.max(np.abs(t2 - want_t2)) < 1e-8
 
-    def test_series_divergence_flagged(self, monkeypatch):
-        from spatecon import weights
-
-        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
+    def test_sparse_route_serves_rho_below_minus_one(self):
         rng = np.random.default_rng(4)
         w = random_weights(rng, 20, 3)
-        with pytest.raises(se.NumericFailureError, match="diverges"):
-            trace_functions(w, [1.2])
+        lo, hi = w.rho_range()
+        assert lo < -1.2
+        rhos = [0.98 * lo, -1.2, -1.0]
+        t1, t2 = trace_functions(w, rhos)
+        want_t1, want_t2 = dense_trace_functions(w, rhos)
+        assert_allclose(t1, want_t1, rtol=1e-8)
+        assert_allclose(t2, want_t2, rtol=1e-8)
+        for rho in (1.2, 1.05 * lo):
+            with pytest.raises(se.InvalidParameterError, match="admissible"):
+                trace_functions(w, [rho])
+
+
+class TestTracesOverTheRange:
+    """t1 and t2 against dense inverses over (rho_min, 0.98]."""
+
+    @staticmethod
+    def weights_of(make, monkeypatch):
+        rng = np.random.default_rng(31)
+        if make == "knn":
+            return random_weights(rng, 300, 6)
+        if make == "delaunay_sparse":
+            monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
+        return delaunay_weights(rng, 300)
+
+    @pytest.mark.parametrize("make", ["knn", "delaunay_sparse", "delaunay_eigvalsh"])
+    def test_match_dense_inverse_to_1e_8(self, make, monkeypatch):
+        w = self.weights_of(make, monkeypatch)
+        assert (w.spectrum() is None) == (make != "delaunay_eigvalsh")
+        lo, hi = w.rho_range()
+        assert lo < -1.0 and hi == 1.0
+        rhos = [0.999 * lo, 0.75 * lo, -1.0, -0.5, 0.0, 0.3, 0.85, 0.95, 0.97, 0.98]
+        t1, t2 = trace_functions(w, rhos)
+        want_t1, want_t2 = dense_trace_functions(w, rhos)
+        # t2(0) = tr(W)/n = 0; atol covers that point alone.
+        assert_allclose(t1, want_t1, rtol=1e-8, atol=0.0)
+        assert_allclose(t2, want_t2, rtol=1e-8, atol=1e-12)
+
+    def test_repeated_rho_is_differenced_once(self, monkeypatch):
+        w = random_weights(np.random.default_rng(32), 120, 5)
+        calls = []
+        real = weights._logabsdet_sparse
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "_logabsdet_sparse", counting)
+        t1, t2 = trace_functions(w, [0.3, 0.6, 0.3, 0.6, 0.3])
+        assert len(calls) == 8  # four LUs at each distinct rho
+        assert t1[0] == t1[2] == t1[4] and t2[1] == t2[3]
 
 
 class TestAverageIdentities:
@@ -244,18 +292,19 @@ class TestApproxImpacts:
 
 
 class TestSpectrumCache:
-    def test_one_eigvals_call_per_weights_matrix(self, monkeypatch):
+    def test_one_eigvalsh_call_per_weights_matrix(self, monkeypatch):
         rng = np.random.default_rng(14)
-        w_a, w_b = random_weights(rng, 30, 3), random_weights(rng, 30, 4)
+        w_a, w_b = delaunay_weights(rng, 30), delaunay_weights(rng, 30)
         y, x = simulate_slm(rng, w_a, [1.0, 0.6, -0.3], 0.4, 0.5)
-        real_eigvals = np.linalg.eigvals
+        real_eigvalsh = np.linalg.eigvalsh
         calls = []
 
-        def counting_eigvals(a):
+        def counting_eigvalsh(a):
             calls.append(a.shape)
-            return real_eigvals(a)
+            return real_eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_eigvals)
         fits = [
             se.fit(se.build("slm", y, x, w_a)),
             se.fit(se.build("sdm", y, x, w_a)),
@@ -265,8 +314,11 @@ class TestSpectrumCache:
         assert calls == [(30, 30), (30, 30)]
 
         # Bit for bit the impacts of recomputing the spectrum on every call.
+        real_spectrum = se.WeightsMatrix.spectrum
         monkeypatch.setattr(
-            se.WeightsMatrix, "eigenvalues", lambda self: real_eigvals(self.mat.toarray())
+            se.WeightsMatrix,
+            "spectrum",
+            lambda self: real_spectrum(dataclasses.replace(self, _spectrum=None)),
         )
         for summaries, f in zip(got, fits):
             for name, summ in average_impacts(f).items():
@@ -276,58 +328,68 @@ class TestSpectrumCache:
 
     def test_cached_spectrum_is_read_only(self):
         w = chain_weights(5)
-        lam = w.eigenvalues()
-        assert lam is w.eigenvalues()
+        lam = w.spectrum()
+        assert lam is w.spectrum()
         with pytest.raises(ValueError):
             lam[0] = 0.0
 
-
-class TestTraceMomentCache:
-    def test_one_moment_build_per_weights_matrix(self, monkeypatch):
-        # The series path, forced at a small n: one build of tr(W^k)/n per
-        # weights matrix, however many covariates and fits read it.
-        from spatecon import weights
-
-        monkeypatch.setattr(weights, "_DENSE_EIG_LIMIT", 10)
-        rng = np.random.default_rng(16)
-        w_a, w_b = random_weights(rng, 40, 4), random_weights(rng, 40, 5)
-        y, x = simulate_slm(rng, w_a, [1.0, 0.6, -0.3], 0.3, 0.5)
-        real_moments = weights._trace_moments
+    def test_symmetric_source_takes_eigvalsh_and_matches_eigvals(self, monkeypatch):
+        w = delaunay_weights(np.random.default_rng(33), 200)
+        real_eigvalsh = np.linalg.eigvalsh
         calls = []
 
-        def counting_moments(mat, terms):
-            calls.append(mat.shape)
-            return real_moments(mat, terms)
+        def counting_eigvalsh(a):
+            calls.append(a.shape)
+            return real_eigvalsh(a)
 
-        monkeypatch.setattr(weights, "_trace_moments", counting_moments)
-        fits = [
-            se.fit(se.build("slm", y, x, w_a)),
-            se.fit(se.build("sdm", y, x, w_a)),
-            se.fit(se.build("slm", y, x, w_b)),
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # series truncation notes
-            got = [average_impacts(f) for f in fits]
-            assert calls == [(40, 40), (40, 40)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        lam = w.spectrum()
+        assert calls == [(200, 200)]
+        want = np.linalg.eigvals(w.toarray())
+        assert np.max(np.abs(want.imag)) <= 1e-12
+        assert np.max(np.abs(lam - np.sort(want.real))) <= 1e-12
+        # A kNN W, not symmetric, and a W wrapped without its scale take the
+        # sparse path.
+        assert random_weights(np.random.default_rng(34), 50, 4).spectrum() is None
+        assert se.WeightsMatrix(w.mat, w.standardized, w.has_islands).spectrum() is None
 
-            # Bit for bit the impacts of rebuilding the moments on every call.
-            monkeypatch.setattr(
-                se.WeightsMatrix,
-                "trace_moments",
-                lambda self, terms: real_moments(self.mat, terms),
-            )
-            for summaries, f in zip(got, fits):
-                for name, summ in average_impacts(f).items():
-                    for part in ("direct", "indirect", "total"):
-                        a, b = getattr(summaries[name], part), getattr(summ, part)
-                        assert (a.mean, a.sd) == (b.mean, b.sd)
 
-    def test_cached_moments_are_read_only(self):
-        w = chain_weights(6)
-        m = w.trace_moments(8)
-        assert m is w.trace_moments(8)
-        with pytest.raises(ValueError):
-            m[0] = 0.0
+class TestLogDeterminantMemo:
+    def test_second_impacts_and_refit_run_no_new_lu(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        w = random_weights(rng, 40, 4)
+        y, x = simulate_slm(rng, w, [1.0, 0.6, -0.3], 0.3, 0.5)
+        calls = []
+        real = weights._logabsdet_sparse
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "_logabsdet_sparse", counting)
+        fit = se.fit(se.build("sdm", y, x, w))
+        first = average_impacts(fit)
+        lus = len(calls)
+        assert lus > 0
+        again = average_impacts(fit)
+        refit = se.fit(se.build("sdm", y, x, w))
+        assert len(calls) == lus
+        assert refit.log_mlik == fit.log_mlik
+        for summaries in (again, average_impacts(refit)):
+            for name, summ in summaries.items():
+                for part in ("direct", "indirect", "total"):
+                    a, b = getattr(first[name], part), getattr(summ, part)
+                    assert (a.mean, a.sd) == (b.mean, b.sd)
+        assert len(calls) == lus
+
+    def test_knn_fit_and_impacts_run_no_eigvals(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        w = random_weights(rng, 600, 6)
+        y, x = simulate_slm(rng, w, [1.0, 0.6, -0.3], 0.5, 0.5)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse_eigvals)
+        fit = se.fit(se.build("slm", y, x, w))
+        summ = average_impacts(fit)["x1"]
+        assert math.isfinite(summ.direct.mean) and math.isfinite(summ.total.sd)
 
 
 class TestProbitScaling:
@@ -407,4 +469,3 @@ class TestProbitScaling:
                 stat = getattr(got[name], which)
                 assert abs(stat.mean - mean) <= 1e-10 * abs(mean), (name, which)
                 assert abs(stat.sd - sd_) <= 1e-10 * sd_, (name, which)
-

@@ -152,6 +152,22 @@ class TestRhoRange:
         assert_allclose(hi, 1.0 / real[real > 0].max(), rtol=1e-10)
         assert_allclose(lo, 1.0 / real[real < 0].min(), rtol=1e-10)
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 2), (5, 2), (8, 3)])
+    def test_tiny_knn_matches_dense_eig_oracle(self, n, k):
+        # ARPACK needs k < n - 1; a W too small for that (n = 3) gets its
+        # bounds from a dense decomposition of the whole matrix. Mutual
+        # neighbour pairs on these tiny graphs give defective eigenvalues
+        # such as a double -1/2, which any method (the dense oracle too)
+        # resolves only to about sqrt(eps); a triple one, as on some n = 18
+        # graphs, to about eps^(1/3), which leaves the oracle no use.
+        for seed in range(5):
+            w = random_standardized(np.random.default_rng(seed), n, k)
+            lo, hi = rho_range(w)
+            eigs = np.linalg.eigvals(w.toarray())
+            real = eigs.real[np.abs(eigs.imag) < 1e-6]
+            assert hi == 1.0
+            assert_allclose(lo, 1.0 / real[real < -1e-12].min(), rtol=1e-7)
+
     def test_row_standardized_upper_bound_is_one(self):
         for seed in range(5):
             w = random_standardized(np.random.default_rng(seed), 15, 3)
