@@ -91,8 +91,8 @@ class WeightsMatrix:
             return None
         if self._spectrum is None:
             s = self._symmetric_scale
-            b = (sp.diags(s) @ self.mat @ sp.diags(1.0 / s)).toarray()
-            lam = np.linalg.eigvalsh(0.5 * (b + b.T))
+            # eigvalsh reads the lower triangle alone.
+            lam = np.linalg.eigvalsh((sp.diags(s) @ self.mat @ sp.diags(1.0 / s)).toarray())
             lam.flags.writeable = False
             object.__setattr__(self, "_spectrum", lam)
         return self._spectrum
