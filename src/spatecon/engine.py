@@ -1,9 +1,13 @@
 """Grid-based integrated-Laplace inference.
 
 The engine works on a compiled latent structure z = (x, c): an
-n-dimensional random effect x plus p coefficients c, with a sparse joint
-prior precision Q(theta) and linear predictor eta = x + X_b c. Two
-observation layers are supported:
+n-dimensional random effect x plus p coefficients c, with linear
+predictor eta = x + X_b c and a sparse joint prior precision Q(theta) =
+sum_t a_t(theta) K_t, fixed terms weighted by scalars that depend on
+theta (Rue & Held 2005, sec. 2). Each term is mapped onto the matrix the
+engine factors once per fit (Assembly); each theta then costs weighted
+sums of those arrays and one sparse factorization. Two observation layers
+are supported:
 
 * Gaussian: y = eta + e with e at a fixed high "copy" precision (or a
   hyperparameter). The conditional evidence pi(y|theta) is then exact.
@@ -42,8 +46,8 @@ from .errors import InvalidInputError, InvalidParameterError, NumericFailureErro
 from .gmrf import (
     RHO_INTERNAL_EPS,
     CholeskyHandle,
+    PrecisionTerms,
     SymbolicFactor,
-    canonical_csc,
     marginal_variance_stack,
 )
 
@@ -86,15 +90,20 @@ class HyperDim:
     init: float = 0.0
 
 
+# Step of the log posterior's Hessian stencil at the mode, Gauss-Hermite
+# nodes of the probit DIC, and points of a hyperparameter's marginal and
+# of a Gaussian-mixture marginal.
+_HESS_STEP = 1e-4
+_DIC_GH_NODES = 21
+_HYPER_MARGINAL_POINTS = 201
+MIXTURE_POINTS = 401
+
+
 @dataclass(frozen=True)
 class GridSettings:
     k: int = 3
     step: float = 0.8
     drop: float = 6.0
-    hess_step: float = 1e-4
-    dic_gh_nodes: int = 21
-    hyper_marginal_points: int = 201
-    mixture_points: int = 401
 
     def __post_init__(self):
         step, drop = (v if isinstance(v, numbers.Real) else math.nan for v in (self.step, self.drop))
@@ -110,16 +119,17 @@ class GridSettings:
 class CompiledModel:
     """Latent structure the engine consumes.
 
-    prior_builder(theta) must return the sparse joint precision of
-    z = (x, c) and its log determinant. A precision whose sparsity pattern
-    is the same at every theta keeps one Assembly and one analysis for
-    the whole fit.
+    The joint prior precision of z = (x, c) is Q(theta) = sum_t a_t K_t:
+    prior holds the fixed sparse terms K_t, and prior_weights(theta)
+    returns their weights a and log|Q(theta)|. The pattern of Q is the
+    same at every theta, so a fit keeps one Assembly and one analysis.
     """
 
     y: np.ndarray
     b_design: np.ndarray
     likelihood: str
-    prior_builder: Callable[[Mapping[str, float]], tuple[sp.csc_matrix, float]]
+    prior: PrecisionTerms
+    prior_weights: Callable[[Mapping[str, float]], tuple[np.ndarray, float]]
     hyper_dims: tuple[HyperDim, ...]
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
@@ -129,8 +139,8 @@ class CompiledModel:
     symbolic: SymbolicFactor | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # How the factored matrix is assembled from the prior; rebuilt only
-    # when the prior's sparsity pattern changes.
+    # The prior's terms mapped onto the factored matrix: built at the
+    # first evaluation, reused by every later one.
     assembly: "Assembly | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -220,91 +230,38 @@ class GaussianState:
 
 @dataclass
 class Assembly:
-    """How the matrix the engine factors is made from the prior precision.
+    """The prior's terms mapped onto the matrix the engine factors.
 
-    In coordinates (v, c) with x = E v + F c (plus a constant), E a signed
-    permutation and F a fixed n x p block, the prior's share is G'QG for
-    G = [[E, F], [0, I]]. Splitting Q = [[A, B], [B', C]] by x and c,
+    In coordinates z' = (v, c) with z = G z' + z0, G = [[E, F], [0, I]],
+    E a signed permutation and F a fixed n x p block, the prior's share of
+    the factored matrix is G'QG = sum_t a_t G'K_tG. Each G'K_tG is one
+    sparse product per fit, scattered onto a fixed pattern: E'AE (A the
+    x-x block of the terms' union pattern), the observation diagonal, the
+    full cross blocks and the coefficient block. Per theta only the
+    weighted sums a @ term_data, a @ term_c and a @ term_const remain.
 
-        G'QG = [[E'AE, E'R], [R'E, C + F'R + B'F]],   R = A F + B,
-
-    one sparse-by-dense product and a scatter onto a fixed pattern. The
-    Gaussian layer uses the residual shift (E maps the observed rows onto
-    -u, F = -X_b on them) and adds tau_obs on the u diagonal; the probit
-    Hessian uses E = I, F = 0 and adds the curvature D by the same split
-    with F = X_b: [D, D X_b; X_b'D, X_b'D X_b]. Q is symmetric, so its
-    c-x block is never read. Everything here depends only on the sparsity
-    pattern of Q (q_indptr, q_indices).
+    The Gaussian layer uses the residual shift (E maps the observed rows
+    onto -u, F = -X_b on them, z0 = y there) and adds tau_obs on the u
+    diagonal; term_c = -G'K_t z0 and term_const = z0'K_t z0 give the
+    linear and constant parts of the quadratic form. The probit Hessian
+    uses G = I, so a @ term_data is Q itself, and adds the curvature D by
+    [D, D X_b; X_b'D, X_b'D X_b].
     """
 
     n: int
     p: int
-    q_indptr: np.ndarray
-    q_indices: np.ndarray
     indptr: np.ndarray  # CSC pattern of the factored matrix
     indices: np.ndarray
-    a_src: np.ndarray  # A as CSC: data q.data[a_src], rows a_rows, a_ptr
-    a_rows: np.ndarray
-    a_ptr: np.ndarray
-    b_src: np.ndarray  # entries of B and C: q.data[*_src] at flat *_at
-    b_at: np.ndarray
-    c_src: np.ndarray
-    c_at: np.ndarray
-    v_of_x: np.ndarray  # E: x_i = sign_i v_{v_of_x[i]}
-    sign: np.ndarray
-    vv_pos: np.ndarray  # positions of E'AE, in the order of a_src
-    vv_sign: np.ndarray
-    cross_pos: np.ndarray  # (n, p) positions of E'R and of R'E
+    g: sp.csc_matrix
+    z0: np.ndarray | None
+    term_data: np.ndarray  # (T, nnz): G'K_tG on the pattern
+    term_c: np.ndarray | None  # (T, n + p)
+    term_const: np.ndarray | None  # (T,)
+    cross_pos: np.ndarray  # (n, p) positions of the x-c block and of its transpose
     cross_t_pos: np.ndarray
     cc_pos: np.ndarray  # (p, p)
     obs_pos: np.ndarray  # diagonal positions of the observation term
     obs_rows: np.ndarray  # the observed rows of x
-    f: np.ndarray | None
-    z0: np.ndarray | None  # the Gaussian shift: z = G z' + z0
-
-    def shift(self, zs: np.ndarray) -> np.ndarray:
-        """G z' for z' = (v, c)."""
-        n = self.n
-        x = self.sign * zs[:n][self.v_of_x]
-        if self.f is not None:
-            x += self.f @ zs[n:]
-        return np.concatenate([x, zs[n:]])
-
-    def shift_t(self, z: np.ndarray) -> np.ndarray:
-        """G' z for z = (x, c)."""
-        n = self.n
-        v = np.empty(n)
-        v[self.v_of_x] = self.sign * z[:n]
-        c = z[n:] if self.f is None else z[n:] + self.f.T @ z[:n]
-        return np.concatenate([v, c])
-
-    def fits(self, q: sp.csc_matrix) -> bool:
-        return np.array_equal(q.indptr, self.q_indptr) and np.array_equal(
-            q.indices, self.q_indices
-        )
-
-    def prior_data(self, q: sp.csc_matrix) -> np.ndarray:
-        """The entries of G'QG on the assembly's pattern."""
-        n, p = self.n, self.p
-        out = np.zeros(self.indices.size)
-        a = q.data[self.a_src]
-        out[self.vv_pos] = self.vv_sign * a
-        if p:
-            b = np.zeros(n * p)
-            b[self.b_at] = q.data[self.b_src]
-            b = b.reshape(n, p)
-            c = np.zeros(p * p)
-            c[self.c_at] = q.data[self.c_src]
-            c = c.reshape(p, p)
-            if self.f is not None:
-                r = sp.csc_matrix((a, self.a_rows, self.a_ptr), shape=(n, n)) @ self.f + b
-                c = c + self.f.T @ r + b.T @ self.f
-            else:
-                r = b
-            out[self.cross_pos] = self.sign[:, None] * r
-            out[self.cross_t_pos] = out[self.cross_pos]
-            out[self.cc_pos] = c
-        return out
 
     def with_curvature(self, base: np.ndarray, d: np.ndarray, xb: np.ndarray) -> np.ndarray:
         """base plus [D, D X_b; X_b'D, X_b'D X_b], D = diag(d) on the
@@ -324,41 +281,44 @@ class Assembly:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(size, size))
 
 
-def _prior(model: CompiledModel, theta: Mapping[str, float]):
-    """(Q, log|Q|, assembly) at theta; the assembly is rebuilt when Q's
-    pattern differs from the one it was built for."""
-    q, logdet = model.prior_builder(theta)
-    q = canonical_csc(q)
-    if model.assembly is None or not model.assembly.fits(q):
-        model.assembly = _build_assembly(model, q)
-    return q, logdet, model.assembly
+def _assembly(model: CompiledModel) -> Assembly:
+    if model.assembly is None:
+        model.assembly = _build_assembly(model)
+    return model.assembly
 
 
-def _build_assembly(model: CompiledModel, q: sp.csc_matrix) -> Assembly:
+def _build_assembly(model: CompiledModel) -> Assembly:
     n, p = model.n, model.p
     size = n + p
+    prior = model.prior
     obs, mis = model.obs_idx, model.miss_idx
     v_of_x, sign = np.arange(n), np.ones(n)
-    f = z0 = None
+    f = np.zeros((n, p))
+    z0 = None
     obs_v = obs
     if model.likelihood == "gaussian":
         # v = (u_obs, x_miss): x = y - u - X_b c on observed rows.
         v_of_x[obs], v_of_x[mis] = np.arange(obs.size), obs.size + np.arange(mis.size)
         sign[obs] = -1.0
         obs_v = np.arange(obs.size)
-        if np.any(model.b_design[obs]):
-            f = np.zeros((n, p))
-            f[obs] = -model.b_design[obs]
+        f[obs] = -model.b_design[obs]
         z0 = np.zeros(size)
         z0[obs] = model.y[obs]
-    rows = q.indices
-    cols = np.repeat(np.arange(size), np.diff(q.indptr))
+    f_rows, f_cols = np.nonzero(f)
+    g = sp.csc_matrix(
+        (
+            np.concatenate([sign, f[f_rows, f_cols], np.ones(p)]),
+            (
+                np.concatenate([np.arange(n), f_rows, n + np.arange(p)]),
+                np.concatenate([v_of_x, n + f_cols, n + np.arange(p)]),
+            ),
+        ),
+        shape=(size, size),
+    )
+    rows = prior.indices
+    cols = np.repeat(np.arange(size), np.diff(prior.indptr))
     xx = (rows < n) & (cols < n)
-    a_src = np.flatnonzero(xx)
-    a_rows, a_cols = rows[xx], cols[xx]
-    xc = np.flatnonzero((rows < n) & (cols >= n))
-    cc = np.flatnonzero((rows >= n) & (cols >= n))
-    vv_keys = v_of_x[a_cols] * size + v_of_x[a_rows]
+    vv_keys = v_of_x[cols[xx]] * size + v_of_x[rows[xx]]
     cross_r = np.repeat(v_of_x, p).reshape(n, p)
     cross_c = np.broadcast_to(n + np.arange(p), (n, p))
     cc_r, cc_c = np.meshgrid(n + np.arange(p), n + np.arange(p), indexing="ij")
@@ -372,31 +332,35 @@ def _build_assembly(model: CompiledModel, q: sp.csc_matrix) -> Assembly:
     def at(k):
         return np.searchsorted(keys, k)
 
+    terms = [
+        sp.csc_matrix((data, prior.indices, prior.indptr), shape=(size, size))
+        for data in prior.data
+    ]
+    term_data = np.zeros((len(terms), keys.size))
+    for row, k_t in zip(term_data, terms):
+        mapped = (g.T @ (k_t @ g)).tocoo()
+        mapped.sum_duplicates()
+        row[at(mapped.col * size + mapped.row)] = mapped.data
+    term_c = term_const = None
+    if z0 is not None:
+        kz0 = np.stack([k_t @ z0 for k_t in terms])
+        term_c = -(g.T @ kz0.T).T
+        term_const = kz0 @ z0
     return Assembly(
         n=n,
         p=p,
-        q_indptr=q.indptr.copy(),
-        q_indices=q.indices.copy(),
-        indptr=np.searchsorted(keys, np.arange(size + 1) * size),
+        indptr=at(np.arange(size + 1) * size),
         indices=keys % size,
-        a_src=a_src,
-        a_rows=a_rows,
-        a_ptr=np.searchsorted(a_cols, np.arange(n + 1)),
-        b_src=xc,
-        b_at=rows[xc] * p + cols[xc] - n,
-        c_src=cc,
-        c_at=(rows[cc] - n) * p + cols[cc] - n,
-        v_of_x=v_of_x,
-        sign=sign,
-        vv_pos=at(vv_keys),
-        vv_sign=sign[a_rows] * sign[a_cols],
+        g=g,
+        z0=z0,
+        term_data=term_data,
+        term_c=term_c,
+        term_const=term_const,
         cross_pos=at(cross_keys),
         cross_t_pos=at(cross_t_keys),
         cc_pos=at(cc_keys),
         obs_pos=at(obs_keys),
         obs_rows=obs,
-        f=f,
-        z0=z0,
     )
 
 
@@ -433,18 +397,16 @@ def gaussian_evidence(
     L and D values; the factor itself, with its SuperLU object, is
     dropped on return.
     """
-    q_prior, logdet_qp, plan = _prior(model, theta)
+    a, logdet_qp = model.prior_weights(theta)
+    plan = _assembly(model)
     tau_obs = model.tau_obs_value(theta)
     n, p = model.n, model.p
-    obs = model.obs_idx
-    n_o = obs.size
+    n_o = model.obs_idx.size
 
-    z0 = plan.z0
-    qz0 = q_prior @ z0
-    a_data = plan.prior_data(q_prior)
+    a_data = a @ plan.term_data
     a_data[plan.obs_pos] += tau_obs
-    c_vec = -plan.shift_t(qz0)
-    const = float(z0 @ qz0)
+    c_vec = a @ plan.term_c
+    const = float(a @ plan.term_const)
 
     factor = _factor(model, a_data, f"theta = {dict(theta)}")
     w = factor.solve(c_vec)
@@ -456,11 +418,9 @@ def gaussian_evidence(
         - 0.5 * factor.logdet()
         - 0.5 * s_min
     )
-    mean_z = plan.shift(w) + z0
+    mean_z = plan.g @ w + plan.z0
     if wrt:
-        return log_z, _evidence_gradient(
-            model, theta, wrt, q_prior, plan, factor, mean_z, w[:n_o]
-        )
+        return log_z, _evidence_gradient(model, theta, wrt, factor, mean_z, w[:n_o])
     if not want_state:
         return log_z, None
 
@@ -521,8 +481,6 @@ def _evidence_gradient(
     model: CompiledModel,
     theta: Mapping[str, float],
     wrt: Sequence[str],
-    q_prior: sp.csc_matrix,
-    plan: Assembly,
     factor: CholeskyHandle,
     mean_z: np.ndarray,
     resid: np.ndarray,
@@ -533,44 +491,35 @@ def _evidence_gradient(
         d/dt = 1/2 d log|Q|/dt - 1/2 tr(M^{-1} dM/dt) - 1/2 mu' (dQ/dt) mu,
 
     with M the factored matrix and mu the conditional mean of z (the last
-    term is the envelope theorem on the quadratic minimum). dM/dt =
-    G' (dQ/dt) G is Assembly.prior_data of dQ/dt, and the trace is a dot
-    product with the selected inverse (CholeskyHandle.inverse_dot). dQ/dt
-    and d log|Q|/dt are central differences of the prior builder at
-    t +- h (h = _DIFF_STEP; the mode search keeps t that far inside the
-    clamp) and need no factorization: they are exact to rounding in rho,
-    in which Q is quadratic, and in log tau, in which log|Q| is linear (Q
-    itself gains the relative error h^2/6). log tau_obs enters through
-    the likelihood alone, in closed form: n_o/2 - tau_obs/2 (tr Sigma_uu
-    + u'u) for the residuals u. Rho is differentiated last: above n =
-    2000 its log-determinant costs an LU per point, and the other axes'
-    differences reuse the one cached at theta.
+    term is the envelope theorem on the quadratic minimum). With da/dt the
+    derivative of the prior's weights, dQ/dt = sum_t da_t/dt K_t and dM/dt
+    = da/dt @ Assembly.term_data, and the trace is a dot product with the
+    selected inverse (CholeskyHandle.inverse_dot). da/dt and d log|Q|/dt
+    are central differences of prior_weights at t +- h (h = _DIFF_STEP;
+    the mode search keeps t that far inside the clamp) and need no
+    factorization: they are exact to rounding in rho, in which the weights
+    are quadratic, and in log tau, in which log|Q| is linear (the weights
+    gain the relative error h^2/6). log tau_obs enters through the
+    likelihood alone, in closed form: n_o/2 - tau_obs/2 (tr Sigma_uu +
+    u'u) for the residuals u.
     """
     grad = np.zeros(len(wrt))
     h = _DIFF_STEP
-    for i in sorted(range(len(wrt)), key=lambda i: wrt[i] == "rho_internal"):
-        name = wrt[i]
+    plan = model.assembly
+    for i, name in enumerate(wrt):
         if name == "log_tau_obs":
             tau_obs = model.tau_obs_value(theta)
             n_o = resid.size
             trace = float(np.sum(factor.marginal_variances(np.arange(n_o))))
             grad[i] = 0.5 * n_o - 0.5 * tau_obs * (trace + float(resid @ resid))
             continue
-        q_hi, logdet_hi = model.prior_builder({**theta, name: theta[name] + h})
-        q_lo, logdet_lo = model.prior_builder({**theta, name: theta[name] - h})
-        q_hi, q_lo = canonical_csc(q_hi), canonical_csc(q_lo)
-        if not (plan.fits(q_hi) and plan.fits(q_lo)):
-            raise InvalidInputError(
-                "evidence gradients need a prior whose sparsity pattern does not depend on theta"
-            )
-        dq = sp.csc_matrix(
-            ((q_hi.data - q_lo.data) / (2.0 * h), q_prior.indices, q_prior.indptr),
-            shape=q_prior.shape,
-        )
+        a_hi, logdet_hi = model.prior_weights({**theta, name: theta[name] + h})
+        a_lo, logdet_lo = model.prior_weights({**theta, name: theta[name] - h})
+        da = (a_hi - a_lo) / (2.0 * h)
         grad[i] = 0.5 * (
             (logdet_hi - logdet_lo) / (2.0 * h)
-            - factor.inverse_dot(plan.matrix(plan.prior_data(dq)))
-            - float(mean_z @ (dq @ mean_z))
+            - factor.inverse_dot(plan.matrix(da @ plan.term_data))
+            - float(mean_z @ (model.prior.matrix(da) @ mean_z))
         )
     return grad
 
@@ -615,8 +564,11 @@ def laplace_inner(
     """
     if model.likelihood != "probit":
         raise InvalidInputError("laplace_inner requires a probit model")
-    q_prior, logdet_qp, plan = _prior(model, theta)
-    q_data = plan.prior_data(q_prior)
+    a, logdet_qp = model.prior_weights(theta)
+    plan = _assembly(model)
+    # G = I here: the assembled prior is Q itself.
+    q_data = a @ plan.term_data
+    q_prior = plan.matrix(q_data)
     n, p = model.n, model.p
     obs = model.obs_idx
     y_o = model.y[obs]
@@ -872,7 +824,7 @@ def _numeric_hessian(
     return hess
 
 
-def _mode_and_scale(model: CompiledModel, settings: GridSettings):
+def _mode_and_scale(model: CompiledModel):
     """Posterior mode of the free hyperparameters and the grid's scale per
     axis (the sd of each axis under the Hessian at the mode).
 
@@ -938,7 +890,7 @@ def _mode_and_scale(model: CompiledModel, settings: GridSettings):
     # whose last bits depend on the inverse that supplies them; D(h) would
     # multiply either by 4 / h^2 = 4e8.
     hess = _numeric_hessian(
-        f, mode, settings.hess_step, lo, hi, f0, extrapolate=model.likelihood == "probit"
+        f, mode, _HESS_STEP, lo, hi, f0, extrapolate=model.likelihood == "probit"
     )
     neg_h = -hess
     try:
@@ -960,7 +912,7 @@ def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool)
     free = model.free_dims()
     d = len(free)
     theta_fixed = {dim.name: dim.fixed for dim in model.hyper_dims if dim.fixed is not None}
-    mode, sigma = _mode_and_scale(model, settings)
+    mode, sigma = _mode_and_scale(model)
 
     if d == 0:
         points = np.zeros((1, 0))
@@ -1028,9 +980,7 @@ def marginal_likelihood(grid: HyperGrid) -> float:
     return float(logsumexp(grid.log_post + math.log(grid.delta)))
 
 
-def _axis_marginal(
-    grid: HyperGrid, name: str, settings: GridSettings
-) -> mg.Marginal | None:
+def _axis_marginal(grid: HyperGrid, name: str) -> mg.Marginal | None:
     """Smooth 1D marginal of one grid axis (interpolated log density)."""
     if name not in grid.dims:
         return None
@@ -1045,7 +995,7 @@ def _axis_marginal(
     lo, hi = vals[0] - h / 2.0, vals[-1] + h / 2.0
     if name == "rho_internal":
         lo, hi = max(lo, 1e-9), min(hi, 1.0 - 1e-9)
-    x = np.linspace(lo, hi, settings.hyper_marginal_points)
+    x = np.linspace(lo, hi, _HYPER_MARGINAL_POINTS)
     return mg.normalized(x, np.exp(interp(x)))
 
 
@@ -1102,7 +1052,7 @@ class FitResult:
     def coef_marginal(self, name_or_idx) -> mg.Marginal:
         means, variances = self.coef_mixture(name_or_idx)
         return mg.gaussian_mixture_marginal(
-            means, variances, self.weights, self.settings.mixture_points
+            means, variances, self.weights, MIXTURE_POINTS
         )
 
     def coef_moments(self, name_or_idx) -> tuple[float, float]:
@@ -1137,7 +1087,7 @@ class FitResult:
             self.x_means[:, index],
             self.x_vars[:, index],
             self.weights,
-            self.settings.mixture_points,
+            MIXTURE_POINTS,
         )
 
     def coef_summary(self) -> dict[str, dict[str, float]]:
@@ -1196,9 +1146,7 @@ def _probit_dic(
     return dic, e_d - d_plug
 
 
-def _predictive_marginals(
-    model: CompiledModel, grid, weights, states, settings
-) -> dict[int, mg.Marginal]:
+def _predictive_marginals(model: CompiledModel, grid, weights, states) -> dict[int, mg.Marginal]:
     out: dict[int, mg.Marginal] = {}
     for i in model.miss_idx:
         means = np.array([s.mean_eta[i] for s in states])
@@ -1208,11 +1156,11 @@ def _predictive_marginals(
                 [1.0 / model.tau_obs_value(grid.theta_at(g)) for g in range(len(states))]
             )
             out[int(i)] = mg.gaussian_mixture_marginal(
-                means, variances + noise, weights, settings.mixture_points
+                means, variances + noise, weights, MIXTURE_POINTS
             )
         else:
             out[int(i)] = mg.probit_mixture_marginal(
-                means, variances, weights, settings.mixture_points
+                means, variances, weights, MIXTURE_POINTS
             )
     return out
 
@@ -1241,7 +1189,7 @@ def fit_compiled(
 
     rho_marg = None
     if model.rho_bounds is not None and "rho_internal" in grid.dims:
-        internal = _axis_marginal(grid, "rho_internal", settings)
+        internal = _axis_marginal(grid, "rho_internal")
         if internal is not None:
             lo, hi = model.rho_bounds
             rho_marg = mg.transform_marginal(
@@ -1252,7 +1200,7 @@ def fit_compiled(
     tau_marg = None
     for tau_dim in ("log_tau", "log_tau_iid"):
         if tau_dim in grid.dims:
-            log_tau_marg = _axis_marginal(grid, tau_dim, settings)
+            log_tau_marg = _axis_marginal(grid, tau_dim)
             if log_tau_marg is not None:
                 tau_marg = mg.transform_marginal(log_tau_marg, np.exp, deriv=np.exp)
             break
@@ -1260,9 +1208,9 @@ def fit_compiled(
     if model.likelihood == "gaussian":
         dic, p_eff = _gaussian_dic(model, grid, weights, states)
     else:
-        dic, p_eff = _probit_dic(model, weights, states, settings.dic_gh_nodes)
+        dic, p_eff = _probit_dic(model, weights, states, _DIC_GH_NODES)
 
-    predictive = _predictive_marginals(model, grid, weights, states, settings)
+    predictive = _predictive_marginals(model, grid, weights, states)
 
     return FitResult(
         likelihood=model.likelihood,

@@ -7,11 +7,12 @@ zero-mean Gaussian Markov random field whose precision has the block form
     [ tau (I - rho W')(I - rho W)    -tau (I - rho W') X ]
     [ -tau X' (I - rho W)             Q + tau X'X        ]
 
-which is sparse and symmetric. This module builds that matrix (as a
-weighted sum of sparse terms fixed per model, on one sparsity pattern for
-every rho and tau) and factors it (sparse LDL^T via SuperLU in symmetric
-mode). The autocorrelation parameter lives on an internal (0, 1) scale
-mapped affinely onto (rho_min, rho_max).
+which is sparse and symmetric. This module keeps that matrix as sparse
+terms fixed per model, weighted by scalars that depend on (rho, tau), on
+one sparsity pattern for every rho and tau (PrecisionTerms), and factors
+it (sparse LDL^T via SuperLU in symmetric mode). The autocorrelation
+parameter lives on an internal (0, 1) scale mapped affinely onto
+(rho_min, rho_max).
 
 Marginal variances come from selected inversion (Takahashi, Fagan & Chen
 1973; Rue, Martino & Chopin 2009, sec. 3): the entries of the inverse on
@@ -29,7 +30,6 @@ tr(A^{-1} B) of any B on the analysed pattern as one dot product
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +100,7 @@ class SlmSpec:
     rho_prior: tuple[float, float] = DEFAULT_RHO_PRIOR
     tau_prior: tuple[float, float] = DEFAULT_TAU_PRIOR
     tau_fixed: float | None = None
+    _logdet_q: float = field(default=0.0, init=False, repr=False, compare=False)
     _terms: "PrecisionTerms | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -128,8 +129,8 @@ class SlmSpec:
                 np.linalg.cholesky(q)
             except np.linalg.LinAlgError as exc:
                 raise InvalidInputError("q_beta must be positive definite") from exc
+            object.__setattr__(self, "_logdet_q", float(np.linalg.slogdet(q)[1]))
         object.__setattr__(self, "q_beta", q)
-        warn_on_bad_scaling(x, stacklevel=3)
 
     @property
     def n(self) -> int:
@@ -158,37 +159,48 @@ def badly_scaled(x: np.ndarray) -> bool:
     return bool(sds.size >= 2 and sds.max() / sds.min() > 1e4)
 
 
-def warn_on_bad_scaling(x: np.ndarray, stacklevel: int = 2) -> None:
-    # Columns on wildly different scales destabilize the factorization;
-    # warn, never rescale silently.
-    if badly_scaled(x):
-        warnings.warn(
-            "covariate columns differ in scale by more than 1e4; consider rescaling",
-            stacklevel=stacklevel + 1,
-        )
-
-
 @dataclass(frozen=True)
 class PrecisionTerms:
-    """The joint precision as a fixed combination of sparse terms,
-
-        P(rho, tau) = Q_beta + tau (K0 - rho K1 + rho^2 K2),
-
-    with K0 = [I, -X; -X', X'X], K1 = [W + W', -W'X; -X'W, 0] and
-    K2 = [W'W, 0; 0, 0], since (I - rho W)'(I - rho W) = I - rho (W + W')
-    + rho^2 W'W. Every term is stored on one union CSC pattern, so the
-    pattern of P never depends on (rho, tau).
+    """A precision of the form Q(theta) = sum_t a_t(theta) K_t: sparse
+    terms K_t fixed per model, weighted by scalars that depend on theta
+    (Rue & Held 2005, sec. 2). Every term is stored on the union of their
+    patterns, one row of data each, so the pattern of Q never depends on
+    theta.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    data: np.ndarray  # rows: Q_beta, K0, K1, K2
-    logdet_q: float
+    data: np.ndarray  # (T, nnz): one row per term
 
     @classmethod
-    def of(cls, spec: SlmSpec) -> "PrecisionTerms":
+    def union(cls, terms) -> "PrecisionTerms":
+        """The given square sparse terms on the union of their patterns."""
+        size = terms[0].shape[0]
+        terms = [canonical_csc(t) for t in terms]
+        # The union of the structures; ones never cancel.
+        union = sp.csc_matrix((size, size))
+        for t in terms:
+            union = union + sp.csc_matrix((np.ones(t.nnz), t.indices, t.indptr), (size, size))
+        union.sort_indices()
+        keys = _pattern_keys(union.indptr, union.indices, size)
+        data = np.zeros((len(terms), keys.size))
+        for row, t in zip(data, terms):
+            row[np.searchsorted(keys, _pattern_keys(t.indptr, t.indices, size))] = t.data
+        return cls(union.indptr, union.indices, data)
+
+    @classmethod
+    def of(cls, spec: SlmSpec, fixed_diag=()) -> "PrecisionTerms":
+        """The terms of the spatial-lag effect's joint precision,
+
+            P(rho, tau) = Q_beta + tau (K0 - rho K1 + rho^2 K2),
+
+        with K0 = [I, -X; -X', X'X], K1 = [W + W', -W'X; -X'W, 0] and
+        K2 = [W'W, 0; 0, 0], since (I - rho W)'(I - rho W) = I - rho (W +
+        W') + rho^2 W'W; the weights are [1, tau, -tau rho, tau rho^2]
+        (joint_precision). fixed_diag appends coefficients outside the
+        effect with that diagonal precision, joined to the constant term.
+        """
         n, p = spec.n, spec.p
-        size = n + p
         w = sp.csc_matrix(spec.w.mat)
         x = spec.x_design
         wtx = w.T @ x
@@ -208,38 +220,41 @@ class PrecisionTerms:
             term(w + w.T, -wtx, zeros_p),
             term(w.T @ w, zeros_x, zeros_p),
         ]
-        # The union of the structures; ones never cancel.
-        union = sp.csc_matrix((size, size))
-        for t in terms:
-            t.sum_duplicates()
-            union = union + sp.csc_matrix((np.ones(t.nnz), t.indices, t.indptr), (size, size))
-        union.sort_indices()
-        keys = _pattern_keys(union.indptr, union.indices, size)
-        data = np.zeros((len(terms), keys.size))
-        for row, t in zip(data, terms):
-            row[np.searchsorted(keys, _pattern_keys(t.indptr, t.indices, size))] = t.data
-        logdet_q = float(np.linalg.slogdet(spec.q_beta)[1]) if p else 0.0
-        return cls(union.indptr, union.indices, data, logdet_q)
+        m = len(fixed_diag)
+        if m:
+            tails = [sp.diags(np.asarray(fixed_diag, dtype=float))] + [sp.csc_matrix((m, m))] * 3
+            terms = [sp.block_diag([t, tail], format="csc") for t, tail in zip(terms, tails)]
+        return cls.union(terms)
+
+    def matrix(self, weights: np.ndarray) -> sp.csc_matrix:
+        """sum_t weights[t] K_t on the terms' pattern."""
+        size = self.indptr.size - 1
+        return sp.csc_matrix((weights @ self.data, self.indices, self.indptr), shape=(size, size))
 
 
 @dataclass(frozen=True)
 class JointPrecision:
-    """The assembled (n+p) x (n+p) precision of (x, beta), plus its exact
-    log determinant (the Schur complement of the x block is q_beta, so
-    log|P| = n log tau + 2 log|det(I - rho W)| + log|q_beta|)."""
+    """The joint precision of (x, beta) at one (rho, tau): the weights
+    [1, tau, -tau rho, tau rho^2] of the spec's fixed terms
+    (PrecisionTerms.of), plus its exact log determinant (the Schur
+    complement of the x block is q_beta, so log|P| = n log tau +
+    2 log|det(I - rho W)| + log|q_beta|). p_mat assembles the
+    (n+p) x (n+p) matrix when it is read."""
 
-    p_mat: sp.csc_matrix
-    n: int
-    p: int
+    spec: SlmSpec
+    weights: np.ndarray
     logdet: float
+
+    @property
+    def p_mat(self) -> sp.csc_matrix:
+        return self.spec.precision_terms().matrix(self.weights)
 
 
 def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPrecision:
-    """Assemble the joint precision of (x, beta) at given (rho, tau).
+    """The joint precision of (x, beta) at given (rho, tau), as the
+    weights of its fixed terms and its log determinant.
 
-    rho may be a RhoParam or an external-scale float. The result is a
-    weighted sum of spec.precision_terms() on their fixed pattern, so
-    every (rho, tau) gives the same sparsity pattern.
+    rho may be a RhoParam or an external-scale float.
     """
     if not np.isfinite(tau) or tau <= 0:
         raise InvalidParameterError(f"tau must be a positive finite number, got {tau}")
@@ -252,13 +267,9 @@ def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPr
         raise InvalidParameterError(
             f"rho = {rho_ext} is at or outside the admissible range {bounds}"
         )
-    n, p = spec.n, spec.p
-    terms = spec.precision_terms()
-    q_b, k0, k1, k2 = terms.data
-    data = q_b + tau * (k0 - rho_ext * k1 + rho_ext**2 * k2)
-    p_mat = sp.csc_matrix((data, terms.indices, terms.indptr), shape=(n + p, n + p))
-    logdet = n * np.log(tau) + 2.0 * spec.w.log_abs_det(rho_ext) + terms.logdet_q
-    return JointPrecision(p_mat=p_mat, n=n, p=p, logdet=float(logdet))
+    weights = np.array([1.0, tau, -tau * rho_ext, tau * rho_ext**2])
+    logdet = spec.n * np.log(tau) + 2.0 * spec.w.log_abs_det(rho_ext) + spec._logdet_q
+    return JointPrecision(spec=spec, weights=weights, logdet=float(logdet))
 
 
 class SymbolicFactor:

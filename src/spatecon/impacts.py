@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import marginals as mg
-from .engine import FitResult
+from .engine import MIXTURE_POINTS, FitResult
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 from .gmrf import rho_to_external
 from .marginals import Marginal
@@ -158,7 +158,7 @@ def average_impacts(fit: FitResult, covariates=None) -> dict[str, ImpactSummary]
             marginal = None
             if sd > 1e-12 * max(1.0, abs(mean)):
                 marginal = mg.gaussian_mixture_marginal(
-                    means, variances, fit.weights, fit.settings.mixture_points
+                    means, variances, fit.weights, MIXTURE_POINTS
                 )
             stats.append(ImpactStat(mean, sd, marginal))
         out[name] = ImpactSummary(name, method, *stats)

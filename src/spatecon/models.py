@@ -31,11 +31,12 @@ from .engine import CompiledModel, FitResult, GridSettings, HyperDim
 from .errors import InvalidInputError, InvalidParameterError
 from .gmrf import (
     DEFAULT_Q_BETA_DIAG,
+    PrecisionTerms,
     RhoParam,
     SlmSpec,
+    badly_scaled,
     joint_precision,
     rho_to_internal,
-    warn_on_bad_scaling,
 )
 from .weights import WeightsMatrix
 
@@ -141,7 +142,13 @@ def build(
     # A probit response is checked for 0/1 values by CompiledModel.
     x_raw = _as_design(x, n)
     p_raw = x_raw.shape[1]
-    warn_on_bad_scaling(x_raw)
+    # Columns on wildly different scales destabilize the factorization;
+    # warn, never rescale silently.
+    if badly_scaled(x_raw):
+        warnings.warn(
+            "covariate columns differ in scale by more than 1e4; consider rescaling",
+            stacklevel=2,
+        )
     if covariate_names is None:
         covariate_names = tuple(f"x{j + 1}" for j in range(p_raw))
     covariate_names = tuple(covariate_names)
@@ -184,7 +191,7 @@ def build(
     slm_spec = None
     if kind != "slx":
         slm_w = m if kind == "sdem" else w
-        slm_spec = _spec_warned_by_build(
+        slm_spec = SlmSpec(
             w=slm_w,
             x_design=z_design,
             q_beta=priors.q_beta_diag * np.eye(z_design.shape[1]),
@@ -197,7 +204,7 @@ def build(
     full_design = np.hstack(
         [one_col, x_raw] + ([lagged] if lagged is not None else [])
     )
-    hyper_dims, prior_builder = _layers(
+    hyper_dims, prior, prior_weights = _layers(
         kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y,
         full_design,
     )
@@ -207,7 +214,8 @@ def build(
         y=y,
         b_design=b_design,
         likelihood=likelihood,
-        prior_builder=prior_builder,
+        prior=prior,
+        prior_weights=prior_weights,
         hyper_dims=hyper_dims,
         coef_names=coef_names,
         rho_bounds=rho_bounds,
@@ -226,14 +234,6 @@ def build(
         slm=slm_spec,
         compiled=compiled,
     )
-
-
-def _spec_warned_by_build(**fields) -> SlmSpec:
-    """An SlmSpec without its covariate-scale warning: build() has given
-    it once already, for the whole design."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="covariate columns differ in scale")
-        return SlmSpec(**fields)
 
 
 def _initial_log_tau(y: np.ndarray, x: np.ndarray) -> float:
@@ -255,7 +255,6 @@ def _layers(
     n = y.shape[0]
     p_b = b_design.shape[1]
     q_fixed_diag = np.full(p_b, priors.q_beta_diag)
-    logdet_q_fixed = float(np.sum(np.log(q_fixed_diag))) if p_b else 0.0
 
     dims: list[HyperDim] = []
     if likelihood == "gaussian":
@@ -312,46 +311,32 @@ def _layers(
         )
 
     if kind == "slx":
+        logdet_fixed = float(np.sum(np.log(q_fixed_diag)))
+        prior = PrecisionTerms.union(
+            [
+                sp.diags(np.concatenate([np.zeros(n), q_fixed_diag])),
+                sp.diags(np.concatenate([np.ones(n), np.zeros(p_b)])),
+            ]
+        )
 
-        def prior_builder(theta: Mapping[str, float]):
+        def prior_weights(theta: Mapping[str, float]):
             tau_u = math.exp(theta["log_tau_iid"])
-            q = _diagonal(np.concatenate([np.full(n, tau_u), q_fixed_diag]))
-            logdet = n * math.log(tau_u) + logdet_q_fixed
-            return q, logdet
+            return np.array([1.0, tau_u]), n * math.log(tau_u) + logdet_fixed
 
-    elif kind in ("slm", "sdm"):
+        return tuple(dims), prior, prior_weights
 
-        def prior_builder(theta: Mapping[str, float]):
-            rho = RhoParam.from_internal(theta["rho_internal"], rho_bounds)
-            tau = math.exp(theta["log_tau"])
-            jp = joint_precision(slm_spec, rho, tau)
-            return jp.p_mat, jp.logdet
+    # SLM and SDM carry their coefficients inside the effect; SEM and SDEM
+    # join their fixed-effect diagonal to the effect's constant term.
+    fixed = q_fixed_diag if kind in ("sem", "sdem") else np.empty(0)
+    prior = PrecisionTerms.of(slm_spec, fixed)
+    logdet_fixed = float(np.sum(np.log(fixed)))
 
-    else:  # sem, sdem: covariate-free slm error term + fixed-effect block
+    def prior_weights(theta: Mapping[str, float]):
+        rho = RhoParam.from_internal(theta["rho_internal"], rho_bounds)
+        jp = joint_precision(slm_spec, rho, math.exp(theta["log_tau"]))
+        return jp.weights, jp.logdet + logdet_fixed
 
-        def prior_builder(theta: Mapping[str, float]):
-            rho = RhoParam.from_internal(theta["rho_internal"], rho_bounds)
-            tau = math.exp(theta["log_tau"])
-            jp = joint_precision(slm_spec, rho, tau)
-            return _append_diagonal(jp.p_mat, q_fixed_diag), jp.logdet + logdet_q_fixed
-
-    return tuple(dims), prior_builder
-
-
-def _diagonal(d: np.ndarray) -> sp.csc_matrix:
-    m = d.size
-    return sp.csc_matrix((d, np.arange(m), np.arange(m + 1)), shape=(m, m))
-
-
-def _append_diagonal(mat: sp.csc_matrix, d: np.ndarray) -> sp.csc_matrix:
-    """[[mat, 0], [0, diag(d)]] in CSC, built from mat's arrays."""
-    if d.size == 0:
-        return mat
-    n, m = mat.shape[0], d.size
-    indptr = np.concatenate([mat.indptr, mat.indptr[-1] + np.arange(1, m + 1)])
-    indices = np.concatenate([mat.indices, np.arange(n, n + m)])
-    data = np.concatenate([mat.data, d])
-    return sp.csc_matrix((data, indices, indptr), shape=(n + m, n + m))
+    return tuple(dims), prior, prior_weights
 
 
 def fit(model: ModelSpec, settings: GridSettings | None = None) -> FitResult:

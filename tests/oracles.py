@@ -165,7 +165,8 @@ def gradient_at_mode(compiled, theta, state):
     """Sup-norm of the log-posterior gradient of (x, c) at the probit mode."""
     from scipy.special import log_ndtr
 
-    q, _ = compiled.prior_builder(theta)
+    a, _ = compiled.prior_weights(theta)
+    q = compiled.prior.matrix(a)
     z = np.concatenate([state.mean_x, state.mean_c])
     eta = state.mean_x + compiled.b_design @ state.mean_c
     obs = compiled.obs_idx

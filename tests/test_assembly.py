@@ -6,7 +6,6 @@ G'(Q G) plus the copy shift for the Gaussian layer, or Q plus the
 curvature blocks for the probit Hessian.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -16,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 import spatecon as se
 from spatecon import engine, weights
-from spatecon.engine import CompiledModel, gaussian_evidence, log_conditional_evidence
+from spatecon.engine import gaussian_evidence, log_conditional_evidence
 
 from oracles import (
     delaunay_weights,
@@ -97,46 +96,6 @@ def test_probit_assembly_matches_products(kind, monkeypatch):
         # The last factorization is the Hessian at the mode.
         assert_same_matrix(seen[-1], h_ref)
         assert abs(log_z - log_z_ref) <= 1e-10 * abs(log_z_ref)
-
-
-def test_prior_pattern_does_not_depend_on_theta():
-    model = gaussian_model("sdm")
-    patterns = set()
-    for theta in THETAS + ({"rho_internal": 0.5, "log_tau": 0.0},):
-        q, _ = model.compiled.prior_builder(theta)
-        patterns.add((q.indptr.tobytes(), q.indices.tobytes()))
-    assert len(patterns) == 1
-
-
-def test_assembly_is_rebuilt_only_when_the_prior_pattern_changes():
-    # A hand-written prior whose pattern depends on theta: the coupling
-    # between the two latents is present only for a nonzero "c".
-    def prior_builder(theta):
-        c = theta["c"]
-        q = sp.csc_matrix(np.array([[2.0, c, 0.0], [c, 3.0, 0.0], [0.0, 0.0, 1.0]]))
-        return q, float(np.linalg.slogdet(q.toarray())[1])
-
-    y = np.array([0.4, np.nan])
-    model = CompiledModel(
-        y=y, b_design=np.ones((2, 1)), likelihood="gaussian",
-        prior_builder=prior_builder, hyper_dims=(), coef_names=("b",), tau_obs=50.0,
-    )
-
-    def dense(theta):
-        q, _ = prior_builder(theta)
-        cov = np.linalg.inv(q.toarray())
-        b = np.array([1.0, 0.0, 1.0])  # eta_0 = x_0 + b
-        var = b @ cov @ b + 1.0 / 50.0
-        return -0.5 * (math.log(2 * math.pi * var) + 0.4**2 / var)
-
-    plans = []
-    for c in (0.5, 0.7, 0.0, 0.0, 0.9):
-        log_z, _ = gaussian_evidence(model, {"c": c})
-        assert abs(log_z - dense({"c": c})) <= 1e-12 * abs(dense({"c": c}))
-        plans.append(model.assembly)
-    assert plans[0] is plans[1]
-    assert plans[2] is plans[3] and plans[2] is not plans[1]
-    assert plans[4] is not plans[3]
 
 
 def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
@@ -246,7 +205,7 @@ def test_sparse_log_determinant_does_not_depend_on_call_order():
         assert forward == backward
 
 
-@pytest.mark.parametrize("kind", ["slm", "sdm", "sem"])
+@pytest.mark.parametrize("kind", se.KINDS)
 def test_build_warns_once_about_covariate_scale(kind):
     rng = np.random.default_rng(15)
     w = random_weights(rng, 60, 4)
@@ -258,3 +217,4 @@ def test_build_warns_once_about_covariate_scale(kind):
     scale = [c for c in caught if "scale" in str(c.message)]
     assert len(scale) == 1
     assert scale[0].filename == __file__
+

@@ -27,21 +27,19 @@ from spatecon.engine import (
     log_conditional_evidence,
     marginal_likelihood,
 )
-from spatecon.gmrf import RHO_INTERNAL_EPS
+from spatecon.gmrf import RHO_INTERNAL_EPS, PrecisionTerms
 from spatecon.marginals import mixture_moments
 
 
 def scalar_model(tau=2.0, y_val=0.7, tau_obs=1e8):
     """One observation, one latent, no coefficients, fixed precision."""
 
-    def prior_builder(theta):
-        return sp.csc_matrix(np.array([[tau]])), math.log(tau)
-
     return CompiledModel(
         y=np.array([y_val]),
         b_design=np.zeros((1, 0)),
         likelihood="gaussian",
-        prior_builder=prior_builder,
+        prior=PrecisionTerms.union([sp.csc_matrix(np.array([[tau]]))]),
+        prior_weights=lambda theta: (np.ones(1), math.log(tau)),
         hyper_dims=(),
         coef_names=(),
         tau_obs=tau_obs,

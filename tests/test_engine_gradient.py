@@ -156,7 +156,8 @@ class TestGradientModeSearch:
             y=compiled.y,
             b_design=compiled.b_design,
             likelihood="probit",
-            prior_builder=compiled.prior_builder,
+            prior=compiled.prior,
+            prior_weights=compiled.prior_weights,
             hyper_dims=(rho, HyperDim("log_tau", log_tau.log_prior)),
             coef_names=compiled.coef_names,
             rho_bounds=compiled.rho_bounds,

@@ -11,6 +11,7 @@ from scipy import integrate, optimize, stats
 import spatecon as se
 from spatecon import engine
 from spatecon.engine import CompiledModel, laplace_inner
+from spatecon.gmrf import PrecisionTerms
 
 
 def site_quadrature(y_i, sd):
@@ -37,15 +38,14 @@ def probit_sem_model(rng, n, y=None, rho_fixed=0.0, k=2):
 class TestLaplaceEvidence:
     def test_single_observation_matches_quadrature(self):
         # one site, latent x ~ N(0, 1): evidence is a 1D integral
-        def prior_builder(theta):
-            return sp.csc_matrix(np.array([[1.0]])), 0.0
-
+        prior = PrecisionTerms.union([sp.csc_matrix(np.array([[1.0]]))])
         for y_val in (0.0, 1.0):
             model = CompiledModel(
                 y=np.array([y_val]),
                 b_design=np.zeros((1, 0)),
                 likelihood="probit",
-                prior_builder=prior_builder,
+                prior=prior,
+                prior_weights=lambda theta: (np.ones(1), 0.0),
                 hyper_dims=(),
                 coef_names=(),
                 tau_obs=None,

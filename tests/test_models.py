@@ -146,8 +146,8 @@ class TestFitBehaviour:
         assert s.k == 3
         assert s.step == 0.8
         assert s.drop == 6.0
-        assert s.hess_step == 1e-4
-        assert s.mixture_points == 401
+        assert se.engine._HESS_STEP == 1e-4
+        assert se.engine.MIXTURE_POINTS == 401
 
     def test_prior_overrides_flow_through(self):
         # an extremely tight rho prior at the centre must dominate weak data
