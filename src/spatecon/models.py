@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+import scipy.optimize
 import scipy.sparse as sp
 
 from . import engine
@@ -31,6 +32,7 @@ from .engine import CompiledModel, FitResult, GridSettings, HyperDim
 from .errors import InvalidInputError, InvalidParameterError
 from .gmrf import (
     DEFAULT_Q_BETA_DIAG,
+    RHO_INTERNAL_EPS,
     PrecisionTerms,
     RhoParam,
     SlmSpec,
@@ -204,9 +206,25 @@ def build(
     full_design = np.hstack(
         [one_col, x_raw] + ([lagged] if lagged is not None else [])
     )
+    starts = {"rho_internal": 0.5, "log_tau": 0.0, "log_tau_iid": 0.0}
+    if likelihood == "gaussian":
+        log_tau, y_filled = _ols_start(y, full_design)
+        starts.update(log_tau=log_tau, log_tau_iid=log_tau, log_tau_obs=log_tau)
+        # The start matters to the search of two or more free
+        # hyperparameters; a lone one is found by Brent over its domain.
+        if slm_spec is not None and priors.rho_fixed is None and (
+            tau_fixed is None or priors.tau_obs_hyper
+        ):
+            lag = kind in ("slm", "sdm")
+            starts["rho_internal"], starts["log_tau"] = _concentrated_start(
+                y_filled,
+                slm_spec.w,
+                z_design if lag else b_design,
+                lag,
+                rho_bounds,
+            )
     hyper_dims, prior, prior_weights = _layers(
-        kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y,
-        full_design,
+        kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y, starts
     )
 
     tau_obs = None if (priors.tau_obs_hyper and likelihood == "gaussian") else priors.tau_obs
@@ -236,32 +254,85 @@ def build(
     )
 
 
-def _initial_log_tau(y: np.ndarray, x: np.ndarray) -> float:
-    """Rough innovation-precision start value from an OLS residual fit."""
+def _residual(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v less its least-squares projection on the columns of z."""
+    if not z.shape[1]:
+        return v
+    coef, *_ = np.linalg.lstsq(z, v, rcond=None)
+    return v - z @ coef
+
+
+def _log_variance(sse: float, n: int) -> float:
+    return math.log(max(sse / n, 1e-8))
+
+
+def _ols_start(y: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """From an OLS fit of the observed responses on x: a rough
+    innovation-precision start (log of the inverse residual variance), and
+    y with each missing response replaced by its fitted value (by the
+    observed mean when x has no columns)."""
     obs = ~np.isnan(y)
     y_o = y[obs]
+    filled = y.copy()
     if x.shape[1]:
         coef, *_ = np.linalg.lstsq(x[obs], y_o, rcond=None)
         resid = y_o - x[obs] @ coef
+        filled[~obs] = x[~obs] @ coef
     else:
         resid = y_o - y_o.mean()
+        filled[~obs] = y_o.mean()
     var = float(np.var(resid))
-    return -math.log(max(var, 1e-8))
+    return -math.log(max(var, 1e-8)), filled
 
 
-def _layers(
-    kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y, full_design
-):
+def _concentrated_start(y, w: WeightsMatrix, design, lag: bool, rho_bounds) -> tuple[float, float]:
+    """Start (rho_internal, log tau) of a Gaussian lag or error model: the
+    maximiser of the concentrated log-likelihood
+
+        log |I - rho W| - n/2 log e(rho)'e(rho)
+
+    (Ord 1975; LeSage & Pace 2009, sec. 3.1) by bounded Brent on the
+    internal rho, to 1e-3, and log tau = log(n / e'e) there. A lag kind
+    has e(rho) = M_Z (y - rho W y), Z its effect's design; an error kind
+    has e(rho) = M_{(I - rho W) B} (I - rho W) y, B its fixed-effect
+    design; M_A is the residual projection of the columns of A. The
+    log-determinants are the fit's own (WeightsMatrix.log_abs_det).
+    """
+    n = y.size
+    lo, hi = rho_bounds
+    wy, wd = w.mat @ y, w.mat @ design
+    if lag:
+        e_y, e_wy = _residual(design, y), _residual(design, wy)
+
+        def sse(rho):
+            e = e_y - rho * e_wy
+            return float(e @ e)
+    else:
+
+        def sse(rho):
+            e = _residual(design - rho * wd, y - rho * wy)
+            return float(e @ e)
+
+    def neg_profile(r):
+        rho = lo + r * (hi - lo)
+        return 0.5 * n * _log_variance(sse(rho), n) - w.log_abs_det(rho)
+
+    res = scipy.optimize.minimize_scalar(
+        neg_profile,
+        bounds=(RHO_INTERNAL_EPS, 1.0 - RHO_INTERNAL_EPS),
+        method="bounded",
+        options={"xatol": 1e-3},
+    )
+    r = float(res.x)
+    return r, -_log_variance(sse(lo + r * (hi - lo)), n)
+
+
+def _layers(kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y, starts):
     n = y.shape[0]
     p_b = b_design.shape[1]
     q_fixed_diag = np.full(p_b, priors.q_beta_diag)
 
     dims: list[HyperDim] = []
-    if likelihood == "gaussian":
-        tau_init = _initial_log_tau(y, full_design)
-    else:
-        tau_init = 0.0
-
     if kind != "slx":
         rho_fixed_internal = None
         if priors.rho_fixed is not None:
@@ -273,7 +344,7 @@ def _layers(
                     engine.logit_gaussian_logpdf(r, m_, p_)
                 ),
                 fixed=rho_fixed_internal,
-                init=0.5,
+                init=starts["rho_internal"],
             )
         )
         dims.append(
@@ -283,7 +354,7 @@ def _layers(
                     engine.log_gamma_logpdf(t, a, b)
                 ),
                 fixed=None if tau_fixed is None else math.log(tau_fixed),
-                init=tau_init,
+                init=starts["log_tau"],
             )
         )
     else:
@@ -296,7 +367,7 @@ def _layers(
                 fixed=None
                 if priors.tau_iid_fixed is None
                 else math.log(priors.tau_iid_fixed),
-                init=tau_init if likelihood == "gaussian" else 0.0,
+                init=starts["log_tau_iid"],
             )
         )
     if priors.tau_obs_hyper and likelihood == "gaussian":
@@ -306,7 +377,7 @@ def _layers(
                 log_prior=lambda t, a=priors.tau_shape, b=priors.tau_rate: (
                     engine.log_gamma_logpdf(t, a, b)
                 ),
-                init=tau_init,
+                init=starts["log_tau_obs"],
             )
         )
 

@@ -99,7 +99,6 @@ def test_probit_assembly_matches_products(kind, monkeypatch):
 
 
 def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
-    model = gaussian_model("slm", n=60)
     splu_calls, evidence_calls, logdet_lus, logdet_rhos = [], [], [], []
     real_splu, real_evidence = spla.splu, engine.log_conditional_evidence
     real_lu, real_log_abs_det = weights._logabsdet_sparse, se.WeightsMatrix.log_abs_det
@@ -124,6 +123,10 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     monkeypatch.setattr(engine, "log_conditional_evidence", counting_evidence)
     monkeypatch.setattr(weights, "_logabsdet_sparse", counting_lu)
     monkeypatch.setattr(se.WeightsMatrix, "log_abs_det", recording_log_abs_det)
+    # Built under the patches: the concentrated-likelihood start's LUs of
+    # I - rho W are counted with the fit's.
+    model = gaussian_model("slm", n=60)
+    assert model.w.spectrum() is None
     se.fit(model)
     assert len(evidence_calls) > 50
     # Each LU of I - rho W is one splu call of its own, one per distinct rho.

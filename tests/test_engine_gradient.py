@@ -1,10 +1,9 @@
-"""Gaussian evidence gradient, the L-BFGS-B mode search it drives, and the
-grid's per-row variances."""
+"""Gaussian evidence gradient, the trust-region mode search it drives, and
+the grid's per-row variances."""
 
 import numpy as np
 import pytest
-from oracles import random_weights, simulate_slm
-from scipy import optimize
+from oracles import delaunay_weights, random_weights, simulate_slm
 from test_engine_probit import count_evidence_by_stage
 
 import spatecon as se
@@ -58,6 +57,20 @@ def assert_gradient_matches_differences(model):
         assert np.max(np.abs(grad - want)) <= 1e-6 * np.max(np.abs(want)), (x, grad, want)
 
 
+def assert_stationary_maximum(model, fit):
+    """The fit's mode is within 1e-3 posterior sd of the stationary point,
+    and no point a tenth of an sd away along an axis is higher."""
+    f = engine._log_posterior_fn(model.compiled)
+    mode = fit.grid.mode_point
+    grad = richardson_gradient(f, mode)
+    sigma = fit.grid.sigma
+    assert np.all(np.abs(grad) * sigma**2 <= 1e-3 * sigma)
+    for i in range(mode.size):
+        step = np.zeros(mode.size)
+        step[i] = 0.1 * sigma[i]
+        assert f(mode + step) < f(mode) and f(mode - step) < f(mode)
+
+
 class TestEvidenceGradient:
     @pytest.mark.parametrize("kind", KINDS)
     def test_missing_responses(self, kind):
@@ -96,54 +109,89 @@ class TestEvidenceGradient:
             )
 
 
+def record_search_points(monkeypatch):
+    """The points at which the mode search evaluates the log posterior and
+    its gradient, in order."""
+    points = []
+    real = engine._log_posterior_and_gradient_fn
+
+    def recording(model):
+        fg = real(model)
+
+        def fg_recorded(vec):
+            points.append(np.array(vec, dtype=float))
+            return fg(vec)
+
+        return fg_recorded
+
+    monkeypatch.setattr(engine, "_log_posterior_and_gradient_fn", recording)
+    return points
+
+
 class TestGradientModeSearch:
     def test_evaluation_counts(self, monkeypatch):
-        # Every point L-BFGS-B visits costs one evidence call, value and
-        # gradient together; the Hessian stencil reuses the value at the
-        # mode (2 d^2 = 8 calls); the 7 x 7 grid lies inside the rho domain.
+        # Every point the search visits costs one evidence call, value and
+        # gradient together, two of them the curvature probes at the
+        # start; the Hessian stencil reuses the value at the mode (2 d^2 =
+        # 8 calls); the 7 x 7 grid lies inside the rho domain.
         model = gaussian_model("slm", missing=0, seed=73)
-        searches = []
-        real_minimize = optimize.minimize
-
-        def recording_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            searches.append((kwargs["method"], res.nfev))
-            return res
-
-        monkeypatch.setattr(optimize, "minimize", recording_minimize)
+        points = record_search_points(monkeypatch)
         stages = count_evidence_by_stage(monkeypatch)
-        se.fit(model)
-        ((method, nfev),) = searches
-        assert method == "L-BFGS-B"
-        assert stages == {"mode": nfev, "hessian": 8, "grid": 49}
-        # Nelder-Mead took 96 evaluations on this fit.
-        assert nfev <= 25
+        fit = se.fit(model)
+        assert stages == {"mode": len(points), "hessian": 8, "grid": 49}
+        # Nelder-Mead took 96 evaluations on this fit and L-BFGS-B from
+        # rho_internal = 0.5 took 12.
+        assert len(points) <= 10
+        # The search starts at the concentrated-likelihood start and never
+        # strays towards the clamp: no point is more than 4 posterior sds
+        # from the mode on any axis.
+        start = [d.init for d in model.compiled.free_dims()]
+        assert np.array_equal(points[0], start)
+        assert np.all(np.abs(np.array(points) - fit.grid.mode_point) <= 4.0 * fit.grid.sigma)
 
     @pytest.mark.parametrize("kind", ["sem", "sdm"])
     def test_mode_is_a_stationary_maximum(self, kind):
         model = gaussian_model(kind, seed=74)
         fit = se.fit(model)
-        f = engine._log_posterior_fn(model.compiled)
-        mode = fit.grid.mode_point
-        grad = richardson_gradient(f, mode)
-        sigma = fit.grid.sigma
-        # Within 1e-3 posterior sd of the stationary point, and no point
-        # a tenth of an sd away along an axis is higher.
-        assert np.all(np.abs(grad) * sigma**2 <= 1e-3 * sigma)
-        for i in range(mode.size):
-            step = np.zeros(mode.size)
-            step[i] = 0.1 * sigma[i]
-            assert f(mode + step) < f(mode) and f(mode - step) < f(mode)
+        assert_stationary_maximum(model, fit)
 
     def test_failed_search_is_a_numeric_failure(self, monkeypatch):
-        real = optimize.minimize
-
-        def one_iteration(*args, **kwargs):
-            return real(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 1}})
-
-        monkeypatch.setattr(optimize, "minimize", one_iteration)
-        with pytest.raises(se.NumericFailureError, match="did not converge"):
+        monkeypatch.setattr(engine, "_MODE_MAX_STEPS", 1)
+        with pytest.raises(se.NumericFailureError, match="did not converge in 1 steps"):
             se.fit(gaussian_model("slm", seed=75))
+
+    def test_failed_trial_point_shrinks_the_step(self, monkeypatch):
+        # A factorization that fails at one trial point rejects that step;
+        # the search goes on from the last point and finds the same mode.
+        want = se.fit(gaussian_model("slm", seed=75)).grid
+        model = gaussian_model("slm", seed=75)
+        points = record_search_points(monkeypatch)
+        real = engine.log_conditional_evidence
+
+        def failing_once(*args, **kwargs):
+            # The start, two curvature probes, then the first trial point.
+            if kwargs.get("wrt") and len(points) == 4:
+                raise se.NumericFailureError("matrix is not positive definite")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "log_conditional_evidence", failing_once)
+        got = se.fit(model).grid
+        # The rejected point is not where the search went next.
+        assert not np.array_equal(points[4], points[3])
+        assert np.all(np.abs(got.mode_point - want.mode_point) <= 1e-4 * want.sigma)
+        assert np.allclose(got.sigma, want.sigma, rtol=1e-4, atol=0.0)
+
+    def test_free_observation_precision_slm_runs_to_the_end(self):
+        # A d = 3 SLM fit whose L-BFGS-B search ended in a failed line
+        # search near the clamp.
+        rng = np.random.default_rng(3)
+        w = delaunay_weights(rng, 60)
+        y, x = simulate_slm(rng, w, [1.0, 0.8, -0.6], 0.6, 0.5)
+        model = se.build("slm", y, x, w, priors=se.ModelPriors(tau_obs_hyper=True))
+        fit = se.fit(model)
+        assert fit.grid.dims == ("rho_internal", "log_tau", "log_tau_obs")
+        assert np.isfinite(fit.log_mlik) and np.isfinite(fit.dic)
+        assert_stationary_maximum(model, fit)
 
     def test_probit_with_two_free_hyperparameters_is_refused(self):
         rng = np.random.default_rng(76)

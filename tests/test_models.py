@@ -85,6 +85,45 @@ class TestCompileLayouts:
             se.build("slm", self.y, self.x, raw)
 
 
+class TestConcentratedStart:
+    @staticmethod
+    def dense_profile(kind, y, x, w, r_grid):
+        """The concentrated log-likelihood at each internal rho, from
+        dense matrices: log|A| - n/2 log(e'e / n), A = I - rho W, with e
+        the residual of A y on the effect's design Z (lag kinds) or of
+        A y on A B (error kinds). Z and B are [1, X] for SLM and SEM and
+        [1, X, WX] for SDM and SDEM; missing responses take their OLS
+        fitted values on it."""
+        n = y.size
+        wd = w.toarray()
+        design = np.hstack([np.ones((n, 1)), x] + ([wd @ x] if kind in ("sdm", "sdem") else []))
+        mis = np.isnan(y)
+        coef = np.linalg.lstsq(design[~mis], y[~mis], rcond=None)[0]
+        y = np.where(mis, design @ coef, y)
+        lo, hi = w.rho_range()
+        out = []
+        for r in r_grid:
+            a = np.eye(n) - (lo + r * (hi - lo)) * wd
+            z = design if kind in ("slm", "sdm") else a @ design
+            e = a @ y - z @ np.linalg.lstsq(z, a @ y, rcond=None)[0]
+            out.append((np.linalg.slogdet(a)[1] - 0.5 * n * math.log(e @ e / n), -math.log(e @ e / n)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("kind", ["slm", "sdm", "sem", "sdem"])
+    def test_start_maximises_the_concentrated_likelihood(self, kind):
+        rng = np.random.default_rng(21)
+        w = random_weights(rng, 50, 4)
+        y, x = simulate_slm(rng, w, [1.0, 0.7, -0.4], 0.5, 0.6)
+        y[rng.choice(50, size=4, replace=False)] = np.nan
+        rho, log_tau = se.build(kind, y, x, w).compiled.free_dims()
+        r_grid = np.linspace(0.0005, 0.9995, 2000)
+        profile = self.dense_profile(kind, y, x, w, r_grid)
+        # Brent stops within 1e-3 of the maximiser; log tau is exact there.
+        assert abs(rho.init - r_grid[np.argmax(profile[:, 0])]) <= 1.5e-3
+        (_, want_log_tau), = self.dense_profile(kind, y, x, w, [rho.init])
+        assert abs(log_tau.init - want_log_tau) <= 1e-10 * abs(want_log_tau)
+
+
 class TestDegenerateGridEqualsLinearRegression:
     def check_against_lr(self, kind):
         rng = np.random.default_rng(4)
