@@ -14,11 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import impacts as impacts_mod
 from . import models, selection
 from .dataio import RunConfig, fmt, parse_config
+from .engine import binary_response
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 from .gmrf import badly_scaled
 
@@ -308,10 +307,8 @@ def validate_config(config: RunConfig) -> list[str]:
         return [str(exc)]
     if w.n != y.shape[0]:
         issues.append(f"weights are {w.n} x {w.n} but data has {y.shape[0]} rows")
-    if config.likelihood == "probit":
-        vals = y[~np.isnan(y)]
-        if not np.all(np.isin(vals, (0.0, 1.0))):
-            issues.append("non-binary response with probit likelihood")
+    if config.likelihood == "probit" and not binary_response(y):
+        issues.append("non-binary response with probit likelihood")
     if x is not None and badly_scaled(x):
         issues.append("covariate scales differ by more than 1e4; consider rescaling")
     if not config.kinds:

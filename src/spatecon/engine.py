@@ -115,6 +115,12 @@ class GridSettings:
             raise InvalidParameterError(f"grid drop must be finite and >= 0, got {self.drop!r}")
 
 
+def binary_response(y: np.ndarray) -> bool:
+    """True when every non-missing value of y is 0 or 1: the responses a
+    probit likelihood accepts."""
+    return bool(np.all(np.isin(y[~np.isnan(y)], (0.0, 1.0))))
+
+
 @dataclass
 class CompiledModel:
     """Latent structure the engine consumes.
@@ -144,9 +150,13 @@ class CompiledModel:
     assembly: "Assembly | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Probit latent mode of the last converged inner Newton solve: the
-    # next theta's solve starts from it.
+    # Probit latent mode of the last converged inner Newton solve and the
+    # factor of its Hessian, without its selected inverse: the next
+    # theta's solve starts from the mode and steps with the factor.
     last_mode: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    last_factor: CholeskyHandle | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -165,10 +175,8 @@ class CompiledModel:
         self.miss_idx = np.flatnonzero(np.isnan(self.y))
         if self.obs_idx.size == 0:
             raise InvalidInputError("all responses are missing")
-        if self.likelihood == "probit":
-            vals = self.y[self.obs_idx]
-            if not np.all(np.isin(vals, (0.0, 1.0))):
-                raise InvalidInputError("probit responses must be binary 0/1")
+        if self.likelihood == "probit" and not binary_response(self.y):
+            raise InvalidInputError("probit responses must be binary 0/1")
 
     @property
     def n(self) -> int:
@@ -540,23 +548,37 @@ def _probit_site_derivs(eta: np.ndarray, y: np.ndarray):
     return loglik, grad, curv
 
 
+# Caps of the probit inner search: Hessian factorizations, and steps
+# (each a chord or Newton step and its backtracking).
+_NEWTON_MAX_FACTORIZATIONS = 100
+_NEWTON_MAX_STEPS = 300
+
+
 def laplace_inner(
     model: CompiledModel, theta: Mapping[str, float], want_state: bool = True
 ) -> tuple[float, GaussianState | None]:
     """Newton mode + Laplace evidence for the probit likelihood.
 
-    Newton starts from the model's last converged mode (model.last_mode,
-    zero when there is none) and leaves the mode it finds there for the
-    next call. At each iterate z it factors the Hessian H(z) and solves
-    for the step; it stops at the first z whose gradient sup-norm is
-    below 1e-7 and whose Newton step is below 1e-10, and that factor of
-    H(z) gives the log determinant, the latent variances and the
-    coefficient columns. The evidence carries the distance of z from the
-    mode at first order (through log|H(z)| and the site corrections), so
-    the step bound, not the gradient bound, sets how closely two starts
-    agree. The objective is strictly concave, so Newton with backtracking
-    reaches the same mode from any start; a repeated theta costs one
-    factorization.
+    The search starts from the model's last converged mode
+    (model.last_mode, zero when there is none) and takes chord, or
+    modified Newton, steps (Kelley 1995, ch. 5): each solves with a held
+    factor, first the model's last converged Hessian (model.last_factor),
+    and backtracks by halving to a step that does not lower the
+    objective. The Hessian H(z) is factored afresh at the current z when
+    there is no held factor, when the chord step falls below 1e-10, or
+    when it is not at most half the step before it; a fresh factor that
+    does not end the search is held for the next steps. The search stops
+    only on a fresh factor: at the first z whose gradient sup-norm is
+    below 1e-7 and whose Newton step with H(z) is below 1e-10. That
+    factor gives the log determinant, the latent variances and the
+    coefficient columns, and is left on the model with the mode. The
+    evidence carries the distance of z from the mode at first order
+    (through log|H(z)| and the site corrections), so the step bound, not
+    the gradient bound, sets how closely two starts agree. The objective
+    is strictly concave and every held factor is positive definite, so
+    each chord step is an ascent direction and the search reaches the
+    same mode from any start and any held factor; a repeated theta costs
+    one factorization.
 
     The returned evidence includes per-site Gauss-Hermite correction
     factors (exact for independent sites); the Gaussian posterior is the
@@ -585,8 +607,14 @@ def laplace_inner(
         return float(-0.5 * z @ (q_prior @ z) + ll.sum())
 
     z = np.zeros(n + p) if model.last_mode is None else model.last_mode
+    # The model lets go of the held factor, so a fresh one replaces it
+    # rather than joining it.
+    factor, model.last_factor = model.last_factor, None
     obj = objective(z)
-    for _ in range(100):
+    last_size = math.inf
+    factorizations = 0
+    converged = False
+    for _ in range(_NEWTON_MAX_STEPS):
         eta = eta_of(z)
         ll, s_site, d_site = _probit_site_derivs(eta[obs], y_o)
         s_full = np.zeros(n)
@@ -594,11 +622,21 @@ def laplace_inner(
         qz = q_prior @ z
         grad = -qz + np.concatenate([s_full, xb.T @ s_full])
         gnorm = float(np.max(np.abs(grad)))
-        h = plan.with_curvature(q_data, d_site, xb)
-        factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
-        delta = factor.solve(grad)
-        if gnorm < 1e-7 and float(np.max(np.abs(delta))) < 1e-10:
-            break
+        size = math.nan
+        if factor is not None:
+            delta = factor.solve(grad)
+            size = float(np.max(np.abs(delta)))
+        if not 1e-10 <= size <= 0.5 * last_size:
+            if factorizations == _NEWTON_MAX_FACTORIZATIONS:
+                break
+            h = plan.with_curvature(q_data, d_site, xb)
+            factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
+            factorizations += 1
+            delta = factor.solve(grad)
+            size = float(np.max(np.abs(delta)))
+            converged = gnorm < 1e-7 and size < 1e-10
+            if converged:
+                break
         # Backtrack by halving to a step that does not lower the
         # objective; below 2^-30 the step is taken as it is.
         t = 1.0
@@ -608,8 +646,8 @@ def laplace_inner(
             if obj_next >= obj - 1e-12 or t < 2.0**-30:
                 break
             t *= 0.5
-        z, obj = z_next, obj_next
-    else:
+        z, obj, last_size = z_next, obj_next, size
+    if not converged:
         raise NumericFailureError(
             f"probit Newton did not converge (last gradient sup-norm {gnorm:.3e})"
         )
@@ -621,6 +659,8 @@ def laplace_inner(
     )
 
     var_x = factor.marginal_variances(np.arange(n))
+    factor.drop_selected()
+    model.last_factor = factor
     cols = factor.inverse_columns(np.arange(n, n + p))
     cov_c = cols[n:].copy()
     var_eta = np.maximum(_with_design_variance(var_x, cols[:n], cov_c, xb), 0.0)
@@ -915,15 +955,114 @@ def _trust_region_mode(fg, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     )
 
 
+# The search of one free hyperparameter: Brent's tolerance, the half
+# width of its first bracket around HyperDim.init, and the share of the
+# bracket's width, next to each edge, in which a peak of the parabola
+# through Brent's first three points makes the search test that edge
+# (_edge_passed).
+_BRENT_XATOL = 1e-5
+_FIRST_BRACKET = 0.1
+_EDGE_MARGIN = 0.05
+
+
+class _PastEdge(Exception):
+    """Stops a Brent run whose minimiser lies past an inner edge of its
+    bracket; args[0] is that edge."""
+
+
+def _parabola_min(points) -> float | None:
+    """Minimiser of the parabola through three (t, value) points, or None
+    when it is not convex."""
+    (x0, g0), (x1, g1), (x2, g2) = points
+    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
+    if denom == 0.0:
+        return None
+    a = (x2 * (g1 - g0) + x1 * (g0 - g2) + x0 * (g2 - g1)) / denom
+    b = (x2 * x2 * (g0 - g1) + x1 * x1 * (g2 - g0) + x0 * x0 * (g1 - g2)) / denom
+    return -b / (2.0 * a) if a > 0.0 else None
+
+
+def _edge_passed(points, a: float, b: float, lo: float, hi: float, g) -> float | None:
+    """The inner edge of the bracket [a, b] (one that is not lo or hi) past
+    which Brent's first three points, sorted by t, place the minimiser of
+    g; None when they do not.
+
+    Only a best point nearest an inner edge, with the parabola through the
+    three points not minimised more than _EDGE_MARGIN of the width inside
+    the bracket, costs g at that edge. The edge is passed when the
+    parabola through it and the two points nearest it has its minimum at
+    or past the edge, or is not convex.
+    """
+    best = min(range(3), key=lambda i: points[i][1])
+    near = {0: a, 2: b}.get(best)
+    if near is None or not lo < near < hi:
+        return None
+    peak = _parabola_min(points)
+    margin = _EDGE_MARGIN * (b - a)
+    if peak is not None and a + margin < peak < b - margin:
+        return None
+    nearest = points[:2] if near == a else points[1:]
+    peak = _parabola_min(nearest + [(near, g(near))])
+    if peak is None or (peak <= a if near == a else peak >= b):
+        return near
+    return None
+
+
+def _bracketed_brent(f, init: float, lo: float, hi: float):
+    """Maximiser of f([t]) within [lo, hi] and the value there, by bounded
+    Brent (Brent 1973) on the bracket init +- _FIRST_BRACKET, clipped to
+    [lo, hi]. A maximiser at an edge of the bracket that is not lo or hi
+    starts Brent again on a bracket four times as wide around that edge,
+    until the maximiser lies inside its bracket or on [lo, hi]'s own bound.
+
+    A maximiser within 10 xatol of an inner edge is one at the edge, and so
+    is one that Brent's first three points place past it (_edge_passed):
+    the run stops there, after at most one more evaluation, rather than
+    converging onto the edge in some twenty.
+    """
+    center, half = min(max(init, lo), hi), _FIRST_BRACKET
+    edge = 10.0 * _BRENT_XATOL
+    while True:
+        a, b = max(center - half, lo), min(center + half, hi)
+        seen = []
+
+        def g(t):
+            value = -f([t])
+            seen.append((t, value))
+            if len(seen) == 3:
+                near = _edge_passed(sorted(seen), a, b, lo, hi, lambda e: -f([e]))
+                if near is not None:
+                    raise _PastEdge(near)
+            return value
+
+        try:
+            res = scipy.optimize.minimize_scalar(
+                g, bounds=(a, b), method="bounded", options={"xatol": _BRENT_XATOL}
+            )
+        except _PastEdge as past:
+            center, half = past.args[0], 4.0 * half
+            continue
+        if not res.success:
+            raise NumericFailureError(
+                f"hyperparameter mode search did not converge: {res.message} "
+                f"(nit = {res.nit}, nfev = {res.nfev})"
+            )
+        center = float(res.x)
+        if not ((a > lo and center - a <= edge) or (b < hi and b - center <= edge)):
+            return np.array([center]), -float(res.fun)
+        half *= 4.0
+
+
 def _mode_and_scale(model: CompiledModel):
     """Posterior mode of the free hyperparameters and the grid's scale per
     axis (the sd of each axis under the Hessian at the mode).
 
     One free hyperparameter (every probit fit, SLX, a fixed rho): bounded
-    Brent over its whole domain (Brent 1973). Two or more, which only the
-    Gaussian likelihood has: a trust-region quasi-Newton search
-    (_trust_region_mode) on the exact evidence gradient from the model's
-    HyperDim.init values, each point one factorization
+    Brent on a bracket around the model's HyperDim.init, widened while
+    the maximiser sits on an inner edge (_bracketed_brent). Two or more,
+    which only the Gaussian likelihood has: a trust-region quasi-Newton
+    search (_trust_region_mode) on the exact evidence gradient from the
+    model's HyperDim.init values, each point one factorization
     (_evidence_gradient), within _theta_bounds narrowed by the gradient's
     difference step. The Hessian is a central-difference stencil on the
     log posterior that reuses the search's value at the mode, extrapolated
@@ -936,18 +1075,7 @@ def _mode_and_scale(model: CompiledModel):
     f = _log_posterior_fn(model)
     lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
     if d == 1:
-        res = scipy.optimize.minimize_scalar(
-            lambda t: -f([t]),
-            bounds=(lo[0], hi[0]),
-            method="bounded",
-            options={"xatol": 1e-5},
-        )
-        if not res.success:
-            raise NumericFailureError(
-                f"hyperparameter mode search did not converge: {res.message} "
-                f"(nit = {res.nit}, nfev = {res.nfev})"
-            )
-        x, fx = np.atleast_1d(res.x), -float(res.fun)
+        x, fx = _bracketed_brent(f, free[0].init, lo[0], hi[0])
     else:
         if model.likelihood != "gaussian":
             raise InvalidInputError(
@@ -984,7 +1112,7 @@ def _mode_and_scale(model: CompiledModel):
 def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool):
     # Every exploration starts cold, from no mode and no analysis, so its
     # result does not depend on what was evaluated on the model before.
-    model.symbolic = model.assembly = model.last_mode = None
+    model.symbolic = model.assembly = model.last_mode = model.last_factor = None
     free = model.free_dims()
     d = len(free)
     theta_fixed = {dim.name: dim.fixed for dim in model.hyper_dims if dim.fixed is not None}
@@ -1248,9 +1376,9 @@ def fit_compiled(
     settings = settings or GridSettings()
     grid, states = _build_grid(model, settings, want_states=True)
     # A kept fit holds its results, not the factorization workspace or
-    # the last mode; a later evaluation analyses its pattern again and
-    # starts Newton from zero.
-    model.symbolic = model.assembly = model.last_mode = None
+    # the last mode and factor; a later evaluation analyses its pattern
+    # again and starts Newton from zero.
+    model.symbolic = model.assembly = model.last_mode = model.last_factor = None
     weights = grid.weights
     g_count, n, p = len(states), model.n, model.p
 

@@ -515,6 +515,11 @@ class CholeskyHandle:
             self._sigma = _takahashi(self.symbolic.l_pattern(), *self.factor_values())
         return self._sigma
 
+    def drop_selected(self) -> None:
+        """Free the cached selected inverse: a handle kept only to solve
+        with holds the factor and its pivots, not O(nnz(L)) more."""
+        self._sigma = None
+
     def marginal_variances(self, indices) -> np.ndarray:
         """Diagonal entries of the inverse at the requested coordinates."""
         indices = np.atleast_1d(np.asarray(indices, dtype=int))

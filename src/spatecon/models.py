@@ -207,22 +207,28 @@ def build(
         [one_col, x_raw] + ([lagged] if lagged is not None else [])
     )
     starts = {"rho_internal": 0.5, "log_tau": 0.0, "log_tau_iid": 0.0}
+    log_tau, y_filled = _ols_start(y, full_design)
     if likelihood == "gaussian":
-        log_tau, y_filled = _ols_start(y, full_design)
         starts.update(log_tau=log_tau, log_tau_iid=log_tau, log_tau_obs=log_tau)
-        # The start matters to the search of two or more free
-        # hyperparameters; a lone one is found by Brent over its domain.
-        if slm_spec is not None and priors.rho_fixed is None and (
-            tau_fixed is None or priors.tau_obs_hyper
-        ):
-            lag = kind in ("slm", "sdm")
-            starts["rho_internal"], starts["log_tau"] = _concentrated_start(
-                y_filled,
-                slm_spec.w,
-                z_design if lag else b_design,
-                lag,
-                rho_bounds,
-            )
+    else:
+        # 0/1 data see an iid probit effect only as a rescaled link, so its
+        # evidence is nearly flat in tau and the posterior mode sits near
+        # the prior's, log(shape / rate).
+        starts["log_tau_iid"] = math.log(priors.tau_iid_shape / priors.tau_iid_rate)
+    # Every mode search starts at these values: a lone free hyperparameter
+    # on a bracket around its start, two or more from the start. A free rho
+    # starts at the concentrated-likelihood maximiser, for a probit model
+    # that of the 0/1 responses (a linear-probability start; its tau is
+    # pinned, so the log tau start goes unread).
+    if slm_spec is not None and priors.rho_fixed is None:
+        lag = kind in ("slm", "sdm")
+        starts["rho_internal"], starts["log_tau"] = _concentrated_start(
+            y_filled,
+            slm_spec.w,
+            z_design if lag else b_design,
+            lag,
+            rho_bounds,
+        )
     hyper_dims, prior, prior_weights = _layers(
         kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y, starts
     )
@@ -286,8 +292,8 @@ def _ols_start(y: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _concentrated_start(y, w: WeightsMatrix, design, lag: bool, rho_bounds) -> tuple[float, float]:
-    """Start (rho_internal, log tau) of a Gaussian lag or error model: the
-    maximiser of the concentrated log-likelihood
+    """Start (rho_internal, log tau) of a lag or error model: the
+    maximiser of the Gaussian concentrated log-likelihood
 
         log |I - rho W| - n/2 log e(rho)'e(rho)
 
@@ -296,7 +302,8 @@ def _concentrated_start(y, w: WeightsMatrix, design, lag: bool, rho_bounds) -> t
     has e(rho) = M_Z (y - rho W y), Z its effect's design; an error kind
     has e(rho) = M_{(I - rho W) B} (I - rho W) y, B its fixed-effect
     design; M_A is the residual projection of the columns of A. The
-    log-determinants are the fit's own (WeightsMatrix.log_abs_det).
+    log-determinants are the fit's own (WeightsMatrix.log_abs_det). A
+    probit model passes its 0/1 responses and reads rho alone.
     """
     n = y.size
     lo, hi = rho_bounds

@@ -1,5 +1,6 @@
 """Probit likelihood: Newton inner loop, Laplace evidence, predictions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +270,38 @@ class TestHotStart:
             got, want = getattr(hot, field), getattr(cold, field)
             assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), field
 
+    @pytest.mark.parametrize("kind", ["slm", "sem"])
+    @pytest.mark.parametrize("far_rho", [1e-3, 0.999])
+    @pytest.mark.parametrize("keep_mode", [True, False])
+    def test_held_factor_from_a_far_theta_matches_a_cold_start(self, kind, far_rho, keep_mode):
+        # The chord steps start with the converged Hessian factor of a far
+        # theta, from that theta's mode or from zero; the evidence must
+        # agree with a start from no mode and no factor.
+        lz_cold, cold = laplace_inner(correlated_probit_model(kind).compiled, self.THETA)
+        model = correlated_probit_model(kind).compiled
+        laplace_inner(model, {"rho_internal": far_rho, "log_tau": 0.0})
+        held = model.last_factor
+        assert held._sigma is None  # held to solve with, without its selected inverse
+        if not keep_mode:
+            model.last_mode = None
+        solves = []
+        real_solve = held.solve
+        held.solve = lambda b: solves.append(1) or real_solve(b)
+        lz_hot, hot = laplace_inner(model, self.THETA)
+        assert solves and model.last_factor is not held
+        assert abs(lz_hot - lz_cold) <= 1e-10 * abs(lz_cold)
+        for field in ("mean_x", "var_x", "mean_c", "var_eta"):
+            got, want = getattr(hot, field), getattr(cold, field)
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), field
+
+    def test_factorization_cap_is_a_numeric_failure(self, monkeypatch):
+        # One factorization at the zero start cannot end the search: the
+        # stop test needs a fresh factor at the mode.
+        monkeypatch.setattr(engine, "_NEWTON_MAX_FACTORIZATIONS", 1)
+        model = correlated_probit_model("slm").compiled
+        with pytest.raises(se.NumericFailureError, match="probit Newton did not converge"):
+            laplace_inner(model, self.THETA)
+
     def test_repeated_theta_costs_one_factorization(self, monkeypatch):
         model = correlated_probit_model("slm").compiled
         lz_first, first = laplace_inner(model, self.THETA)
@@ -286,6 +319,7 @@ class TestHotStart:
         laplace_inner(model.compiled, {"rho_internal": 0.999, "log_tau": 0.0})
         f2 = se.fit(model)
         assert model.compiled.last_mode is None
+        assert model.compiled.last_factor is None
         assert f1.log_mlik == f2.log_mlik
         assert np.array_equal(f1.coef_means, f2.coef_means)
         assert np.array_equal(f1.coef_covs, f2.coef_covs)
@@ -293,17 +327,19 @@ class TestHotStart:
         assert np.array_equal(f1.grid.log_evidence, f2.grid.log_evidence)
 
     def test_fit_factorizations_per_evidence(self, monkeypatch):
-        # Hot-started Newton makes 4.6 factorizations per evidence call
-        # on this fit; starting every theta from zero and factoring again
-        # at the mode makes 9. The one free hyperparameter (rho) costs a
-        # bounded Brent search, a 4-point extrapolated Hessian stencil and
-        # 7 grid points.
+        # Chord steps on the last converged factor make 2.3 factorizations
+        # per evidence call on this fit (46): one per call at the search's
+        # last points, 3-4 at grid points, which lie about two mode shifts
+        # apart at n = 60. Full Newton steps from the last mode made 4.6;
+        # starting every theta from zero and factoring again at the mode
+        # made 9. The one free hyperparameter (rho) costs a bounded Brent
+        # search, a 4-point extrapolated Hessian stencil and 7 grid points.
         model = correlated_probit_model("slm", missing=0)
         stages = count_evidence_by_stage(monkeypatch)
         factorizations = count_factorizations(monkeypatch)
         se.fit(model)
         assert stages == {"mode": 9, "hessian": 4, "grid": 7}
-        assert len(factorizations) <= 5 * sum(stages.values())
+        assert len(factorizations) <= 2.5 * sum(stages.values())
 
 
 def count_evidence_by_stage(monkeypatch):
@@ -376,6 +412,77 @@ class TestModeSearch:
         else:
             want = scan_mode(f, got - 3.0, got + 3.0, points=61)
         assert abs(got - want) <= 1e-5
+
+    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
+    def test_first_point_lies_in_the_bracket_around_the_start(self, case, monkeypatch):
+        model = one_free_hyperparameter_model(case)
+        (dim,) = model.compiled.free_dims()
+        stages = count_evidence_by_stage(monkeypatch)
+        seen = []
+        real = engine.log_conditional_evidence
+        monkeypatch.setattr(
+            engine, "log_conditional_evidence",
+            lambda m, theta, *a, **k: seen.append(theta[dim.name]) or real(m, theta, *a, **k),
+        )
+        fit = se.fit(model)
+        assert abs(seen[0] - dim.init) < engine._FIRST_BRACKET
+        # The start is near the mode: one Brent run on the first bracket.
+        assert abs(fit.grid.mode_point[0] - dim.init) < engine._FIRST_BRACKET
+        assert stages["mode"] <= 12
+
+    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
+    def test_start_far_from_the_mode_widens_the_bracket(self, case, monkeypatch):
+        model = one_free_hyperparameter_model(case)
+        want = se.fit(model).grid.mode_point[0]
+        compiled = model.compiled
+        compiled.hyper_dims = tuple(
+            dataclasses.replace(d, init=want - 0.5) if d.fixed is None else d
+            for d in compiled.hyper_dims
+        )
+        runs = []
+        real = optimize.minimize_scalar
+        monkeypatch.setattr(
+            optimize, "minimize_scalar", lambda *a, **k: runs.append(k["bounds"]) or real(*a, **k)
+        )
+        fit = se.fit(model)
+        # The first bracket ends 0.4 short of the mode (its lower edge may
+        # be clipped to the domain).
+        assert len(runs) >= 2 and runs[0][1] == pytest.approx(want - 0.4)
+        f = engine._log_posterior_fn(compiled)
+        got = fit.grid.mode_point[0]
+        if fit.grid.dims == ("rho_internal",):
+            scanned = scan_mode(f, 0.01, 0.99)
+        else:
+            scanned = scan_mode(f, got - 3.0, got + 3.0, points=61)
+        assert abs(got - scanned) <= 1e-5
+
+    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
+    def test_first_points_past_an_inner_edge_stop_the_run(self, case, monkeypatch):
+        # The mode lies 0.15 past the upper edge of the first bracket: its
+        # first three points and the value at that edge end the first run,
+        # and one run on the widened bracket finds the mode.
+        model = one_free_hyperparameter_model(case)
+        want = se.fit(model).grid.mode_point[0]
+        compiled = model.compiled
+        compiled.hyper_dims = tuple(
+            dataclasses.replace(d, init=want - 0.25) if d.fixed is None else d
+            for d in compiled.hyper_dims
+        )
+        stages = count_evidence_by_stage(monkeypatch)
+        per_run = []
+        real = optimize.minimize_scalar
+
+        def counted(*args, **kwargs):
+            before = stages["mode"]
+            try:
+                return real(*args, **kwargs)
+            finally:
+                per_run.append(stages["mode"] - before)
+
+        monkeypatch.setattr(optimize, "minimize_scalar", counted)
+        fit = se.fit(model)
+        assert len(per_run) == 2 and per_run[0] == 4
+        assert abs(fit.grid.mode_point[0] - want) <= 1e-5
 
     def test_failed_one_dimensional_search_is_a_numeric_failure(self, monkeypatch):
         real = optimize.minimize_scalar

@@ -123,6 +123,22 @@ class TestConcentratedStart:
         (_, want_log_tau), = self.dense_profile(kind, y, x, w, [rho.init])
         assert abs(log_tau.init - want_log_tau) <= 1e-10 * abs(want_log_tau)
 
+    @pytest.mark.parametrize("kind", ["slm", "sdm", "sem", "sdem"])
+    def test_probit_start_maximises_the_profile_of_the_binary_responses(self, kind):
+        # A probit model's rho starts at the concentrated-likelihood
+        # maximiser of its 0/1 responses (a linear-probability start); its
+        # tau stays pinned to one.
+        rng = np.random.default_rng(22)
+        w = random_weights(rng, 50, 4)
+        y, x = simulate_slm(rng, w, [0.2, 0.7, -0.4], 0.5, 0.6)
+        y = (y > 0).astype(float)
+        y[rng.choice(50, size=4, replace=False)] = np.nan
+        rho, log_tau = se.build(kind, y, x, w, likelihood="probit").compiled.hyper_dims
+        assert rho.fixed is None and log_tau.fixed == 0.0
+        r_grid = np.linspace(0.0005, 0.9995, 2000)
+        profile = self.dense_profile(kind, y, x, w, r_grid)
+        assert abs(rho.init - r_grid[np.argmax(profile[:, 0])]) <= 1.5e-3
+
 
 class TestDegenerateGridEqualsLinearRegression:
     def check_against_lr(self, kind):
