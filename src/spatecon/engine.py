@@ -4,10 +4,10 @@ The engine works on a compiled latent structure z = (x, c): an
 n-dimensional random effect x plus p coefficients c, with linear
 predictor eta = x + X_b c and a sparse joint prior precision Q(theta) =
 sum_t a_t(theta) K_t, fixed terms weighted by scalars that depend on
-theta (Rue & Held 2005, sec. 2). Each term is mapped onto the matrix the
-engine factors once per fit (Assembly); each theta then costs weighted
-sums of those arrays and one sparse factorization. Two observation layers
-are supported:
+theta (Rue & Held 2005, sec. 2). Each term is mapped onto the engine's
+matrix once per fit (Assembly); each theta then costs weighted sums of
+those arrays and one sparse factorization. Two observation layers are
+supported:
 
 * Gaussian: y = eta + e with e at a fixed high "copy" precision (or a
   hyperparameter). The conditional evidence pi(y|theta) is then exact.
@@ -15,7 +15,10 @@ are supported:
   precision, the quadratic form is evaluated in residual-shifted
   coordinates (the observed-row residual u = y - eta is substituted for
   x as a latent coordinate; the substitution is unimodular, so the log
-  determinant is unchanged).
+  determinant is unchanged). The copy precision dominates the u block,
+  which is eliminated in closed form, so the factorization has n_mis + p
+  rows (_Reduced); where a low copy precision leaves the bound on the
+  terms that drops, the whole n + p matrix is factored (_Factored).
 * Probit: y_i ~ Bernoulli(Phi(eta_i)). The conditional evidence is a
   Laplace approximation at the Newton mode, multiplied by per-site
   Gauss-Hermite correction factors that make it exact when the sites are
@@ -48,6 +51,7 @@ from .gmrf import (
     CholeskyHandle,
     PrecisionTerms,
     SymbolicFactor,
+    canonical_csc,
     marginal_variance_stack,
 )
 
@@ -140,9 +144,13 @@ class CompiledModel:
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
     tau_obs: float | None = 1e8  # None means exp(theta["log_tau_obs"])
-    # Analysis of the pattern the engine factors: set by the first
-    # factorization, reused by every later one.
+    # Analyses of the patterns the engine factors, M and the Gaussian
+    # layer's reduced R: set by the first factorization of each, reused by
+    # every later one.
     symbolic: SymbolicFactor | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    reduced_symbolic: SymbolicFactor | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # The prior's terms mapped onto the factored matrix: built at the
@@ -270,6 +278,7 @@ class Assembly:
     cc_pos: np.ndarray  # (p, p)
     obs_pos: np.ndarray  # diagonal positions of the observation term
     obs_rows: np.ndarray  # the observed rows of x
+    blocks: "CopyBlocks | None" = None  # the Gaussian layer's blocks
 
     def with_curvature(self, base: np.ndarray, d: np.ndarray, xb: np.ndarray) -> np.ndarray:
         """base plus [D, D X_b; X_b'D, X_b'D X_b], D = diag(d) on the
@@ -287,6 +296,142 @@ class Assembly:
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         size = self.indptr.size - 1
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+
+@dataclass
+class CopyBlocks:
+    """The Gaussian layer's matrix split at the observed residuals u. In
+    the coordinates (u, r), r = (x_miss, c), it is
+
+        M = [[tau_obs I + A_uu, A_ur], [A_ru, A_rr]],
+
+    with A = sum_t a_t G'K_tG. Each block keeps its terms' data on a fixed
+    CSC pattern (A_ur is the n_o x (n_mis + p) block above the diagonal),
+    and so does the product A_uu A_ur, one row of data per pair of terms
+    (term_p; pairs with a zero block are left out). A theta then costs
+    weighted sums, and the reduced matrix R = A_rr - A_ru D^{-1} A_ur
+    (_Reduced) one sparse product. r_pattern is R's pattern: the union of
+    those of A_rr and A_ru A_uu A_ur (which holds A_ru A_ur), so that no
+    entry of R or of its derivatives falls outside it. Keys are
+    col * rows + row; the *_in_* arrays place one pattern's entries in
+    another's.
+    """
+
+    n_o: int
+    r: int
+    uu: tuple[np.ndarray, np.ndarray]  # (indptr, indices) of each pattern
+    ur: tuple[np.ndarray, np.ndarray]
+    rr: tuple[np.ndarray, np.ndarray]
+    p: tuple[np.ndarray, np.ndarray]
+    r_pattern: tuple[np.ndarray, np.ndarray]
+    term_uu: np.ndarray  # (T, nnz) of each block
+    term_ur: np.ndarray
+    term_rr: np.ndarray
+    pairs: np.ndarray  # (P, 2) term indices (t of A_uu, s of A_ur)
+    term_p: np.ndarray  # (P, nnz): A_uu,t A_ur,s
+    uu_diag: np.ndarray  # positions of A_uu's diagonal in its data
+    ur_in_p: np.ndarray
+    rr_in_r: np.ndarray
+    p_keys: np.ndarray
+    r_keys: np.ndarray
+    r_transpose: np.ndarray  # position of each entry's transpose in r_pattern
+
+    @classmethod
+    def split(cls, keys: np.ndarray, size: int, n_o: int, term_data: np.ndarray) -> "CopyBlocks":
+        """The blocks of the assembled pattern (sorted keys col * size +
+        row) and of each term's data on it."""
+        rows, cols = keys % size, keys // size
+        r = size - n_o
+        u_row, u_col = rows < n_o, cols < n_o
+        uu, ur, rr = u_row & u_col, u_row & ~u_col, ~u_row & ~u_col
+        uu_pattern = _csc_pattern(cols[uu], rows[uu], n_o)
+        ur_pattern = _csc_pattern(cols[ur] - n_o, rows[ur], r)
+        rr_pattern = _csc_pattern(cols[rr] - n_o, rows[rr] - n_o, r)
+        term_uu, term_ur, term_rr = term_data[:, uu], term_data[:, ur], term_data[:, rr]
+
+        def ones(pattern, shape):
+            return _on(pattern, np.ones(pattern[1].size), shape)
+
+        # A_uu holds its diagonal, so P's pattern holds A_ur's, and R's
+        # holds A_ru A_ur; sums of ones lose no entry to cancellation.
+        ones_ur = ones(ur_pattern, (n_o, r))
+        p_struct = canonical_csc(ones(uu_pattern, (n_o, n_o)) @ ones_ur)
+        r_struct = canonical_csc(ones(rr_pattern, (r, r)) + ones_ur.T @ p_struct)
+        p_pattern = (p_struct.indptr, p_struct.indices)
+        p_keys, r_keys = _csc_keys(p_struct), _csc_keys(r_struct)
+        pairs = np.array(
+            [(t, s) for t in range(term_data.shape[0]) if term_uu[t].any()
+             for s in range(term_data.shape[0]) if term_ur[s].any()],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        term_p = np.array([
+            _values_at(
+                _on(uu_pattern, term_uu[t], (n_o, n_o)) @ _on(ur_pattern, term_ur[s], (n_o, r)),
+                p_pattern,
+                p_keys,
+            )
+            for t, s in pairs
+        ]).reshape(len(pairs), p_keys.size)
+        return cls(
+            n_o=n_o,
+            r=r,
+            uu=uu_pattern,
+            ur=ur_pattern,
+            rr=rr_pattern,
+            p=p_pattern,
+            r_pattern=(r_struct.indptr, r_struct.indices),
+            term_uu=term_uu,
+            term_ur=term_ur,
+            term_rr=term_rr,
+            pairs=pairs,
+            term_p=term_p,
+            uu_diag=np.flatnonzero(rows[uu] == cols[uu]),
+            ur_in_p=np.searchsorted(p_keys, (cols[ur] - n_o) * n_o + rows[ur]),
+            rr_in_r=np.searchsorted(r_keys, (cols[rr] - n_o) * r + rows[rr] - n_o),
+            p_keys=p_keys,
+            r_keys=r_keys,
+            r_transpose=np.searchsorted(r_keys, (r_keys % r) * r + r_keys // r),
+        )
+
+    def product(self, a_uu: np.ndarray, a_ur: np.ndarray) -> np.ndarray:
+        """A_uu A_ur on the pattern of P, for the term weights a_uu of A_uu
+        and a_ur of A_ur."""
+        return (a_uu[self.pairs[:, 0]] * a_ur[self.pairs[:, 1]]) @ self.term_p
+
+
+def _csc_pattern(cols: np.ndarray, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of entries given in CSC order by column and row."""
+    counts = np.bincount(cols, minlength=width)
+    return np.concatenate([[0], np.cumsum(counts)]), rows
+
+
+def _on(pattern, data: np.ndarray, shape) -> sp.csc_matrix:
+    """The matrix with the given data on a CSC pattern (indptr, indices)."""
+    indptr, indices = pattern
+    return sp.csc_matrix((data, indices, indptr), shape=shape)
+
+
+def _csc_keys(mat: sp.csc_matrix) -> np.ndarray:
+    """col * rows + row for each stored entry of a CSC matrix."""
+    rows, cols = mat.shape
+    return np.repeat(np.arange(cols, dtype=np.int64), np.diff(mat.indptr)) * rows + mat.indices
+
+
+def _values_at(mat: sp.spmatrix, pattern, keys: np.ndarray) -> np.ndarray:
+    """The entries of mat (no duplicates) on a CSC pattern (indptr,
+    indices) with sorted keys, zero where mat has none; entries elsewhere
+    are left out."""
+    mat = mat.tocsc()
+    if mat.nnz == keys.size:
+        mat.sort_indices()
+        if np.array_equal(mat.indptr, pattern[0]) and np.array_equal(mat.indices, pattern[1]):
+            return mat.data
+    mat_keys = _csc_keys(mat)
+    pos = np.searchsorted(keys, mat_keys)
+    inside = keys.take(pos, mode="clip") == mat_keys
+    out = np.zeros(keys.size)
+    out[pos[inside]] = mat.data[inside]
+    return out
 
 
 def _assembly(model: CompiledModel) -> Assembly:
@@ -348,12 +493,14 @@ def _build_assembly(model: CompiledModel) -> Assembly:
     for row, k_t in zip(term_data, terms):
         mapped = (g.T @ (k_t @ g)).tocoo()
         mapped.sum_duplicates()
-        row[at(mapped.col * size + mapped.row)] = mapped.data
-    term_c = term_const = None
+        # int64 keys: col * size + row overflows int32 from size 46,341.
+        row[at(mapped.col.astype(np.int64) * size + mapped.row)] = mapped.data
+    term_c = term_const = blocks = None
     if z0 is not None:
         kz0 = np.stack([k_t @ z0 for k_t in terms])
         term_c = -(g.T @ kz0.T).T
         term_const = kz0 @ z0
+        blocks = CopyBlocks.split(keys, size, obs.size, term_data)
     return Assembly(
         n=n,
         p=p,
@@ -369,6 +516,7 @@ def _build_assembly(model: CompiledModel) -> Assembly:
         cc_pos=at(cc_keys),
         obs_pos=at(obs_keys),
         obs_rows=obs,
+        blocks=blocks,
     )
 
 
@@ -386,6 +534,196 @@ def _factor(model: CompiledModel, data: np.ndarray, context: str) -> CholeskyHan
 # Gaussian observation layer
 # ---------------------------------------------------------------------------
 
+# The largest (s / tau_obs)^2, s the largest absolute row sum of A_uu, at
+# which the evidence eliminates the observed residuals in closed form
+# (_Reduced): the relative size of the terms that elimination drops. Above
+# it the evidence factors M whole (_Factored).
+_EXPANSION_TOL = 1e-10
+
+
+class _Factored:
+    """M factored whole, n + p rows: its log determinant and solves from
+    the factor, its traces and variances from the selected inverse."""
+
+    def __init__(self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float):
+        plan = model.assembly
+        data = a @ plan.term_data
+        data[plan.obs_pos] += tau_obs
+        self.model = model
+        self.factor = _factor(model, data, f"theta = {dict(theta)}")
+
+    def logdet(self) -> float:
+        return self.factor.logdet()
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        return self.factor.solve(c)
+
+    def trace(self, da: np.ndarray) -> float:
+        """tr(M^{-1} dM) for dM = da @ Assembly.term_data."""
+        plan = self.model.assembly
+        return self.factor.inverse_dot(plan.matrix(da @ plan.term_data))
+
+    def trace_uu(self) -> float:
+        """tr(Sigma_uu), Sigma = M^{-1}."""
+        return float(np.sum(self.factor.marginal_variances(np.arange(self.model.obs_idx.size))))
+
+    def variances(self) -> np.ndarray:
+        """The variances of (u_obs, x_miss)."""
+        return self.factor.marginal_variances(np.arange(self.model.n))
+
+    def columns(self) -> np.ndarray:
+        """The coefficient columns of M^{-1}."""
+        n = self.model.n
+        return self.factor.inverse_columns(np.arange(n, n + self.model.p))
+
+
+class _Reduced:
+    """M with the observed residuals u eliminated in closed form (Rue &
+    Held 2005, sec. 2.3). With tau = tau_obs and D = tau I + A_uu,
+
+        log|M| = log|D| + log|R|,   R = A_rr - A_ru D^{-1} A_ur,
+
+    where D^{-1} = I / tau - A_uu / tau^2 and log|D| = n_o log tau +
+    tr(A_uu) / tau - ||A_uu||_F^2 / (2 tau^2), each to its second term.
+    Since 0 <= A_uu <= s I, s the largest absolute row sum of A_uu, the
+    terms dropped are at most (s / tau)^2 of those kept, and log|D|'s at
+    most n_o (s / tau)^3 / 3. R has n_mis + p rows on CopyBlocks'
+    r_pattern, analysed once per fit (CompiledModel.reduced_symbolic).
+    Its selected inverse Sigma_rr = R^{-1} gives the traces and the
+    variances of r = (x_miss, c). The u rows of Sigma follow to the same
+    order: Sigma_ur = -B R^{-1} with B = D^{-1} A_ur, and Var(u_i) =
+    1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1} A_ru)_ii / tau^2. Every
+    entry of R^{-1} those read lies on r_pattern, so the selected inverse
+    holds it.
+    """
+
+    def __init__(
+        self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float, uu=None
+    ):
+        blocks = model.assembly.blocks
+        self.model, self.blocks, self.a, self.tau_obs = model, blocks, a, tau_obs
+        n_o, r = blocks.n_o, blocks.r
+        self.a_uu = _on(blocks.uu, a @ blocks.term_uu if uu is None else uu, (n_o, n_o))
+        self.ur_data = a @ blocks.term_ur
+        self.a_ur = _on(blocks.ur, self.ur_data, (n_o, r))
+        b = -blocks.product(a, a) / tau_obs
+        b[blocks.ur_in_p] += self.ur_data
+        self.b = _on(blocks.p, b / tau_obs, (n_o, r))
+        if not r:
+            self.factor = _NoRows()
+            return
+        r_data = -_values_at(self.a_ur.T @ self.b, blocks.r_pattern, blocks.r_keys)
+        r_data[blocks.rr_in_r] += a @ blocks.term_rr
+        r_mat = _on(blocks.r_pattern, 0.5 * (r_data + r_data[blocks.r_transpose]), (r, r))
+        self.factor = CholeskyHandle(
+            r_mat, context=f"theta = {dict(theta)}", symbolic=model.reduced_symbolic
+        )
+        model.reduced_symbolic = self.factor.symbolic
+
+    @functools.cached_property
+    def _sigma(self) -> sp.csc_matrix:
+        """R^{-1} on r_pattern."""
+        return self.factor.inverse_on_pattern()
+
+    @functools.cached_property
+    def _a_sigma(self) -> np.ndarray:
+        """A_ur R^{-1} on the pattern of P."""
+        return _values_at(self.a_ur @ self._sigma, self.blocks.p, self.blocks.p_keys)
+
+    @functools.cached_property
+    def _b_sigma(self) -> np.ndarray:
+        """B R^{-1} on the pattern of P."""
+        return _values_at(self.b @ self._sigma, self.blocks.p, self.blocks.p_keys)
+
+    def _spread(self) -> np.ndarray:
+        """(A_ur R^{-1})_ij A_ij at the entries of A_ur."""
+        return self._a_sigma[self.blocks.ur_in_p] * self.ur_data
+
+    def _trace_uu(self, data: np.ndarray) -> float:
+        return float(np.sum(data[self.blocks.uu_diag]))
+
+    def logdet(self) -> float:
+        tau, uu = self.tau_obs, self.a_uu.data
+        log_d = self.blocks.n_o * math.log(tau) + (self._trace_uu(uu) - 0.5 * (uu @ uu) / tau) / tau
+        return log_d + self.factor.logdet()
+
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        n_o, tau = self.blocks.n_o, self.tau_obs
+        c_u = c[:n_o]
+        w_r = self.factor.solve(c[n_o:] - self.b.T @ c_u)
+        v = c_u - self.a_ur @ w_r
+        return np.concatenate([(v - (self.a_uu @ v) / tau) / tau, w_r])
+
+    def trace(self, da: np.ndarray) -> float:
+        """tr(M^{-1} dM) for dM = da @ Assembly.term_data: tr(D^{-1} dA_uu)
+        + tr(R^{-1} dR), dR the derivative of R with D^{-1} as above,
+
+            dR = dA_rr - dA_ru B - B' dA_ur + A_ru dA_uu A_ur / tau^2,
+
+        each trace a dot product on a fixed pattern: tr(R^{-1} dA_ru B) =
+        <dA_ur, B R^{-1}> and tr(R^{-1} A_ru dA_uu A_ur) = <dA_uu A_ur,
+        A_ur R^{-1}>."""
+        blocks, tau = self.blocks, self.tau_obs
+        d_uu = da @ blocks.term_uu
+        return (
+            (self._trace_uu(d_uu) - (self.a_uu.data @ d_uu) / tau) / tau
+            + float(self._sigma.data[blocks.rr_in_r] @ (da @ blocks.term_rr))
+            - 2.0 * float(self._b_sigma[blocks.ur_in_p] @ (da @ blocks.term_ur))
+            + float(self._a_sigma @ blocks.product(da, self.a)) / tau**2
+        )
+
+    def trace_uu(self) -> float:
+        """tr(Sigma_uu), the sum of Var(u) above."""
+        tau = self.tau_obs
+        return (self.blocks.n_o - (self._trace_uu(self.a_uu.data) - float(np.sum(self._spread()))) / tau) / tau
+
+    def variances(self) -> np.ndarray:
+        """The variances of (u_obs, x_miss)."""
+        blocks, tau = self.blocks, self.tau_obs
+        spread = np.bincount(blocks.ur[1], self._spread(), minlength=blocks.n_o)
+        var_u = (1.0 - (self.a_uu.data[blocks.uu_diag] - spread) / tau) / tau
+        n_m = self.model.miss_idx.size
+        return np.concatenate([var_u, self.factor.marginal_variances(np.arange(n_m))])
+
+    def columns(self) -> np.ndarray:
+        """The coefficient columns of M^{-1}."""
+        cols_r = self.factor.inverse_columns(np.arange(self.model.miss_idx.size, self.blocks.r))
+        return np.vstack([-(self.b @ cols_r), cols_r])
+
+
+class _NoRows:
+    """The factor of R when R has no rows: every response observed and
+    no coefficients."""
+
+    symbolic = None
+
+    def logdet(self) -> float:
+        return 0.0
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return np.zeros(0)
+
+    def inverse_on_pattern(self) -> sp.csc_matrix:
+        return sp.csc_matrix((0, 0))
+
+    def marginal_variances(self, indices) -> np.ndarray:
+        return np.zeros(0)
+
+    def inverse_columns(self, indices) -> np.ndarray:
+        return np.zeros((0, 0))
+
+
+def _copy_system(model: CompiledModel, theta, a: np.ndarray, tau_obs: float):
+    """M at theta as _Reduced when (s / tau_obs)^2 <= _EXPANSION_TOL, else
+    as _Factored."""
+    blocks = model.assembly.blocks
+    uu = a @ blocks.term_uu
+    # A_uu is symmetric, and every column holds its diagonal entry.
+    s = float(np.max(np.add.reduceat(np.abs(uu), blocks.uu[0][:-1])))
+    if (s / tau_obs) ** 2 <= _EXPANSION_TOL:
+        return _Reduced(model, theta, a, tau_obs, uu)
+    return _Factored(model, theta, a, tau_obs)
+
 
 def gaussian_evidence(
     model: CompiledModel,
@@ -396,47 +734,44 @@ def gaussian_evidence(
 ) -> tuple[float, GaussianState | np.ndarray | None]:
     """Exact log pi(y | theta) for the Gaussian copy likelihood.
 
+    The matrix M of the residual-shifted quadratic form is solved with
+    the observed residuals eliminated in closed form (_Reduced), which
+    factors a matrix of n_mis + p rows, or, where the bound on the terms
+    that drops fails (a low or free tau_obs), factored whole (_Factored).
     With wrt (names of hyperparameters), the second item is the gradient
-    of log pi(y | theta) with respect to them, from the same factorization
-    and its selected inverse (_evidence_gradient). With want_state it is
-    the conditional Gaussian of z; given a pending list, the state's
-    latent variances are left for _finish_variances, which reads those of
-    a whole grid row off one Takahashi sweep. The list keeps the factor's
-    L and D values; the factor itself, with its SuperLU object, is
-    dropped on return.
+    of log pi(y | theta) with respect to them, from the same system
+    (_evidence_gradient). With want_state it is the conditional Gaussian
+    of z; given a pending list, a whole-matrix state's latent variances
+    are left for _finish_variances, which reads those of a whole grid
+    row off one Takahashi sweep. The list keeps the factor's L and D
+    values; the factor itself, with its SuperLU object, is dropped on
+    return.
     """
     a, logdet_qp = model.prior_weights(theta)
     plan = _assembly(model)
     tau_obs = model.tau_obs_value(theta)
-    n, p = model.n, model.p
-    n_o = model.obs_idx.size
+    n, n_o = model.n, model.obs_idx.size
 
-    a_data = a @ plan.term_data
-    a_data[plan.obs_pos] += tau_obs
+    system = _copy_system(model, theta, a, tau_obs)
     c_vec = a @ plan.term_c
-    const = float(a @ plan.term_const)
-
-    factor = _factor(model, a_data, f"theta = {dict(theta)}")
-    w = factor.solve(c_vec)
-    s_min = const - float(c_vec @ w)
+    w = system.solve(c_vec)
+    s_min = float(a @ plan.term_const) - float(c_vec @ w)
     log_z = (
         -0.5 * n_o * _LOG_2PI
         + 0.5 * n_o * math.log(tau_obs)
         + 0.5 * logdet_qp
-        - 0.5 * factor.logdet()
+        - 0.5 * system.logdet()
         - 0.5 * s_min
     )
     mean_z = plan.g @ w + plan.z0
     if wrt:
-        return log_z, _evidence_gradient(model, theta, wrt, factor, mean_z, w[:n_o])
+        return log_z, _evidence_gradient(model, theta, wrt, system, mean_z, w[:n_o])
     if not want_state:
         return log_z, None
 
     mean_x, mean_c = mean_z[:n], mean_z[n:]
-    # The p coefficient columns, with cov_c and the cross terms, from one
-    # solve; cov_c is copied so that a kept state holds p x p, not
-    # (n+p) x p.
-    cols = factor.inverse_columns(np.arange(n, n + p))
+    cols = system.columns()
+    # cov_c is copied so that a kept state holds p x p, not (n+p) x p.
     state = GaussianState(
         mean_x=mean_x,
         var_x=None,
@@ -445,10 +780,10 @@ def gaussian_evidence(
         mean_eta=mean_x + model.b_design @ mean_c,
         var_eta=None,
     )
-    if pending is None:
-        _set_variances(model, state, factor.marginal_variances(np.arange(n)), cols)
+    if pending is not None and isinstance(system, _Factored):
+        pending.append((state, system.factor.symbolic, system.factor.factor_values(), cols))
     else:
-        pending.append((state, factor.symbolic, factor.factor_values(), cols))
+        _set_variances(model, state, system.variances(), cols)
     return log_z, state
 
 
@@ -489,7 +824,7 @@ def _evidence_gradient(
     model: CompiledModel,
     theta: Mapping[str, float],
     wrt: Sequence[str],
-    factor: CholeskyHandle,
+    system,
     mean_z: np.ndarray,
     resid: np.ndarray,
 ) -> np.ndarray:
@@ -498,35 +833,33 @@ def _evidence_gradient(
 
         d/dt = 1/2 d log|Q|/dt - 1/2 tr(M^{-1} dM/dt) - 1/2 mu' (dQ/dt) mu,
 
-    with M the factored matrix and mu the conditional mean of z (the last
-    term is the envelope theorem on the quadratic minimum). With da/dt the
-    derivative of the prior's weights, dQ/dt = sum_t da_t/dt K_t and dM/dt
-    = da/dt @ Assembly.term_data, and the trace is a dot product with the
-    selected inverse (CholeskyHandle.inverse_dot). da/dt and d log|Q|/dt
-    are central differences of prior_weights at t +- h (h = _DIFF_STEP;
-    the mode search keeps t that far inside the clamp) and need no
-    factorization: they are exact to rounding in rho, in which the weights
-    are quadratic, and in log tau, in which log|Q| is linear (the weights
-    gain the relative error h^2/6). log tau_obs enters through the
-    likelihood alone, in closed form: n_o/2 - tau_obs/2 (tr Sigma_uu +
-    u'u) for the residuals u.
+    with M the matrix of the quadratic form and mu the conditional mean
+    of z (the last term is the envelope theorem on the quadratic
+    minimum). With da/dt the derivative of the prior's weights, dQ/dt =
+    sum_t da_t/dt K_t and dM/dt = da/dt @ Assembly.term_data; the system
+    gives the trace (_Reduced.trace from R's selected inverse and the
+    closed-form u block, _Factored.trace from M's). da/dt and
+    d log|Q|/dt are central differences of prior_weights at t +- h (h =
+    _DIFF_STEP; the mode search keeps t that far inside the clamp) and
+    need no factorization: they are exact to rounding in rho, in which
+    the weights are quadratic, and in log tau, in which log|Q| is linear
+    (the weights gain the relative error h^2/6). log tau_obs enters
+    through the likelihood alone, in closed form: n_o/2 - tau_obs/2
+    (tr Sigma_uu + u'u) for the residuals u.
     """
     grad = np.zeros(len(wrt))
     h = _DIFF_STEP
-    plan = model.assembly
     for i, name in enumerate(wrt):
         if name == "log_tau_obs":
             tau_obs = model.tau_obs_value(theta)
-            n_o = resid.size
-            trace = float(np.sum(factor.marginal_variances(np.arange(n_o))))
-            grad[i] = 0.5 * n_o - 0.5 * tau_obs * (trace + float(resid @ resid))
+            grad[i] = 0.5 * resid.size - 0.5 * tau_obs * (system.trace_uu() + float(resid @ resid))
             continue
         a_hi, logdet_hi = model.prior_weights({**theta, name: theta[name] + h})
         a_lo, logdet_lo = model.prior_weights({**theta, name: theta[name] - h})
         da = (a_hi - a_lo) / (2.0 * h)
         grad[i] = 0.5 * (
             (logdet_hi - logdet_lo) / (2.0 * h)
-            - factor.inverse_dot(plan.matrix(da @ plan.term_data))
+            - system.trace(da)
             - float(mean_z @ (model.prior.matrix(da) @ mean_z))
         )
     return grad
@@ -727,8 +1060,8 @@ def log_conditional_evidence(
 
     wrt and pending are for the Gaussian likelihood (gaussian_evidence):
     with wrt the second item is the gradient of log pi(y | theta) with
-    respect to the named hyperparameters; with pending the state's latent
-    variances wait for _finish_variances.
+    respect to the named hyperparameters; with pending a whole-matrix
+    state's latent variances wait for _finish_variances.
     """
     compiled = getattr(model, "compiled", model)
     theta = _clamp_theta(dict(theta))
@@ -1112,7 +1445,8 @@ def _mode_and_scale(model: CompiledModel):
 def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool):
     # Every exploration starts cold, from no mode and no analysis, so its
     # result does not depend on what was evaluated on the model before.
-    model.symbolic = model.assembly = model.last_mode = model.last_factor = None
+    model.symbolic = model.reduced_symbolic = model.assembly = None
+    model.last_mode = model.last_factor = None
     free = model.free_dims()
     d = len(free)
     theta_fixed = {dim.name: dim.fixed for dim in model.hyper_dims if dim.fixed is not None}
@@ -1141,8 +1475,8 @@ def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool)
     log_ev = np.empty(points.shape[0])
     log_pr = np.empty(points.shape[0])
     states: list[GaussianState] = []
-    # Gaussian states leave their latent variances pending until the end
-    # of their grid row, which shares one Takahashi sweep.
+    # Whole-matrix Gaussian states leave their latent variances pending
+    # until the end of their grid row, which shares one Takahashi sweep.
     pending = [] if want_states else None
     for g in range(points.shape[0]):
         theta = model.theta_from_vector(points[g])
@@ -1378,7 +1712,8 @@ def fit_compiled(
     # A kept fit holds its results, not the factorization workspace or
     # the last mode and factor; a later evaluation analyses its pattern
     # again and starts Newton from zero.
-    model.symbolic = model.assembly = model.last_mode = model.last_factor = None
+    model.symbolic = model.reduced_symbolic = model.assembly = None
+    model.last_mode = model.last_factor = None
     weights = grid.weights
     g_count, n, p = len(states), model.n, model.p
 

@@ -526,13 +526,21 @@ class CholeskyHandle:
         return _diagonal(self.symbolic, self._selected())[indices]
 
     def inverse_dot(self, mat: sp.csc_matrix) -> float:
-        """tr(A^{-1} B) = sum_ij (A^{-1})_ij B_ij for a symmetric B whose
-        pattern lies inside the analysed one: a dot product with the
-        selected inverse, which holds every entry of A^{-1} that B meets."""
+        """tr(A^{-1} B) = sum_ij (A^{-1})_ij B_ij for a B whose pattern
+        lies inside the analysed one: a dot product with the selected
+        inverse, which holds every entry of A^{-1} that B meets."""
         data = self.symbolic.scatter(canonical_csc(mat))
         if data is None:
             raise InvalidInputError("matrix has entries outside the analysed pattern")
         return float(self._selected()[self.symbolic.positions()] @ data)
+
+    def inverse_on_pattern(self) -> sp.csc_matrix:
+        """The entries of A^{-1} on the analysed pattern, as a matrix on
+        that pattern."""
+        s = self.symbolic
+        return sp.csc_matrix(
+            (self._selected()[s.positions()], s.indices, s.indptr), shape=self.shape
+        )
 
     def inverse_columns(self, indices) -> np.ndarray:
         """Columns of the inverse at the requested coordinates, one solve."""

@@ -179,60 +179,87 @@ def gradient_at_mode(compiled, theta, state):
     return float(np.max(np.abs(grad)))
 
 
-def reference_prior(model, theta):
-    """The engine's prior (Q, log|Q|) assembled as products at each theta:
-    (I - rho W)'(I - rho W) and a block matrix, with log|det(I - rho W)|
-    from a dense determinant."""
-    import scipy.sparse as sp
-
+def reference_prior_matrix(model, theta):
+    """The engine's prior Q assembled as products at each theta:
+    (I - rho W)'(I - rho W) in a block matrix."""
     c = model.compiled
     n = c.n
     q_fixed = np.full(c.b_design.shape[1], model.priors.q_beta_diag)
     if model.kind == "slx":
         tau_u = math.exp(theta["log_tau_iid"])
-        q = sp.diags(np.concatenate([np.full(n, tau_u), q_fixed])).tocsc()
-        return q, n * math.log(tau_u) + float(np.sum(np.log(q_fixed)))
+        return sp.diags(np.concatenate([np.full(n, tau_u), q_fixed])).tocsc()
     spec = model.slm
     rho = rho_to_external(theta["rho_internal"], spec.w.rho_range())
     tau = math.exp(theta["log_tau"])
     a = sp.identity(n, format="csr") - rho * spec.w.mat
-    logdet = n * math.log(tau) + 2.0 * np.linalg.slogdet(a.toarray())[1]
     top_left = tau * (a.T @ a)
     x = spec.x_design
     if spec.p:
         top_right = sp.csr_matrix(-tau * (a.T @ x))
         bottom_right = sp.csr_matrix(spec.q_beta + tau * (x.T @ x))
         q = sp.bmat([[top_left, top_right], [top_right.T, bottom_right]], format="csc")
-        logdet += np.linalg.slogdet(spec.q_beta)[1]
     else:
         q = top_left.tocsc()
     if model.kind in ("sem", "sdem") and q_fixed.size:
         q = sp.block_diag([q, sp.diags(q_fixed)], format="csc")
-        logdet += float(np.sum(np.log(q_fixed)))
+    return q
+
+
+def reference_prior(model, theta):
+    """(Q, log|Q|): reference_prior_matrix, with log|det(I - rho W)| from
+    a dense determinant."""
+    c = model.compiled
+    n = c.n
+    q = reference_prior_matrix(model, theta)
+    log_q_fixed = float(np.sum(np.log(np.full(c.b_design.shape[1], model.priors.q_beta_diag))))
+    if model.kind == "slx":
+        return q, n * math.log(math.exp(theta["log_tau_iid"])) + log_q_fixed
+    spec = model.slm
+    rho = rho_to_external(theta["rho_internal"], spec.w.rho_range())
+    a = sp.identity(n, format="csr") - rho * spec.w.mat
+    logdet = n * math.log(math.exp(theta["log_tau"])) + 2.0 * np.linalg.slogdet(a.toarray())[1]
+    if spec.p:
+        logdet += np.linalg.slogdet(spec.q_beta)[1]
+    if model.kind in ("sem", "sdem"):
+        logdet += log_q_fixed
     return q, float(logdet)
+
+
+def residual_shift(model):
+    """The map z = G v + z0 from the residual-shifted coordinates v =
+    (u_obs, x_miss, c) onto z = (x, c), as a sparse G and z0."""
+    c = model.compiled
+    n, p = c.n, c.p
+    obs, mis = c.obs_idx, c.miss_idx
+    n_o, n_m = obs.size, mis.size
+    xb = c.b_design[obs]
+    coef = n_o + n_m + np.arange(p)
+    rows = np.concatenate([obs, np.repeat(obs, p), mis, n + np.arange(p)])
+    cols = np.concatenate([np.arange(n_o), np.tile(coef, n_o), n_o + np.arange(n_m), coef])
+    vals = np.concatenate([-np.ones(n_o), -xb.ravel(), np.ones(n_m + p)])
+    g = sp.csr_matrix((vals, (rows, cols)), shape=(n + p, n + p))
+    z0 = np.zeros(n + p)
+    z0[obs] = c.y[obs]
+    return g, z0
+
+
+def reference_gaussian_matrix(model, theta):
+    """G'(Q G) in the residual-shifted coordinates, sparse, without the
+    copy precision on the u diagonal."""
+    g, _ = residual_shift(model)
+    return sp.csc_matrix(g.T @ (reference_prior_matrix(model, theta) @ g))
 
 
 def reference_gaussian_system(model, theta):
     """The Gaussian layer's matrix G'(Q G) + shift in the residual-shifted
     coordinates (u_obs, x_miss, c), with its log evidence from dense
     linear algebra."""
-    import scipy.sparse as sp
-
     c = model.compiled
-    n, p = c.n, c.p
-    obs, mis = c.obs_idx, c.miss_idx
-    n_o, n_m = obs.size, mis.size
+    n_o = c.obs_idx.size
     tau_obs = c.tau_obs if c.tau_obs is not None else math.exp(theta["log_tau_obs"])
-    g = np.zeros((n + p, n + p))
-    g[obs, np.arange(n_o)] = -1.0
-    g[np.ix_(obs, n_o + n_m + np.arange(p))] = -c.b_design[obs]
-    g[mis, n_o + np.arange(n_m)] = 1.0
-    g[n + np.arange(p), n_o + n_m + np.arange(p)] = 1.0
-    g = sp.csr_matrix(g)
-    z0 = np.zeros(n + p)
-    z0[obs] = c.y[obs]
+    g, z0 = residual_shift(model)
     q, logdet_q = reference_prior(model, theta)
-    shift = np.concatenate([np.full(n_o, tau_obs), np.zeros(n_m + p)])
+    shift = np.concatenate([np.full(n_o, tau_obs), np.zeros(c.n + c.p - n_o)])
     a = (g.T @ (q @ g) + sp.diags(shift)).toarray()
     qz0 = q @ z0
     c_vec = -(g.T @ qz0)
@@ -245,6 +272,30 @@ def reference_gaussian_system(model, theta):
         - 0.5 * s_min
     )
     return a, log_z
+
+
+def reference_gaussian_state(model, theta):
+    """The conditional Gaussian of z = (x, c), as a dict of GaussianState's
+    fields, from the dense inverse of reference_gaussian_system's matrix:
+    z = G v + z0 with v ~ N(A^{-1} c, A^{-1})."""
+    c = model.compiled
+    n = c.n
+    a, _ = reference_gaussian_system(model, theta)
+    g, z0 = residual_shift(model)
+    g = g.toarray()
+    c_vec = -(g.T @ (reference_prior_matrix(model, theta) @ z0))
+    cov_v = np.linalg.inv(a)
+    mean_z = g @ np.linalg.solve(a, c_vec) + z0
+    cov_z = g @ cov_v @ g.T
+    b = np.hstack([np.eye(n), c.b_design]) @ g
+    return {
+        "mean_x": mean_z[:n],
+        "var_x": np.diag(cov_z)[:n],
+        "mean_c": mean_z[n:],
+        "cov_c": cov_z[n:, n:],
+        "mean_eta": mean_z[:n] + c.b_design @ mean_z[n:],
+        "var_eta": np.einsum("ij,jk,ik->i", b, cov_v, b),
+    }
 
 
 def reference_probit_system(model, theta, z):

@@ -3,7 +3,10 @@
 The reference is the assembly as products at each theta, in
 tests/oracles.py: (I - rho W)'(I - rho W) in a block matrix, then
 G'(Q G) plus the copy shift for the Gaussian layer, or Q plus the
-curvature blocks for the probit Hessian.
+curvature blocks for the probit Hessian. A Gaussian evidence factors
+that matrix only where the copy precision is too low to eliminate the
+observed residuals in closed form; the assembled matrix is checked on
+that path.
 """
 
 import warnings
@@ -20,6 +23,7 @@ from spatecon.engine import gaussian_evidence, log_conditional_evidence
 from oracles import (
     delaunay_weights,
     random_weights,
+    reference_gaussian_matrix,
     reference_gaussian_system,
     reference_probit_system,
     simulate_slm,
@@ -73,15 +77,22 @@ def probit_model(kind, seed=4, n=45):
 @pytest.mark.parametrize("kind", se.KINDS)
 def test_gaussian_assembly_matches_products(kind, monkeypatch):
     model = gaussian_model(kind)
+    c = model.compiled
+    size, reduced = c.n + c.p, c.miss_idx.size + c.p
     seen = record_factored(monkeypatch)
     for theta in THETAS:
         if kind == "slx":
             theta = {"log_tau_iid": theta["log_tau"]}
-        log_z, _ = gaussian_evidence(model.compiled, theta)
         a_ref, log_z_ref = reference_gaussian_system(model, theta)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_copy_system", engine._Factored)
+            log_z_factored, _ = gaussian_evidence(c, theta)
         assert_same_matrix(seen[-1], a_ref)
-        assert abs(log_z - log_z_ref) <= 1e-10 * abs(log_z_ref)
-    assert len(seen) == len(THETAS)
+        log_z, _ = gaussian_evidence(c, theta)
+        for got in (log_z_factored, log_z):
+            assert abs(got - log_z_ref) <= 1e-10 * abs(log_z_ref)
+    # The default path factors the reduced system alone.
+    assert [m.shape[0] for m in seen] == [size, reduced] * len(THETAS)
 
 
 @pytest.mark.parametrize("kind", ["slm", "sem"])
@@ -103,9 +114,9 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     real_splu, real_evidence = spla.splu, engine.log_conditional_evidence
     real_lu, real_log_abs_det = weights._logabsdet_sparse, se.WeightsMatrix.log_abs_det
 
-    def counting_splu(*args, **kwargs):
-        splu_calls.append(kwargs.get("permc_spec"))
-        return real_splu(*args, **kwargs)
+    def counting_splu(mat, *args, **kwargs):
+        splu_calls.append((mat.shape[0], kwargs.get("permc_spec")))
+        return real_splu(mat, *args, **kwargs)
 
     def counting_evidence(*args, **kwargs):
         evidence_calls.append(1)
@@ -129,12 +140,46 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     assert model.w.spectrum() is None
     se.fit(model)
     assert len(evidence_calls) > 50
+    c = model.compiled
+    sizes = [size for size, _ in splu_calls]
+    # No factorization of the n + p matrix at the default copy precision:
+    # each evidence factors the reduced system of n_mis + p rows once.
+    assert c.n + c.p not in sizes
+    assert sizes.count(c.miss_idx.size + c.p) == len(evidence_calls)
     # Each LU of I - rho W is one splu call of its own, one per distinct rho.
     assert len(logdet_lus) == len(set(logdet_rhos))
-    assert len(splu_calls) - len(logdet_lus) == len(evidence_calls)
+    assert sizes.count(c.n) == len(logdet_lus)
+    assert len(sizes) == len(evidence_calls) + len(logdet_lus)
     # One ordering, then every factorization reuses it.
-    assert splu_calls.count("MMD_AT_PLUS_A") == 1
-    assert splu_calls.count("COLAMD") == 1
+    specs = [spec for _, spec in splu_calls]
+    assert specs.count("MMD_AT_PLUS_A") == 1
+    assert specs.count("COLAMD") == 1
+
+
+def test_assembly_keys_do_not_overflow_int32():
+    # The keys col * size + row of the assembled pattern pass 2^31 from
+    # size 46,342 on; int32 keys put the prior's terms on wrong entries.
+    rng = np.random.default_rng(16)
+    n = 46_341
+    w = random_weights(rng, n, 4)
+    y = rng.normal(size=n)
+    model = se.build("slm", y, rng.normal(size=(n, 1)), w, priors=se.ModelPriors(rho_fixed=0.3))
+    c = model.compiled
+    assert c.n + c.p > 46_341
+    theta = {"rho_internal": c.hyper_dims[0].fixed, "log_tau": 0.4}
+    a, _ = c.prior_weights(theta)
+    plan = engine._assembly(c)
+    got = plan.matrix(a @ plan.term_data)
+    assert abs(got - got.T).max() <= 1e-12 * abs(got).max()
+    want = reference_gaussian_matrix(model, theta)
+    # The last columns hold the largest keys.
+    size = c.n + c.p
+    for j in (0, n // 2, n - 1, n, size - 1):
+        rows = want[:, j].nonzero()[0]
+        col_got, col_want = got[:, j].toarray().ravel(), want[:, j].toarray().ravel()
+        scale = np.sqrt(np.abs(want.diagonal()[j] * want.diagonal()))
+        assert np.all(np.abs(col_got - col_want) <= 1e-10 * scale), j
+        assert rows.size and np.all(col_got[rows] != 0.0)
 
 
 @pytest.mark.parametrize("make", ["knn", "delaunay"])

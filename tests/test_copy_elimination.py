@@ -1,0 +1,158 @@
+"""The Gaussian evidence eliminates the observed residuals in closed form.
+
+engine._Reduced factors a matrix of n_mis + p rows instead of the whole
+(n + p) matrix that engine._Factored factors; the evidence takes the
+reduced system wherever the bound on the terms it drops holds. Called
+directly, the two paths agree on the evidence, its gradient and every
+field of the conditional Gaussian; where the bound fails (a low copy
+precision) the evidence factors the whole matrix and matches the dense
+oracle of tests/oracles.py.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+import spatecon as se
+from spatecon import engine
+from spatecon.engine import GaussianState, gaussian_evidence
+
+from oracles import (
+    delaunay_weights,
+    random_weights,
+    reference_gaussian_state,
+    reference_gaussian_system,
+    simulate_slm,
+)
+
+THETAS = {
+    "lag": [
+        {"rho_internal": 0.25, "log_tau": 0.4},
+        {"rho_internal": 0.55, "log_tau": 1.3},
+        {"rho_internal": 0.85, "log_tau": 2.2},
+    ],
+    "slx": [{"log_tau_iid": 0.4}, {"log_tau_iid": 1.3}, {"log_tau_iid": 2.2}],
+    # A fixed rho with a free copy precision high enough for the bound.
+    "fixed_rho": [
+        {"log_tau": 0.4, "log_tau_obs": 16.5},
+        {"log_tau": 1.3, "log_tau_obs": 17.5},
+        {"log_tau": 2.2, "log_tau_obs": 18.4},
+    ],
+}
+
+
+def gaussian_model(kind, missing=4, n=40, seed=81, **priors):
+    rng = np.random.default_rng(seed)
+    w = random_weights(rng, n, 4)
+    y, x = simulate_slm(rng, w, [1.0, 0.7, -0.4], 0.5, 0.6)
+    y = y + rng.normal(scale=0.2, size=n)
+    y[rng.choice(n, size=missing, replace=False)] = np.nan
+    return se.build(kind, y, x, w, priors=se.ModelPriors(**priors))
+
+
+def evaluate(path, model, theta, **kwargs):
+    """gaussian_evidence with the system of the given path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_copy_system", path)
+        return gaussian_evidence(model.compiled, theta, **kwargs)
+
+
+def relative(got, want) -> float:
+    want = np.asarray(want)
+    if not want.size:
+        return 0.0
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+def assert_paths_agree(model, thetas):
+    c = model.compiled
+    names = tuple(d.name for d in c.free_dims())
+    for theta in thetas:
+        theta = c.theta_from_vector([theta[name] for name in names])
+        gaussian_evidence(c, theta)
+        a, _ = c.prior_weights(theta)
+        assert isinstance(engine._copy_system(c, theta, a, c.tau_obs_value(theta)), engine._Reduced)
+        got, want = (evaluate(path, model, theta) for path in (engine._Reduced, engine._Factored))
+        assert relative(got[0], want[0]) <= 1e-10
+        _, got = evaluate(engine._Reduced, model, theta, wrt=names)
+        _, want = evaluate(engine._Factored, model, theta, wrt=names)
+        assert relative(got, want) <= 1e-10, (theta, got, want)
+        _, got = evaluate(engine._Reduced, model, theta, want_state=True)
+        _, want = evaluate(engine._Factored, model, theta, want_state=True)
+        for field in dataclasses.fields(GaussianState):
+            name = field.name
+            assert relative(getattr(got, name), getattr(want, name)) <= 1e-10, (theta, name)
+
+
+@pytest.mark.parametrize("kind", se.KINDS)
+def test_reduced_system_matches_the_factored_one(kind):
+    model = gaussian_model(kind)
+    assert model.compiled.miss_idx.size == 4
+    assert_paths_agree(model, THETAS["slx" if kind == "slx" else "lag"])
+
+
+@pytest.mark.parametrize("kind", ["sem", "slm", "sdm", "sdem"])
+def test_reduced_system_matches_at_a_fixed_rho(kind):
+    model = gaussian_model(kind, rho_fixed=0.3, tau_obs_hyper=True)
+    assert [d.name for d in model.compiled.free_dims()] == ["log_tau", "log_tau_obs"]
+    assert_paths_agree(model, THETAS["fixed_rho"])
+
+
+def test_every_response_observed_and_no_coefficients():
+    # The reduced system then has no rows at all.
+    rng = np.random.default_rng(82)
+    w = random_weights(rng, 30, 4)
+    y, _ = simulate_slm(rng, w, [0.0], 0.5, 0.6)
+    model = se.build("sem", y, None, w, intercept=False)
+    assert model.compiled.p == 0 and model.compiled.miss_idx.size == 0
+    assert_paths_agree(model, THETAS["lag"])
+
+
+@pytest.mark.parametrize("kind", ["slm", "sdem"])
+def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
+    # With tau_obs = 1e4 the bound (s / tau_obs)^2 <= 1e-10 fails: every
+    # evidence factors the n + p matrix once.
+    model = gaussian_model(kind, tau_obs=1e4)
+    c = model.compiled
+    sizes = []
+    real_splu = spla.splu
+
+    def counting_splu(mat, *args, **kwargs):
+        sizes.append(mat.shape[0])
+        return real_splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    for theta in THETAS["lag"]:
+        log_z, state = gaussian_evidence(c, theta, want_state=True)
+        _, want = reference_gaussian_system(model, theta)
+        assert abs(log_z - want) <= 1e-10 * abs(want)
+        ref = reference_gaussian_state(model, theta)
+        for name, value in ref.items():
+            assert relative(getattr(state, name), value) <= 1e-10, name
+    assert [s for s in sizes if s != c.n] == [c.n + c.p] * len(THETAS["lag"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_free_copy_precision_fits_run_to_the_end(seed, monkeypatch):
+    # A free tau_obs near the data's noise precision fails the bound, so
+    # these fits factor the whole matrix; seeds 2-4 also visit points that
+    # pass it.
+    paths = set()
+    real = engine._copy_system
+
+    def recording(*args):
+        system = real(*args)
+        paths.add(type(system))
+        return system
+
+    monkeypatch.setattr(engine, "_copy_system", recording)
+    rng = np.random.default_rng(seed)
+    w = delaunay_weights(rng, 60)
+    y, x = simulate_slm(rng, w, [1.0, 0.8, -0.6], 0.6, 0.5)
+    fit = se.fit(se.build("slm", y, x, w, priors=se.ModelPriors(tau_obs_hyper=True)))
+    assert fit.grid.dims == ("rho_internal", "log_tau", "log_tau_obs")
+    assert math.isfinite(fit.log_mlik) and math.isfinite(fit.dic)
+    assert engine._Factored in paths

@@ -217,9 +217,9 @@ class TestGradientModeSearch:
 class TestGridRowVariances:
     @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
     def test_row_sweep_matches_per_point_states(self, kind):
-        # The grid reads its variances off one Takahashi sweep per row;
-        # each point's own state gives the same numbers, but for the
-        # rounding of a new analysis (fit_compiled drops the model's).
+        # Each grid point's state, kept by the fit, gives the same numbers
+        # as that point evaluated again, but for the rounding of a new
+        # analysis (fit_compiled drops the model's).
         model = gaussian_model(kind, seed=77)
         fit = se.fit(model)
         for g in range(fit.grid.points.shape[0]):

@@ -1,8 +1,12 @@
 """Engine variances come from the selected inverse, never a dense inverse.
 
-The reference path is the same engine reading its variances and
+The probit reference is the same engine reading its variances and
 coefficient columns off CholeskyHandle.inverse_dense, which is how the
-engine worked before selected inversion.
+engine worked before selected inversion. A Gaussian evidence eliminates
+the observed residuals and factors a smaller matrix, so its reference is
+the dense (n + p) system of tests/oracles.py, or, for a whole fit, the
+fit's own evidence with each state read off the dense inverse of the
+(n + p) matrix it stands for.
 """
 
 import math
@@ -10,10 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from spatecon import CholeskyHandle, build, fit, log_conditional_evidence
+from spatecon import CholeskyHandle, build, engine, fit, log_conditional_evidence
 from spatecon.engine import laplace_inner
 
-from oracles import random_weights, simulate_slm
+from oracles import (
+    random_weights,
+    reference_gaussian_state,
+    reference_gaussian_system,
+    simulate_slm,
+)
 
 
 def dense_reference(monkeypatch):
@@ -26,6 +35,23 @@ def dense_reference(monkeypatch):
     monkeypatch.setattr(
         CholeskyHandle, "inverse_columns", lambda self, idx: self.inverse_dense()[:, idx]
     )
+
+
+def dense_gaussian_states(monkeypatch):
+    """Read every Gaussian state off the dense inverse of the (n + p)
+    matrix M = [[tau_obs I + A_uu, A_ur], [A_ru, A_rr]] that the reduced
+    system stands for, assembled from the fit's terms."""
+
+    def inverse(system):
+        plan = system.model.assembly
+        data = system.a @ plan.term_data
+        data[plan.obs_pos] += system.tau_obs
+        return np.linalg.inv(plan.matrix(data).toarray())
+
+    monkeypatch.setattr(
+        engine._Reduced, "variances", lambda self: np.diag(inverse(self))[: self.model.n]
+    )
+    monkeypatch.setattr(engine._Reduced, "columns", lambda self: inverse(self)[:, self.model.n :])
 
 
 def forbid_dense_inverse(monkeypatch):
@@ -81,12 +107,17 @@ def test_state_matches_dense_inverse(name, monkeypatch):
     model = MODELS[name]()
     theta = THETAS[name]
     log_z, state = state_of(model, theta)
-    with monkeypatch.context() as m:
-        dense_reference(m)
-        ref_log_z, ref = state_of(model, theta)
+    if name.startswith("gaussian"):
+        _, ref_log_z = reference_gaussian_system(model, theta)
+        ref = reference_gaussian_state(model, theta)
+    else:
+        with monkeypatch.context() as m:
+            dense_reference(m)
+            ref_log_z, ref_state = state_of(model, theta)
+        ref = vars(ref_state)
     assert abs(log_z - ref_log_z) <= 1e-10 * abs(ref_log_z)
     for field in ("var_x", "var_eta", "cov_c", "mean_x", "mean_c"):
-        got, want = getattr(state, field), getattr(ref, field)
+        got, want = getattr(state, field), ref[field]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-10 * scale, field
 
@@ -114,8 +145,12 @@ FITS = {
 
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_fit_never_builds_a_dense_inverse(name, monkeypatch):
+    # A Gaussian fit's grid moves with the round-off of its evidence (the
+    # Hessian stencil multiplies it by about 4 / h^2), so its reference
+    # keeps the fit's own evidence and reads each state densely.
     with monkeypatch.context() as m:
         dense_reference(m)
+        dense_gaussian_states(m)
         ref = fit(FITS[name]())
     forbid_dense_inverse(monkeypatch)
     got = fit(FITS[name]())
