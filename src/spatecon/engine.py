@@ -51,7 +51,6 @@ from .gmrf import (
     CholeskyHandle,
     PrecisionTerms,
     SymbolicFactor,
-    canonical_csc,
     marginal_variance_stack,
 )
 
@@ -305,36 +304,30 @@ class CopyBlocks:
 
         M = [[tau_obs I + A_uu, A_ur], [A_ru, A_rr]],
 
-    with A = sum_t a_t G'K_tG. Each block keeps its terms' data on a fixed
-    CSC pattern (A_ur is the n_o x (n_mis + p) block above the diagonal),
-    and so does the product A_uu A_ur, one row of data per pair of terms
-    (term_p; pairs with a zero block are left out). A theta then costs
-    weighted sums, and the reduced matrix R = A_rr - A_ru D^{-1} A_ur
-    (_Reduced) one sparse product. r_pattern is R's pattern: the union of
-    those of A_rr and A_ru A_uu A_ur (which holds A_ru A_ur), so that no
-    entry of R or of its derivatives falls outside it. Keys are
-    col * rows + row; the *_in_* arrays place one pattern's entries in
-    another's.
+    with A = sum_t a_t G'K_tG. A_uu and A_ur (the n_o x (n_mis + p) block
+    above the diagonal) keep their terms' data on fixed CSC patterns. The
+    reduced matrix of _Reduced,
+
+        R = A_rr - A_ru A_ur / tau + A_ru A_uu A_ur / tau^2,
+
+    is a polynomial in the prior's weights a, so it is stored the way the
+    prior is (r_terms, PrecisionTerms): the terms of A_rr; A_ru,s A_ur,t
+    for each pair s <= t; and A_ru,s A_uu,q A_ur,t for each q and each
+    such pair. Each term is exactly symmetric (a pair s < t holds both of
+    its orders), and products with a zero block are left out. A theta then
+    costs the weights r_weights(a, tau) and one weighted sum (r_matrix).
     """
 
     n_o: int
     r: int
-    uu: tuple[np.ndarray, np.ndarray]  # (indptr, indices) of each pattern
+    uu: tuple[np.ndarray, np.ndarray]  # (indptr, indices) of each block
     ur: tuple[np.ndarray, np.ndarray]
-    rr: tuple[np.ndarray, np.ndarray]
-    p: tuple[np.ndarray, np.ndarray]
-    r_pattern: tuple[np.ndarray, np.ndarray]
     term_uu: np.ndarray  # (T, nnz) of each block
     term_ur: np.ndarray
-    term_rr: np.ndarray
-    pairs: np.ndarray  # (P, 2) term indices (t of A_uu, s of A_ur)
-    term_p: np.ndarray  # (P, nnz): A_uu,t A_ur,s
     uu_diag: np.ndarray  # positions of A_uu's diagonal in its data
-    ur_in_p: np.ndarray
-    rr_in_r: np.ndarray
-    p_keys: np.ndarray
-    r_keys: np.ndarray
-    r_transpose: np.ndarray  # position of each entry's transpose in r_pattern
+    pairs: np.ndarray  # (P, 2) terms s <= t of A_ur in each product
+    uu_terms: np.ndarray  # terms q of A_uu in the triple products
+    r_terms: PrecisionTerms  # R's terms: A_rr's, the pairs', then q-major the triples'
 
     @classmethod
     def split(cls, keys: np.ndarray, size: int, n_o: int, term_data: np.ndarray) -> "CopyBlocks":
@@ -347,56 +340,59 @@ class CopyBlocks:
         uu_pattern = _csc_pattern(cols[uu], rows[uu], n_o)
         ur_pattern = _csc_pattern(cols[ur] - n_o, rows[ur], r)
         rr_pattern = _csc_pattern(cols[rr] - n_o, rows[rr] - n_o, r)
-        term_uu, term_ur, term_rr = term_data[:, uu], term_data[:, ur], term_data[:, rr]
-
-        def ones(pattern, shape):
-            return _on(pattern, np.ones(pattern[1].size), shape)
-
-        # A_uu holds its diagonal, so P's pattern holds A_ur's, and R's
-        # holds A_ru A_ur; sums of ones lose no entry to cancellation.
-        ones_ur = ones(ur_pattern, (n_o, r))
-        p_struct = canonical_csc(ones(uu_pattern, (n_o, n_o)) @ ones_ur)
-        r_struct = canonical_csc(ones(rr_pattern, (r, r)) + ones_ur.T @ p_struct)
-        p_pattern = (p_struct.indptr, p_struct.indices)
-        p_keys, r_keys = _csc_keys(p_struct), _csc_keys(r_struct)
+        term_uu, term_ur = term_data[:, uu], term_data[:, ur]
+        a_uu = [_on(uu_pattern, data, (n_o, n_o)) for data in term_uu]
+        a_ur = [_on(ur_pattern, data, (n_o, r)) for data in term_ur]
+        with_ur = [t for t, data in enumerate(term_ur) if data.any()]
         pairs = np.array(
-            [(t, s) for t in range(term_data.shape[0]) if term_uu[t].any()
-             for s in range(term_data.shape[0]) if term_ur[s].any()],
-            dtype=np.intp,
+            list(itertools.combinations_with_replacement(with_ur, 2)), dtype=np.intp
         ).reshape(-1, 2)
-        term_p = np.array([
-            _values_at(
-                _on(uu_pattern, term_uu[t], (n_o, n_o)) @ _on(ur_pattern, term_ur[s], (n_o, r)),
-                p_pattern,
-                p_keys,
-            )
-            for t, s in pairs
-        ]).reshape(len(pairs), p_keys.size)
+        uu_terms = np.array([q for q, data in enumerate(term_uu) if data.any()], dtype=np.intp)
+
+        def symmetric(mat, both=False):
+            return mat + mat.T if both else 0.5 * (mat + mat.T)
+
+        def product(s, t, q=None):
+            prod = a_ur[s].T @ (a_ur[t] if q is None else a_uu[q] @ a_ur[t])
+            return symmetric(prod, s < t)
+
+        r_terms = PrecisionTerms.union(
+            [symmetric(_on(rr_pattern, data, (r, r))) for data in term_data[:, rr]]
+            + [product(s, t) for s, t in pairs]
+            + [product(s, t, q) for q in uu_terms for s, t in pairs]
+        )
         return cls(
             n_o=n_o,
             r=r,
             uu=uu_pattern,
             ur=ur_pattern,
-            rr=rr_pattern,
-            p=p_pattern,
-            r_pattern=(r_struct.indptr, r_struct.indices),
             term_uu=term_uu,
             term_ur=term_ur,
-            term_rr=term_rr,
-            pairs=pairs,
-            term_p=term_p,
             uu_diag=np.flatnonzero(rows[uu] == cols[uu]),
-            ur_in_p=np.searchsorted(p_keys, (cols[ur] - n_o) * n_o + rows[ur]),
-            rr_in_r=np.searchsorted(r_keys, (cols[rr] - n_o) * r + rows[rr] - n_o),
-            p_keys=p_keys,
-            r_keys=r_keys,
-            r_transpose=np.searchsorted(r_keys, (r_keys % r) * r + r_keys // r),
+            pairs=pairs,
+            uu_terms=uu_terms,
+            r_terms=r_terms,
         )
 
-    def product(self, a_uu: np.ndarray, a_ur: np.ndarray) -> np.ndarray:
-        """A_uu A_ur on the pattern of P, for the term weights a_uu of A_uu
-        and a_ur of A_ur."""
-        return (a_uu[self.pairs[:, 0]] * a_ur[self.pairs[:, 1]]) @ self.term_p
+    def r_matrix(self, a: np.ndarray, tau: float) -> sp.csc_matrix:
+        """R at the prior's weights a and tau = tau_obs, exactly symmetric
+        like its terms: einsum runs the same operations for every entry,
+        where a BLAS matrix-vector product can round an entry and its
+        transpose apart."""
+        data = np.einsum("t,tk->k", self.r_weights(a, tau), self.r_terms.data)
+        return _on((self.r_terms.indptr, self.r_terms.indices), data, (self.r, self.r))
+
+    def r_weights(self, a: np.ndarray, tau: float, da: np.ndarray | None = None) -> np.ndarray:
+        """The weights of r_terms at the prior's weights a and tau =
+        tau_obs: [a, -a_s a_t / tau, a_q a_s a_t / tau^2]. Given da, their
+        derivative along da at a fixed tau."""
+        s, t = self.pairs.T
+        st = a[s] * a[t]
+        if da is None:
+            return np.concatenate([a, -st / tau, np.outer(a[self.uu_terms], st).ravel() / tau**2])
+        d_st = da[s] * a[t] + a[s] * da[t]
+        d_q = np.outer(da[self.uu_terms], st) + np.outer(a[self.uu_terms], d_st)
+        return np.concatenate([da, -d_st / tau, d_q.ravel() / tau**2])
 
 
 def _csc_pattern(cols: np.ndarray, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,29 +405,6 @@ def _on(pattern, data: np.ndarray, shape) -> sp.csc_matrix:
     """The matrix with the given data on a CSC pattern (indptr, indices)."""
     indptr, indices = pattern
     return sp.csc_matrix((data, indices, indptr), shape=shape)
-
-
-def _csc_keys(mat: sp.csc_matrix) -> np.ndarray:
-    """col * rows + row for each stored entry of a CSC matrix."""
-    rows, cols = mat.shape
-    return np.repeat(np.arange(cols, dtype=np.int64), np.diff(mat.indptr)) * rows + mat.indices
-
-
-def _values_at(mat: sp.spmatrix, pattern, keys: np.ndarray) -> np.ndarray:
-    """The entries of mat (no duplicates) on a CSC pattern (indptr,
-    indices) with sorted keys, zero where mat has none; entries elsewhere
-    are left out."""
-    mat = mat.tocsc()
-    if mat.nnz == keys.size:
-        mat.sort_indices()
-        if np.array_equal(mat.indptr, pattern[0]) and np.array_equal(mat.indices, pattern[1]):
-            return mat.data
-    mat_keys = _csc_keys(mat)
-    pos = np.searchsorted(keys, mat_keys)
-    inside = keys.take(pos, mode="clip") == mat_keys
-    out = np.zeros(keys.size)
-    out[pos[inside]] = mat.data[inside]
-    return out
 
 
 def _assembly(model: CompiledModel) -> Assembly:
@@ -543,7 +516,8 @@ _EXPANSION_TOL = 1e-10
 
 class _Factored:
     """M factored whole, n + p rows: its log determinant and solves from
-    the factor, its traces and variances from the selected inverse."""
+    the factor, its traces and variances from the selected inverse, whose
+    entries on the assembly's pattern line up with Assembly.term_data."""
 
     def __init__(self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float):
         plan = model.assembly
@@ -560,8 +534,7 @@ class _Factored:
 
     def trace(self, da: np.ndarray) -> float:
         """tr(M^{-1} dM) for dM = da @ Assembly.term_data."""
-        plan = self.model.assembly
-        return self.factor.inverse_dot(plan.matrix(da @ plan.term_data))
+        return float(self.factor.inverse_on_pattern().data @ (da @ self.model.assembly.term_data))
 
     def trace_uu(self) -> float:
         """tr(Sigma_uu), Sigma = M^{-1}."""
@@ -587,14 +560,15 @@ class _Reduced:
     tr(A_uu) / tau - ||A_uu||_F^2 / (2 tau^2), each to its second term.
     Since 0 <= A_uu <= s I, s the largest absolute row sum of A_uu, the
     terms dropped are at most (s / tau)^2 of those kept, and log|D|'s at
-    most n_o (s / tau)^3 / 3. R has n_mis + p rows on CopyBlocks'
-    r_pattern, analysed once per fit (CompiledModel.reduced_symbolic).
-    Its selected inverse Sigma_rr = R^{-1} gives the traces and the
-    variances of r = (x_miss, c). The u rows of Sigma follow to the same
-    order: Sigma_ur = -B R^{-1} with B = D^{-1} A_ur, and Var(u_i) =
-    1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1} A_ru)_ii / tau^2. Every
-    entry of R^{-1} those read lies on r_pattern, so the selected inverse
-    holds it.
+    most n_o (s / tau)^3 / 3. R, n_mis + p rows, is one weighted sum of
+    CopyBlocks.r_terms, whose pattern is analysed once per fit
+    (CompiledModel.reduced_symbolic). Its selected inverse Sigma_rr =
+    R^{-1} on that pattern gives the variances of r = (x_miss, c) and
+    each trace tr(R^{-1} dR) as one dot product with dR's data. Solves and
+    the u rows of Sigma take products with D^{-1}: Sigma_ur = -D^{-1} A_ur
+    R^{-1}, and Var(u_i) = 1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1}
+    A_ru)_ii / tau^2, whose last term reads R^{-1} at the entries of
+    A_ru A_ur, which R's terms hold.
     """
 
     def __init__(
@@ -604,40 +578,31 @@ class _Reduced:
         self.model, self.blocks, self.a, self.tau_obs = model, blocks, a, tau_obs
         n_o, r = blocks.n_o, blocks.r
         self.a_uu = _on(blocks.uu, a @ blocks.term_uu if uu is None else uu, (n_o, n_o))
-        self.ur_data = a @ blocks.term_ur
-        self.a_ur = _on(blocks.ur, self.ur_data, (n_o, r))
-        b = -blocks.product(a, a) / tau_obs
-        b[blocks.ur_in_p] += self.ur_data
-        self.b = _on(blocks.p, b / tau_obs, (n_o, r))
+        self.a_ur = _on(blocks.ur, a @ blocks.term_ur, (n_o, r))
         if not r:
             self.factor = _NoRows()
             return
-        r_data = -_values_at(self.a_ur.T @ self.b, blocks.r_pattern, blocks.r_keys)
-        r_data[blocks.rr_in_r] += a @ blocks.term_rr
-        r_mat = _on(blocks.r_pattern, 0.5 * (r_data + r_data[blocks.r_transpose]), (r, r))
         self.factor = CholeskyHandle(
-            r_mat, context=f"theta = {dict(theta)}", symbolic=model.reduced_symbolic
+            blocks.r_matrix(a, tau_obs),
+            context=f"theta = {dict(theta)}",
+            symbolic=model.reduced_symbolic,
         )
         model.reduced_symbolic = self.factor.symbolic
 
+    def _d_inv(self, v: np.ndarray) -> np.ndarray:
+        """D^{-1} v."""
+        tau = self.tau_obs
+        return (v - (self.a_uu @ v) / tau) / tau
+
     @functools.cached_property
     def _sigma(self) -> sp.csc_matrix:
-        """R^{-1} on r_pattern."""
+        """R^{-1} on R's pattern."""
         return self.factor.inverse_on_pattern()
 
     @functools.cached_property
-    def _a_sigma(self) -> np.ndarray:
-        """A_ur R^{-1} on the pattern of P."""
-        return _values_at(self.a_ur @ self._sigma, self.blocks.p, self.blocks.p_keys)
-
-    @functools.cached_property
-    def _b_sigma(self) -> np.ndarray:
-        """B R^{-1} on the pattern of P."""
-        return _values_at(self.b @ self._sigma, self.blocks.p, self.blocks.p_keys)
-
     def _spread(self) -> np.ndarray:
-        """(A_ur R^{-1})_ij A_ij at the entries of A_ur."""
-        return self._a_sigma[self.blocks.ur_in_p] * self.ur_data
+        """(A_ur R^{-1} A_ru)_ii for each observed row i."""
+        return np.asarray((self.a_ur @ self._sigma).multiply(self.a_ur).sum(axis=1)).ravel()
 
     def _trace_uu(self, data: np.ndarray) -> float:
         return float(np.sum(data[self.blocks.uu_diag]))
@@ -648,47 +613,37 @@ class _Reduced:
         return log_d + self.factor.logdet()
 
     def solve(self, c: np.ndarray) -> np.ndarray:
-        n_o, tau = self.blocks.n_o, self.tau_obs
-        c_u = c[:n_o]
-        w_r = self.factor.solve(c[n_o:] - self.b.T @ c_u)
-        v = c_u - self.a_ur @ w_r
-        return np.concatenate([(v - (self.a_uu @ v) / tau) / tau, w_r])
+        c_u, c_r = c[: self.blocks.n_o], c[self.blocks.n_o :]
+        w_r = self.factor.solve(c_r - self.a_ur.T @ self._d_inv(c_u))
+        return np.concatenate([self._d_inv(c_u - self.a_ur @ w_r), w_r])
 
     def trace(self, da: np.ndarray) -> float:
         """tr(M^{-1} dM) for dM = da @ Assembly.term_data: tr(D^{-1} dA_uu)
-        + tr(R^{-1} dR), dR the derivative of R with D^{-1} as above,
-
-            dR = dA_rr - dA_ru B - B' dA_ur + A_ru dA_uu A_ur / tau^2,
-
-        each trace a dot product on a fixed pattern: tr(R^{-1} dA_ru B) =
-        <dA_ur, B R^{-1}> and tr(R^{-1} A_ru dA_uu A_ur) = <dA_uu A_ur,
-        A_ur R^{-1}>."""
+        + tr(R^{-1} dR), with D^{-1} and R as above, so that dR's data is
+        r_weights' derivative along da times r_terms' data."""
         blocks, tau = self.blocks, self.tau_obs
         d_uu = da @ blocks.term_uu
-        return (
-            (self._trace_uu(d_uu) - (self.a_uu.data @ d_uu) / tau) / tau
-            + float(self._sigma.data[blocks.rr_in_r] @ (da @ blocks.term_rr))
-            - 2.0 * float(self._b_sigma[blocks.ur_in_p] @ (da @ blocks.term_ur))
-            + float(self._a_sigma @ blocks.product(da, self.a)) / tau**2
+        d_r = blocks.r_weights(self.a, tau, da) @ blocks.r_terms.data
+        return (self._trace_uu(d_uu) - (self.a_uu.data @ d_uu) / tau) / tau + float(
+            self._sigma.data @ d_r
         )
 
     def trace_uu(self) -> float:
         """tr(Sigma_uu), the sum of Var(u) above."""
         tau = self.tau_obs
-        return (self.blocks.n_o - (self._trace_uu(self.a_uu.data) - float(np.sum(self._spread()))) / tau) / tau
+        return (self.blocks.n_o - (self._trace_uu(self.a_uu.data) - float(np.sum(self._spread))) / tau) / tau
 
     def variances(self) -> np.ndarray:
         """The variances of (u_obs, x_miss)."""
-        blocks, tau = self.blocks, self.tau_obs
-        spread = np.bincount(blocks.ur[1], self._spread(), minlength=blocks.n_o)
-        var_u = (1.0 - (self.a_uu.data[blocks.uu_diag] - spread) / tau) / tau
+        tau = self.tau_obs
+        var_u = (1.0 - (self.a_uu.data[self.blocks.uu_diag] - self._spread) / tau) / tau
         n_m = self.model.miss_idx.size
         return np.concatenate([var_u, self.factor.marginal_variances(np.arange(n_m))])
 
     def columns(self) -> np.ndarray:
         """The coefficient columns of M^{-1}."""
         cols_r = self.factor.inverse_columns(np.arange(self.model.miss_idx.size, self.blocks.r))
-        return np.vstack([-(self.b @ cols_r), cols_r])
+        return np.vstack([-self._d_inv(self.a_ur @ cols_r), cols_r])
 
 
 class _NoRows:

@@ -23,9 +23,9 @@ pattern, so repeated factorizations of matrices on that pattern skip the
 ordering and the analysis. One recursion, _takahashi, serves a single
 factor and a stack of factors on one analysis alike: stacked, each
 column's gather, product and dot run once for the whole stack
-(marginal_variance_stack). The same selected inverse gives the trace
-tr(A^{-1} B) of any B on the analysed pattern as one dot product
-(CholeskyHandle.inverse_dot).
+(marginal_variance_stack). The same selected inverse, read on the
+analysed pattern (CholeskyHandle.inverse_on_pattern), gives the trace
+tr(A^{-1} B) of any B on that pattern as one dot product with B's data.
 """
 
 from __future__ import annotations
@@ -524,15 +524,6 @@ class CholeskyHandle:
         """Diagonal entries of the inverse at the requested coordinates."""
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         return _diagonal(self.symbolic, self._selected())[indices]
-
-    def inverse_dot(self, mat: sp.csc_matrix) -> float:
-        """tr(A^{-1} B) = sum_ij (A^{-1})_ij B_ij for a B whose pattern
-        lies inside the analysed one: a dot product with the selected
-        inverse, which holds every entry of A^{-1} that B meets."""
-        data = self.symbolic.scatter(canonical_csc(mat))
-        if data is None:
-            raise InvalidInputError("matrix has entries outside the analysed pattern")
-        return float(self._selected()[self.symbolic.positions()] @ data)
 
     def inverse_on_pattern(self) -> sp.csc_matrix:
         """The entries of A^{-1} on the analysed pattern, as a matrix on

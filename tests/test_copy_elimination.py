@@ -23,6 +23,7 @@ from spatecon.engine import GaussianState, gaussian_evidence
 from oracles import (
     delaunay_weights,
     random_weights,
+    reference_gaussian_matrix,
     reference_gaussian_state,
     reference_gaussian_system,
     simulate_slm,
@@ -156,3 +157,43 @@ def test_free_copy_precision_fits_run_to_the_end(seed, monkeypatch):
     assert fit.grid.dims == ("rho_internal", "log_tau", "log_tau_obs")
     assert math.isfinite(fit.log_mlik) and math.isfinite(fit.dic)
     assert engine._Factored in paths
+
+
+def assert_reduced_terms(model, thetas):
+    """R from CopyBlocks' terms is bitwise symmetric and equals A_rr -
+    A_ru D^{-1} A_ur, D^{-1} = I / tau - A_uu / tau^2, from the blocks of
+    the oracle's products; r_weights' derivative matches its central
+    differences."""
+    c = model.compiled
+    rng = np.random.default_rng(83)
+    for theta in thetas:
+        gaussian_evidence(c, theta)
+        blocks, n_o = c.assembly.blocks, c.obs_idx.size
+        a, _ = c.prior_weights(theta)
+        tau = c.tau_obs_value(theta)
+        r = blocks.r_matrix(a, tau).toarray()
+        assert np.array_equal(r, r.T)
+        m = reference_gaussian_matrix(model, theta).toarray()
+        a_uu, a_ur = m[:n_o, :n_o], m[:n_o, n_o:]
+        d_inv = np.eye(n_o) / tau - a_uu / tau**2
+        assert relative(r, m[n_o:, n_o:] - a_ur.T @ d_inv @ a_ur) <= 1e-13
+        da, h = a * rng.uniform(0.5, 1.5, size=a.size), 1e-6
+        want = (blocks.r_weights(a + h * da, tau) - blocks.r_weights(a - h * da, tau)) / (2.0 * h)
+        got = blocks.r_weights(a, tau, da)
+        assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want)), (theta, got, want)
+
+
+@pytest.mark.parametrize("kind", se.KINDS)
+def test_reduced_matrix_is_a_weighted_sum_of_terms(kind):
+    model = gaussian_model(kind)
+    assert model.compiled.miss_idx.size == 4
+    assert_reduced_terms(model, THETAS["slx" if kind == "slx" else "lag"])
+
+
+def test_reduced_matrix_without_rows():
+    rng = np.random.default_rng(82)
+    w = random_weights(rng, 30, 4)
+    y, _ = simulate_slm(rng, w, [0.0], 0.5, 0.6)
+    model = se.build("sem", y, None, w, intercept=False)
+    assert_reduced_terms(model, THETAS["lag"])
+    assert model.compiled.assembly.blocks.r_terms.data.shape[1] == 0

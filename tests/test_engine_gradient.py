@@ -215,12 +215,21 @@ class TestGradientModeSearch:
 
 
 class TestGridRowVariances:
-    @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
-    def test_row_sweep_matches_per_point_states(self, kind):
-        # Each grid point's state, kept by the fit, gives the same numbers
-        # as that point evaluated again, but for the rounding of a new
-        # analysis (fit_compiled drops the model's).
-        model = gaussian_model(kind, seed=77)
+    @staticmethod
+    def stacks_of_matching_fit(kind, tau_obs, monkeypatch):
+        """Fit, and check that each grid point's state, kept by the fit,
+        gives the same numbers as that point evaluated again, but for the
+        rounding of a new analysis (fit_compiled drops the model's).
+        Returns the number of states in each stacked sweep."""
+        stacks = []
+        real_stack = engine.marginal_variance_stack
+
+        def recording_stack(symbolic, values, indices):
+            stacks.append(len(values))
+            return real_stack(symbolic, values, indices)
+
+        monkeypatch.setattr(engine, "marginal_variance_stack", recording_stack)
+        model = gaussian_model(kind, seed=77, tau_obs=tau_obs)
         fit = se.fit(model)
         for g in range(fit.grid.points.shape[0]):
             _, state = engine.log_conditional_evidence(
@@ -230,3 +239,16 @@ class TestGridRowVariances:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
             got, want = fit.coef_means[g], state.mean_c
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        return stacks
+
+    @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
+    def test_row_sweep_matches_per_point_states(self, kind, monkeypatch):
+        # At the default tau_obs every state reads its variances off the
+        # reduced system, with no sweep of the whole matrix.
+        assert self.stacks_of_matching_fit(kind, 1e8, monkeypatch) == []
+
+    @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
+    def test_stacked_row_sweep_matches_per_point_states(self, kind, monkeypatch):
+        # At tau_obs = 1e4 the whole matrix is factored, and each grid
+        # row's 7 states share one stacked sweep.
+        assert set(self.stacks_of_matching_fit(kind, 1e4, monkeypatch)) == {7}

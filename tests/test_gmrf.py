@@ -342,15 +342,26 @@ class TestStackedSelectedInverse:
             inverse = np.linalg.inv(m.toarray())
             assert_allclose(sigma[:, g], inverse[[0, 1, 2, 1, 2, 2], [0, 0, 0, 1, 1, 2]], rtol=1e-12)
 
-    def test_inverse_dot_is_the_trace(self):
+    def test_inverse_on_pattern(self):
+        # A^{-1} on A's own pattern, in A's storage order: its entries
+        # match the dense inverse, and tr(A^{-1} B) for a B on that
+        # pattern is one dot product with B's data.
         rng = np.random.default_rng(44)
         a = random_spd(rng, 40, 3)
         h = CholeskyHandle(a)
+        sigma = h.inverse_on_pattern()
+        assert np.array_equal(sigma.indptr, a.indptr) and np.array_equal(sigma.indices, a.indices)
+        dense = np.linalg.inv(a.toarray())
+        rows, cols = a.indices, np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        diag = np.diag(dense)
+        scale = np.sqrt(diag[rows] * diag[cols])
+        assert np.all(np.abs(sigma.data - dense[rows, cols]) <= 1e-10 * scale)
         b = a.copy()
         b.data = rng.normal(size=b.nnz)
         b = sp.csc_matrix(b + b.T)
-        want = np.trace(np.linalg.inv(a.toarray()) @ b.toarray())
-        assert abs(h.inverse_dot(b) - want) <= 1e-10 * np.abs(b.data).sum()
+        assert np.array_equal(b.indptr, a.indptr) and np.array_equal(b.indices, a.indices)
+        want = np.trace(dense @ b.toarray())
+        assert abs(sigma.data @ b.data - want) <= 1e-10 * np.abs(b.data).sum()
 
 
 class TestRhoTransform:
