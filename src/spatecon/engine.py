@@ -25,8 +25,9 @@ supported:
   independent.
 
 The hyperparameters theta (internal rho, log precisions) are explored on
-a regular grid around the posterior mode; latent and coefficient
-marginals are Gaussian mixtures over that grid.
+a regular grid around the posterior mode, scaled by the Hessian there
+(_mode_and_scale: one search and one curvature per likelihood). Latent
+and coefficient marginals are Gaussian mixtures over that grid.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .gmrf import (
     CholeskyHandle,
     PrecisionTerms,
     SymbolicFactor,
+    _pattern_keys,
     marginal_variance_stack,
 )
 
@@ -93,7 +95,7 @@ class HyperDim:
     init: float = 0.0
 
 
-# Step of the log posterior's Hessian stencil at the mode, Gauss-Hermite
+# Step of the differences that give the Hessian at the mode, Gauss-Hermite
 # nodes of the probit DIC, and points of a hyperparameter's marginal and
 # of a Gaussian-mixture marginal.
 _HESS_STEP = 1e-4
@@ -328,6 +330,9 @@ class CopyBlocks:
     pairs: np.ndarray  # (P, 2) terms s <= t of A_ur in each product
     uu_terms: np.ndarray  # terms q of A_uu in the triple products
     r_terms: PrecisionTerms  # R's terms: A_rr's, the pairs', then q-major the triples'
+    # Per pair (j, k) of A_ur's entries in a row i, (j, k) on R's pattern: i,
+    # the positions of (i, j) and (i, k) in A_ur's data, that of (j, k) in R's.
+    spread_plan: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @classmethod
     def split(cls, keys: np.ndarray, size: int, n_o: int, term_data: np.ndarray) -> "CopyBlocks":
@@ -361,6 +366,18 @@ class CopyBlocks:
             + [product(s, t) for s, t in pairs]
             + [product(s, t, q) for q in uu_terms for s, t in pairs]
         )
+        ur_rows, ur_cols = rows[ur], cols[ur] - n_o
+        by_row = np.argsort(ur_rows, kind="stable")
+        counts = np.bincount(ur_rows, minlength=n_o)
+        # Row i's c_i entries lie in by_row from start; m numbers its c_i^2 pairs.
+        row = np.repeat(np.arange(n_o), counts**2)
+        m = np.arange(row.size) - np.repeat(np.cumsum(counts**2) - counts**2, counts**2)
+        start = np.repeat(np.cumsum(counts) - counts, counts**2)
+        j, k = by_row[start + m // counts[row]], by_row[start + m % counts[row]]
+        keys = ur_cols[k] * r + ur_cols[j]
+        r_keys = _pattern_keys(r_terms.indptr, r_terms.indices, r)
+        at = np.minimum(np.searchsorted(r_keys, keys), r_keys.size - 1)
+        on = r_keys[at] == keys
         return cls(
             n_o=n_o,
             r=r,
@@ -372,6 +389,7 @@ class CopyBlocks:
             pairs=pairs,
             uu_terms=uu_terms,
             r_terms=r_terms,
+            spread_plan=(row[on], j[on], k[on], at[on]),
         )
 
     def r_matrix(self, a: np.ndarray, tau: float) -> sp.csc_matrix:
@@ -602,7 +620,9 @@ class _Reduced:
     @functools.cached_property
     def _spread(self) -> np.ndarray:
         """(A_ur R^{-1} A_ru)_ii for each observed row i."""
-        return np.asarray((self.a_ur @ self._sigma).multiply(self.a_ur).sum(axis=1)).ravel()
+        row, j, k, at = self.blocks.spread_plan
+        ur = self.a_ur.data
+        return np.bincount(row, ur[j] * self._sigma.data[at] * ur[k], minlength=self.blocks.n_o)
 
     def _trace_uu(self, data: np.ndarray) -> float:
         return float(np.sum(data[self.blocks.uu_diag]))
@@ -1101,62 +1121,50 @@ def _log_posterior_and_gradient_fn(model: CompiledModel):
     return fg
 
 
-def _numeric_hessian(
-    f,
-    x0: np.ndarray,
-    h: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    f0: float | None = None,
-    extrapolate: bool = False,
-) -> np.ndarray:
-    """Central-difference Hessian of f at x0 with step h per axis.
-
-    An axis whose bound lo or hi lies within h of x0 gets half the room
-    left as its step, so every stencil point stays strictly inside the
-    bounds and none is clamped into a one-sided stencil. f0, when given,
-    is f(x0); the stencil then costs 2 d^2 evaluations of f.
-
-    With extrapolate, for an f whose noise lies well above rounding, each
-    diagonal entry is the Richardson extrapolation (4 D(s/2) - D(s)) / 3
-    of the central second differences D at s = 10 h and s/2: two more
-    evaluations per axis, 17 times less noise gain than D(h) (about
-    5.7 / s^2 against 4 / h^2) and a truncation error of O(s^4).
-    """
-    d = x0.size
-    room = np.minimum(x0 - lo, hi - x0)
+def _room(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The distance of the mode x to its nearer bound on each axis; a mode
+    on the bound of its domain has no room for a centred difference."""
+    room = np.minimum(x - lo, hi - x)
     if np.any(room <= 0.0):
         raise NumericFailureError(
-            f"hyperparameter mode {x0.tolist()} lies on the bound of its domain"
+            f"hyperparameter mode {x.tolist()} lies on the bound of its domain"
         )
-    steps = np.minimum(h, 0.5 * room)
-    hess = np.empty((d, d))
-    if f0 is None:
-        f0 = f(x0)
+    return room
 
-    def second_difference(i, step):
-        e = np.zeros(d)
+
+def _gradient_hessian(fg, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Hessian of f at x, given fg(x) -> (f, grad f): central differences
+    of the gradient, two evaluations per axis, symmetrised. Each axis steps
+    _HESS_STEP, or half its room to lo or hi where that is smaller, so no
+    point leaves the bounds."""
+    steps = np.minimum(_HESS_STEP, 0.5 * _room(x, lo, hi))
+    hess = np.empty((x.size, x.size))
+    for i, step in enumerate(steps):
+        e = np.zeros(x.size)
         e[i] = step
-        return (f(x0 + e) - 2.0 * f0 + f(x0 - e)) / step**2
-
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = steps[i]
-        if extrapolate:
-            s = min(10.0 * h, 0.5 * room[i])
-            hess[i, i] = (4.0 * second_difference(i, 0.5 * s) - second_difference(i, s)) / 3.0
-        else:
-            hess[i, i] = second_difference(i, steps[i])
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = steps[j]
-            hess[i, j] = hess[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    return hess
+        hess[:, i] = (fg(x + e)[1] - fg(x - e)[1]) / (2.0 * step)
+    return 0.5 * (hess + hess.T)
 
 
-# The trust-region search of two or more free hyperparameters: the step
+def _extrapolated_curvature(f, x: np.ndarray, fx: float, lo: np.ndarray, hi: np.ndarray):
+    """The 1 x 1 Hessian of f at the one-axis x, given fx = f(x): the
+    Richardson extrapolation (4 D(s/2) - D(s)) / 3 of the central second
+    differences D of f, s = 10 _HESS_STEP or half the room to lo or hi.
+
+    A probit evidence carries the inner Newton's stopping error (about
+    1e-11 on the test fits) and site corrections whose last bits depend on
+    the inverse that supplies them: D(_HESS_STEP) would multiply either by
+    4 / h^2 = 4e8, this by about 5.7 / s^2. Hot starts make the evidence
+    depend on the order of evaluation, so D(s/2) comes first."""
+    s = min(10.0 * _HESS_STEP, 0.5 * _room(x, lo, hi)[0])
+
+    def second_difference(step):
+        return (f(x + step) - 2.0 * fx + f(x - step)) / step**2
+
+    return np.array([[(4.0 * second_difference(0.5 * s) - second_difference(s)) / 3.0]])
+
+
+# The trust-region search of a Gaussian fit's hyperparameters: the step
 # of the forward differences that give its first curvature, its first
 # trust radius in that metric, the Newton decrement g'B^{-1}g/2 at which
 # it stops, its cap on steps, and the relative round-off of a log
@@ -1243,11 +1251,11 @@ def _trust_region_mode(fg, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     )
 
 
-# The search of one free hyperparameter: Brent's tolerance, the half
-# width of its first bracket around HyperDim.init, and the share of the
-# bracket's width, next to each edge, in which a peak of the parabola
-# through Brent's first three points makes the search test that edge
-# (_edge_passed).
+# The search of a probit fit's one free hyperparameter: Brent's
+# tolerance, the half width of its first bracket around HyperDim.init,
+# and the share of the bracket's width, next to each edge, in which a
+# peak of the parabola through Brent's first three points makes the
+# search test that edge (_edge_passed).
 _BRENT_XATOL = 1e-5
 _FIRST_BRACKET = 0.1
 _EDGE_MARGIN = 0.05
@@ -1345,48 +1353,35 @@ def _mode_and_scale(model: CompiledModel):
     """Posterior mode of the free hyperparameters and the grid's scale per
     axis (the sd of each axis under the Hessian at the mode).
 
-    One free hyperparameter (every probit fit, SLX, a fixed rho): bounded
-    Brent on a bracket around the model's HyperDim.init, widened while
-    the maximiser sits on an inner edge (_bracketed_brent). Two or more,
-    which only the Gaussian likelihood has: a trust-region quasi-Newton
-    search (_trust_region_mode) on the exact evidence gradient from the
-    model's HyperDim.init values, each point one factorization
-    (_evidence_gradient), within _theta_bounds narrowed by the gradient's
-    difference step. The Hessian is a central-difference stencil on the
-    log posterior that reuses the search's value at the mode, extrapolated
-    from two wider steps for a probit evidence (see _numeric_hessian).
+    Gaussian: a trust-region quasi-Newton search (_trust_region_mode) on
+    the exact evidence gradient from the model's HyperDim.init values,
+    each point one factorization (_evidence_gradient), within
+    _theta_bounds narrowed by the gradient's difference step; the Hessian
+    is the central difference of that gradient (_gradient_hessian).
+    Probit, at most one free hyperparameter: bounded Brent on a bracket
+    around HyperDim.init, widened while the maximiser sits on an inner
+    edge (_bracketed_brent); the curvature is an extrapolated second
+    difference that reuses Brent's value at the mode
+    (_extrapolated_curvature).
     """
     free = model.free_dims()
-    d = len(free)
-    if d == 0:
+    if not free:
         return np.empty(0), np.empty(0)
-    f = _log_posterior_fn(model)
     lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
-    if d == 1:
-        x, fx = _bracketed_brent(f, free[0].init, lo[0], hi[0])
+    if model.likelihood == "gaussian":
+        fg = _log_posterior_and_gradient_fn(model)
+        lo, hi = lo + _DIFF_STEP, hi - _DIFF_STEP
+        mode, _ = _trust_region_mode(fg, np.clip([dim.init for dim in free], lo, hi), lo, hi)
+        hess = _gradient_hessian(fg, mode, lo, hi)
     else:
-        if model.likelihood != "gaussian":
+        if len(free) > 1:
             raise InvalidInputError(
                 f"a {model.likelihood} model takes at most one free hyperparameter, "
-                f"got {d}"
+                f"got {len(free)}"
             )
-        inner_lo, inner_hi = lo + _DIFF_STEP, hi - _DIFF_STEP
-        x, fx = _trust_region_mode(
-            _log_posterior_and_gradient_fn(model),
-            np.clip([dim.init for dim in free], inner_lo, inner_hi),
-            inner_lo,
-            inner_hi,
-        )
-    mode = np.array([model.theta_from_vector(x)[dim.name] for dim in free])
-    # The search's value at its x is f(mode) unless clamping moved it.
-    f0 = fx if np.array_equal(mode, x) else None
-    # A probit evidence carries the inner Newton's stopping error (about
-    # 1e-11 on the test fits), and its site corrections read variances
-    # whose last bits depend on the inverse that supplies them; D(h) would
-    # multiply either by 4 / h^2 = 4e8.
-    hess = _numeric_hessian(
-        f, mode, _HESS_STEP, lo, hi, f0, extrapolate=model.likelihood == "probit"
-    )
+        f = _log_posterior_fn(model)
+        mode, fx = _bracketed_brent(f, free[0].init, lo[0], hi[0])
+        hess = _extrapolated_curvature(f, mode, fx, lo, hi)
     try:
         eigval, eigvec = _floored_eigh(-hess)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

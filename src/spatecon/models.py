@@ -215,8 +215,8 @@ def build(
         # evidence is nearly flat in tau and the posterior mode sits near
         # the prior's, log(shape / rate).
         starts["log_tau_iid"] = math.log(priors.tau_iid_shape / priors.tau_iid_rate)
-    # Every mode search starts at these values: a lone free hyperparameter
-    # on a bracket around its start, two or more from the start. A free rho
+    # Every mode search starts at these values: a probit fit's bracket lies
+    # around its start, a Gaussian fit's search starts there. A free rho
     # starts at the concentrated-likelihood maximiser, for a probit model
     # that of the 0/1 responses (a linear-probability start; its tau is
     # pinned, so the log tau start goes unread).

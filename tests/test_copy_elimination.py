@@ -197,3 +197,36 @@ def test_reduced_matrix_without_rows():
     model = se.build("sem", y, None, w, intercept=False)
     assert_reduced_terms(model, THETAS["lag"])
     assert model.compiled.assembly.blocks.r_terms.data.shape[1] == 0
+
+
+def assert_spread_matches_the_product(model, thetas):
+    """_Reduced's Var(u) term, summed over CopyBlocks' spread plan, equals
+    the row sums of (A_ur Sigma_R) * A_ur, Sigma_R = R^{-1} on R's
+    pattern."""
+    c = model.compiled
+    names = tuple(d.name for d in c.free_dims())
+    for theta in thetas:
+        theta = c.theta_from_vector([theta[name] for name in names])
+        gaussian_evidence(c, theta)
+        a, _ = c.prior_weights(theta)
+        system = engine._Reduced(c, theta, a, c.tau_obs_value(theta))
+        want = np.asarray((system.a_ur @ system._sigma).multiply(system.a_ur).sum(axis=1)).ravel()
+        assert system._spread.shape == want.shape == (c.obs_idx.size,)
+        assert np.max(np.abs(system._spread - want)) <= 1e-14 * np.max(np.abs(want)), theta
+
+
+@pytest.mark.parametrize("missing", [0, 6])
+@pytest.mark.parametrize("kind", se.KINDS)
+def test_spread_plan_matches_the_product(kind, missing):
+    model = gaussian_model(kind, missing=missing)
+    assert model.compiled.miss_idx.size == missing
+    assert_spread_matches_the_product(model, THETAS["slx" if kind == "slx" else "lag"])
+
+
+def test_spread_plan_without_rows():
+    rng = np.random.default_rng(82)
+    w = random_weights(rng, 30, 4)
+    y, _ = simulate_slm(rng, w, [0.0], 0.5, 0.6)
+    model = se.build("sem", y, None, w, intercept=False)
+    assert_spread_matches_the_product(model, THETAS["lag"])
+    assert model.compiled.assembly.blocks.spread_plan[0].size == 0

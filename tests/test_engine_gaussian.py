@@ -456,43 +456,60 @@ class TestReproducibility:
         assert math.isfinite(f1.log_mlik)
 
 
-class TestNumericHessian:
-    """The mode's Hessian stencil stays inside the domain theta_from_vector
-    clamps to, also for a mode within hess_step of a bound."""
+class TestModeCurvature:
+    """The mode's Hessian differences stay inside the domain
+    theta_from_vector clamps to, also for a mode within the step of a
+    bound: the gradient's across the bounds of the Gaussian search, the
+    one-axis second differences within the domain."""
 
     A = np.array([[3.0, 0.5], [0.5, 2.0]])
     B = np.array([0.7, -0.2])
+    NEAR_BOUNDS = [RHO_INTERNAL_EPS + 3e-5, 1.0 - RHO_INTERNAL_EPS - 2e-5, 0.4]
 
-    def clamp_recording_quadratic(self, model, x0):
-        clamped = []
-
-        def f(vec):
-            theta = model.theta_from_vector(vec)
-            v = np.array([theta["rho_internal"], theta["log_tau"]])
-            clamped.append(not np.array_equal(v, vec))
-            d = v - x0
-            return float(-0.5 * d @ self.A @ d + self.B @ d)
-
-        return f, clamped
-
-    @pytest.mark.parametrize(
-        "rho", [RHO_INTERNAL_EPS + 3e-5, 1.0 - RHO_INTERNAL_EPS - 2e-5, 0.4]
-    )
-    def test_quadratic_near_the_rho_bound(self, rho):
+    def clamp_recording_quadratic(self, x0):
+        """f(v) = -d'Ad/2 + B'd, d = v - x0, with its gradient, evaluated
+        at the values theta_from_vector makes of v; clamped records
+        whether those differ from v."""
         rng = np.random.default_rng(41)
         w = random_weights(rng, 10, 3)
         model = se.build("slm", rng.normal(size=10), None, w).compiled
-        assert [d.name for d in model.free_dims()] == ["rho_internal", "log_tau"]
-        lo, hi = np.array([engine._theta_bounds(d.name) for d in model.free_dims()]).T
+        names = [d.name for d in model.free_dims()][: x0.size]
+        assert names[0] == "rho_internal"
+        lo, hi = np.array([engine._theta_bounds(name) for name in names]).T
+        a, b = self.A[: x0.size, : x0.size], self.B[: x0.size]
+        clamped = []
+
+        def fg(vec):
+            theta = model.theta_from_vector(vec)
+            v = np.array([theta[name] for name in names])
+            clamped.append(not np.array_equal(v, vec))
+            d = v - x0
+            return float(-0.5 * d @ a @ d + b @ d), b - a @ d
+
+        return fg, clamped, lo, hi
+
+    @pytest.mark.parametrize("rho", NEAR_BOUNDS)
+    def test_gradient_differences_near_the_rho_bound(self, rho):
         x0 = np.array([rho, 0.3])
-        f, clamped = self.clamp_recording_quadratic(model, x0)
-        hess = engine._numeric_hessian(f, x0, 1e-4, lo, hi)
-        assert len(clamped) == 9 and not any(clamped)
+        fg, clamped, lo, hi = self.clamp_recording_quadratic(x0)
+        hess = engine._gradient_hessian(fg, x0, lo + engine._DIFF_STEP, hi - engine._DIFF_STEP)
+        assert len(clamped) == 4 and not any(clamped)
+        assert np.array_equal(hess, hess.T)
         assert_allclose(hess, -self.A, rtol=1e-6)
+
+    @pytest.mark.parametrize("rho", NEAR_BOUNDS)
+    def test_second_differences_near_the_rho_bound(self, rho):
+        x0 = np.array([rho])
+        fg, clamped, lo, hi = self.clamp_recording_quadratic(x0)
+        hess = engine._extrapolated_curvature(lambda v: fg(v)[0], x0, fg(x0)[0], lo, hi)
+        assert len(clamped) == 5 and not any(clamped)
+        assert_allclose(hess, -self.A[:1, :1], rtol=1e-6)
 
     def test_mode_on_the_bound_is_a_numeric_failure(self):
         x0 = np.array([RHO_INTERNAL_EPS, 0.0])
         lo = np.array([RHO_INTERNAL_EPS, -40.0])
         hi = np.array([1.0 - RHO_INTERNAL_EPS, 40.0])
         with pytest.raises(se.NumericFailureError, match="bound"):
-            engine._numeric_hessian(lambda v: 0.0, x0, 1e-4, lo, hi)
+            engine._gradient_hessian(lambda v: (0.0, np.zeros(2)), x0, lo, hi)
+        with pytest.raises(se.NumericFailureError, match="bound"):
+            engine._extrapolated_curvature(lambda v: 0.0, x0[:1], 0.0, lo[:1], hi[:1])

@@ -132,16 +132,17 @@ class TestGradientModeSearch:
     def test_evaluation_counts(self, monkeypatch):
         # Every point the search visits costs one evidence call, value and
         # gradient together, two of them the curvature probes at the
-        # start; the Hessian stencil reuses the value at the mode (2 d^2 =
-        # 8 calls); the 7 x 7 grid lies inside the rho domain.
+        # start; the Hessian differences the gradient (2 d = 4 calls); the
+        # 7 x 7 grid lies inside the rho domain.
         model = gaussian_model("slm", missing=0, seed=73)
         points = record_search_points(monkeypatch)
         stages = count_evidence_by_stage(monkeypatch)
         fit = se.fit(model)
-        assert stages == {"mode": len(points), "hessian": 8, "grid": 49}
+        # The Hessian's 4 evaluations are the last recorded points.
+        assert stages == {"mode": len(points) - 4, "hessian": 4, "grid": 49}
         # Nelder-Mead took 96 evaluations on this fit and L-BFGS-B from
         # rho_internal = 0.5 took 12.
-        assert len(points) <= 10
+        assert len(points) - 4 <= 10
         # The search starts at the concentrated-likelihood start and never
         # strays towards the clamp: no point is more than 4 posterior sds
         # from the mode on any axis.
@@ -212,6 +213,34 @@ class TestGradientModeSearch:
         )
         with pytest.raises(se.InvalidInputError, match="at most one free hyperparameter"):
             engine.fit_compiled(free_tau)
+
+
+def reference_hessian(fg, x):
+    """Richardson-extrapolated central differences of the gradient at x,
+    (4 G(1e-3) - G(2e-3)) / 3, symmetrised."""
+
+    def differences(h):
+        hess = np.empty((x.size, x.size))
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = h
+            hess[:, i] = (fg(x + e)[1] - fg(x - e)[1]) / (2.0 * h)
+        return hess
+
+    hess = (4.0 * differences(1e-3) - differences(2e-3)) / 3.0
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("kind", ["sem", "slm", "sdm", "sdem"])
+def test_grid_scale_matches_the_reference_hessian(kind):
+    # With a free tau_obs the grid's sd per axis is within 1e-6 of that of
+    # the reference Hessian; second differences of the log posterior at
+    # step 1e-4 miss it by 1.9e-6 to 5.5e-6.
+    model = gaussian_model(kind, tau_obs_hyper=True)
+    fit = se.fit(model)
+    fg = engine._log_posterior_and_gradient_fn(model.compiled)
+    want = np.sqrt(np.diag(np.linalg.inv(-reference_hessian(fg, fit.grid.mode_point))))
+    assert np.all(np.abs(fit.grid.sigma - want) <= 1e-6 * want), (fit.grid.sigma, want)
 
 
 class TestGridRowVariances:

@@ -344,24 +344,27 @@ class TestHotStart:
 
 def count_evidence_by_stage(monkeypatch):
     """Evidence calls of a fit, counted per stage: mode search, Hessian
-    stencil and grid."""
+    differences and grid."""
     counts = {"mode": 0, "hessian": 0, "grid": 0}
     stage = ["mode"]
-    real_hessian = engine._numeric_hessian
     real_evidence = engine.log_conditional_evidence
 
-    def hessian(*args, **kwargs):
-        stage[0] = "hessian"
-        try:
-            return real_hessian(*args, **kwargs)
-        finally:
-            stage[0] = "grid"
+    def staged(real):
+        def hessian(*args, **kwargs):
+            stage[0] = "hessian"
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stage[0] = "grid"
+
+        return hessian
 
     def evidence(*args, **kwargs):
         counts[stage[0]] += 1
         return real_evidence(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_numeric_hessian", hessian)
+    for name in ("_gradient_hessian", "_extrapolated_curvature"):
+        monkeypatch.setattr(engine, name, staged(getattr(engine, name)))
     monkeypatch.setattr(engine, "log_conditional_evidence", evidence)
     return counts
 
@@ -391,8 +394,19 @@ def scan_mode(f, lo, hi, points=99):
     return xs[j] - 0.5 * h * (hi_v - lo_v) / (hi_v - 2.0 * mid + lo_v)
 
 
+def with_start(model, init):
+    """The model with its free hyperparameter's mode search started at init."""
+    compiled = model.compiled
+    compiled.hyper_dims = tuple(
+        dataclasses.replace(d, init=init) if d.fixed is None else d
+        for d in compiled.hyper_dims
+    )
+    return compiled
+
+
 class TestModeSearch:
-    """One free hyperparameter: a bounded Brent search, not Nelder-Mead."""
+    """One free hyperparameter: a probit fit's bounded Brent search and a
+    Gaussian fit's trust-region search, not Nelder-Mead."""
 
     @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
     def test_one_dimensional_mode_matches_a_dense_scan(self, case, monkeypatch):
@@ -413,9 +427,23 @@ class TestModeSearch:
             want = scan_mode(f, got - 3.0, got + 3.0, points=61)
         assert abs(got - want) <= 1e-5
 
-    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
-    def test_first_point_lies_in_the_bracket_around_the_start(self, case, monkeypatch):
+    @pytest.mark.parametrize("offset", [-3.0, -0.25, 0.5, 3.0])
+    @pytest.mark.parametrize("case", ["gaussian_slx", "gaussian_slm_rho_fixed"])
+    def test_gaussian_start_far_from_the_mode(self, case, offset, monkeypatch):
+        # The trust-region search reaches the scanned mode from a start up
+        # to 3 away on the log-precision scale, without a bracket.
         model = one_free_hyperparameter_model(case)
+        want = se.fit(model).grid.mode_point[0]
+        compiled = with_start(model, want + offset)
+        runs = []
+        monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **k: runs.append(1))
+        got = se.fit(model).grid.mode_point[0]
+        assert not runs
+        scanned = scan_mode(engine._log_posterior_fn(compiled), got - 3.0, got + 3.0, points=61)
+        assert abs(got - scanned) <= 1e-5
+
+    def test_first_point_lies_in_the_bracket_around_the_start(self, monkeypatch):
+        model = one_free_hyperparameter_model("probit_slm")
         (dim,) = model.compiled.free_dims()
         stages = count_evidence_by_stage(monkeypatch)
         seen = []
@@ -430,15 +458,10 @@ class TestModeSearch:
         assert abs(fit.grid.mode_point[0] - dim.init) < engine._FIRST_BRACKET
         assert stages["mode"] <= 12
 
-    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
-    def test_start_far_from_the_mode_widens_the_bracket(self, case, monkeypatch):
-        model = one_free_hyperparameter_model(case)
+    def test_start_far_from_the_mode_widens_the_bracket(self, monkeypatch):
+        model = one_free_hyperparameter_model("probit_slm")
         want = se.fit(model).grid.mode_point[0]
-        compiled = model.compiled
-        compiled.hyper_dims = tuple(
-            dataclasses.replace(d, init=want - 0.5) if d.fixed is None else d
-            for d in compiled.hyper_dims
-        )
+        compiled = with_start(model, want - 0.5)
         runs = []
         real = optimize.minimize_scalar
         monkeypatch.setattr(
@@ -448,26 +471,16 @@ class TestModeSearch:
         # The first bracket ends 0.4 short of the mode (its lower edge may
         # be clipped to the domain).
         assert len(runs) >= 2 and runs[0][1] == pytest.approx(want - 0.4)
-        f = engine._log_posterior_fn(compiled)
         got = fit.grid.mode_point[0]
-        if fit.grid.dims == ("rho_internal",):
-            scanned = scan_mode(f, 0.01, 0.99)
-        else:
-            scanned = scan_mode(f, got - 3.0, got + 3.0, points=61)
-        assert abs(got - scanned) <= 1e-5
+        assert abs(got - scan_mode(engine._log_posterior_fn(compiled), 0.01, 0.99)) <= 1e-5
 
-    @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
-    def test_first_points_past_an_inner_edge_stop_the_run(self, case, monkeypatch):
+    def test_first_points_past_an_inner_edge_stop_the_run(self, monkeypatch):
         # The mode lies 0.15 past the upper edge of the first bracket: its
         # first three points and the value at that edge end the first run,
         # and one run on the widened bracket finds the mode.
-        model = one_free_hyperparameter_model(case)
+        model = one_free_hyperparameter_model("probit_slm")
         want = se.fit(model).grid.mode_point[0]
-        compiled = model.compiled
-        compiled.hyper_dims = tuple(
-            dataclasses.replace(d, init=want - 0.25) if d.fixed is None else d
-            for d in compiled.hyper_dims
-        )
+        with_start(model, want - 0.25)
         stages = count_evidence_by_stage(monkeypatch)
         per_run = []
         real = optimize.minimize_scalar
@@ -492,14 +505,14 @@ class TestModeSearch:
 
         monkeypatch.setattr(optimize, "minimize_scalar", one_iteration)
         with pytest.raises(se.NumericFailureError, match="did not converge: Maximum"):
-            se.fit(one_free_hyperparameter_model("gaussian_slx"))
+            se.fit(one_free_hyperparameter_model("probit_slm"))
 
-    @pytest.mark.parametrize("kind, stencil", [("slx", 2), ("slm", 8)])
-    def test_hessian_stencil_reuses_the_value_at_the_mode(self, kind, stencil, monkeypatch):
+    @pytest.mark.parametrize("kind, calls", [("slx", 2), ("slm", 4)])
+    def test_hessian_costs_two_gradients_per_axis(self, kind, calls, monkeypatch):
         rng = np.random.default_rng(62)
         w = random_weights(rng, 40, 4)
         y, x = simulate_slm(rng, w, [0.5, 1.0], 0.4, 0.7)
         stages = count_evidence_by_stage(monkeypatch)
         fit = se.fit(se.build(kind, y, x, w))
         assert len(fit.grid.dims) == {"slx": 1, "slm": 2}[kind]
-        assert stages["hessian"] == stencil
+        assert stages["hessian"] == calls

@@ -146,8 +146,9 @@ FITS = {
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_fit_never_builds_a_dense_inverse(name, monkeypatch):
     # A Gaussian fit's grid moves with the round-off of its evidence (the
-    # Hessian stencil multiplies it by about 4 / h^2), so its reference
-    # keeps the fit's own evidence and reads each state densely.
+    # Hessian's differences of the gradient multiply it by about 1 / h),
+    # so its reference keeps the fit's own evidence and reads each state
+    # densely.
     with monkeypatch.context() as m:
         dense_reference(m)
         dense_gaussian_states(m)
