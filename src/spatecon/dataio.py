@@ -290,12 +290,9 @@ def parse_config(path) -> RunConfig:
             val = _get(parser, "priors", key)
             if val is None:
                 continue
-            if key in numeric:
-                prior_kwargs[key] = _typed(parser, path, "priors", key, float)
-            elif key == "tau_obs_hyper":
-                prior_kwargs[key] = _flag(parser, path, "priors", key, False)
-            else:
+            if key not in numeric:
                 raise InvalidInputError(f"{path}: [priors] unknown key {key!r}")
+            prior_kwargs[key] = _typed(parser, path, "priors", key, float)
     priors = ModelPriors(**prior_kwargs)
 
     grid_kwargs = {}

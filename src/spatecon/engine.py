@@ -9,16 +9,18 @@ matrix once per fit (Assembly); each theta then costs weighted sums of
 those arrays and one sparse factorization. Two observation layers are
 supported:
 
-* Gaussian: y = eta + e with e at a fixed high "copy" precision (or a
-  hyperparameter). The conditional evidence pi(y|theta) is then exact.
+* Gaussian: y = eta + e with e at a fixed high "copy" precision, so that
+  the latent effect carries the noise. The conditional evidence
+  pi(y|theta) is then exact.
   To keep every intermediate at O(1) scale despite the 1e8 copy
   precision, the quadratic form is evaluated in residual-shifted
   coordinates (the observed-row residual u = y - eta is substituted for
   x as a latent coordinate; the substitution is unimodular, so the log
   determinant is unchanged). The copy precision dominates the u block,
   which is eliminated in closed form, so the factorization has n_mis + p
-  rows (_Reduced); where a low copy precision leaves the bound on the
-  terms that drops, the whole n + p matrix is factored (_Factored).
+  rows (_Reduced). Where the bound on the terms that drops fails (a low
+  copy precision, or a response of small scale, whose latent precision
+  is high), the whole n + p matrix is factored (_Factored).
 * Probit: y_i ~ Bernoulli(Phi(eta_i)). The conditional evidence is a
   Laplace approximation at the Newton mode, multiplied by per-site
   Gauss-Hermite correction factors that make it exact when the sites are
@@ -144,7 +146,7 @@ class CompiledModel:
     hyper_dims: tuple[HyperDim, ...]
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
-    tau_obs: float | None = 1e8  # None means exp(theta["log_tau_obs"])
+    tau_obs: float = 1e8
     # Analyses of the patterns the engine factors, M and the Gaussian
     # layer's reduced R: set by the first factorization of each, reused by
     # every later one.
@@ -203,11 +205,6 @@ class CompiledModel:
         for d, v in zip(self.free_dims(), vec):
             theta[d.name] = float(v)
         return _clamp_theta(theta)
-
-    def tau_obs_value(self, theta: Mapping[str, float]) -> float:
-        if self.tau_obs is not None:
-            return self.tau_obs
-        return math.exp(theta["log_tau_obs"])
 
 
 # Step of the central differences in the evidence gradient, on the
@@ -554,10 +551,6 @@ class _Factored:
         """tr(M^{-1} dM) for dM = da @ Assembly.term_data."""
         return float(self.factor.inverse_on_pattern().data @ (da @ self.model.assembly.term_data))
 
-    def trace_uu(self) -> float:
-        """tr(Sigma_uu), Sigma = M^{-1}."""
-        return float(np.sum(self.factor.marginal_variances(np.arange(self.model.obs_idx.size))))
-
     def variances(self) -> np.ndarray:
         """The variances of (u_obs, x_miss)."""
         return self.factor.marginal_variances(np.arange(self.model.n))
@@ -624,12 +617,12 @@ class _Reduced:
         ur = self.a_ur.data
         return np.bincount(row, ur[j] * self._sigma.data[at] * ur[k], minlength=self.blocks.n_o)
 
-    def _trace_uu(self, data: np.ndarray) -> float:
+    def _uu_trace(self, data: np.ndarray) -> float:
         return float(np.sum(data[self.blocks.uu_diag]))
 
     def logdet(self) -> float:
         tau, uu = self.tau_obs, self.a_uu.data
-        log_d = self.blocks.n_o * math.log(tau) + (self._trace_uu(uu) - 0.5 * (uu @ uu) / tau) / tau
+        log_d = self.blocks.n_o * math.log(tau) + (self._uu_trace(uu) - 0.5 * (uu @ uu) / tau) / tau
         return log_d + self.factor.logdet()
 
     def solve(self, c: np.ndarray) -> np.ndarray:
@@ -644,14 +637,9 @@ class _Reduced:
         blocks, tau = self.blocks, self.tau_obs
         d_uu = da @ blocks.term_uu
         d_r = blocks.r_weights(self.a, tau, da) @ blocks.r_terms.data
-        return (self._trace_uu(d_uu) - (self.a_uu.data @ d_uu) / tau) / tau + float(
+        return (self._uu_trace(d_uu) - (self.a_uu.data @ d_uu) / tau) / tau + float(
             self._sigma.data @ d_r
         )
-
-    def trace_uu(self) -> float:
-        """tr(Sigma_uu), the sum of Var(u) above."""
-        tau = self.tau_obs
-        return (self.blocks.n_o - (self._trace_uu(self.a_uu.data) - float(np.sum(self._spread))) / tau) / tau
 
     def variances(self) -> np.ndarray:
         """The variances of (u_obs, x_miss)."""
@@ -712,7 +700,8 @@ def gaussian_evidence(
     The matrix M of the residual-shifted quadratic form is solved with
     the observed residuals eliminated in closed form (_Reduced), which
     factors a matrix of n_mis + p rows, or, where the bound on the terms
-    that drops fails (a low or free tau_obs), factored whole (_Factored).
+    that drops fails (a low tau_obs, or a response of small scale),
+    factored whole (_Factored).
     With wrt (names of hyperparameters), the second item is the gradient
     of log pi(y | theta) with respect to them, from the same system
     (_evidence_gradient). With want_state it is the conditional Gaussian
@@ -724,7 +713,7 @@ def gaussian_evidence(
     """
     a, logdet_qp = model.prior_weights(theta)
     plan = _assembly(model)
-    tau_obs = model.tau_obs_value(theta)
+    tau_obs = model.tau_obs
     n, n_o = model.n, model.obs_idx.size
 
     system = _copy_system(model, theta, a, tau_obs)
@@ -740,7 +729,7 @@ def gaussian_evidence(
     )
     mean_z = plan.g @ w + plan.z0
     if wrt:
-        return log_z, _evidence_gradient(model, theta, wrt, system, mean_z, w[:n_o])
+        return log_z, _evidence_gradient(model, theta, wrt, system, mean_z)
     if not want_state:
         return log_z, None
 
@@ -801,7 +790,6 @@ def _evidence_gradient(
     wrt: Sequence[str],
     system,
     mean_z: np.ndarray,
-    resid: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the Gaussian log pi(y | theta) with respect to the
     hyperparameters named in wrt:
@@ -818,17 +806,12 @@ def _evidence_gradient(
     _DIFF_STEP; the mode search keeps t that far inside the clamp) and
     need no factorization: they are exact to rounding in rho, in which
     the weights are quadratic, and in log tau, in which log|Q| is linear
-    (the weights gain the relative error h^2/6). log tau_obs enters
-    through the likelihood alone, in closed form: n_o/2 - tau_obs/2
-    (tr Sigma_uu + u'u) for the residuals u.
+    (the weights gain the relative error h^2/6). tau_obs is fixed, so
+    every hyperparameter enters through the prior alone.
     """
     grad = np.zeros(len(wrt))
     h = _DIFF_STEP
     for i, name in enumerate(wrt):
-        if name == "log_tau_obs":
-            tau_obs = model.tau_obs_value(theta)
-            grad[i] = 0.5 * resid.size - 0.5 * tau_obs * (system.trace_uu() + float(resid @ resid))
-            continue
         a_hi, logdet_hi = model.prior_weights({**theta, name: theta[name] + h})
         a_lo, logdet_lo = model.prior_weights({**theta, name: theta[name] - h})
         da = (a_hi - a_lo) / (2.0 * h)
@@ -1590,22 +1573,18 @@ class FitResult:
         return out
 
 
-def _gaussian_dic(model: CompiledModel, grid, weights, states) -> tuple[float, float]:
+def _gaussian_dic(model: CompiledModel, weights, states) -> tuple[float, float]:
     obs = model.obs_idx
     y_o = model.y[obs]
+    tau = model.tau_obs
+    log_norm = np.log(2.0 * math.pi / tau)
     e_d = 0.0
-    tau_mix = 0.0
-    for w_g, state, g in zip(weights, states, range(len(states))):
-        tau_o = model.tau_obs_value(grid.theta_at(g))
-        resid2 = (y_o - state.mean_eta[obs]) ** 2 + state.var_eta[obs]
-        e_d += w_g * float(np.sum(np.log(2.0 * math.pi / tau_o) + tau_o * resid2))
-        tau_mix += w_g * tau_o
     eta_bar = np.zeros(model.n)
     for w_g, state in zip(weights, states):
+        resid2 = (y_o - state.mean_eta[obs]) ** 2 + state.var_eta[obs]
+        e_d += w_g * float(np.sum(log_norm + tau * resid2))
         eta_bar += w_g * state.mean_eta
-    d_plug = float(
-        np.sum(np.log(2.0 * math.pi / tau_mix) + tau_mix * (y_o - eta_bar[obs]) ** 2)
-    )
+    d_plug = float(np.sum(log_norm + tau * (y_o - eta_bar[obs]) ** 2))
     dic = 2.0 * e_d - d_plug
     return dic, e_d - d_plug
 
@@ -1634,17 +1613,14 @@ def _probit_dic(
     return dic, e_d - d_plug
 
 
-def _predictive_marginals(model: CompiledModel, grid, weights, states) -> dict[int, mg.Marginal]:
+def _predictive_marginals(model: CompiledModel, weights, states) -> dict[int, mg.Marginal]:
     out: dict[int, mg.Marginal] = {}
     for i in model.miss_idx:
         means = np.array([s.mean_eta[i] for s in states])
         variances = np.array([s.var_eta[i] for s in states])
         if model.likelihood == "gaussian":
-            noise = np.array(
-                [1.0 / model.tau_obs_value(grid.theta_at(g)) for g in range(len(states))]
-            )
             out[int(i)] = mg.gaussian_mixture_marginal(
-                means, variances + noise, weights, MIXTURE_POINTS
+                means, variances + 1.0 / model.tau_obs, weights, MIXTURE_POINTS
             )
         else:
             out[int(i)] = mg.probit_mixture_marginal(
@@ -1695,11 +1671,11 @@ def fit_compiled(
             break
 
     if model.likelihood == "gaussian":
-        dic, p_eff = _gaussian_dic(model, grid, weights, states)
+        dic, p_eff = _gaussian_dic(model, weights, states)
     else:
         dic, p_eff = _probit_dic(model, weights, states, _DIC_GH_NODES)
 
-    predictive = _predictive_marginals(model, grid, weights, states)
+    predictive = _predictive_marginals(model, weights, states)
 
     return FitResult(
         likelihood=model.likelihood,

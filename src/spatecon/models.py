@@ -53,7 +53,9 @@ class ModelPriors:
 
     Defaults: vague diagonal precision on coefficients, Gaussian(0, prec 10)
     on logit of the internal rho, log-gamma(1, 5e-5) on log precisions, and
-    a fixed observation copy precision of 1e8.
+    a copy precision tau_obs of 1e8, always fixed, so that the latent
+    effect carries the noise. Precisions, shapes and rates must be finite
+    and > 0, and rho_prior_mean finite.
     """
 
     q_beta_diag: float = DEFAULT_Q_BETA_DIAG
@@ -64,10 +66,20 @@ class ModelPriors:
     tau_iid_shape: float = 1.0
     tau_iid_rate: float = 5e-5
     tau_obs: float = 1e8
-    tau_obs_hyper: bool = False
     rho_fixed: float | None = None  # external scale
     tau_fixed: float | None = None
     tau_iid_fixed: float | None = None
+
+    def __post_init__(self):
+        for name in (
+            "q_beta_diag", "tau_obs", "tau_shape", "tau_rate", "tau_iid_shape",
+            "tau_iid_rate", "rho_prior_prec", "tau_fixed", "tau_iid_fixed",
+        ):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+        if not math.isfinite(self.rho_prior_mean):
+            raise InvalidParameterError(f"rho_prior_mean must be finite, got {self.rho_prior_mean!r}")
 
 
 @dataclass
@@ -209,7 +221,7 @@ def build(
     starts = {"rho_internal": 0.5, "log_tau": 0.0, "log_tau_iid": 0.0}
     log_tau, y_filled = _ols_start(y, full_design)
     if likelihood == "gaussian":
-        starts.update(log_tau=log_tau, log_tau_iid=log_tau, log_tau_obs=log_tau)
+        starts.update(log_tau=log_tau, log_tau_iid=log_tau)
     else:
         # 0/1 data see an iid probit effect only as a rescaled link, so its
         # evidence is nearly flat in tau and the posterior mode sits near
@@ -230,10 +242,8 @@ def build(
             rho_bounds,
         )
     hyper_dims, prior, prior_weights = _layers(
-        kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y, starts
+        kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, y, starts
     )
-
-    tau_obs = None if (priors.tau_obs_hyper and likelihood == "gaussian") else priors.tau_obs
     compiled = CompiledModel(
         y=y,
         b_design=b_design,
@@ -243,7 +253,7 @@ def build(
         hyper_dims=hyper_dims,
         coef_names=coef_names,
         rho_bounds=rho_bounds,
-        tau_obs=tau_obs,
+        tau_obs=priors.tau_obs,
     )
     return ModelSpec(
         kind=kind,
@@ -334,7 +344,7 @@ def _concentrated_start(y, w: WeightsMatrix, design, lag: bool, rho_bounds) -> t
     return r, -_log_variance(sse(lo + r * (hi - lo)), n)
 
 
-def _layers(kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood, y, starts):
+def _layers(kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, y, starts):
     n = y.shape[0]
     p_b = b_design.shape[1]
     q_fixed_diag = np.full(p_b, priors.q_beta_diag)
@@ -375,16 +385,6 @@ def _layers(kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, likelihood,
                 if priors.tau_iid_fixed is None
                 else math.log(priors.tau_iid_fixed),
                 init=starts["log_tau_iid"],
-            )
-        )
-    if priors.tau_obs_hyper and likelihood == "gaussian":
-        dims.append(
-            HyperDim(
-                name="log_tau_obs",
-                log_prior=lambda t, a=priors.tau_shape, b=priors.tau_rate: (
-                    engine.log_gamma_logpdf(t, a, b)
-                ),
-                init=starts["log_tau_obs"],
             )
         )
 

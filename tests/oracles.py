@@ -51,7 +51,7 @@ def dense_cov_y(model, theta):
     """Covariance of the observed response assembled from the model form."""
     c = model.compiled
     n = c.n
-    tau_obs = c.tau_obs if c.tau_obs is not None else math.exp(theta["log_tau_obs"])
+    tau_obs = c.tau_obs
     if model.kind in ("slm", "sdm"):
         spec = model.slm
         rho = rho_to_external(theta["rho_internal"], spec.w.rho_range())
@@ -125,7 +125,7 @@ def dense_posterior_z(model, theta):
     """Gaussian-conditional mean and covariance of (x, c) by dense GLS."""
     c = model.compiled
     obs = c.obs_idx
-    tau_obs = c.tau_obs if c.tau_obs is not None else math.exp(theta["log_tau_obs"])
+    tau_obs = c.tau_obs
     cov_z = dense_cov_z(model, theta)
     b = np.hstack([np.eye(c.n), c.b_design])[obs]
     cov_y = b @ cov_z @ b.T + np.eye(obs.size) / tau_obs
@@ -256,7 +256,7 @@ def reference_gaussian_system(model, theta):
     linear algebra."""
     c = model.compiled
     n_o = c.obs_idx.size
-    tau_obs = c.tau_obs if c.tau_obs is not None else math.exp(theta["log_tau_obs"])
+    tau_obs = c.tau_obs
     g, z0 = residual_shift(model)
     q, logdet_q = reference_prior(model, theta)
     shift = np.concatenate([np.full(n_o, tau_obs), np.zeros(c.n + c.p - n_o)])

@@ -142,8 +142,6 @@ class TestFitVerb:
             ("impacts", "enabled", "ture"),
             ("impacts", "enabled", "2"),
             ("impacts", "enabled", "enabled"),
-            ("priors", "tau_obs_hyper", "yes please"),
-            ("priors", "tau_obs_hyper", "nope"),
         ],
     )
     def test_bad_boolean_exits_2_without_outputs(self, tmp_path, capsys, section, key, value):
@@ -161,10 +159,32 @@ class TestFitVerb:
     def test_boolean_spellings(self, tmp_path, value, on):
         cfg = make_inputs(tmp_path)
         text = cfg.read_text()
-        cfg.write_text(text + f"\n[impacts]\nenabled = {value}\n\n[priors]\ntau_obs_hyper = {value}\n")
-        config = parse_config(cfg)
-        assert config.impacts_enabled is on
-        assert config.priors.tau_obs_hyper is on
+        cfg.write_text(text + f"\n[impacts]\nenabled = {value}\n")
+        assert parse_config(cfg).impacts_enabled is on
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tau_obs", "0"),
+            ("tau_obs", "-5"),
+            ("tau_obs", "nan"),
+            ("tau_obs", "inf"),
+            ("tau_rate", "-1"),
+            ("tau_shape", "0"),
+            ("rho_prior_prec", "0"),
+            ("rho_prior_prec", "nan"),
+            ("tau_fixed", "0"),
+            ("tau_fixed", "-2"),
+            ("q_beta_diag", "0"),
+            ("tau_obs_hyper", "true"),
+        ],
+    )
+    def test_bad_prior_exits_2_without_outputs(self, tmp_path, capsys, key, value):
+        cfg = make_inputs(tmp_path, kinds="sem,slm,sdm,sdem,slx")
+        cfg.write_text(cfg.read_text() + f"\n[priors]\n{key} = {value}\n")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_impacts_switched_off_writes_no_impact_tables(self, tmp_path):
         cfg = make_inputs(tmp_path, kinds="slm")

@@ -5,8 +5,8 @@ engine._Reduced factors a matrix of n_mis + p rows instead of the whole
 reduced system wherever the bound on the terms it drops holds. Called
 directly, the two paths agree on the evidence, its gradient and every
 field of the conditional Gaussian; where the bound fails (a low copy
-precision) the evidence factors the whole matrix and matches the dense
-oracle of tests/oracles.py.
+precision, or a response of small scale) the evidence factors the whole
+matrix and matches the dense oracle of tests/oracles.py.
 """
 
 import dataclasses
@@ -36,11 +36,12 @@ THETAS = {
         {"rho_internal": 0.85, "log_tau": 2.2},
     ],
     "slx": [{"log_tau_iid": 0.4}, {"log_tau_iid": 1.3}, {"log_tau_iid": 2.2}],
-    # A fixed rho with a free copy precision high enough for the bound.
-    "fixed_rho": [
-        {"log_tau": 0.4, "log_tau_obs": 16.5},
-        {"log_tau": 1.3, "log_tau_obs": 17.5},
-        {"log_tau": 2.2, "log_tau_obs": 18.4},
+    "fixed_rho": [{"log_tau": 0.4}, {"log_tau": 1.3}, {"log_tau": 2.2}],
+    # Around the mode of small_scale_slm: noise sd about 0.005.
+    "small_scale": [
+        {"rho_internal": 0.6, "log_tau": 10.0},
+        {"rho_internal": 0.7, "log_tau": 10.6},
+        {"rho_internal": 0.8, "log_tau": 11.2},
     ],
 }
 
@@ -52,6 +53,16 @@ def gaussian_model(kind, missing=4, n=40, seed=81, **priors):
     y = y + rng.normal(scale=0.2, size=n)
     y[rng.choice(n, size=missing, replace=False)] = np.nan
     return se.build(kind, y, x, w, priors=se.ModelPriors(**priors))
+
+
+def small_scale_slm(seed):
+    """A Delaunay SLM at the default priors with y scaled by 0.01: its
+    latent precision near the mode, about 4e4, fails the bound at tau_obs
+    = 1e8."""
+    rng = np.random.default_rng(seed)
+    w = delaunay_weights(rng, 60)
+    y, x = simulate_slm(rng, w, [1.0, 0.8, -0.6], 0.6, 0.5)
+    return se.build("slm", 0.01 * y, x, w)
 
 
 def evaluate(path, model, theta, **kwargs):
@@ -75,7 +86,7 @@ def assert_paths_agree(model, thetas):
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
         a, _ = c.prior_weights(theta)
-        assert isinstance(engine._copy_system(c, theta, a, c.tau_obs_value(theta)), engine._Reduced)
+        assert isinstance(engine._copy_system(c, theta, a, c.tau_obs), engine._Reduced)
         got, want = (evaluate(path, model, theta) for path in (engine._Reduced, engine._Factored))
         assert relative(got[0], want[0]) <= 1e-10
         _, got = evaluate(engine._Reduced, model, theta, wrt=names)
@@ -97,8 +108,8 @@ def test_reduced_system_matches_the_factored_one(kind):
 
 @pytest.mark.parametrize("kind", ["sem", "slm", "sdm", "sdem"])
 def test_reduced_system_matches_at_a_fixed_rho(kind):
-    model = gaussian_model(kind, rho_fixed=0.3, tau_obs_hyper=True)
-    assert [d.name for d in model.compiled.free_dims()] == ["log_tau", "log_tau_obs"]
+    model = gaussian_model(kind, rho_fixed=0.3)
+    assert [d.name for d in model.compiled.free_dims()] == ["log_tau"]
     assert_paths_agree(model, THETAS["fixed_rho"])
 
 
@@ -112,11 +123,15 @@ def test_every_response_observed_and_no_coefficients():
     assert_paths_agree(model, THETAS["lag"])
 
 
-@pytest.mark.parametrize("kind", ["slm", "sdem"])
+@pytest.mark.parametrize("kind", ["slm", "sdem", "small_scale_slm"])
 def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
-    # With tau_obs = 1e4 the bound (s / tau_obs)^2 <= 1e-10 fails: every
-    # evidence factors the n + p matrix once.
-    model = gaussian_model(kind, tau_obs=1e4)
+    # With tau_obs = 1e4, or a noise sd of about 0.005 at the default
+    # 1e8, the bound (s / tau_obs)^2 <= 1e-10 fails: every evidence
+    # factors the n + p matrix once.
+    if kind == "small_scale_slm":
+        model, thetas = small_scale_slm(1), THETAS["small_scale"]
+    else:
+        model, thetas = gaussian_model(kind, tau_obs=1e4), THETAS["lag"]
     c = model.compiled
     sizes = []
     real_splu = spla.splu
@@ -126,21 +141,20 @@ def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
         return real_splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    for theta in THETAS["lag"]:
+    for theta in thetas:
         log_z, state = gaussian_evidence(c, theta, want_state=True)
         _, want = reference_gaussian_system(model, theta)
         assert abs(log_z - want) <= 1e-10 * abs(want)
         ref = reference_gaussian_state(model, theta)
         for name, value in ref.items():
             assert relative(getattr(state, name), value) <= 1e-10, name
-    assert [s for s in sizes if s != c.n] == [c.n + c.p] * len(THETAS["lag"])
+    assert [s for s in sizes if s != c.n] == [c.n + c.p] * len(thetas)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_free_copy_precision_fits_run_to_the_end(seed, monkeypatch):
-    # A free tau_obs near the data's noise precision fails the bound, so
-    # these fits factor the whole matrix; seeds 2-4 also visit points that
-    # pass it.
+def test_small_scale_response_fits_run_to_the_end(seed, monkeypatch):
+    # At the default tau_obs a noise sd of about 0.005 fails the bound, so
+    # these fits factor the whole matrix.
     paths = set()
     real = engine._copy_system
 
@@ -150,11 +164,8 @@ def test_free_copy_precision_fits_run_to_the_end(seed, monkeypatch):
         return system
 
     monkeypatch.setattr(engine, "_copy_system", recording)
-    rng = np.random.default_rng(seed)
-    w = delaunay_weights(rng, 60)
-    y, x = simulate_slm(rng, w, [1.0, 0.8, -0.6], 0.6, 0.5)
-    fit = se.fit(se.build("slm", y, x, w, priors=se.ModelPriors(tau_obs_hyper=True)))
-    assert fit.grid.dims == ("rho_internal", "log_tau", "log_tau_obs")
+    fit = se.fit(small_scale_slm(seed))
+    assert fit.grid.dims == ("rho_internal", "log_tau")
     assert math.isfinite(fit.log_mlik) and math.isfinite(fit.dic)
     assert engine._Factored in paths
 
@@ -170,7 +181,7 @@ def assert_reduced_terms(model, thetas):
         gaussian_evidence(c, theta)
         blocks, n_o = c.assembly.blocks, c.obs_idx.size
         a, _ = c.prior_weights(theta)
-        tau = c.tau_obs_value(theta)
+        tau = c.tau_obs
         r = blocks.r_matrix(a, tau).toarray()
         assert np.array_equal(r, r.T)
         m = reference_gaussian_matrix(model, theta).toarray()
@@ -209,7 +220,7 @@ def assert_spread_matches_the_product(model, thetas):
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
         a, _ = c.prior_weights(theta)
-        system = engine._Reduced(c, theta, a, c.tau_obs_value(theta))
+        system = engine._Reduced(c, theta, a, c.tau_obs)
         want = np.asarray((system.a_ur @ system._sigma).multiply(system.a_ur).sum(axis=1)).ravel()
         assert system._spread.shape == want.shape == (c.obs_idx.size,)
         assert np.max(np.abs(system._spread - want)) <= 1e-14 * np.max(np.abs(want)), theta

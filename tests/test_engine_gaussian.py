@@ -424,25 +424,6 @@ class TestTauMarginal:
         assert np.max(np.abs(fit.tau_marginal.density - dens)) < 0.05 * dens.max()
 
 
-class TestObservationPrecisionHyper:
-    def test_obs_precision_as_hyperparameter(self):
-        rng = np.random.default_rng(17)
-        w = random_weights(rng, 30, 3)
-        y, x = simulate_slm(rng, w, [1.0, 0.5], 0.3, 0.5)
-        y = y + rng.normal(scale=0.3, size=30)  # genuine observation noise
-        model = se.build(
-            "sem", y, x, w, priors=se.ModelPriors(tau_obs_hyper=True)
-        )
-        assert [d.name for d in model.compiled.hyper_dims] == [
-            "rho_internal", "log_tau", "log_tau_obs",
-        ]
-        fit = se.fit(model, GridSettings(k=2))
-        assert abs(fit.weights.sum() - 1.0) < 1e-10
-        assert math.isfinite(fit.log_mlik)
-        # with a free observation layer the latent no longer copies y exactly
-        assert fit.p_eff < 30.0
-
-
 class TestReproducibility:
     def test_bitwise_identical_refits(self):
         rng = np.random.default_rng(15)
