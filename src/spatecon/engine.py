@@ -20,7 +20,8 @@ supported:
   which is eliminated in closed form, so the factorization has n_mis + p
   rows (_Reduced). Where the bound on the terms that drops fails (a low
   copy precision, or a response of small scale, whose latent precision
-  is high), the whole n + p matrix is factored (_Factored).
+  is high), the same class factors the split that eliminates no
+  residual, all n + p rows.
 * Probit: y_i ~ Bernoulli(Phi(eta_i)). The conditional evidence is a
   Laplace approximation at the Newton mode, multiplied by per-site
   Gauss-Hermite correction factors that make it exact when the sites are
@@ -135,7 +136,8 @@ class CompiledModel:
     The joint prior precision of z = (x, c) is Q(theta) = sum_t a_t K_t:
     prior holds the fixed sparse terms K_t, and prior_weights(theta)
     returns their weights a and log|Q(theta)|. The pattern of Q is the
-    same at every theta, so a fit keeps one Assembly and one analysis.
+    same at every theta, so a fit keeps one Assembly, which holds the
+    analysis of each pattern the engine factors.
     """
 
     y: np.ndarray
@@ -147,17 +149,9 @@ class CompiledModel:
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
     tau_obs: float = 1e8
-    # Analyses of the patterns the engine factors, M and the Gaussian
-    # layer's reduced R: set by the first factorization of each, reused by
-    # every later one.
-    symbolic: SymbolicFactor | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    reduced_symbolic: SymbolicFactor | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # The prior's terms mapped onto the factored matrix: built at the
-    # first evaluation, reused by every later one.
+    # The prior's terms mapped onto the factored matrix, with the analyses
+    # of its patterns: built at the first evaluation, reused by every
+    # later one.
     assembly: "Assembly | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -257,9 +251,12 @@ class Assembly:
     The Gaussian layer uses the residual shift (E maps the observed rows
     onto -u, F = -X_b on them, z0 = y there) and adds tau_obs on the u
     diagonal; term_c = -G'K_t z0 and term_const = z0'K_t z0 give the
-    linear and constant parts of the quadratic form. The probit Hessian
-    uses G = I, so a @ term_data is Q itself, and adds the curvature D by
-    [D, D X_b; X_b'D, X_b'D X_b].
+    linear and constant parts of the quadratic form. It factors one of
+    two splits of the pattern: blocks, which eliminates every observed
+    residual, or whole, which eliminates none and is built the first time
+    blocks' bound fails (_copy_system). The probit Hessian uses G = I, so
+    a @ term_data is Q itself, and adds the curvature D by [D, D X_b;
+    X_b'D, X_b'D X_b]; symbolic is its analysis.
     """
 
     n: int
@@ -276,19 +273,28 @@ class Assembly:
     cc_pos: np.ndarray  # (p, p)
     obs_pos: np.ndarray  # diagonal positions of the observation term
     obs_rows: np.ndarray  # the observed rows of x
-    blocks: "CopyBlocks | None" = None  # the Gaussian layer's blocks
+    blocks: "CopyBlocks | None" = None  # the Gaussian layer's two splits
+    whole: "CopyBlocks | None" = None
+    symbolic: SymbolicFactor | None = None
+
+    def whole_blocks(self) -> "CopyBlocks":
+        """The Gaussian split that eliminates no residual, built on first use."""
+        if self.whole is None:
+            size = self.n + self.p
+            keys = _pattern_keys(self.indptr, self.indices, size)
+            self.whole = CopyBlocks.split(keys, size, self.obs_rows.size, 0, self.term_data)
+        return self.whole
 
     def with_curvature(self, base: np.ndarray, d: np.ndarray, xb: np.ndarray) -> np.ndarray:
         """base plus [D, D X_b; X_b'D, X_b'D X_b], D = diag(d) on the
         observed rows (d holds their curvatures)."""
         out = base.copy()
         out[self.obs_pos] += d
-        if self.p:
-            r = np.zeros((self.n, self.p))
-            r[self.obs_rows] = d[:, None] * xb[self.obs_rows]
-            out[self.cross_pos] += r
-            out[self.cross_t_pos] += r
-            out[self.cc_pos] += xb.T @ r
+        r = np.zeros((self.n, self.p))
+        r[self.obs_rows] = d[:, None] * xb[self.obs_rows]
+        out[self.cross_pos] += r
+        out[self.cross_t_pos] += r
+        out[self.cc_pos] += xb.T @ r
         return out
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
@@ -298,23 +304,27 @@ class Assembly:
 
 @dataclass
 class CopyBlocks:
-    """The Gaussian layer's matrix split at the observed residuals u. In
-    the coordinates (u, r), r = (x_miss, c), it is
+    """The Gaussian layer's matrix split after its first n_o observed
+    residuals u, n_o either every observed row or none. In the
+    coordinates (u, r), r the rest of v = (u_obs, x_miss) and c, it is
 
-        M = [[tau_obs I + A_uu, A_ur], [A_ru, A_rr]],
+        M = [[tau_obs I + A_uu, A_ur], [A_ru, tau_obs J + A_rr]],
 
-    with A = sum_t a_t G'K_tG. A_uu and A_ur (the n_o x (n_mis + p) block
-    above the diagonal) keep their terms' data on fixed CSC patterns. The
-    reduced matrix of _Reduced,
+    with A = sum_t a_t G'K_tG and J the diagonal of ones on the observed
+    residuals r keeps. A_uu and A_ur (the n_o x r block above the
+    diagonal) keep their terms' data on fixed CSC patterns. The reduced
+    matrix of _Reduced,
 
-        R = A_rr - A_ru A_ur / tau + A_ru A_uu A_ur / tau^2,
+        R = tau J + A_rr - A_ru A_ur / tau + A_ru A_uu A_ur / tau^2,
 
-    is a polynomial in the prior's weights a, so it is stored the way the
-    prior is (r_terms, PrecisionTerms): the terms of A_rr; A_ru,s A_ur,t
-    for each pair s <= t; and A_ru,s A_uu,q A_ur,t for each q and each
-    such pair. Each term is exactly symmetric (a pair s < t holds both of
-    its orders), and products with a zero block are left out. A theta then
-    costs the weights r_weights(a, tau) and one weighted sum (r_matrix).
+    is a polynomial in the prior's weights a and tau, so it is stored the
+    way the prior is (r_terms, PrecisionTerms): the terms of A_rr; A_ru,s
+    A_ur,t for each pair s <= t; A_ru,s A_uu,q A_ur,t for each q and each
+    such pair; then J. Each term is exactly symmetric (a pair s < t holds
+    both of its orders), and products with a zero block are left out, so
+    with n_o = 0 R is M itself, and with every residual eliminated J is
+    empty. A theta then costs the weights r_weights(a, tau) and one
+    weighted sum (r_matrix); symbolic is the analysis of R's pattern.
     """
 
     n_o: int
@@ -330,13 +340,18 @@ class CopyBlocks:
     # Per pair (j, k) of A_ur's entries in a row i, (j, k) on R's pattern: i,
     # the positions of (i, j) and (i, k) in A_ur's data, that of (j, k) in R's.
     spread_plan: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    symbolic: SymbolicFactor | None = None
 
     @classmethod
-    def split(cls, keys: np.ndarray, size: int, n_o: int, term_data: np.ndarray) -> "CopyBlocks":
+    def split(
+        cls, keys: np.ndarray, size: int, n_obs: int, n_o: int, term_data: np.ndarray
+    ) -> "CopyBlocks":
         """The blocks of the assembled pattern (sorted keys col * size +
-        row) and of each term's data on it."""
+        row) and of each term's data on it, eliminating the first n_o of
+        the n_obs observed residuals."""
         rows, cols = keys % size, keys // size
         r = size - n_o
+        kept = np.arange(n_obs - n_o)
         u_row, u_col = rows < n_o, cols < n_o
         uu, ur, rr = u_row & u_col, u_row & ~u_col, ~u_row & ~u_col
         uu_pattern = _csc_pattern(cols[uu], rows[uu], n_o)
@@ -362,6 +377,7 @@ class CopyBlocks:
             [symmetric(_on(rr_pattern, data, (r, r))) for data in term_data[:, rr]]
             + [product(s, t) for s, t in pairs]
             + [product(s, t, q) for q in uu_terms for s, t in pairs]
+            + [_on(_csc_pattern(kept, kept, r), np.ones(kept.size), (r, r))]
         )
         ur_rows, ur_cols = rows[ur], cols[ur] - n_o
         by_row = np.argsort(ur_rows, kind="stable")
@@ -399,15 +415,16 @@ class CopyBlocks:
 
     def r_weights(self, a: np.ndarray, tau: float, da: np.ndarray | None = None) -> np.ndarray:
         """The weights of r_terms at the prior's weights a and tau =
-        tau_obs: [a, -a_s a_t / tau, a_q a_s a_t / tau^2]. Given da, their
-        derivative along da at a fixed tau."""
+        tau_obs: [a, -a_s a_t / tau, a_q a_s a_t / tau^2, tau]. Given da,
+        their derivative along da at a fixed tau."""
         s, t = self.pairs.T
         st = a[s] * a[t]
         if da is None:
-            return np.concatenate([a, -st / tau, np.outer(a[self.uu_terms], st).ravel() / tau**2])
+            triples = np.outer(a[self.uu_terms], st).ravel() / tau**2
+            return np.concatenate([a, -st / tau, triples, [tau]])
         d_st = da[s] * a[t] + a[s] * da[t]
         d_q = np.outer(da[self.uu_terms], st) + np.outer(a[self.uu_terms], d_st)
-        return np.concatenate([da, -d_st / tau, d_q.ravel() / tau**2])
+        return np.concatenate([da, -d_st / tau, d_q.ravel() / tau**2, [0.0]])
 
 
 def _csc_pattern(cols: np.ndarray, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +505,7 @@ def _build_assembly(model: CompiledModel) -> Assembly:
         kz0 = np.stack([k_t @ z0 for k_t in terms])
         term_c = -(g.T @ kz0.T).T
         term_const = kz0 @ z0
-        blocks = CopyBlocks.split(keys, size, obs.size, term_data)
+        blocks = CopyBlocks.split(keys, size, obs.size, obs.size, term_data)
     return Assembly(
         n=n,
         p=p,
@@ -508,13 +525,12 @@ def _build_assembly(model: CompiledModel) -> Assembly:
     )
 
 
-def _factor(model: CompiledModel, data: np.ndarray, context: str) -> CholeskyHandle:
-    """Factor the matrix with the given data on the model's assembly
-    pattern, ordering and analysing the pattern on first use."""
-    factor = CholeskyHandle(
-        model.assembly.matrix(data), context=context, symbolic=model.symbolic
-    )
-    model.symbolic = factor.symbolic
+def _factor(owner, mat: sp.csc_matrix, context: str) -> CholeskyHandle:
+    """Factor mat, whose pattern is owner's, with owner.symbolic, the
+    analysis of that pattern: made by the first factorization, reused by
+    every later one."""
+    factor = CholeskyHandle(mat, context=context, symbolic=owner.symbolic)
+    owner.symbolic = factor.symbolic
     return factor
 
 
@@ -523,69 +539,37 @@ def _factor(model: CompiledModel, data: np.ndarray, context: str) -> CholeskyHan
 # ---------------------------------------------------------------------------
 
 # The largest (s / tau_obs)^2, s the largest absolute row sum of A_uu, at
-# which the evidence eliminates the observed residuals in closed form
-# (_Reduced): the relative size of the terms that elimination drops. Above
-# it the evidence factors M whole (_Factored).
+# which the evidence eliminates the observed residuals in closed form:
+# the relative size of the terms that elimination drops. Above it the
+# evidence takes the split that eliminates none (_copy_system).
 _EXPANSION_TOL = 1e-10
 
 
-class _Factored:
-    """M factored whole, n + p rows: its log determinant and solves from
-    the factor, its traces and variances from the selected inverse, whose
-    entries on the assembly's pattern line up with Assembly.term_data."""
-
-    def __init__(self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float):
-        plan = model.assembly
-        data = a @ plan.term_data
-        data[plan.obs_pos] += tau_obs
-        self.model = model
-        self.factor = _factor(model, data, f"theta = {dict(theta)}")
-
-    def logdet(self) -> float:
-        return self.factor.logdet()
-
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        return self.factor.solve(c)
-
-    def trace(self, da: np.ndarray) -> float:
-        """tr(M^{-1} dM) for dM = da @ Assembly.term_data."""
-        return float(self.factor.inverse_on_pattern().data @ (da @ self.model.assembly.term_data))
-
-    def variances(self) -> np.ndarray:
-        """The variances of (u_obs, x_miss)."""
-        return self.factor.marginal_variances(np.arange(self.model.n))
-
-    def columns(self) -> np.ndarray:
-        """The coefficient columns of M^{-1}."""
-        n = self.model.n
-        return self.factor.inverse_columns(np.arange(n, n + self.model.p))
-
-
 class _Reduced:
-    """M with the observed residuals u eliminated in closed form (Rue &
-    Held 2005, sec. 2.3). With tau = tau_obs and D = tau I + A_uu,
+    """M with the first n_o observed residuals u eliminated in closed form
+    (Rue & Held 2005, sec. 2.3), on the split blocks (CopyBlocks). With
+    tau = tau_obs and D = tau I + A_uu,
 
-        log|M| = log|D| + log|R|,   R = A_rr - A_ru D^{-1} A_ur,
+        log|M| = log|D| + log|R|,   R = tau J + A_rr - A_ru D^{-1} A_ur,
 
     where D^{-1} = I / tau - A_uu / tau^2 and log|D| = n_o log tau +
     tr(A_uu) / tau - ||A_uu||_F^2 / (2 tau^2), each to its second term.
     Since 0 <= A_uu <= s I, s the largest absolute row sum of A_uu, the
     terms dropped are at most (s / tau)^2 of those kept, and log|D|'s at
-    most n_o (s / tau)^3 / 3. R, n_mis + p rows, is one weighted sum of
-    CopyBlocks.r_terms, whose pattern is analysed once per fit
-    (CompiledModel.reduced_symbolic). Its selected inverse Sigma_rr =
-    R^{-1} on that pattern gives the variances of r = (x_miss, c) and
-    each trace tr(R^{-1} dR) as one dot product with dR's data. Solves and
-    the u rows of Sigma take products with D^{-1}: Sigma_ur = -D^{-1} A_ur
-    R^{-1}, and Var(u_i) = 1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1}
-    A_ru)_ii / tau^2, whose last term reads R^{-1} at the entries of
-    A_ru A_ur, which R's terms hold.
+    most n_o (s / tau)^3 / 3. With n_o = 0 nothing is dropped and R is M.
+    R is one weighted sum of CopyBlocks.r_terms, whose pattern is analysed
+    once per fit (CopyBlocks.symbolic). Its selected inverse Sigma_rr =
+    R^{-1} on that pattern gives the variances of r and each trace
+    tr(R^{-1} dR) as one dot product with dR's data. Solves and the u rows
+    of Sigma take products with D^{-1}: Sigma_ur = -D^{-1} A_ur R^{-1}, and
+    Var(u_i) = 1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1} A_ru)_ii / tau^2,
+    whose last term reads R^{-1} at the entries of A_ru A_ur, which R's
+    terms hold.
     """
 
     def __init__(
-        self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float, uu=None
+        self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float, blocks, uu=None
     ):
-        blocks = model.assembly.blocks
         self.model, self.blocks, self.a, self.tau_obs = model, blocks, a, tau_obs
         n_o, r = blocks.n_o, blocks.r
         self.a_uu = _on(blocks.uu, a @ blocks.term_uu if uu is None else uu, (n_o, n_o))
@@ -593,12 +577,7 @@ class _Reduced:
         if not r:
             self.factor = _NoRows()
             return
-        self.factor = CholeskyHandle(
-            blocks.r_matrix(a, tau_obs),
-            context=f"theta = {dict(theta)}",
-            symbolic=model.reduced_symbolic,
-        )
-        model.reduced_symbolic = self.factor.symbolic
+        self.factor = _factor(blocks, blocks.r_matrix(a, tau_obs), f"theta = {dict(theta)}")
 
     def _d_inv(self, v: np.ndarray) -> np.ndarray:
         """D^{-1} v."""
@@ -645,20 +624,19 @@ class _Reduced:
         """The variances of (u_obs, x_miss)."""
         tau = self.tau_obs
         var_u = (1.0 - (self.a_uu.data[self.blocks.uu_diag] - self._spread) / tau) / tau
-        n_m = self.model.miss_idx.size
-        return np.concatenate([var_u, self.factor.marginal_variances(np.arange(n_m))])
+        n_v = self.blocks.r - self.model.p
+        return np.concatenate([var_u, self.factor.marginal_variances(np.arange(n_v))])
 
     def columns(self) -> np.ndarray:
         """The coefficient columns of M^{-1}."""
-        cols_r = self.factor.inverse_columns(np.arange(self.model.miss_idx.size, self.blocks.r))
+        r = self.blocks.r
+        cols_r = self.factor.inverse_columns(np.arange(r - self.model.p, r))
         return np.vstack([-self._d_inv(self.a_ur @ cols_r), cols_r])
 
 
 class _NoRows:
     """The factor of R when R has no rows: every response observed and
     no coefficients."""
-
-    symbolic = None
 
     def logdet(self) -> float:
         return 0.0
@@ -676,16 +654,17 @@ class _NoRows:
         return np.zeros((0, 0))
 
 
-def _copy_system(model: CompiledModel, theta, a: np.ndarray, tau_obs: float):
-    """M at theta as _Reduced when (s / tau_obs)^2 <= _EXPANSION_TOL, else
-    as _Factored."""
-    blocks = model.assembly.blocks
-    uu = a @ blocks.term_uu
+def _copy_system(model: CompiledModel, theta, a: np.ndarray, tau_obs: float) -> _Reduced:
+    """M at theta on the split that eliminates every observed residual
+    (Assembly.blocks) when (s / tau_obs)^2 <= _EXPANSION_TOL, else on the
+    split that eliminates none (Assembly.whole_blocks)."""
+    plan = model.assembly
+    uu = a @ plan.blocks.term_uu
     # A_uu is symmetric, and every column holds its diagonal entry.
-    s = float(np.max(np.add.reduceat(np.abs(uu), blocks.uu[0][:-1])))
+    s = float(np.max(np.add.reduceat(np.abs(uu), plan.blocks.uu[0][:-1])))
     if (s / tau_obs) ** 2 <= _EXPANSION_TOL:
-        return _Reduced(model, theta, a, tau_obs, uu)
-    return _Factored(model, theta, a, tau_obs)
+        return _Reduced(model, theta, a, tau_obs, plan.blocks, uu)
+    return _Reduced(model, theta, a, tau_obs, plan.whole_blocks())
 
 
 def gaussian_evidence(
@@ -697,19 +676,19 @@ def gaussian_evidence(
 ) -> tuple[float, GaussianState | np.ndarray | None]:
     """Exact log pi(y | theta) for the Gaussian copy likelihood.
 
-    The matrix M of the residual-shifted quadratic form is solved with
-    the observed residuals eliminated in closed form (_Reduced), which
+    The matrix M of the residual-shifted quadratic form is solved by
+    _Reduced with the observed residuals eliminated in closed form, which
     factors a matrix of n_mis + p rows, or, where the bound on the terms
-    that drops fails (a low tau_obs, or a response of small scale),
-    factored whole (_Factored).
+    that drops fails (a low tau_obs, or a response of small scale), with
+    none eliminated, which factors all n + p rows (_copy_system).
     With wrt (names of hyperparameters), the second item is the gradient
     of log pi(y | theta) with respect to them, from the same system
     (_evidence_gradient). With want_state it is the conditional Gaussian
-    of z; given a pending list, a whole-matrix state's latent variances
-    are left for _finish_variances, which reads those of a whole grid
-    row off one Takahashi sweep. The list keeps the factor's L and D
-    values; the factor itself, with its SuperLU object, is dropped on
-    return.
+    of z; given a pending list, the latent variances of a state that
+    eliminated no residual are left for _finish_variances, which reads
+    those of a whole grid row off one Takahashi sweep. The list keeps the
+    factor's L and D values; the factor itself, with its SuperLU object,
+    is dropped on return.
     """
     a, logdet_qp = model.prior_weights(theta)
     plan = _assembly(model)
@@ -744,7 +723,7 @@ def gaussian_evidence(
         mean_eta=mean_x + model.b_design @ mean_c,
         var_eta=None,
     )
-    if pending is not None and isinstance(system, _Factored):
+    if pending is not None and system.blocks.n_o == 0:
         pending.append((state, system.factor.symbolic, system.factor.factor_values(), cols))
     else:
         _set_variances(model, state, system.variances(), cols)
@@ -800,8 +779,9 @@ def _evidence_gradient(
     of z (the last term is the envelope theorem on the quadratic
     minimum). With da/dt the derivative of the prior's weights, dQ/dt =
     sum_t da_t/dt K_t and dM/dt = da/dt @ Assembly.term_data; the system
-    gives the trace (_Reduced.trace from R's selected inverse and the
-    closed-form u block, _Factored.trace from M's). da/dt and
+    gives the trace (_Reduced.trace, from R's selected inverse and the
+    closed-form u block, which is empty when no residual is eliminated
+    and R is M). da/dt and
     d log|Q|/dt are central differences of prior_weights at t +- h (h =
     _DIFF_STEP; the mode search keeps t that far inside the clamp) and
     need no factorization: they are exact to rounding in rho, in which
@@ -855,9 +835,10 @@ def laplace_inner(
     modified Newton, steps (Kelley 1995, ch. 5): each solves with a held
     factor, first the model's last converged Hessian (model.last_factor),
     and backtracks by halving to a step that does not lower the
-    objective. The Hessian H(z) is factored afresh at the current z when
-    there is no held factor, when the chord step falls below 1e-10, or
-    when it is not at most half the step before it; a fresh factor that
+    objective by more than its round-off, 1e-12 max(1, |objective|). The
+    Hessian H(z) is factored afresh at the current z when there is no
+    held factor, when the chord step falls below 1e-10, or when it is
+    not at most half the step before it; a fresh factor that
     does not end the search is held for the next steps. The search stops
     only on a fresh factor: at the first z whose gradient sup-norm is
     below 1e-7 and whose Newton step with H(z) is below 1e-10. That
@@ -920,8 +901,8 @@ def laplace_inner(
         if not 1e-10 <= size <= 0.5 * last_size:
             if factorizations == _NEWTON_MAX_FACTORIZATIONS:
                 break
-            h = plan.with_curvature(q_data, d_site, xb)
-            factor = _factor(model, h, f"probit Hessian, theta = {dict(theta)}")
+            h = plan.matrix(plan.with_curvature(q_data, d_site, xb))
+            factor = _factor(plan, h, f"probit Hessian, theta = {dict(theta)}")
             factorizations += 1
             delta = factor.solve(grad)
             size = float(np.max(np.abs(delta)))
@@ -929,12 +910,14 @@ def laplace_inner(
             if converged:
                 break
         # Backtrack by halving to a step that does not lower the
-        # objective; below 2^-30 the step is taken as it is.
+        # objective beyond its round-off, which is relative: an absolute
+        # slack stalls the search once |obj| is in the thousands. Below
+        # 2^-30 the step is taken as it is.
         t = 1.0
         while True:
             z_next = z + t * delta
             obj_next = objective(z_next)
-            if obj_next >= obj - 1e-12 or t < 2.0**-30:
+            if obj_next >= obj - 1e-12 * max(1.0, abs(obj)) or t < 2.0**-30:
                 break
             t *= 0.5
         z, obj, last_size = z_next, obj_next, size
@@ -972,8 +955,6 @@ def laplace_inner(
 
 def _with_design_variance(var_v, cross, cov_c, xb) -> np.ndarray:
     """Var(v + X_b c) per row from Var(v), Cov(v, c) and Cov(c)."""
-    if xb.shape[1] == 0:
-        return var_v.copy()
     return (
         var_v
         + 2.0 * np.einsum("ij,ij->i", xb, cross)
@@ -1018,8 +999,9 @@ def log_conditional_evidence(
 
     wrt and pending are for the Gaussian likelihood (gaussian_evidence):
     with wrt the second item is the gradient of log pi(y | theta) with
-    respect to the named hyperparameters; with pending a whole-matrix
-    state's latent variances wait for _finish_variances.
+    respect to the named hyperparameters; with pending the latent
+    variances of a state that eliminated no residual wait for
+    _finish_variances.
     """
     compiled = getattr(model, "compiled", model)
     theta = _clamp_theta(dict(theta))
@@ -1378,7 +1360,7 @@ def _mode_and_scale(model: CompiledModel):
 def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool):
     # Every exploration starts cold, from no mode and no analysis, so its
     # result does not depend on what was evaluated on the model before.
-    model.symbolic = model.reduced_symbolic = model.assembly = None
+    model.assembly = None
     model.last_mode = model.last_factor = None
     free = model.free_dims()
     d = len(free)
@@ -1638,7 +1620,7 @@ def fit_compiled(
     # A kept fit holds its results, not the factorization workspace or
     # the last mode and factor; a later evaluation analyses its pattern
     # again and starts Newton from zero.
-    model.symbolic = model.reduced_symbolic = model.assembly = None
+    model.assembly = None
     model.last_mode = model.last_factor = None
     weights = grid.weights
     g_count, n, p = len(states), model.n, model.p

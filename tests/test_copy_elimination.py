@@ -1,12 +1,13 @@
 """The Gaussian evidence eliminates the observed residuals in closed form.
 
-engine._Reduced factors a matrix of n_mis + p rows instead of the whole
-(n + p) matrix that engine._Factored factors; the evidence takes the
-reduced system wherever the bound on the terms it drops holds. Called
-directly, the two paths agree on the evidence, its gradient and every
-field of the conditional Gaussian; where the bound fails (a low copy
-precision, or a response of small scale) the evidence factors the whole
-matrix and matches the dense oracle of tests/oracles.py.
+engine._Reduced on the split that eliminates every observed residual
+factors a matrix of n_mis + p rows; on the split that eliminates none it
+factors the whole (n + p) matrix. The evidence takes the first wherever
+the bound on the terms it drops holds. Called directly, the two splits
+agree on the evidence, its gradient and every field of the conditional
+Gaussian; where the bound fails (a low copy precision, or a response of
+small scale) the evidence factors the whole matrix and matches the dense
+oracle of tests/oracles.py.
 """
 
 import dataclasses
@@ -55,14 +56,26 @@ def gaussian_model(kind, missing=4, n=40, seed=81, **priors):
     return se.build(kind, y, x, w, priors=se.ModelPriors(**priors))
 
 
-def small_scale_slm(seed):
+def small_scale_slm(seed, scale=0.01, missing=()):
     """A Delaunay SLM at the default priors with y scaled by 0.01: its
     latent precision near the mode, about 4e4, fails the bound at tau_obs
-    = 1e8."""
+    = 1e8. The responses at the indices in missing are set missing."""
     rng = np.random.default_rng(seed)
     w = delaunay_weights(rng, 60)
     y, x = simulate_slm(rng, w, [1.0, 0.8, -0.6], 0.6, 0.5)
-    return se.build("slm", 0.01 * y, x, w)
+    y = scale * y
+    y[list(missing)] = np.nan
+    return se.build("slm", y, x, w)
+
+
+def reduced(c, theta, a, tau):
+    """_Reduced on the split that eliminates every observed residual."""
+    return engine._Reduced(c, theta, a, tau, c.assembly.blocks)
+
+
+def whole(c, theta, a, tau):
+    """_Reduced on the split that eliminates none: M factored whole."""
+    return engine._Reduced(c, theta, a, tau, c.assembly.whole_blocks())
 
 
 def evaluate(path, model, theta, **kwargs):
@@ -86,14 +99,14 @@ def assert_paths_agree(model, thetas):
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
         a, _ = c.prior_weights(theta)
-        assert isinstance(engine._copy_system(c, theta, a, c.tau_obs), engine._Reduced)
-        got, want = (evaluate(path, model, theta) for path in (engine._Reduced, engine._Factored))
+        assert engine._copy_system(c, theta, a, c.tau_obs).blocks is c.assembly.blocks
+        got, want = (evaluate(path, model, theta) for path in (reduced, whole))
         assert relative(got[0], want[0]) <= 1e-10
-        _, got = evaluate(engine._Reduced, model, theta, wrt=names)
-        _, want = evaluate(engine._Factored, model, theta, wrt=names)
+        _, got = evaluate(reduced, model, theta, wrt=names)
+        _, want = evaluate(whole, model, theta, wrt=names)
         assert relative(got, want) <= 1e-10, (theta, got, want)
-        _, got = evaluate(engine._Reduced, model, theta, want_state=True)
-        _, want = evaluate(engine._Factored, model, theta, want_state=True)
+        _, got = evaluate(reduced, model, theta, want_state=True)
+        _, want = evaluate(whole, model, theta, want_state=True)
         for field in dataclasses.fields(GaussianState):
             name = field.name
             assert relative(getattr(got, name), getattr(want, name)) <= 1e-10, (theta, name)
@@ -160,14 +173,53 @@ def test_small_scale_response_fits_run_to_the_end(seed, monkeypatch):
 
     def recording(*args):
         system = real(*args)
-        paths.add(type(system))
+        paths.add(system.blocks.n_o)
         return system
 
     monkeypatch.setattr(engine, "_copy_system", recording)
     fit = se.fit(small_scale_slm(seed))
     assert fit.grid.dims == ("rho_internal", "log_tau")
     assert math.isfinite(fit.log_mlik) and math.isfinite(fit.dic)
-    assert engine._Factored in paths
+    assert 0 in paths
+
+
+def test_a_fit_whose_grid_mixes_both_splits(monkeypatch):
+    # With y x 0.1 the bound holds at some evaluations of this fit and
+    # fails at others, so grid rows mix the splits, and the whole split's
+    # variances wait for their row's stacked sweep.
+    model = small_scale_slm(1, scale=0.1, missing=(3, 17, 40))
+    c = model.compiled
+    counts = {"reduced": 0, "whole": 0}
+    real = engine._copy_system
+
+    def recording(*args):
+        system = real(*args)
+        counts["whole" if system.blocks.n_o == 0 else "reduced"] += 1
+        return system
+
+    monkeypatch.setattr(engine, "_copy_system", recording)
+    fit = se.fit(model)
+    assert counts["reduced"] > 0 and counts["whole"] > 0, counts
+    fields = {
+        "var_x": fit.x_vars,
+        "var_eta": fit.eta_vars,
+        "mean_c": fit.coef_means,
+        "cov_c": fit.coef_covs,
+    }
+    for g in range(fit.grid.points.shape[0]):
+        ref = reference_gaussian_state(model, c.theta_from_vector(fit.grid.points[g]))
+        for name, values in fields.items():
+            assert relative(values[g], ref[name]) <= 1e-10, (g, name)
+
+
+def test_default_scale_never_builds_the_whole_split():
+    # The whole split holds a few more rows of nnz(M) floats, so it is
+    # built only when the bound first fails.
+    model = gaussian_model("slm")
+    c = model.compiled
+    for theta in THETAS["lag"]:
+        engine.log_conditional_evidence(c, theta)
+    assert c.assembly.blocks is not None and c.assembly.whole is None
 
 
 def assert_reduced_terms(model, thetas):
@@ -220,7 +272,7 @@ def assert_spread_matches_the_product(model, thetas):
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
         a, _ = c.prior_weights(theta)
-        system = engine._Reduced(c, theta, a, c.tau_obs)
+        system = reduced(c, theta, a, c.tau_obs)
         want = np.asarray((system.a_ur @ system._sigma).multiply(system.a_ur).sum(axis=1)).ravel()
         assert system._spread.shape == want.shape == (c.obs_idx.size,)
         assert np.max(np.abs(system._spread - want)) <= 1e-14 * np.max(np.abs(want)), theta

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from oracles import gradient_at_mode, random_weights, simulate_slm
 from scipy import integrate, optimize, stats
 
@@ -340,6 +341,31 @@ class TestHotStart:
         se.fit(model)
         assert stages == {"mode": 9, "hessian": 4, "grid": 7}
         assert len(factorizations) <= 2.5 * sum(stages.values())
+
+
+def test_newton_converges_where_the_objective_is_large(monkeypatch):
+    # At n = 4,000 |objective| is in the thousands, where an absolute
+    # backtracking slack of 1e-12 lies below the objective's round-off: a
+    # cold search stalled there, ending after 100 factorizations with a
+    # gradient sup-norm of 1.2e-10. The slack is relative to |objective|.
+    n = 4000
+    rng = np.random.default_rng(0)
+    coords = rng.uniform(size=(n, 2))
+    x = rng.normal(size=(n, 2))
+    eps = rng.normal(size=n)
+    w = se.row_standardize(se.knn_adjacency(coords, 6))
+    eta = spla.spsolve(sp.identity(n, format="csc") - 0.5 * w.mat, 0.3 + x @ [1.0, -0.8] + eps)
+    model = se.build("slm", (eta > 0).astype(float), x, w, likelihood="probit").compiled
+    theta = {"rho_internal": 0.61, "log_tau": 0.0}
+    calls = count_factorizations(monkeypatch)
+    lz_cold, _ = laplace_inner(model, theta, want_state=False)
+    assert len(calls) <= 5
+    model.last_mode = model.last_factor = None
+    laplace_inner(model, {**theta, "rho_internal": 0.60}, want_state=False)
+    calls.clear()
+    lz_hot, _ = laplace_inner(model, theta, want_state=False)
+    assert len(calls) <= 3
+    assert abs(lz_hot - lz_cold) <= 1e-10 * abs(lz_cold)
 
 
 def count_evidence_by_stage(monkeypatch):
