@@ -53,9 +53,11 @@ from .errors import InvalidInputError, InvalidParameterError, NumericFailureErro
 from .gmrf import (
     RHO_INTERNAL_EPS,
     CholeskyHandle,
+    BorderedPattern,
     PrecisionTerms,
     SymbolicFactor,
     _pattern_keys,
+    gather,
     marginal_variance_stack,
 )
 
@@ -241,12 +243,16 @@ class Assembly:
     """The prior's terms mapped onto the matrix the engine factors.
 
     In coordinates z' = (v, c) with z = G z' + z0, G = [[E, F], [0, I]],
-    E a signed permutation and F a fixed n x p block, the prior's share of
-    the factored matrix is G'QG = sum_t a_t G'K_tG. Each G'K_tG is one
-    sparse product per fit, scattered onto a fixed pattern: E'AE (A the
-    x-x block of the terms' union pattern), the observation diagonal, the
-    full cross blocks and the coefficient block. Per theta only the
-    weighted sums a @ term_data, a @ term_c and a @ term_const remain.
+    E a signed permutation and F a fixed dense n x p block, the prior's
+    share of the factored matrix is G'QG = sum_t a_t G'K_tG. The prior
+    holds each K_t in block form: a sparse x block K_xx, a dense or empty
+    x-c block K_xc and a dense c block K_cc. So G'K_tG is E'K_xxE, K_xx's
+    own entries moved by one position map (x_pos) shared by every term;
+    the dense cross block E'(K_xx F + K_xc); and the p x p block F'K_xx F
+    + F'K_xc + K_cx F + K_cc. It lies on a BorderedPattern: the sparse
+    v-v pattern (x_pattern), bordered by the dense cross and c blocks.
+    Per theta only the weighted sums a @ term_data, a @ term_c and a @
+    term_const remain.
 
     The Gaussian layer uses the residual shift (E maps the observed rows
     onto -u, F = -X_b on them, z0 = y there) and adds tau_obs on the u
@@ -254,21 +260,25 @@ class Assembly:
     linear and constant parts of the quadratic form. It factors one of
     two splits of the pattern: blocks, which eliminates every observed
     residual, or whole, which eliminates none and is built the first time
-    blocks' bound fails (_copy_system). The probit Hessian uses G = I, so
-    a @ term_data is Q itself, and adds the curvature D by [D, D X_b;
-    X_b'D, X_b'D X_b]; symbolic is its analysis.
+    blocks' bound fails (_copy_system). The probit Hessian uses G = I
+    (E = I, F = 0), so a @ term_data is Q itself, and adds the curvature
+    D by [D, D X_b; X_b'D, X_b'D X_b]; symbolic is its analysis.
     """
 
     n: int
     p: int
     indptr: np.ndarray  # CSC pattern of the factored matrix
     indices: np.ndarray
-    g: sp.csc_matrix
+    v_of_x: np.ndarray  # E: x_i = sign_i v_{v_of_x[i]}
+    sign: np.ndarray
+    f: np.ndarray  # (n, p)
     z0: np.ndarray | None
     term_data: np.ndarray  # (T, nnz): G'K_tG on the pattern
     term_c: np.ndarray | None  # (T, n + p)
     term_const: np.ndarray | None  # (T,)
-    cross_pos: np.ndarray  # (n, p) positions of the x-c block and of its transpose
+    x_pattern: tuple[np.ndarray, np.ndarray]  # (indptr, indices) of the v-v block
+    x_pos: np.ndarray  # positions of its entries in term_data's rows
+    cross_pos: np.ndarray  # (n, p) positions of the v-c block and of its transpose
     cross_t_pos: np.ndarray
     cc_pos: np.ndarray  # (p, p)
     obs_pos: np.ndarray  # diagonal positions of the observation term
@@ -280,10 +290,13 @@ class Assembly:
     def whole_blocks(self) -> "CopyBlocks":
         """The Gaussian split that eliminates no residual, built on first use."""
         if self.whole is None:
-            size = self.n + self.p
-            keys = _pattern_keys(self.indptr, self.indices, size)
-            self.whole = CopyBlocks.split(keys, size, self.obs_rows.size, 0, self.term_data)
+            self.whole = CopyBlocks.split(self, 0)
         return self.whole
+
+    def latent(self, w: np.ndarray) -> np.ndarray:
+        """z = G w + z0."""
+        c = w[self.n :]
+        return np.concatenate([self.sign * w[self.v_of_x] + self.f @ c + self.z0[: self.n], c])
 
     def with_curvature(self, base: np.ndarray, d: np.ndarray, xb: np.ndarray) -> np.ndarray:
         """base plus [D, D X_b; X_b'D, X_b'D X_b], D = diag(d) on the
@@ -325,6 +338,12 @@ class CopyBlocks:
     with n_o = 0 R is M itself, and with every residual eliminated J is
     empty. A theta then costs the weights r_weights(a, tau) and one
     weighted sum (r_matrix); symbolic is the analysis of R's pattern.
+
+    R lies on a BorderedPattern, as M does. A_ur is [B, C]: B the sparse
+    u x x_miss block, C the dense u x c block. So each term's x_miss
+    block is a sparse product of B's (B_s'B_t, B_s'A_uu,q B_t), while its
+    border and c block are a sparse A_uu,q times the dense C's, followed
+    by one small dense product (B_s'(A_uu,q C_t), C_s'(A_uu,q C_t)).
     """
 
     n_o: int
@@ -343,66 +362,70 @@ class CopyBlocks:
     symbolic: SymbolicFactor | None = None
 
     @classmethod
-    def split(
-        cls, keys: np.ndarray, size: int, n_obs: int, n_o: int, term_data: np.ndarray
-    ) -> "CopyBlocks":
-        """The blocks of the assembled pattern (sorted keys col * size +
-        row) and of each term's data on it, eliminating the first n_o of
-        the n_obs observed residuals."""
-        rows, cols = keys % size, keys // size
-        r = size - n_o
-        kept = np.arange(n_obs - n_o)
+    def split(cls, plan: Assembly, n_o: int) -> "CopyBlocks":
+        """The blocks of the assembled matrix (plan), eliminating the first
+        n_o of its observed residuals."""
+        n, p, data = plan.n, plan.p, plan.term_data
+        n_terms = data.shape[0]
+        m, r = n - n_o, n + p - n_o
+        x_indptr, rows = plan.x_pattern
+        cols = np.repeat(np.arange(n), np.diff(x_indptr))
         u_row, u_col = rows < n_o, cols < n_o
         uu, ur, rr = u_row & u_col, u_row & ~u_col, ~u_row & ~u_col
+        x_uu, x_ur, x_rr = (np.take(data, plan.x_pos[part], axis=1) for part in (uu, ur, rr))
+        cross = np.take(data, plan.cross_pos, axis=1)
         uu_pattern = _csc_pattern(cols[uu], rows[uu], n_o)
-        ur_pattern = _csc_pattern(cols[ur] - n_o, rows[ur], r)
-        rr_pattern = _csc_pattern(cols[rr] - n_o, rows[rr] - n_o, r)
-        term_uu, term_ur = term_data[:, uu], term_data[:, ur]
-        a_uu = [_on(uu_pattern, data, (n_o, n_o)) for data in term_uu]
-        a_ur = [_on(ur_pattern, data, (n_o, r)) for data in term_ur]
-        with_ur = [t for t, data in enumerate(term_ur) if data.any()]
-        pairs = np.array(
-            list(itertools.combinations_with_replacement(with_ur, 2)), dtype=np.intp
-        ).reshape(-1, 2)
-        uu_terms = np.array([q for q, data in enumerate(term_uu) if data.any()], dtype=np.intp)
-
-        def symmetric(mat, both=False):
-            return mat + mat.T if both else 0.5 * (mat + mat.T)
-
-        def product(s, t, q=None):
-            prod = a_ur[s].T @ (a_ur[t] if q is None else a_uu[q] @ a_ur[t])
-            return symmetric(prod, s < t)
-
-        r_terms = PrecisionTerms.union(
-            [symmetric(_on(rr_pattern, data, (r, r))) for data in term_data[:, rr]]
-            + [product(s, t) for s, t in pairs]
-            + [product(s, t, q) for q in uu_terms for s, t in pairs]
-            + [_on(_csc_pattern(kept, kept, r), np.ones(kept.size), (r, r))]
+        b_pattern = _csc_pattern(cols[ur] - n_o, rows[ur], m)
+        # A_ur = [B, C]: B sparse on the x_miss columns, C dense on the c ones.
+        ur_pattern = (
+            np.concatenate([b_pattern[0], x_ur.shape[1] + n_o * np.arange(1, p + 1)]),
+            np.concatenate([b_pattern[1], np.tile(np.arange(n_o), p)]),
         )
-        ur_rows, ur_cols = rows[ur], cols[ur] - n_o
-        by_row = np.argsort(ur_rows, kind="stable")
-        counts = np.bincount(ur_rows, minlength=n_o)
-        # Row i's c_i entries lie in by_row from start; m numbers its c_i^2 pairs.
-        row = np.repeat(np.arange(n_o), counts**2)
-        m = np.arange(row.size) - np.repeat(np.cumsum(counts**2) - counts**2, counts**2)
-        start = np.repeat(np.cumsum(counts) - counts, counts**2)
-        j, k = by_row[start + m // counts[row]], by_row[start + m % counts[row]]
-        keys = ur_cols[k] * r + ur_cols[j]
-        r_keys = _pattern_keys(r_terms.indptr, r_terms.indices, r)
-        at = np.minimum(np.searchsorted(r_keys, keys), r_keys.size - 1)
-        on = r_keys[at] == keys
+        c_u = cross[:, :n_o].transpose(0, 2, 1).reshape(n_terms, -1)
+        term_ur = np.concatenate([x_ur, c_u], axis=1)
+        with_ur = np.flatnonzero(term_ur.any(axis=1))
+        uu_terms = np.flatnonzero(x_uu.any(axis=1))
+        pairs = np.array(
+            list(itertools.combinations_with_replacement(range(with_ur.size), 2)), dtype=np.intp
+        ).reshape(-1, 2)
+        which, e_rows, e_cols, values, border, corner = _products(
+            [_on(b_pattern, x_ur[t], (n_o, m)) for t in with_ur],
+            cross[with_ur, :n_o],
+            [_on(uu_pattern, x_uu[q], (n_o, n_o)) for q in uu_terms],
+            pairs,
+            m,
+        )
+        # R's terms: A_rr's, the products', then J on the kept residuals.
+        n_r = n_terms + len(border) + 1
+        kept = np.arange(plan.obs_rows.size - n_o)
+        rr_rows, rr_cols = rows[rr] - n_o, cols[rr] - n_o
+        rr_terms = np.repeat(np.arange(n_terms), rr_rows.size)
+        sparse = gather(
+            m,
+            n_r,
+            np.concatenate([rr_terms, n_terms + which, np.full(kept.size, n_r - 1)]),
+            np.concatenate([np.tile(rr_rows, n_terms), e_rows, kept]),
+            np.concatenate([np.tile(rr_cols, n_terms), e_cols, kept]),
+            np.concatenate([x_rr.ravel(), values, np.ones(kept.size)]),
+        )
+        r_terms = PrecisionTerms.bordered(
+            sparse[:2],
+            sparse[2],
+            np.concatenate([cross[:, n_o:], border, np.zeros((1, m, p))]),
+            np.concatenate([np.take(data, plan.cc_pos, axis=1), corner, np.zeros((1, p, p))]),
+        )
         return cls(
             n_o=n_o,
             r=r,
             uu=uu_pattern,
             ur=ur_pattern,
-            term_uu=term_uu,
+            term_uu=x_uu,
             term_ur=term_ur,
             uu_diag=np.flatnonzero(rows[uu] == cols[uu]),
-            pairs=pairs,
+            pairs=with_ur[pairs],
             uu_terms=uu_terms,
             r_terms=r_terms,
-            spread_plan=(row[on], j[on], k[on], at[on]),
+            spread_plan=_spread_plan(ur_pattern, n_o, r, r_terms),
         )
 
     def r_matrix(self, a: np.ndarray, tau: float) -> sp.csc_matrix:
@@ -427,6 +450,70 @@ class CopyBlocks:
         return np.concatenate([da, -d_st / tau, d_q.ravel() / tau**2, [0.0]])
 
 
+def _products(b, c: np.ndarray, a_q, pairs: np.ndarray, m: int):
+    """R's pair and triple terms (CopyBlocks) from the terms [B_s, C_s] of
+    A_ur with entries: b the sparse n_o x m blocks B_s, c the dense
+    (W, n_o, p) stack of the C_s. With H_0 = I and H_g = A_uu,q for the
+    g-th q, term (g, s, t) is P = [B_s, C_s]' H_g [B_t, C_t], plus P' for
+    a pair s < t, symmetrised for s = t; the terms run g-major, then by
+    pair. Its border B_s'H_g C_t and c block C_s'H_g C_t come from one
+    sparse H_g times the dense C's and one dense product; its x_miss block
+    B_s'H_g B_t from one sparse product of the stacked B's. Returns the
+    x_miss blocks as entries (term, row, col, value), then the borders
+    (terms, m, p) and the c blocks (terms, p, p)."""
+    n_w, n_o, p = c.shape
+    s_of, t_of = pairs.T
+    same = (s_of == t_of)[:, None, None]
+    count = (1 + len(a_q)) * len(pairs)
+    c_all = c.transpose(1, 0, 2).reshape(n_o, n_w * p)
+    b_all = sp.hstack(b, format="csc") if b else sp.csc_matrix((n_o, 0))
+    h = [c_all] + [a @ c_all for a in a_q]
+
+    def blocks(prods, rows):
+        """Block (s, t) of each product, for each pair: (g, pair, rows, p)."""
+        full = np.stack(prods).reshape(len(h), n_w, rows, n_w, p)
+        return (np.moveaxis(full[:, s, :, t, :], 0, 1) for s, t in ((s_of, t_of), (t_of, s_of)))
+
+    corner, _ = blocks([c_all.T @ h_g for h_g in h], p)
+    corner = np.where(same, 0.5, 1.0) * (corner + np.swapaxes(corner, -1, -2))
+    border, border_ts = blocks([b_all.T @ h_g for h_g in h], m)
+    border = np.where(same, border, border + border_ts)
+    # Block (s, t) of each stacked product lies at rows s m + i, columns t m + j.
+    pair_of = np.zeros((n_w, n_w), dtype=np.int64)
+    pair_of[s_of, t_of] = np.arange(len(pairs))
+    entries = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    for g, a in enumerate([None] + a_q if b_all.nnz else []):
+        prod = (b_all.T @ (b_all if a is None else a @ b_all)).tocoo()
+        (s, i), (t, j) = np.divmod(prod.row, m), np.divmod(prod.col, m)
+        keep = s <= t
+        s, t, i, j = s[keep], t[keep], i[keep], j[keep]
+        term = g * len(pairs) + pair_of[s, t]
+        v = np.where(s == t, 0.5, 1.0) * prod.data[keep]
+        entries += [(term, i, j, v), (term, j, i, v)]
+    entries = [np.concatenate(part) for part in zip(*entries)]
+    return (*entries, border.reshape(count, m, p), corner.reshape(count, p, p))
+
+
+def _spread_plan(ur_pattern, n_o: int, r: int, r_terms: PrecisionTerms):
+    """For every pair (j, k) of A_ur's entries in one row i with (j, k) on
+    R's pattern: i, the positions of (i, j) and (i, k) in A_ur's data, and
+    that of (j, k) in R's (CopyBlocks.spread_plan)."""
+    ur_indptr, ur_rows = ur_pattern
+    ur_cols = np.repeat(np.arange(r), np.diff(ur_indptr))
+    by_row = np.argsort(ur_rows, kind="stable")
+    counts = np.bincount(ur_rows, minlength=n_o)
+    # Row i's c_i entries lie in by_row from start; m numbers its c_i^2 pairs.
+    row = np.repeat(np.arange(n_o), counts**2)
+    m = np.arange(row.size) - np.repeat(np.cumsum(counts**2) - counts**2, counts**2)
+    start = np.repeat(np.cumsum(counts) - counts, counts**2)
+    j, k = by_row[start + m // counts[row]], by_row[start + m % counts[row]]
+    keys = ur_cols[k] * r + ur_cols[j]
+    r_keys = _pattern_keys(r_terms.indptr, r_terms.indices, r)
+    at = np.minimum(np.searchsorted(r_keys, keys), r_keys.size - 1)
+    on = r_keys[at] == keys
+    return row[on], j[on], k[on], at[on]
+
+
 def _csc_pattern(cols: np.ndarray, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of entries given in CSC order by column and row."""
     counts = np.bincount(cols, minlength=width)
@@ -446,83 +533,102 @@ def _assembly(model: CompiledModel) -> Assembly:
 
 
 def _build_assembly(model: CompiledModel) -> Assembly:
+    """The prior's terms on the factored matrix (Assembly), from the
+    prior's blocks: K_xx's entries moved by one position map, the cross
+    and c blocks from one sparse-times-dense product per term, K_t [F, z0;
+    0, 0], and p x p dense products."""
     n, p = model.n, model.p
     size = n + p
     prior = model.prior
-    obs, mis = model.obs_idx, model.miss_idx
-    v_of_x, sign = np.arange(n), np.ones(n)
-    f = np.zeros((n, p))
-    z0 = None
-    obs_v = obs
-    if model.likelihood == "gaussian":
-        # v = (u_obs, x_miss): x = y - u - X_b c on observed rows.
-        v_of_x[obs], v_of_x[mis] = np.arange(obs.size), obs.size + np.arange(mis.size)
+    n_terms = prior.data.shape[0]
+    obs = model.obs_idx
+    gaussian = model.likelihood == "gaussian"
+    # v = (u_obs, x_miss) for the Gaussian layer, x itself for the probit:
+    # v_of_x keeps the order of the front rows and of the others.
+    front = np.zeros(n, dtype=bool)
+    front[obs if gaussian else slice(None)] = True
+    x_of_v = np.concatenate([np.flatnonzero(front), np.flatnonzero(~front)])
+    v_of_x = np.empty(n, dtype=np.int64)
+    v_of_x[x_of_v] = np.arange(n)
+    sign = np.ones(n)
+    f, z0 = np.zeros((n, p)), np.zeros(size)
+    if gaussian:
+        # x = y - u - X_b c on observed rows.
         sign[obs] = -1.0
-        obs_v = np.arange(obs.size)
         f[obs] = -model.b_design[obs]
-        z0 = np.zeros(size)
         z0[obs] = model.y[obs]
-    f_rows, f_cols = np.nonzero(f)
-    g = sp.csc_matrix(
-        (
-            np.concatenate([sign, f[f_rows, f_cols], np.ones(p)]),
-            (
-                np.concatenate([np.arange(n), f_rows, n + np.arange(p)]),
-                np.concatenate([v_of_x, n + f_cols, n + np.arange(p)]),
-            ),
-        ),
-        shape=(size, size),
-    )
+
     rows = prior.indices
     cols = np.repeat(np.arange(size), np.diff(prior.indptr))
-    xx = (rows < n) & (cols < n)
-    vv_keys = v_of_x[cols[xx]] * size + v_of_x[rows[xx]]
-    cross_r = np.repeat(v_of_x, p).reshape(n, p)
-    cross_c = np.broadcast_to(n + np.arange(p), (n, p))
-    cc_r, cc_c = np.meshgrid(n + np.arange(p), n + np.arange(p), indexing="ij")
-    cross_keys, cross_t_keys = cross_c * size + cross_r, cross_r * size + cross_c
-    cc_keys = cc_c * size + cc_r
-    obs_keys = obs_v * (size + 1)
-    keys = np.unique(
-        np.concatenate([vv_keys, obs_keys, cross_keys.ravel(), cross_t_keys.ravel(), cc_keys.ravel()])
-    )
+    in_x = (rows < n) & (cols < n)
+    xr, xc = rows[in_x], cols[in_x]
+    x_counts = np.bincount(xc, minlength=n)
+    x_indptr = np.concatenate([[0], np.cumsum(x_counts)])
+    # The coefficient columns dense: K_xc = k_c[:, :n], K_cc = k_c[:, n:].
+    k_c = np.zeros((n_terms, size, p))
+    tail = slice(prior.indptr[n], None)
+    k_c[:, rows[tail], cols[tail] - n] = prior.data[:, tail]
 
-    def at(k):
-        return np.searchsorted(keys, k)
+    # Column v of E'K_xxE is column x_of_v[v] of K_xx with its rows
+    # relabelled, front rows first: an entry's rank in its new column is
+    # the count of entries of its kind ahead of it, after the column's
+    # front rows if it is not one.
+    is_front = front[xr]
+    ahead = np.concatenate([[0], np.cumsum(is_front)])
+    start = x_indptr[xc]
+    before = ahead[: xr.size] - ahead[start]
+    fronts = ahead[x_indptr[xc + 1]] - ahead[start]
+    rank = np.where(is_front, before, fronts + np.arange(xr.size) - start - before)
+    v_indptr = np.concatenate([[0], np.cumsum(x_counts[x_of_v])])
+    dest = v_indptr[v_of_x[xc]] + rank
+    v_indices, source = np.empty_like(dest), np.empty_like(dest)
+    v_indices[dest], source[dest] = v_of_x[xr], np.flatnonzero(in_x)
+    layout = BorderedPattern.of(v_indptr, v_indices, p, p)
+    diag = xr == xc
+    if np.count_nonzero(diag) != n:
+        raise InvalidInputError("the prior's pattern must hold its diagonal")
+    diag_pos = np.empty(n, dtype=np.int64)
+    diag_pos[v_of_x[xc[diag]]] = layout.s_pos[dest[diag]]
 
-    terms = [
-        sp.csc_matrix((data, prior.indices, prior.indptr), shape=(size, size))
-        for data in prior.data
-    ]
-    term_data = np.zeros((len(terms), keys.size))
-    for row, k_t in zip(term_data, terms):
-        mapped = (g.T @ (k_t @ g)).tocoo()
-        mapped.sum_duplicates()
-        # int64 keys: col * size + row overflows int32 from size 46,341.
-        row[at(mapped.col.astype(np.int64) * size + mapped.row)] = mapped.data
-    term_c = term_const = blocks = None
-    if z0 is not None:
-        kz0 = np.stack([k_t @ z0 for k_t in terms])
-        term_c = -(g.T @ kz0.T).T
-        term_const = kz0 @ z0
-        blocks = CopyBlocks.split(keys, size, obs.size, obs.size, term_data)
-    return Assembly(
+    # K_t [F, z0; 0, 0]: K_xx F and K_xx z0 on the x rows, K_cx F and K_cx
+    # z0 on the c rows.
+    rhs = np.zeros((size, p + 1))
+    rhs[:n, :p], rhs[:n, p] = f, z0[:n]
+    kg = np.stack([_on((prior.indptr, rows), data, (size, size)) @ rhs for data in prior.data])
+    cross = np.empty((n_terms, n, p))
+    cross[:, v_of_x] = sign[:, None] * (kg[:, :n, :p] + k_c[:, :n])
+    cc = f.T @ kg[:, :n, :p] + kg[:, n:, :p] + kg[:, n:, :p].transpose(0, 2, 1) + k_c[:, n:]
+    signs = sign[rows[source]] * sign[cols[source]]
+    cc = 0.5 * (cc + cc.transpose(0, 2, 1))
+    term_data = layout.fill(np.take(prior.data, source, axis=1) * signs, cross, cc)
+    plan = Assembly(
         n=n,
         p=p,
-        indptr=at(np.arange(size + 1) * size),
-        indices=keys % size,
-        g=g,
+        indptr=layout.indptr,
+        indices=layout.indices,
+        v_of_x=v_of_x,
+        sign=sign,
+        f=f,
         z0=z0,
         term_data=term_data,
-        term_c=term_c,
-        term_const=term_const,
-        cross_pos=at(cross_keys),
-        cross_t_pos=at(cross_t_keys),
-        cc_pos=at(cc_keys),
-        obs_pos=at(obs_keys),
+        term_c=None,
+        term_const=None,
+        x_pattern=(v_indptr, v_indices),
+        x_pos=layout.s_pos,
+        cross_pos=layout.b_pos,
+        cross_t_pos=layout.bt_pos,
+        cc_pos=layout.c_pos,
+        obs_pos=diag_pos[v_of_x[obs]],
         obs_rows=obs,
-        blocks=blocks,
     )
+    if gaussian:
+        kz0 = kg[:, :n, p]
+        plan.term_c = np.empty((n_terms, size))
+        plan.term_c[:, v_of_x] = -sign * kz0
+        plan.term_c[:, n:] = -(kz0 @ f + kg[:, n:, p])
+        plan.term_const = kz0 @ z0[:n]
+        plan.blocks = CopyBlocks.split(plan, obs.size)
+    return plan
 
 
 def _factor(owner, mat: sp.csc_matrix, context: str) -> CholeskyHandle:
@@ -564,20 +670,28 @@ class _Reduced:
     of Sigma take products with D^{-1}: Sigma_ur = -D^{-1} A_ur R^{-1}, and
     Var(u_i) = 1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1} A_ru)_ii / tau^2,
     whose last term reads R^{-1} at the entries of A_ru A_ur, which R's
-    terms hold.
+    terms hold. The u blocks are kept as data (uu, ur); their matrices are
+    built only for the products of a split that eliminates residuals.
     """
 
     def __init__(
         self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float, blocks, uu=None
     ):
         self.model, self.blocks, self.a, self.tau_obs = model, blocks, a, tau_obs
-        n_o, r = blocks.n_o, blocks.r
-        self.a_uu = _on(blocks.uu, a @ blocks.term_uu if uu is None else uu, (n_o, n_o))
-        self.a_ur = _on(blocks.ur, a @ blocks.term_ur, (n_o, r))
-        if not r:
+        self.uu = a @ blocks.term_uu if uu is None else uu
+        self.ur = a @ blocks.term_ur
+        if not blocks.r:
             self.factor = _NoRows()
             return
         self.factor = _factor(blocks, blocks.r_matrix(a, tau_obs), f"theta = {dict(theta)}")
+
+    @functools.cached_property
+    def a_uu(self) -> sp.csc_matrix:
+        return _on(self.blocks.uu, self.uu, (self.blocks.n_o,) * 2)
+
+    @functools.cached_property
+    def a_ur(self) -> sp.csc_matrix:
+        return _on(self.blocks.ur, self.ur, (self.blocks.n_o, self.blocks.r))
 
     def _d_inv(self, v: np.ndarray) -> np.ndarray:
         """D^{-1} v."""
@@ -593,18 +707,20 @@ class _Reduced:
     def _spread(self) -> np.ndarray:
         """(A_ur R^{-1} A_ru)_ii for each observed row i."""
         row, j, k, at = self.blocks.spread_plan
-        ur = self.a_ur.data
+        ur = self.ur
         return np.bincount(row, ur[j] * self._sigma.data[at] * ur[k], minlength=self.blocks.n_o)
 
     def _uu_trace(self, data: np.ndarray) -> float:
         return float(np.sum(data[self.blocks.uu_diag]))
 
     def logdet(self) -> float:
-        tau, uu = self.tau_obs, self.a_uu.data
+        tau, uu = self.tau_obs, self.uu
         log_d = self.blocks.n_o * math.log(tau) + (self._uu_trace(uu) - 0.5 * (uu @ uu) / tau) / tau
         return log_d + self.factor.logdet()
 
     def solve(self, c: np.ndarray) -> np.ndarray:
+        if not self.blocks.n_o:
+            return self.factor.solve(c)
         c_u, c_r = c[: self.blocks.n_o], c[self.blocks.n_o :]
         w_r = self.factor.solve(c_r - self.a_ur.T @ self._d_inv(c_u))
         return np.concatenate([self._d_inv(c_u - self.a_ur @ w_r), w_r])
@@ -616,14 +732,14 @@ class _Reduced:
         blocks, tau = self.blocks, self.tau_obs
         d_uu = da @ blocks.term_uu
         d_r = blocks.r_weights(self.a, tau, da) @ blocks.r_terms.data
-        return (self._uu_trace(d_uu) - (self.a_uu.data @ d_uu) / tau) / tau + float(
+        return (self._uu_trace(d_uu) - (self.uu @ d_uu) / tau) / tau + float(
             self._sigma.data @ d_r
         )
 
     def variances(self) -> np.ndarray:
         """The variances of (u_obs, x_miss)."""
         tau = self.tau_obs
-        var_u = (1.0 - (self.a_uu.data[self.blocks.uu_diag] - self._spread) / tau) / tau
+        var_u = (1.0 - (self.uu[self.blocks.uu_diag] - self._spread) / tau) / tau
         n_v = self.blocks.r - self.model.p
         return np.concatenate([var_u, self.factor.marginal_variances(np.arange(n_v))])
 
@@ -631,6 +747,8 @@ class _Reduced:
         """The coefficient columns of M^{-1}."""
         r = self.blocks.r
         cols_r = self.factor.inverse_columns(np.arange(r - self.model.p, r))
+        if not self.blocks.n_o:
+            return cols_r
         return np.vstack([-self._d_inv(self.a_ur @ cols_r), cols_r])
 
 
@@ -706,7 +824,7 @@ def gaussian_evidence(
         - 0.5 * system.logdet()
         - 0.5 * s_min
     )
-    mean_z = plan.g @ w + plan.z0
+    mean_z = plan.latent(w)
     if wrt:
         return log_z, _evidence_gradient(model, theta, wrt, system, mean_z)
     if not want_state:

@@ -164,8 +164,8 @@ class PrecisionTerms:
     """A precision of the form Q(theta) = sum_t a_t(theta) K_t: sparse
     terms K_t fixed per model, weighted by scalars that depend on theta
     (Rue & Held 2005, sec. 2). Every term is stored on the union of their
-    patterns, one row of data each, so the pattern of Q never depends on
-    theta.
+    patterns and the diagonal, one row of data each, so the pattern of Q
+    never depends on theta.
     """
 
     indptr: np.ndarray
@@ -174,19 +174,29 @@ class PrecisionTerms:
 
     @classmethod
     def union(cls, terms) -> "PrecisionTerms":
-        """The given square sparse terms on the union of their patterns."""
+        """The given square sparse terms on the union of their patterns and
+        the diagonal, from one gather of all their entries."""
         size = terms[0].shape[0]
-        terms = [canonical_csc(t) for t in terms]
-        # The union of the structures; ones never cancel.
-        union = sp.csc_matrix((size, size))
-        for t in terms:
-            union = union + sp.csc_matrix((np.ones(t.nnz), t.indices, t.indptr), (size, size))
-        union.sort_indices()
-        keys = _pattern_keys(union.indptr, union.indices, size)
-        data = np.zeros((len(terms), keys.size))
-        for row, t in zip(data, terms):
-            row[np.searchsorted(keys, _pattern_keys(t.indptr, t.indices, size))] = t.data
-        return cls(union.indptr, union.indices, data)
+        coo = [sp.coo_matrix(t) for t in terms]
+        which = np.repeat(np.arange(len(coo)), [t.nnz for t in coo])
+        indptr, indices, data = gather(
+            size,
+            len(coo),
+            which,
+            np.concatenate([t.row for t in coo]),
+            np.concatenate([t.col for t in coo]),
+            np.concatenate([t.data for t in coo]),
+        )
+        return cls(indptr, indices, data)
+
+    @classmethod
+    def bordered(cls, pattern, sparse, border, corner) -> "PrecisionTerms":
+        """Terms [[S_t, B_t], [B_t', C_t]]: S_t with data sparse[t] on the
+        m x m CSC pattern (indptr, indices), B_t = border[t] dense m x p_b
+        and C_t = corner[t] dense p x p, p_b <= p, B_t beside the first
+        p_b columns of C_t (BorderedPattern)."""
+        layout = BorderedPattern.of(*pattern, border.shape[2], corner.shape[1])
+        return cls(layout.indptr, layout.indices, layout.fill(sparse, border, corner))
 
     @classmethod
     def of(cls, spec: SlmSpec, fixed_diag=()) -> "PrecisionTerms":
@@ -199,32 +209,35 @@ class PrecisionTerms:
         W') + rho^2 W'W; the weights are [1, tau, -tau rho, tau rho^2]
         (joint_precision). fixed_diag appends coefficients outside the
         effect with that diagonal precision, joined to the constant term.
+        The terms are built in block form (bordered): the x block from the
+        entries of I, W, W' and W'W in one gather, the x-c block dense
+        (empty when the effect has no coefficients), the c block dense.
         """
         n, p = spec.n, spec.p
         w = sp.csc_matrix(spec.w.mat)
         x = spec.x_design
-        wtx = w.T @ x
-
-        def term(top_left, top_right, bottom_right) -> sp.csc_matrix:
-            if p == 0:
-                return sp.csc_matrix(top_left)
-            right = sp.csc_matrix(top_right)
-            return sp.csc_matrix(
-                sp.bmat([[top_left, right], [right.T, sp.csc_matrix(bottom_right)]])
-            )
-
-        zeros_x, zeros_p = np.zeros((n, p)), np.zeros((p, p))
-        terms = [
-            term(sp.csc_matrix((n, n)), zeros_x, spec.q_beta),
-            term(sp.identity(n), -x, x.T @ x),
-            term(w + w.T, -wtx, zeros_p),
-            term(w.T @ w, zeros_x, zeros_p),
-        ]
-        m = len(fixed_diag)
-        if m:
-            tails = [sp.diags(np.asarray(fixed_diag, dtype=float))] + [sp.csc_matrix((m, m))] * 3
-            terms = [sp.block_diag([t, tail], format="csc") for t, tail in zip(terms, tails)]
-        return cls.union(terms)
+        # Each block's entries in column-major order, so that the gather's
+        # sort merges four sorted runs: W' is read off W's rows.
+        w.sort_indices()
+        wc, wr = w.tocoo(), sp.csr_matrix(w).tocoo()
+        wtw = sp.csc_matrix(w.T @ w).tocoo()
+        diag = np.arange(n)
+        indptr, indices, xx = gather(
+            n,
+            4,
+            np.repeat([1, 2, 2, 3], [n, wc.nnz, wr.nnz, wtw.nnz]),
+            np.concatenate([diag, wc.row, wr.col, wtw.row]),
+            np.concatenate([diag, wc.col, wr.row, wtw.col]),
+            np.concatenate([np.ones(n), wc.data, wr.data, wtw.data]),
+        )
+        border = np.zeros((4, n, p))
+        border[1], border[2] = -x, -(w.T @ x)
+        fixed = np.asarray(fixed_diag, dtype=float)
+        corner = np.zeros((4, p + fixed.size, p + fixed.size))
+        corner[0, :p, :p] = spec.q_beta
+        corner[0, p:, p:] = np.diag(fixed)
+        corner[1, :p, :p] = x.T @ x
+        return cls.bordered((indptr, indices), xx, border, corner)
 
     def matrix(self, weights: np.ndarray) -> sp.csc_matrix:
         """sum_t weights[t] K_t on the terms' pattern."""
@@ -415,6 +428,90 @@ class SymbolicFactor:
             keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
             self._positions = np.searchsorted(l_keys, keys)
         return self._positions
+
+
+def gather(size: int, n_terms: int, which, rows, cols, values):
+    """(indptr, indices, data): the entries (rows[k], cols[k]) of the
+    terms which[k], values[k] summed per term and position, on the CSC
+    union of their positions and the diagonal of a size x size matrix,
+    data (n_terms, nnz). One stable sort of the int64 keys col * size +
+    row (a merge where the entries come in sorted runs) finds every
+    position at once; the sums run in the order of the entries."""
+    diag = np.arange(size, dtype=np.int64)
+    keys = np.concatenate([np.asarray(cols, dtype=np.int64) * size + rows, diag * (size + 1)])
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    pos = np.empty(keys.size, dtype=np.int64)
+    pos[order] = np.cumsum(first) - 1
+    unique = ordered[first]
+    nnz = unique.size
+    slot = np.asarray(which, dtype=np.int64) * nnz + pos[: keys.size - size]
+    data = np.bincount(slot, weights=values, minlength=n_terms * nnz).reshape(n_terms, nnz)
+    col = unique // size
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
+    return _index(indptr, nnz), _index(unique - col * size, nnz), data
+
+
+@dataclass(frozen=True)
+class BorderedPattern:
+    """The CSC pattern of [[S, B], [B', C]]: S on an m x m sparse pattern,
+    B a dense m x p_b block beside the first p_b of the p columns of the
+    dense p x p block C. Column j < m holds S's rows, then m, ..., m + p_b
+    - 1; column m + k holds 0, ..., m - 1 when k < p_b, then m, ..., m + p
+    - 1. With it the positions of each block's entries in the data:
+    s_pos for S's, b_pos[i, k] for B[i, k] in column m + k, bt_pos[i, k]
+    for its copy in row m + k of column i, c_pos[a, b] for C[a, b]; and
+    source, for each position, its entry in the blocks laid end to end
+    (fill)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    s_pos: np.ndarray
+    b_pos: np.ndarray
+    bt_pos: np.ndarray
+    c_pos: np.ndarray
+    source: np.ndarray
+
+    @classmethod
+    def of(cls, indptr, indices, p_b: int, p: int) -> "BorderedPattern":
+        m, nnz_s = indptr.size - 1, indices.size
+        s_counts = np.diff(indptr)
+        tall = np.arange(p) < p_b
+        counts = np.concatenate([s_counts + p_b, np.where(tall, m + p, p)])
+        full = np.zeros(m + p + 1, dtype=np.int64)
+        np.cumsum(counts, out=full[1:])
+        s_col = np.repeat(np.arange(m), s_counts)
+        s_pos = full[s_col] + np.arange(nnz_s) - indptr[s_col]
+        bt_pos = (full[:m] + s_counts)[:, None] + np.arange(p_b)
+        b_pos = full[m : m + p_b] + np.arange(m)[:, None]
+        c_pos = (full[m:-1] + np.where(tall, m, 0)) + np.arange(p)[:, None]
+        out = np.empty(full[-1], dtype=np.int64)
+        source = np.empty(full[-1], dtype=np.int64)
+        for pos, rows, src in (
+            (s_pos, indices, np.arange(nnz_s)),
+            (bt_pos, m + np.arange(p_b), nnz_s + np.arange(m * p_b).reshape(m, p_b)),
+            (b_pos, np.arange(m)[:, None], nnz_s + np.arange(m * p_b).reshape(m, p_b)),
+            (c_pos, m + np.arange(p)[:, None], nnz_s + m * p_b + np.arange(p * p).reshape(p, p)),
+        ):
+            out[pos], source[pos] = rows, src
+        indptr, indices = _index(full, out.size), _index(out, out.size)
+        return cls(indptr, indices, s_pos, b_pos, bt_pos, c_pos, source)
+
+    def fill(self, sparse, border, corner) -> np.ndarray:
+        """The (T, nnz) data of terms with the given blocks: sparse (T,
+        nnz(S)), border (T, m, p_b) and corner (T, p, p)."""
+        t = sparse.shape[0]
+        blocks = np.concatenate([sparse, border.reshape(t, -1), corner.reshape(t, -1)], axis=1)
+        return np.take(blocks, self.source, axis=1)
+
+
+def _index(a: np.ndarray, nnz: int) -> np.ndarray:
+    """A CSC index array in the dtype scipy keeps for a pattern of nnz
+    entries (int32 below 2^31), so that no matrix built on it copies it."""
+    return a.astype(np.int32 if max(nnz, a.size) < 2**31 else np.int64, copy=False)
 
 
 def canonical_csc(mat) -> sp.csc_matrix:

@@ -457,3 +457,191 @@ def selected_inverse(handle):
         ),
         shape=handle.shape,
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-fit set-up as generic sparse products: the reference the engine's
+# block-form construction (PrecisionTerms.of, engine._build_assembly,
+# engine.CopyBlocks.split) is checked against.
+# ---------------------------------------------------------------------------
+
+
+def _keys(indptr, indices, n):
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return cols * n + indices
+
+
+def reference_union(terms):
+    """(indptr, indices, data): square sparse terms on the union of their
+    patterns, by a sum of sparse structures and one searchsorted per term."""
+    size = terms[0].shape[0]
+    terms = [sp.csc_matrix(t) for t in terms]
+    for t in terms:
+        t.sum_duplicates()
+    union = sp.csc_matrix((size, size))
+    for t in terms:
+        union = union + sp.csc_matrix((np.ones(t.nnz), t.indices, t.indptr), (size, size))
+    union.sort_indices()
+    keys = _keys(union.indptr, union.indices, size)
+    data = np.zeros((len(terms), keys.size))
+    for row, t in zip(data, terms):
+        row[np.searchsorted(keys, _keys(t.indptr, t.indices, size))] = t.data
+    return union.indptr, union.indices, data
+
+
+def reference_prior_terms(model):
+    """The model's prior terms, each a sparse block matrix (bmat) of the
+    spatial-lag effect's [I, -X; -X', X'X], [W + W', -W'X; -X'W, 0],
+    [W'W, 0; 0, 0] and the coefficient precisions, on their union."""
+    c = model.compiled
+    n = c.n
+    q_fixed = np.full(c.b_design.shape[1], model.priors.q_beta_diag)
+    if model.kind == "slx":
+        return reference_union(
+            [
+                sp.diags(np.concatenate([np.zeros(n), q_fixed])),
+                sp.diags(np.concatenate([np.ones(n), np.zeros(q_fixed.size)])),
+            ]
+        )
+    spec = model.slm
+    p = spec.p
+    w = sp.csc_matrix(spec.w.mat)
+    x = spec.x_design
+
+    def term(top_left, top_right, bottom_right):
+        if p == 0:
+            return sp.csc_matrix(top_left)
+        right = sp.csc_matrix(top_right)
+        return sp.csc_matrix(sp.bmat([[top_left, right], [right.T, sp.csc_matrix(bottom_right)]]))
+
+    zeros_x, zeros_p = np.zeros((n, p)), np.zeros((p, p))
+    terms = [
+        term(sp.csc_matrix((n, n)), zeros_x, spec.q_beta),
+        term(sp.identity(n), -x, x.T @ x),
+        term(w + w.T, -(w.T @ x), zeros_p),
+        term(w.T @ w, zeros_x, zeros_p),
+    ]
+    if model.kind in ("sem", "sdem") and q_fixed.size:
+        m = q_fixed.size
+        tails = [sp.diags(q_fixed)] + [sp.csc_matrix((m, m))] * 3
+        terms = [sp.block_diag([t, tail], format="csc") for t, tail in zip(terms, tails)]
+    return reference_union(terms)
+
+
+def reference_assembly(compiled, prior):
+    """The prior's terms on the engine's factored matrix as generic sparse
+    products: the shift G as a sparse matrix, G'(K_t G) per term, the
+    pattern as one np.unique over every key. prior is (indptr, indices,
+    data). Returns a dict with the pattern (indptr, indices, keys),
+    term_data, term_c and term_const (None for a probit model), and the
+    positions of the x-x block's entries (x_pos)."""
+    n, p = compiled.n, compiled.p
+    size = n + p
+    indptr, indices, prior_data = prior
+    obs, mis = compiled.obs_idx, compiled.miss_idx
+    v_of_x, sign = np.arange(n), np.ones(n)
+    f = np.zeros((n, p))
+    z0 = None
+    obs_v = obs
+    if compiled.likelihood == "gaussian":
+        v_of_x[obs], v_of_x[mis] = np.arange(obs.size), obs.size + np.arange(mis.size)
+        sign[obs] = -1.0
+        obs_v = np.arange(obs.size)
+        f[obs] = -compiled.b_design[obs]
+        z0 = np.zeros(size)
+        z0[obs] = compiled.y[obs]
+    f_rows, f_cols = np.nonzero(f)
+    g = sp.csc_matrix(
+        (
+            np.concatenate([sign, f[f_rows, f_cols], np.ones(p)]),
+            (
+                np.concatenate([np.arange(n), f_rows, n + np.arange(p)]),
+                np.concatenate([v_of_x, n + f_cols, n + np.arange(p)]),
+            ),
+        ),
+        shape=(size, size),
+    )
+    rows = indices
+    cols = np.repeat(np.arange(size), np.diff(indptr))
+    xx = (rows < n) & (cols < n)
+    vv_keys = v_of_x[cols[xx]].astype(np.int64) * size + v_of_x[rows[xx]]
+    cross_r = np.repeat(v_of_x, p).reshape(n, p)
+    cross_c = np.broadcast_to(n + np.arange(p), (n, p))
+    cc_r, cc_c = np.meshgrid(n + np.arange(p), n + np.arange(p), indexing="ij")
+    keys = np.unique(
+        np.concatenate(
+            [
+                vv_keys,
+                obs_v.astype(np.int64) * (size + 1),
+                (cross_c.astype(np.int64) * size + cross_r).ravel(),
+                (cross_r.astype(np.int64) * size + cross_c).ravel(),
+                (cc_c.astype(np.int64) * size + cc_r).ravel(),
+            ]
+        )
+    )
+    terms = [sp.csc_matrix((data, indices, indptr), shape=(size, size)) for data in prior_data]
+    term_data = np.zeros((len(terms), keys.size))
+    for row, k_t in zip(term_data, terms):
+        mapped = (g.T @ (k_t @ g)).tocoo()
+        mapped.sum_duplicates()
+        row[np.searchsorted(keys, mapped.col.astype(np.int64) * size + mapped.row)] = mapped.data
+    out = {
+        "indptr": np.searchsorted(keys, np.arange(size + 1, dtype=np.int64) * size),
+        "indices": keys % size,
+        "keys": keys,
+        "term_data": term_data,
+        "term_c": None,
+        "term_const": None,
+        "x_pos": np.searchsorted(keys, np.sort(vv_keys)),
+    }
+    if z0 is not None:
+        kz0 = np.stack([k_t @ z0 for k_t in terms])
+        out["term_c"] = -(g.T @ kz0.T).T
+        out["term_const"] = kz0 @ z0
+    return out
+
+
+def reference_split(keys, size, n_obs, n_o, term_data):
+    """The blocks of the assembled pattern (sorted keys col * size + row)
+    after its first n_o residuals, as generic sparse products: term_uu and
+    term_ur on the u blocks, and R's terms as a list of sparse matrices,
+    A_rr's, then A_ru,s A_ur,t for s <= t, then q-major A_ru,s A_uu,q
+    A_ur,t, then the copy diagonal J."""
+    import itertools
+
+    rows, cols = keys % size, keys // size
+    r = size - n_o
+    kept = np.arange(n_obs - n_o)
+    u_row, u_col = rows < n_o, cols < n_o
+    uu, ur, rr = u_row & u_col, u_row & ~u_col, ~u_row & ~u_col
+
+    def on(cols_, rows_, data, shape):
+        return sp.csc_matrix((data, (rows_, cols_)), shape=shape)
+
+    term_uu, term_ur = term_data[:, uu], term_data[:, ur]
+    a_uu = [on(cols[uu], rows[uu], d, (n_o, n_o)) for d in term_uu]
+    a_ur = [on(cols[ur] - n_o, rows[ur], d, (n_o, r)) for d in term_ur]
+    with_ur = [t for t, d in enumerate(term_ur) if d.any()]
+    pairs = list(itertools.combinations_with_replacement(with_ur, 2))
+    uu_terms = [q for q, d in enumerate(term_uu) if d.any()]
+
+    def symmetric(mat, both=False):
+        return mat + mat.T if both else 0.5 * (mat + mat.T)
+
+    def product(s, t, q=None):
+        prod = a_ur[s].T @ (a_ur[t] if q is None else a_uu[q] @ a_ur[t])
+        return symmetric(prod, s < t)
+
+    r_terms = (
+        [symmetric(on(cols[rr] - n_o, rows[rr] - n_o, d, (r, r))) for d in term_data[:, rr]]
+        + [product(s, t) for s, t in pairs]
+        + [product(s, t, q) for q in uu_terms for s, t in pairs]
+        + [on(kept, kept, np.ones(kept.size), (r, r))]
+    )
+    return {
+        "term_uu": term_uu,
+        "term_ur": term_ur,
+        "pairs": np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        "uu_terms": np.array(uu_terms, dtype=np.intp),
+        "r_terms": r_terms,
+    }

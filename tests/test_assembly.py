@@ -7,6 +7,11 @@ curvature blocks for the probit Hessian. A Gaussian evidence factors
 that matrix only where the copy precision is too low to eliminate the
 observed residuals in closed form; the assembled matrix is checked on
 that path.
+
+The per-fit set-up itself (the prior's terms, the assembled pattern and
+its terms, the splits and R's terms), built from the sparse x block and
+the dense coefficient blocks, is checked against the same set-up as
+generic sparse products, also in tests/oracles.py.
 """
 
 import warnings
@@ -23,9 +28,12 @@ from spatecon.engine import gaussian_evidence, log_conditional_evidence
 from oracles import (
     delaunay_weights,
     random_weights,
+    reference_assembly,
     reference_gaussian_matrix,
     reference_gaussian_system,
+    reference_prior_terms,
     reference_probit_system,
+    reference_split,
     simulate_slm,
 )
 
@@ -62,11 +70,11 @@ def assert_same_matrix(got, want):
     assert np.all(np.abs(got - want) <= 1e-10 * scale)
 
 
-def gaussian_model(kind, seed=3, n=40):
+def gaussian_model(kind, seed=3, n=40, missing=5):
     rng = np.random.default_rng(seed)
     w = random_weights(rng, n, 4)
     y, x = simulate_slm(rng, w, [1.0, 0.7, -0.4], 0.5, 0.6)
-    y[rng.choice(n, size=5, replace=False)] = np.nan
+    y[rng.choice(n, size=missing, replace=False)] = np.nan
     return se.build(kind, y, x, w)
 
 
@@ -161,6 +169,74 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     assert specs.count("COLAMD") == 1
 
 
+SETUP_TOL = 1e-14
+
+
+def assert_terms_close(got, want):
+    """Each term (row) within SETUP_TOL of its largest magnitude."""
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=1, keepdims=True, initial=0.0)
+    assert np.all(np.abs(got - want) <= SETUP_TOL * scale)
+
+
+def assert_matrices_close(got, want):
+    assert got.shape == want.shape
+    diff = abs(sp.csc_matrix(got) - sp.csc_matrix(want))
+    assert diff.max() <= SETUP_TOL * abs(sp.csc_matrix(want)).max()
+
+
+def assert_setup_matches_products(model):
+    """The prior's terms, the assembly and both splits against the
+    generic sparse products of tests/oracles.py."""
+    c = model.compiled
+    size = c.n + c.p
+    want_prior = reference_prior_terms(model)
+    for got, want in zip(c.prior.data, want_prior[2], strict=True):
+        assert_matrices_close(
+            sp.csc_matrix((got, c.prior.indices, c.prior.indptr), shape=(size, size)),
+            sp.csc_matrix((want, want_prior[1], want_prior[0]), shape=(size, size)),
+        )
+    plan = engine._build_assembly(c)
+    want = reference_assembly(c, want_prior)
+    assert np.array_equal(plan.indptr, want["indptr"])
+    assert np.array_equal(plan.indices, want["indices"])
+    # The x block is the prior's own entries, moved and signed.
+    assert np.array_equal(plan.term_data[:, plan.x_pos], want["term_data"][:, want["x_pos"]])
+    assert_terms_close(plan.term_data, want["term_data"])
+    if c.likelihood == "probit":
+        assert plan.term_c is None and plan.blocks is None
+        return
+    assert_terms_close(plan.term_c, want["term_c"])
+    assert_terms_close(plan.term_const[:, None], want["term_const"][:, None])
+    n_obs = c.obs_idx.size
+    for blocks, n_o in ((plan.blocks, n_obs), (plan.whole_blocks(), 0)):
+        ref = reference_split(want["keys"], size, n_obs, n_o, want["term_data"])
+        assert_terms_close(blocks.term_uu, ref["term_uu"])
+        assert_terms_close(blocks.term_ur, ref["term_ur"])
+        assert np.array_equal(blocks.pairs, ref["pairs"])
+        assert np.array_equal(blocks.uu_terms, ref["uu_terms"])
+        r_terms, r = blocks.r_terms, blocks.r
+        assert r_terms.data.shape[0] == len(ref["r_terms"])
+        for got, mat in zip(r_terms.data, ref["r_terms"]):
+            assert_matrices_close(
+                sp.csc_matrix((got, r_terms.indices, r_terms.indptr), shape=(r, r)), mat
+            )
+
+
+@pytest.mark.parametrize("missing", [0, 6])
+@pytest.mark.parametrize("kind", se.KINDS)
+def test_gaussian_setup_matches_sparse_products(kind, missing):
+    model = gaussian_model(kind, missing=missing)
+    assert model.compiled.miss_idx.size == missing
+    assert_setup_matches_products(model)
+
+
+@pytest.mark.parametrize("kind", ["slm", "sem"])
+def test_probit_setup_matches_sparse_products(kind):
+    assert_setup_matches_products(probit_model(kind))
+
+
 def test_assembly_keys_do_not_overflow_int32():
     # The keys col * size + row of the assembled pattern pass 2^31 from
     # size 46,342 on; int32 keys put the prior's terms on wrong entries.
@@ -185,6 +261,7 @@ def test_assembly_keys_do_not_overflow_int32():
         scale = np.sqrt(np.abs(want.diagonal()[j] * want.diagonal()))
         assert np.all(np.abs(col_got - col_want) <= 1e-10 * scale), j
         assert rows.size and np.all(col_got[rows] != 0.0)
+    assert_setup_matches_products(model)
 
 
 @pytest.mark.parametrize("make", ["knn", "delaunay"])
