@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,8 @@ def read_weights(path) -> WeightsMatrix:
         n, nnz, std_flag = int(head[0]), int(head[1]), int(head[2])
     except ValueError as exc:
         raise InvalidInputError(f"{path}:1: non-integer header field: {exc}") from exc
+    if n < 1:
+        raise InvalidInputError(f"{path}:1: n must be at least 1, got {n}")
     if std_flag not in (0, 1):
         raise InvalidInputError(f"{path}:1: standardized flag must be 0 or 1")
     rows, cols, vals = [], [], []
@@ -121,7 +124,8 @@ def read_points_csv(path) -> tuple[np.ndarray, list[str]]:
 def read_data_csv(path, response: str, covariates: list[str] | None = None):
     """Data table -> (y with NaN gaps, X, covariate names).
 
-    Only the response column may contain the NA token.
+    Only the response column may contain the NA token; every other value
+    must be a finite number.
     """
     path = Path(path)
     try:
@@ -143,26 +147,29 @@ def read_data_csv(path, response: str, covariates: list[str] | None = None):
         if tok == NA_TOKEN:
             y.append(np.nan)
         else:
-            try:
-                y.append(float(tok))
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: bad response value {tok!r}"
-                ) from exc
+            y.append(_finite(tok))
+            if math.isnan(y[-1]):
+                raise InvalidInputError(f"{path}:{lineno}: bad response value {tok!r}")
         vals = []
         for c in covariates:
             tok_c = (row[c] or "").strip()
-            try:
-                vals.append(float(tok_c))
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: bad value {tok_c!r} in column {c!r}"
-                ) from exc
+            vals.append(_finite(tok_c))
+            if math.isnan(vals[-1]):
+                raise InvalidInputError(f"{path}:{lineno}: bad value {tok_c!r} in column {c!r}")
         rows.append(vals)
     if not y:
         raise InvalidInputError(f"{path}: no data rows")
     x = np.asarray(rows, dtype=float) if covariates else None
     return np.asarray(y, dtype=float), x, list(covariates)
+
+
+def _finite(tok: str) -> float:
+    """tok as a float, or NaN when it is not a finite number."""
+    try:
+        value = float(tok)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 # ---------------------------------------------------------------------------

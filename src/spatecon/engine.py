@@ -262,7 +262,8 @@ class Assembly:
     residual, or whole, which eliminates none and is built the first time
     blocks' bound fails (_copy_system). The probit Hessian uses G = I
     (E = I, F = 0), so a @ term_data is Q itself, and adds the curvature
-    D by [D, D X_b; X_b'D, X_b'D X_b]; symbolic is its analysis.
+    D by [D, D X_b; X_b'D, X_b'D X_b] (with_curvature, on its data);
+    symbolic is the analysis of its pattern.
     """
 
     n: int
@@ -285,7 +286,11 @@ class Assembly:
     obs_rows: np.ndarray  # the observed rows of x
     blocks: "CopyBlocks | None" = None  # the Gaussian layer's two splits
     whole: "CopyBlocks | None" = None
-    symbolic: SymbolicFactor | None = None
+
+    @functools.cached_property
+    def symbolic(self) -> SymbolicFactor:
+        """The analysis of the pattern, made at its first factorization."""
+        return SymbolicFactor(self.indptr, self.indices)
 
     def whole_blocks(self) -> "CopyBlocks":
         """The Gaussian split that eliminates no residual, built on first use."""
@@ -337,7 +342,8 @@ class CopyBlocks:
     both of its orders), and products with a zero block are left out, so
     with n_o = 0 R is M itself, and with every residual eliminated J is
     empty. A theta then costs the weights r_weights(a, tau) and one
-    weighted sum (r_matrix); symbolic is the analysis of R's pattern.
+    weighted sum, R's data (r_data); symbolic is the analysis of R's
+    pattern.
 
     R lies on a BorderedPattern, as M does. A_ur is [B, C]: B the sparse
     u x x_miss block, C the dense u x c block. So each term's x_miss
@@ -359,7 +365,6 @@ class CopyBlocks:
     # Per pair (j, k) of A_ur's entries in a row i, (j, k) on R's pattern: i,
     # the positions of (i, j) and (i, k) in A_ur's data, that of (j, k) in R's.
     spread_plan: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    symbolic: SymbolicFactor | None = None
 
     @classmethod
     def split(cls, plan: Assembly, n_o: int) -> "CopyBlocks":
@@ -428,13 +433,17 @@ class CopyBlocks:
             spread_plan=_spread_plan(ur_pattern, n_o, r, r_terms),
         )
 
-    def r_matrix(self, a: np.ndarray, tau: float) -> sp.csc_matrix:
-        """R at the prior's weights a and tau = tau_obs, exactly symmetric
-        like its terms: einsum runs the same operations for every entry,
-        where a BLAS matrix-vector product can round an entry and its
-        transpose apart."""
-        data = np.einsum("t,tk->k", self.r_weights(a, tau), self.r_terms.data)
-        return _on((self.r_terms.indptr, self.r_terms.indices), data, (self.r, self.r))
+    @functools.cached_property
+    def symbolic(self) -> SymbolicFactor:
+        """The analysis of R's pattern, made at its first factorization."""
+        return SymbolicFactor(self.r_terms.indptr, self.r_terms.indices)
+
+    def r_data(self, a: np.ndarray, tau: float) -> np.ndarray:
+        """R's data at the prior's weights a and tau = tau_obs, exactly
+        symmetric like its terms: einsum runs the same operations for
+        every entry, where a BLAS matrix-vector product can round an
+        entry and its transpose apart."""
+        return np.einsum("t,tk->k", self.r_weights(a, tau), self.r_terms.data)
 
     def r_weights(self, a: np.ndarray, tau: float, da: np.ndarray | None = None) -> np.ndarray:
         """The weights of r_terms at the prior's weights a and tau =
@@ -631,15 +640,6 @@ def _build_assembly(model: CompiledModel) -> Assembly:
     return plan
 
 
-def _factor(owner, mat: sp.csc_matrix, context: str) -> CholeskyHandle:
-    """Factor mat, whose pattern is owner's, with owner.symbolic, the
-    analysis of that pattern: made by the first factorization, reused by
-    every later one."""
-    factor = CholeskyHandle(mat, context=context, symbolic=owner.symbolic)
-    owner.symbolic = factor.symbolic
-    return factor
-
-
 # ---------------------------------------------------------------------------
 # Gaussian observation layer
 # ---------------------------------------------------------------------------
@@ -663,11 +663,12 @@ class _Reduced:
     Since 0 <= A_uu <= s I, s the largest absolute row sum of A_uu, the
     terms dropped are at most (s / tau)^2 of those kept, and log|D|'s at
     most n_o (s / tau)^3 / 3. With n_o = 0 nothing is dropped and R is M.
-    R is one weighted sum of CopyBlocks.r_terms, whose pattern is analysed
-    once per fit (CopyBlocks.symbolic). Its selected inverse Sigma_rr =
-    R^{-1} on that pattern gives the variances of r and each trace
-    tr(R^{-1} dR) as one dot product with dR's data. Solves and the u rows
-    of Sigma take products with D^{-1}: Sigma_ur = -D^{-1} A_ur R^{-1}, and
+    R's data is one weighted sum of CopyBlocks.r_terms, factored on their
+    pattern, which is analysed once per fit (CopyBlocks.symbolic). Its
+    selected inverse Sigma_rr = R^{-1} on that pattern, as data, gives the
+    variances of r and each trace tr(R^{-1} dR) as one dot product with
+    dR's data. Solves and the u rows of Sigma take products with D^{-1}:
+    Sigma_ur = -D^{-1} A_ur R^{-1}, and
     Var(u_i) = 1/tau - (A_uu)_ii / tau^2 + (A_ur R^{-1} A_ru)_ii / tau^2,
     whose last term reads R^{-1} at the entries of A_ru A_ur, which R's
     terms hold. The u blocks are kept as data (uu, ur); their matrices are
@@ -683,7 +684,8 @@ class _Reduced:
         if not blocks.r:
             self.factor = _NoRows()
             return
-        self.factor = _factor(blocks, blocks.r_matrix(a, tau_obs), f"theta = {dict(theta)}")
+        r_data = blocks.r_data(a, tau_obs)
+        self.factor = CholeskyHandle(blocks.symbolic, r_data, f"theta = {dict(theta)}")
 
     @functools.cached_property
     def a_uu(self) -> sp.csc_matrix:
@@ -699,8 +701,8 @@ class _Reduced:
         return (v - (self.a_uu @ v) / tau) / tau
 
     @functools.cached_property
-    def _sigma(self) -> sp.csc_matrix:
-        """R^{-1} on R's pattern."""
+    def _sigma(self) -> np.ndarray:
+        """R^{-1} on R's pattern, as data."""
         return self.factor.inverse_on_pattern()
 
     @functools.cached_property
@@ -708,7 +710,7 @@ class _Reduced:
         """(A_ur R^{-1} A_ru)_ii for each observed row i."""
         row, j, k, at = self.blocks.spread_plan
         ur = self.ur
-        return np.bincount(row, ur[j] * self._sigma.data[at] * ur[k], minlength=self.blocks.n_o)
+        return np.bincount(row, ur[j] * self._sigma[at] * ur[k], minlength=self.blocks.n_o)
 
     def _uu_trace(self, data: np.ndarray) -> float:
         return float(np.sum(data[self.blocks.uu_diag]))
@@ -732,9 +734,7 @@ class _Reduced:
         blocks, tau = self.blocks, self.tau_obs
         d_uu = da @ blocks.term_uu
         d_r = blocks.r_weights(self.a, tau, da) @ blocks.r_terms.data
-        return (self._uu_trace(d_uu) - (self.uu @ d_uu) / tau) / tau + float(
-            self._sigma.data @ d_r
-        )
+        return (self._uu_trace(d_uu) - (self.uu @ d_uu) / tau) / tau + float(self._sigma @ d_r)
 
     def variances(self) -> np.ndarray:
         """The variances of (u_obs, x_miss)."""
@@ -762,8 +762,8 @@ class _NoRows:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return np.zeros(0)
 
-    def inverse_on_pattern(self) -> sp.csc_matrix:
-        return sp.csc_matrix((0, 0))
+    def inverse_on_pattern(self) -> np.ndarray:
+        return np.zeros(0)
 
     def marginal_variances(self, indices) -> np.ndarray:
         return np.zeros(0)
@@ -1019,8 +1019,8 @@ def laplace_inner(
         if not 1e-10 <= size <= 0.5 * last_size:
             if factorizations == _NEWTON_MAX_FACTORIZATIONS:
                 break
-            h = plan.matrix(plan.with_curvature(q_data, d_site, xb))
-            factor = _factor(plan, h, f"probit Hessian, theta = {dict(theta)}")
+            h = plan.with_curvature(q_data, d_site, xb)
+            factor = CholeskyHandle(plan.symbolic, h, f"probit Hessian, theta = {dict(theta)}")
             factorizations += 1
             delta = factor.solve(grad)
             size = float(np.max(np.abs(delta)))
@@ -1476,9 +1476,8 @@ def _mode_and_scale(model: CompiledModel):
 
 
 def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool):
-    # Every exploration starts cold, from no mode and no analysis, so its
-    # result does not depend on what was evaluated on the model before.
-    model.assembly = None
+    # Every exploration starts cold, from no mode and no held factor, so
+    # its result does not depend on what was evaluated on the model before.
     model.last_mode = model.last_factor = None
     free = model.free_dims()
     d = len(free)

@@ -17,15 +17,18 @@ parameter lives on an internal (0, 1) scale mapped affinely onto
 Marginal variances come from selected inversion (Takahashi, Fagan & Chen
 1973; Rue, Martino & Chopin 2009, sec. 3): the entries of the inverse on
 the pattern of the factor L, in O(nnz(L)) memory rather than the (n+p)^2
-of a dense inverse. A SymbolicFactor keeps the fill-reducing order, the
-symbolic pattern of L and the recursion's gather plan of one sparsity
-pattern, so repeated factorizations of matrices on that pattern skip the
-ordering and the analysis. One recursion, _takahashi, serves a single
+of a dense inverse. The work splits in two (Rue & Held 2005, sec. 2.4).
+A SymbolicFactor analyses one sparsity pattern, from the pattern alone:
+its fill-reducing order, the symbolic pattern of L and the recursion's
+gather plan. A CholeskyHandle is one numeric factorization of data on an
+analysed pattern, pre-permuted into its order; every factor, the first
+included, runs that one path. One recursion, _takahashi, serves a single
 factor and a stack of factors on one analysis alike: stacked, each
 column's gather, product and dot run once for the whole stack
 (marginal_variance_stack). The same selected inverse, read on the
-analysed pattern (CholeskyHandle.inverse_on_pattern), gives the trace
-tr(A^{-1} B) of any B on that pattern as one dot product with B's data.
+analysed pattern (CholeskyHandle.inverse_on_pattern, in the pattern's
+storage order), gives the trace tr(A^{-1} B) of any B on that pattern as
+one dot product with B's data.
 """
 
 from __future__ import annotations
@@ -286,26 +289,36 @@ def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPr
 
 
 class SymbolicFactor:
-    """Analysis of one symmetric sparsity pattern, reusable across matrices.
+    """Analysis of one symmetric sparsity pattern, made once and shared by
+    every matrix on it.
 
-    Holds the analysed pattern, its fill-reducing order (order[k] is the
-    original index of the k-th pivot) and, built on first use, the
+    Holds the analysed CSC pattern, its fill-reducing order (order[k] is
+    the original index of the k-th pivot) and, built on first use, the
     symbolic pattern of the factor L of the permuted matrix together with
-    the gather plan of the Takahashi recursion. Any matrix whose pattern
-    lies inside the analysed one can be factored in this order, with the
-    missing entries stored as zeros.
+    the gather plan of the Takahashi recursion. The order comes from the
+    pattern alone: SuperLU's minimum degree on A + A', run on a diagonally
+    dominant stand-in with that pattern. A test may pass its own order.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, order: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, order: np.ndarray | None = None):
         n = indptr.size - 1
         self.n = n
-        self.order = order
         self.indptr, self.indices = indptr, indices
-        self._keys = _pattern_keys(indptr, indices, n)
         # Data positions of the analysed pattern in the permuted matrix.
         marks = sp.csc_matrix(
             (np.arange(1.0, indices.size + 1.0), indices, indptr), shape=(n, n)
         )
+        if order is None:
+            # At most n - 1 off-diagonal ones per row: a diagonal of n dominates.
+            cols = np.repeat(np.arange(n), np.diff(indptr))
+            stand_in = sp.csc_matrix(
+                (np.where(indices == cols, float(n), 1.0), indices, indptr), shape=(n, n)
+            )
+            try:
+                order = np.argsort(_splu(stand_in, "MMD_AT_PLUS_A").perm_c)
+            except RuntimeError as exc:
+                raise NumericFailureError(f"pattern cannot be analysed: {exc}") from exc
+        self.order = order
         permuted = sp.csc_matrix(marks[order][:, order])
         permuted.sort_indices()
         self._perm_map = permuted.data.astype(np.intp) - 1
@@ -313,21 +326,6 @@ class SymbolicFactor:
         self._l_pattern = None
         self._lu_layout = None
         self._positions = None
-
-    def scatter(self, mat: sp.csc_matrix) -> np.ndarray | None:
-        """mat's entries on the analysed pattern (zeros where mat has none),
-        or None when mat has an entry outside it."""
-        if np.array_equal(mat.indptr, self.indptr) and np.array_equal(
-            mat.indices, self.indices
-        ):
-            return mat.data
-        keys = _pattern_keys(mat.indptr, mat.indices, self.n)
-        pos = np.searchsorted(self._keys, keys)
-        if not np.all(self._keys.take(pos, mode="clip") == keys):
-            return None
-        data = np.zeros(self._keys.size)
-        data[pos] = mat.data
-        return data
 
     def permute(self, data: np.ndarray) -> sp.csc_matrix:
         """The matrix with the given pattern data, rows and columns in order."""
@@ -514,15 +512,6 @@ def _index(a: np.ndarray, nnz: int) -> np.ndarray:
     return a.astype(np.int32 if max(nnz, a.size) < 2**31 else np.int64, copy=False)
 
 
-def canonical_csc(mat) -> sp.csc_matrix:
-    """mat in CSC form with sorted indices and no duplicate entries."""
-    mat = sp.csc_matrix(mat)
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    return mat
-
-
 def _pattern_keys(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """col * n + row for each stored entry; sorted for a sorted CSC pattern."""
     cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -534,64 +523,70 @@ class CholeskyHandle:
 
     Wraps SuperLU in symmetric mode (no partial pivoting), which for an
     SPD input is an LDL^T factorization: positive pivots, log-determinant
-    from the U diagonal. The first factorization of a pattern orders it by
-    minimum degree on A + A'; pass the resulting `symbolic` back in and a
-    matrix whose pattern lies inside it is pre-permuted and factored in
-    that order, with no new ordering. Marginal variances come from the
-    selected inverse on the pattern of L, in O(nnz(L)) memory.
-    factor_values() is all the selected inverse needs: a caller may keep
-    those and drop the handle, with its SuperLU factor, before the sweep.
+    from the U diagonal. A handle factors data on an analysed pattern
+    (symbolic): the matrix is pre-permuted into the analysis' order and
+    factored in that order, with no ordering of its own. of() factors a
+    general SPD matrix, analysing its pattern unless given the analysis.
+    Marginal variances come from the selected inverse on the pattern of
+    L, in O(nnz(L)) memory. factor_values() is all the selected inverse
+    needs: a caller may keep those and drop the handle, with its SuperLU
+    factor, before the sweep.
     """
 
-    def __init__(
-        self, mat: sp.csc_matrix, context: str = "", symbolic: SymbolicFactor | None = None
-    ):
-        mat = canonical_csc(mat)
-        data = symbolic.scatter(mat) if symbolic is not None else None
+    def __init__(self, symbolic: SymbolicFactor, data: np.ndarray, context: str = ""):
+        if data.shape != symbolic.indices.shape:
+            raise InvalidInputError(
+                f"{data.size} values for an analysed pattern of {symbolic.indices.size} entries"
+            )
         try:
-            if data is None:
-                self._base = None
-                pattern = (mat.indptr, mat.indices)
-                self._lu = _splu(mat, "MMD_AT_PLUS_A")
-            else:
-                self._base = symbolic.order
-                pattern = (symbolic.indptr, symbolic.indices)
-                self._lu = _splu(symbolic.permute(data), "NATURAL")
+            self._lu = _splu(symbolic.permute(data), "NATURAL")
         except RuntimeError as exc:
             raise NumericFailureError(
                 f"factorization failed ({context or 'singular matrix'}): {exc}"
             ) from exc
         diag = self._lu.U.diagonal()
+        natural = np.arange(symbolic.n)
         if (
             np.any(diag <= 0)
             or not np.all(np.isfinite(diag))
-            or not np.array_equal(self._lu.perm_r, self._lu.perm_c)
+            or not np.array_equal(self._lu.perm_c, natural)
+            or not np.array_equal(self._lu.perm_r, natural)
         ):
             raise NumericFailureError(
                 f"matrix is not positive definite ({context or 'non-SPD input'})"
             )
-        # L U = A[order][:, order]; a pre-permuted matrix is normally kept in
-        # its order, and a changed order gets its own analysis.
-        order = np.argsort(self._lu.perm_c)
-        if self._base is not None:
-            order = self._base[order]
-        if data is None or not np.array_equal(order, symbolic.order):
-            symbolic = SymbolicFactor(*pattern, order)
         self.symbolic = symbolic
         self._d = diag
         self._logdet = float(np.sum(np.log(diag)))
         self._sigma = None
-        self.shape = mat.shape
+        self.shape = (symbolic.n, symbolic.n)
+
+    @classmethod
+    def of(cls, mat, context: str = "", symbolic: SymbolicFactor | None = None) -> "CholeskyHandle":
+        """Factor the SPD matrix mat: put in canonical CSC form (sorted
+        indices, no duplicates) once, its pattern analysed unless
+        symbolic, which must be exactly that pattern's analysis, is given."""
+        mat = sp.csc_matrix(mat)
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        if symbolic is None:
+            symbolic = SymbolicFactor(mat.indptr, mat.indices)
+        elif not (
+            np.array_equal(mat.indptr, symbolic.indptr)
+            and np.array_equal(mat.indices, symbolic.indices)
+        ):
+            raise InvalidInputError("matrix is not on the analysed pattern")
+        return cls(symbolic, mat.data, context)
 
     def logdet(self) -> float:
         return self._logdet
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        order = self.symbolic.order
         b = np.asarray(b, dtype=float)
-        if self._base is None:
-            return self._lu.solve(b)
         x = np.empty_like(b)
-        x[self._base] = self._lu.solve(b[self._base])
+        x[order] = self._lu.solve(b[order])
         return x
 
     def inverse_dense(self) -> np.ndarray:
@@ -622,13 +617,10 @@ class CholeskyHandle:
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
         return _diagonal(self.symbolic, self._selected())[indices]
 
-    def inverse_on_pattern(self) -> sp.csc_matrix:
-        """The entries of A^{-1} on the analysed pattern, as a matrix on
-        that pattern."""
-        s = self.symbolic
-        return sp.csc_matrix(
-            (self._selected()[s.positions()], s.indices, s.indptr), shape=self.shape
-        )
+    def inverse_on_pattern(self) -> np.ndarray:
+        """The entries of A^{-1} on the analysed pattern, as data in that
+        pattern's storage order."""
+        return self._selected()[self.symbolic.positions()]
 
     def inverse_columns(self, indices) -> np.ndarray:
         """Columns of the inverse at the requested coordinates, one solve."""

@@ -49,9 +49,10 @@ def record_factored(monkeypatch):
     seen = []
     real_init = se.CholeskyHandle.__init__
 
-    def init(self, mat, context="", symbolic=None):
-        seen.append(sp.csc_matrix(mat))
-        real_init(self, mat, context=context, symbolic=symbolic)
+    def init(self, symbolic, data, context=""):
+        n = symbolic.n
+        seen.append(sp.csc_matrix((data, symbolic.indices, symbolic.indptr), shape=(n, n)))
+        real_init(self, symbolic, data, context=context)
 
     monkeypatch.setattr(se.CholeskyHandle, "__init__", init)
     return seen
@@ -156,14 +157,17 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     c = model.compiled
     sizes = [size for size, _ in splu_calls]
     # No factorization of the n + p matrix at the default copy precision:
-    # each evidence factors the reduced system of n_mis + p rows once.
+    # the reduced system of n_mis + p rows is analysed once (its ordering
+    # run), then each evidence factors it once in that order.
+    reduced = c.miss_idx.size + c.p
     assert c.n + c.p not in sizes
-    assert sizes.count(c.miss_idx.size + c.p) == len(evidence_calls)
+    assert splu_calls.count((reduced, "MMD_AT_PLUS_A")) == 1
+    assert splu_calls.count((reduced, "NATURAL")) == len(evidence_calls)
     # Each LU of I - rho W is one splu call of its own, one per distinct rho.
     assert len(logdet_lus) == len(set(logdet_rhos))
     assert sizes.count(c.n) == len(logdet_lus)
-    assert len(sizes) == len(evidence_calls) + len(logdet_lus)
-    # One ordering, then every factorization reuses it.
+    assert len(sizes) == 1 + len(evidence_calls) + len(logdet_lus)
+    # One ordering of each pattern, then every factorization reuses it.
     specs = [spec for _, spec in splu_calls]
     assert specs.count("MMD_AT_PLUS_A") == 1
     assert specs.count("COLAMD") == 1

@@ -101,6 +101,36 @@ class TestFitVerb:
         assert code == 2
         assert not any((tmp_path / "out").glob("*")) or not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "name, line, field, token",
+        [
+            ("w.txt", 1, None, "-3 0 1"),
+            ("data.csv", 2, 0, "nan"),
+            ("data.csv", 3, 0, "inf"),
+            ("data.csv", 2, 1, "-inf"),
+            ("data.csv", 4, 1, "NaN"),
+        ],
+    )
+    def test_bad_input_file_exits_2_without_outputs(
+        self, tmp_path, capsys, name, line, field, token
+    ):
+        # A weights header with n < 1, or a non-finite number in the data.
+        cfg = make_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        if field is None:
+            lines[line - 1] = token
+        else:
+            fields = lines[line - 1].split(",")
+            fields[field] = token
+            lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert f"{name}:{line}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        issues = validate_config(parse_config(cfg))
+        assert len(issues) == 1 and f"{name}:{line}:" in issues[0]
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.ini"
         cfg.write_text("[data]\nresponse = y\n")

@@ -146,11 +146,11 @@ def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
     else:
         model, thetas = gaussian_model(kind, tau_obs=1e4), THETAS["lag"]
     c = model.compiled
-    sizes = []
+    calls = []
     real_splu = spla.splu
 
     def counting_splu(mat, *args, **kwargs):
-        sizes.append(mat.shape[0])
+        calls.append((mat.shape[0], kwargs.get("permc_spec")))
         return real_splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -161,7 +161,10 @@ def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
         ref = reference_gaussian_state(model, theta)
         for name, value in ref.items():
             assert relative(getattr(state, name), value) <= 1e-10, name
-    assert [s for s in sizes if s != c.n] == [c.n + c.p] * len(thetas)
+    # One analysis of the pattern (its ordering run), then one
+    # factorization per evidence in that order.
+    calls = [call for call in calls if call[0] != c.n]
+    assert calls == [(c.n + c.p, "MMD_AT_PLUS_A")] + [(c.n + c.p, "NATURAL")] * len(thetas)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -222,6 +225,11 @@ def test_default_scale_never_builds_the_whole_split():
     assert c.assembly.blocks is not None and c.assembly.whole is None
 
 
+def on_r_pattern(blocks, data):
+    """The matrix with the given data on R's pattern."""
+    return engine._on((blocks.r_terms.indptr, blocks.r_terms.indices), data, (blocks.r,) * 2)
+
+
 def assert_reduced_terms(model, thetas):
     """R from CopyBlocks' terms is bitwise symmetric and equals A_rr -
     A_ru D^{-1} A_ur, D^{-1} = I / tau - A_uu / tau^2, from the blocks of
@@ -234,7 +242,7 @@ def assert_reduced_terms(model, thetas):
         blocks, n_o = c.assembly.blocks, c.obs_idx.size
         a, _ = c.prior_weights(theta)
         tau = c.tau_obs
-        r = blocks.r_matrix(a, tau).toarray()
+        r = on_r_pattern(blocks, blocks.r_data(a, tau)).toarray()
         assert np.array_equal(r, r.T)
         m = reference_gaussian_matrix(model, theta).toarray()
         a_uu, a_ur = m[:n_o, :n_o], m[:n_o, n_o:]
@@ -273,7 +281,8 @@ def assert_spread_matches_the_product(model, thetas):
         gaussian_evidence(c, theta)
         a, _ = c.prior_weights(theta)
         system = reduced(c, theta, a, c.tau_obs)
-        want = np.asarray((system.a_ur @ system._sigma).multiply(system.a_ur).sum(axis=1)).ravel()
+        sigma = on_r_pattern(system.blocks, system._sigma)
+        want = np.asarray((system.a_ur @ sigma).multiply(system.a_ur).sum(axis=1)).ravel()
         assert system._spread.shape == want.shape == (c.obs_idx.size,)
         assert np.max(np.abs(system._spread - want)) <= 1e-14 * np.max(np.abs(want)), theta
 

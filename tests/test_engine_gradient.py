@@ -49,9 +49,7 @@ def assert_gradient_matches_differences(model):
     for point in range(3):
         x = np.array([THETAS[name][point] for name in names])
         value, grad = fg(x)
-        # Equal but for the rounding of the model's first, ordering
-        # factorization.
-        assert abs(value - f(x)) <= 1e-12 * abs(value)
+        assert value == f(x)
         want = richardson_gradient(f, x)
         assert np.max(np.abs(grad - want)) <= 1e-6 * np.max(np.abs(want)), (x, grad, want)
 
@@ -90,6 +88,20 @@ class TestEvidenceGradient:
         assert model.w.spectrum() is None
         assert_gradient_matches_differences(model)
 
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_first_evaluation_repeats_bit_for_bit(self, seed):
+        # A fresh model's first factorization runs the path of every later
+        # one, so a repeat at the same theta gives the same bits.
+        model = gaussian_model("sdm", missing=20, n=120, seed=seed).compiled
+        names = ("rho_internal", "log_tau")
+        for point in range(3):
+            theta = {name: THETAS[name][point] for name in names}
+            model.assembly = None
+            first = engine.log_conditional_evidence(model, theta, want_state=False, wrt=names)
+            again = engine.log_conditional_evidence(model, theta, want_state=False, wrt=names)
+            assert first[0] == again[0]
+            assert np.array_equal(first[1], again[1]), (theta, first[1] - again[1])
+
     def test_probit_has_no_gradient(self):
         rng = np.random.default_rng(72)
         w = random_weights(rng, 30, 3)
@@ -100,6 +112,25 @@ class TestEvidenceGradient:
                 model, {"rho_internal": 0.5, "log_tau": 0.0}, want_state=False,
                 wrt=("rho_internal",),
             )
+
+
+def test_fit_after_direct_evaluations_is_bit_identical():
+    # The fit keeps the analyses the direct evaluations made; they do not
+    # change its numbers.
+    plain = se.fit(gaussian_model("sdm", missing=20, n=120))
+    model = gaussian_model("sdm", missing=20, n=120)
+    names = ("rho_internal", "log_tau")
+    for point in range(3):
+        theta = {name: THETAS[name][point] for name in names}
+        engine.log_conditional_evidence(model.compiled, theta, want_state=True)
+        engine.log_conditional_evidence(model.compiled, theta, want_state=False, wrt=names)
+    assert model.compiled.assembly is not None
+    fit = se.fit(model)
+    assert fit.log_mlik == plain.log_mlik
+    assert np.array_equal(fit.coef_means, plain.coef_means)
+    assert np.array_equal(fit.coef_covs, plain.coef_covs)
+    assert np.array_equal(fit.grid.points, plain.grid.points)
+    assert np.array_equal(fit.grid.log_evidence, plain.grid.log_evidence)
 
 
 def record_search_points(monkeypatch):
