@@ -43,12 +43,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
 from . import marginals as mg
+from . import univariate
 from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
 from .gmrf import (
     RHO_INTERNAL_EPS,
@@ -1415,16 +1414,14 @@ def _bracketed_brent(f, init: float, lo: float, hi: float):
             return value
 
         try:
-            res = scipy.optimize.minimize_scalar(
-                g, bounds=(a, b), method="bounded", options={"xatol": _BRENT_XATOL}
-            )
+            res = univariate.minimize_bounded(g, (a, b), xatol=_BRENT_XATOL)
         except _PastEdge as past:
             center, half = past.args[0], 4.0 * half
             continue
         if not res.success:
             raise NumericFailureError(
                 f"hyperparameter mode search did not converge: {res.message} "
-                f"(nit = {res.nit}, nfev = {res.nfev})"
+                f"(nfev = {res.nfev})"
             )
         center = float(res.x)
         if not ((a > lo and center - a <= edge) or (b < hi and b - center <= edge)):
@@ -1561,12 +1558,11 @@ def _axis_marginal(grid: HyperGrid, name: str) -> mg.Marginal | None:
     dens = masses / h
     log_floor = math.log(max(dens.max(), 1e-300)) - 41.0
     log_dens = np.log(np.maximum(dens, math.exp(log_floor)))
-    interp = PchipInterpolator(vals, log_dens, extrapolate=True)
     lo, hi = vals[0] - h / 2.0, vals[-1] + h / 2.0
     if name == "rho_internal":
         lo, hi = max(lo, 1e-9), min(hi, 1.0 - 1e-9)
     x = np.linspace(lo, hi, _HYPER_MARGINAL_POINTS)
-    return mg.normalized(x, np.exp(interp(x)))
+    return mg.normalized(x, np.exp(univariate.pchip(vals, log_dens, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
-from . import engine
+from . import engine, univariate
 from .engine import CompiledModel, FitResult, GridSettings, HyperDim
 from .errors import InvalidInputError, InvalidParameterError
 from .gmrf import (
@@ -334,11 +333,8 @@ def _concentrated_start(y, w: WeightsMatrix, design, lag: bool, rho_bounds) -> t
         rho = lo + r * (hi - lo)
         return 0.5 * n * _log_variance(sse(rho), n) - w.log_abs_det(rho)
 
-    res = scipy.optimize.minimize_scalar(
-        neg_profile,
-        bounds=(RHO_INTERNAL_EPS, 1.0 - RHO_INTERNAL_EPS),
-        method="bounded",
-        options={"xatol": 1e-3},
+    res = univariate.minimize_bounded(
+        neg_profile, (RHO_INTERNAL_EPS, 1.0 - RHO_INTERNAL_EPS), xatol=1e-3
     )
     r = float(res.x)
     return r, -_log_variance(sse(lo + r * (hi - lo)), n)

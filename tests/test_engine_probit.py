@@ -11,7 +11,7 @@ from oracles import gradient_at_mode, random_weights, simulate_slm
 from scipy import integrate, optimize, stats
 
 import spatecon as se
-from spatecon import engine
+from spatecon import engine, univariate
 from spatecon.engine import CompiledModel, laplace_inner
 from spatecon.gmrf import PrecisionTerms
 
@@ -449,12 +449,18 @@ class TestModeSearch:
     @pytest.mark.parametrize("case", ["probit_slm", "gaussian_slx", "gaussian_slm_rho_fixed"])
     def test_one_dimensional_mode_matches_a_dense_scan(self, case, monkeypatch):
         model = one_free_hyperparameter_model(case)
-        called = []
-        monkeypatch.setattr(
-            optimize, "minimize", lambda *a, **k: called.append(1)
-        )
+        searches = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: searches.append(name) or real(*a, **k))
+
+        spy(univariate, "minimize_bounded")
+        spy(engine, "_trust_region_mode")
         fit = se.fit(model)
-        assert not called
+        # Brent for probit, the trust region for Gaussian, and nothing else.
+        want_search = "minimize_bounded" if case == "probit_slm" else "_trust_region_mode"
+        assert searches and set(searches) == {want_search}
         (name,) = fit.grid.dims
         assert (name == "rho_internal") == (case == "probit_slm")
         f = engine._log_posterior_fn(model.compiled)
@@ -474,7 +480,7 @@ class TestModeSearch:
         want = se.fit(model).grid.mode_point[0]
         compiled = with_start(model, want + offset)
         runs = []
-        monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **k: runs.append(1))
+        monkeypatch.setattr(univariate, "minimize_bounded", lambda *a, **k: runs.append(1))
         got = se.fit(model).grid.mode_point[0]
         assert not runs
         scanned = scan_mode(engine._log_posterior_fn(compiled), got - 3.0, got + 3.0, points=61)
@@ -501,9 +507,9 @@ class TestModeSearch:
         want = se.fit(model).grid.mode_point[0]
         compiled = with_start(model, want - 0.5)
         runs = []
-        real = optimize.minimize_scalar
+        real = univariate.minimize_bounded
         monkeypatch.setattr(
-            optimize, "minimize_scalar", lambda *a, **k: runs.append(k["bounds"]) or real(*a, **k)
+            univariate, "minimize_bounded", lambda f, bounds, **k: runs.append(bounds) or real(f, bounds, **k)
         )
         fit = se.fit(model)
         # The first bracket ends 0.4 short of the mode (its lower edge may
@@ -521,7 +527,7 @@ class TestModeSearch:
         with_start(model, want - 0.25)
         stages = count_evidence_by_stage(monkeypatch)
         per_run = []
-        real = optimize.minimize_scalar
+        real = univariate.minimize_bounded
 
         def counted(*args, **kwargs):
             before = stages["mode"]
@@ -530,18 +536,18 @@ class TestModeSearch:
             finally:
                 per_run.append(stages["mode"] - before)
 
-        monkeypatch.setattr(optimize, "minimize_scalar", counted)
+        monkeypatch.setattr(univariate, "minimize_bounded", counted)
         fit = se.fit(model)
         assert len(per_run) == 2 and per_run[0] == 4
         assert abs(fit.grid.mode_point[0] - want) <= 1e-5
 
     def test_failed_one_dimensional_search_is_a_numeric_failure(self, monkeypatch):
-        real = optimize.minimize_scalar
+        real = univariate.minimize_bounded
 
         def one_iteration(*args, **kwargs):
-            return real(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 1}})
+            return real(*args, **{**kwargs, "maxiter": 1})
 
-        monkeypatch.setattr(optimize, "minimize_scalar", one_iteration)
+        monkeypatch.setattr(univariate, "minimize_bounded", one_iteration)
         with pytest.raises(se.NumericFailureError, match="did not converge: Maximum"):
             se.fit(one_free_hyperparameter_model("probit_slm"))
 
