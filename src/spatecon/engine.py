@@ -83,18 +83,32 @@ def logit_gaussian_logpdf(r: float, mean: float = 0.0, prec: float = 10.0) -> fl
     )
 
 
+def logit_gaussian_slope(r: float, mean: float = 0.0, prec: float = 10.0) -> float:
+    """d/dr of logit_gaussian_logpdf, r in (0, 1)."""
+    r = float(r)
+    logit = math.log(r) - math.log1p(-r)
+    return (2.0 * r - 1.0 - prec * (logit - mean)) / (r * (1.0 - r))
+
+
 def log_gamma_logpdf(t: float, shape: float = 1.0, rate: float = 5e-5) -> float:
     """Density of t = log(tau) when tau ~ Gamma(shape, rate)."""
     return shape * math.log(rate) - gammaln(shape) + shape * t - rate * math.exp(t)
 
 
+def log_gamma_slope(t: float, shape: float = 1.0, rate: float = 5e-5) -> float:
+    """d/dt of log_gamma_logpdf."""
+    return shape - rate * math.exp(t)
+
+
 @dataclass(frozen=True)
 class HyperDim:
-    """One hyperparameter axis: a name, its log prior on the grid scale,
-    an optional fixed value, and an initial value for the mode search."""
+    """One hyperparameter axis: a name, its log prior on the grid scale
+    and that log prior's derivative, an optional fixed value, and an
+    initial value for the mode search."""
 
     name: str
     log_prior: Callable[[float], float]
+    log_prior_slope: Callable[[float], float]
     fixed: float | None = None
     init: float = 0.0
 
@@ -135,17 +149,20 @@ class CompiledModel:
     """Latent structure the engine consumes.
 
     The joint prior precision of z = (x, c) is Q(theta) = sum_t a_t K_t:
-    prior holds the fixed sparse terms K_t, and prior_weights(theta)
-    returns their weights a and log|Q(theta)|. The pattern of Q is the
-    same at every theta, so a fit keeps one Assembly, which holds the
-    analysis of each pattern the engine factors.
+    prior holds the fixed sparse terms K_t, and prior_weights(theta, wrt)
+    returns their weights a, log|Q(theta)|, and the exact derivatives of
+    both with respect to each hyperparameter named in wrt: da, one row of
+    weights per name, and d log|Q|, one value per name (empty for no
+    names). The pattern of Q is the same at every theta, so a fit keeps
+    one Assembly, which holds the analysis of each pattern the engine
+    factors.
     """
 
     y: np.ndarray
     b_design: np.ndarray
     likelihood: str
     prior: PrecisionTerms
-    prior_weights: Callable[[Mapping[str, float]], tuple[np.ndarray, float]]
+    prior_weights: Callable[..., tuple[np.ndarray, float, np.ndarray, np.ndarray]]
     hyper_dims: tuple[HyperDim, ...]
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
@@ -200,11 +217,6 @@ class CompiledModel:
         for d, v in zip(self.free_dims(), vec):
             theta[d.name] = float(v)
         return _clamp_theta(theta)
-
-
-# Step of the central differences in the evidence gradient, on the
-# internal scale of each hyperparameter.
-_DIFF_STEP = 1e-5
 
 
 def _theta_bounds(name: str) -> tuple[float, float]:
@@ -807,7 +819,7 @@ def gaussian_evidence(
     factor's L and D values; the factor itself, with its SuperLU object,
     is dropped on return.
     """
-    a, logdet_qp = model.prior_weights(theta)
+    a, logdet_qp, da, dlogdet = model.prior_weights(theta, wrt)
     plan = _assembly(model)
     tau_obs = model.tau_obs
     n, n_o = model.n, model.obs_idx.size
@@ -825,7 +837,7 @@ def gaussian_evidence(
     )
     mean_z = plan.latent(w)
     if wrt:
-        return log_z, _evidence_gradient(model, theta, wrt, system, mean_z)
+        return log_z, _evidence_gradient(model, da, dlogdet, system, mean_z)
     if not want_state:
         return log_z, None
 
@@ -882,42 +894,29 @@ def _finish_variances(model: CompiledModel, pending: list) -> None:
 
 def _evidence_gradient(
     model: CompiledModel,
-    theta: Mapping[str, float],
-    wrt: Sequence[str],
+    da: np.ndarray,
+    dlogdet: np.ndarray,
     system,
     mean_z: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the Gaussian log pi(y | theta) with respect to the
-    hyperparameters named in wrt:
+    hyperparameters t whose prior derivatives are the rows of da (the
+    weights' derivatives) and dlogdet (log|Q|'s), from prior_weights:
 
         d/dt = 1/2 d log|Q|/dt - 1/2 tr(M^{-1} dM/dt) - 1/2 mu' (dQ/dt) mu,
 
     with M the matrix of the quadratic form and mu the conditional mean
     of z (the last term is the envelope theorem on the quadratic
-    minimum). With da/dt the derivative of the prior's weights, dQ/dt =
-    sum_t da_t/dt K_t and dM/dt = da/dt @ Assembly.term_data; the system
-    gives the trace (_Reduced.trace, from R's selected inverse and the
-    closed-form u block, which is empty when no residual is eliminated
-    and R is M). da/dt and
-    d log|Q|/dt are central differences of prior_weights at t +- h (h =
-    _DIFF_STEP; the mode search keeps t that far inside the clamp) and
-    need no factorization: they are exact to rounding in rho, in which
-    the weights are quadratic, and in log tau, in which log|Q| is linear
-    (the weights gain the relative error h^2/6). tau_obs is fixed, so
-    every hyperparameter enters through the prior alone.
+    minimum). dQ/dt = sum_t da_t/dt K_t, so mu' (dQ/dt) mu is da times
+    mu' K_t mu of every term, one product with the prior's data; dM/dt =
+    da/dt @ Assembly.term_data, and the system gives the trace
+    (_Reduced.trace, from R's selected inverse and the closed-form u
+    block, which is empty when no residual is eliminated and R is M).
+    tau_obs is fixed, so every hyperparameter enters through the prior
+    alone.
     """
-    grad = np.zeros(len(wrt))
-    h = _DIFF_STEP
-    for i, name in enumerate(wrt):
-        a_hi, logdet_hi = model.prior_weights({**theta, name: theta[name] + h})
-        a_lo, logdet_lo = model.prior_weights({**theta, name: theta[name] - h})
-        da = (a_hi - a_lo) / (2.0 * h)
-        grad[i] = 0.5 * (
-            (logdet_hi - logdet_lo) / (2.0 * h)
-            - system.trace(da)
-            - float(mean_z @ (model.prior.matrix(da) @ mean_z))
-        )
-    return grad
+    traces = np.array([system.trace(row) for row in da])
+    return 0.5 * (dlogdet - traces - da @ model.prior.quadratic_forms(mean_z))
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +974,7 @@ def laplace_inner(
     """
     if model.likelihood != "probit":
         raise InvalidInputError("laplace_inner requires a probit model")
-    a, logdet_qp = model.prior_weights(theta)
+    a, logdet_qp, _, _ = model.prior_weights(theta)
     plan = _assembly(model)
     # G = I here: the assembled prior is Q itself.
     q_data = a @ plan.term_data
@@ -1185,7 +1184,7 @@ def _log_posterior_fn(model: CompiledModel):
 
 def _log_posterior_and_gradient_fn(model: CompiledModel):
     """vec -> (log pi(theta | y) + const, its gradient), one factorization
-    per call; the log priors are differentiated by central differences."""
+    per call; each log prior's derivative is its HyperDim.log_prior_slope."""
     free = model.free_dims()
     names = tuple(d.name for d in free)
 
@@ -1193,11 +1192,7 @@ def _log_posterior_and_gradient_fn(model: CompiledModel):
         theta = model.theta_from_vector(vec)
         log_z, grad = log_conditional_evidence(model, theta, want_state=False, wrt=names)
         lp = sum(d.log_prior(theta[d.name]) for d in free)
-        h = _DIFF_STEP
-        dlp = [
-            (d.log_prior(theta[d.name] + h) - d.log_prior(theta[d.name] - h)) / (2.0 * h)
-            for d in free
-        ]
+        dlp = [d.log_prior_slope(theta[d.name]) for d in free]
         return log_z + lp, grad + np.array(dlp)
 
     return fg
@@ -1436,8 +1431,8 @@ def _mode_and_scale(model: CompiledModel):
     Gaussian: a trust-region quasi-Newton search (_trust_region_mode) on
     the exact evidence gradient from the model's HyperDim.init values,
     each point one factorization (_evidence_gradient), within
-    _theta_bounds narrowed by the gradient's difference step; the Hessian
-    is the central difference of that gradient (_gradient_hessian).
+    _theta_bounds; the Hessian is the central difference of that gradient
+    (_gradient_hessian).
     Probit, at most one free hyperparameter: bounded Brent on a bracket
     around HyperDim.init, widened while the maximiser sits on an inner
     edge (_bracketed_brent); the curvature is an extrapolated second
@@ -1450,7 +1445,6 @@ def _mode_and_scale(model: CompiledModel):
     lo, hi = np.array([_theta_bounds(dim.name) for dim in free]).T
     if model.likelihood == "gaussian":
         fg = _log_posterior_and_gradient_fn(model)
-        lo, hi = lo + _DIFF_STEP, hi - _DIFF_STEP
         mode, _ = _trust_region_mode(fg, np.clip([dim.init for dim in free], lo, hi), lo, hi)
         hess = _gradient_hessian(fg, mode, lo, hi)
     else:

@@ -47,8 +47,6 @@ from .weights import WeightsMatrix
 RHO_INTERNAL_EPS = 1e-6
 
 DEFAULT_Q_BETA_DIAG = 1e-3
-DEFAULT_RHO_PRIOR = (0.0, 10.0)  # Gaussian (mean, precision) on logit(internal rho)
-DEFAULT_TAU_PRIOR = (1.0, 5e-5)  # log-gamma (shape, rate) on tau
 
 
 def rho_to_internal(external: float, bounds: tuple[float, float]) -> float:
@@ -100,13 +98,7 @@ class SlmSpec:
     w: WeightsMatrix
     x_design: np.ndarray
     q_beta: np.ndarray | None = None
-    rho_prior: tuple[float, float] = DEFAULT_RHO_PRIOR
-    tau_prior: tuple[float, float] = DEFAULT_TAU_PRIOR
-    tau_fixed: float | None = None
     _logdet_q: float = field(default=0.0, init=False, repr=False, compare=False)
-    _terms: "PrecisionTerms | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         x = np.asarray(self.x_design, dtype=float)
@@ -145,12 +137,6 @@ class SlmSpec:
 
     def bounds(self) -> tuple[float, float]:
         return self.w.rho_range()
-
-    def precision_terms(self) -> "PrecisionTerms":
-        """The fixed parts of the joint precision, built on first use."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", PrecisionTerms.of(self))
-        return self._terms
 
 
 def badly_scaled(x: np.ndarray) -> bool:
@@ -242,10 +228,10 @@ class PrecisionTerms:
         corner[1, :p, :p] = x.T @ x
         return cls.bordered((indptr, indices), xx, border, corner)
 
-    def matrix(self, weights: np.ndarray) -> sp.csc_matrix:
-        """sum_t weights[t] K_t on the terms' pattern."""
-        size = self.indptr.size - 1
-        return sp.csc_matrix((weights @ self.data, self.indices, self.indptr), shape=(size, size))
+    def quadratic_forms(self, z: np.ndarray) -> np.ndarray:
+        """z' K_t z for every term t, from one product with the terms' data."""
+        cols = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+        return self.data @ (z[self.indices] * z[cols])
 
 
 @dataclass(frozen=True)
@@ -254,16 +240,10 @@ class JointPrecision:
     [1, tau, -tau rho, tau rho^2] of the spec's fixed terms
     (PrecisionTerms.of), plus its exact log determinant (the Schur
     complement of the x block is q_beta, so log|P| = n log tau +
-    2 log|det(I - rho W)| + log|q_beta|). p_mat assembles the
-    (n+p) x (n+p) matrix when it is read."""
+    2 log|det(I - rho W)| + log|q_beta|)."""
 
-    spec: SlmSpec
     weights: np.ndarray
     logdet: float
-
-    @property
-    def p_mat(self) -> sp.csc_matrix:
-        return self.spec.precision_terms().matrix(self.weights)
 
 
 def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPrecision:
@@ -285,7 +265,7 @@ def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPr
         )
     weights = np.array([1.0, tau, -tau * rho_ext, tau * rho_ext**2])
     logdet = spec.n * np.log(tau) + 2.0 * spec.w.log_abs_det(rho_ext) + spec._logdet_q
-    return JointPrecision(spec=spec, weights=weights, logdet=float(logdet))
+    return JointPrecision(weights=weights, logdet=float(logdet))
 
 
 class SymbolicFactor:

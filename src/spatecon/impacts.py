@@ -15,8 +15,8 @@ point, every average is linear in the coefficients c:
     total    = (beta_r + gamma_r) / (1 - rho_g)
 
 with t1 = tr((I - rho W)^{-1})/n and t2 = tr((I - rho W)^{-1} W)/n for
-SLM/SDM, exact functions of W's spectrum or of its LU log-determinants
-(trace_functions), and t1 = 1, t2 = 0, a total factor of 1 for
+SLM/SDM, read off the exact slope of log |I - rho W| (trace_functions),
+and t1 = 1, t2 = 0, a total factor of 1 for
 SEM/SDEM/SLX (gamma_r = 0 for SEM and SLM).
 Since c | theta_g is Gaussian, each impact's posterior is the exact
 Gaussian mixture sum_g w_g N(a_g . mu_g, a_g' Sigma_g a_g) over the
@@ -34,53 +34,25 @@ import numpy as np
 
 from . import marginals as mg
 from .engine import MIXTURE_POINTS, FitResult
-from .errors import InvalidInputError, InvalidParameterError, NumericFailureError
+from .errors import InvalidInputError, InvalidParameterError
 from .gmrf import rho_to_external
 from .marginals import Marginal
 from .weights import WeightsMatrix
 
-# Richardson step as a fraction of the distance to the nearer rho bound.
-# At 0.005 the O(h^4) term still showed (t2(0) = 6e-12 on a 10-site kNN W,
-# 2e-11 relative at rho = -0.5 at n = 2100); at 0.001 the n = 2100 kNN W
-# matches dense inverses to 1.6e-11 relative from rho = -1.5 to 0.99.
-_STEP_FRACTION = 0.001
-
-
 def trace_functions(w: WeightsMatrix, rho_values) -> tuple[np.ndarray, np.ndarray]:
     """(t1, t2) = (tr((I - rho W)^{-1})/n, tr((I - rho W)^{-1} W)/n) for
-    each rho.
-
-    A W with a spectrum (WeightsMatrix.spectrum) sums 1 / (1 - rho lambda)
-    and lambda / (1 - rho lambda). Any other W uses two identities:
+    each rho in (rho_min, rho_max), from two identities:
 
         n t2(rho) = -d/drho log |I - rho W|,    t1 = 1 + rho t2,
 
-    the first differenced at each distinct rho by Richardson-extrapolated
-    central differences of sparse-LU log-determinants (four LUs, each
-    memoised on w), with the step h = _STEP_FRACTION times the distance
-    to the nearer bound of rho_range(): the error is O((h / distance)^4).
+    the slope being WeightsMatrix.log_abs_det_slope, a sum over the
+    spectrum or one complex LU per distinct rho (memoised on w).
     """
     rho_values = np.atleast_1d(np.asarray(rho_values, dtype=float))
-    lam = w.spectrum()
-    if lam is not None:
-        denom = 1.0 - rho_values[:, None] * lam[None, :]
-        if np.any(np.abs(denom) < 1e-12):
-            raise NumericFailureError("rho hits a reciprocal eigenvalue of W")
-        t1 = np.sum(1.0 / denom, axis=1) / w.n
-        t2 = np.sum(lam[None, :] / denom, axis=1) / w.n
-        return t1, t2
     lo, hi = w.rho_range()
     if not np.all((rho_values > lo) & (rho_values < hi)):
         raise InvalidParameterError(f"rho outside the admissible range ({lo}, {hi})")
-    uniq, where = np.unique(rho_values, return_inverse=True)
-    slopes = np.empty(uniq.size)
-    for i, rho in enumerate(uniq):
-        h = _STEP_FRACTION * min(hi - rho, rho - lo)
-        d_h, d_half = (
-            (w.log_abs_det(rho + s) - w.log_abs_det(rho - s)) / (2.0 * s) for s in (h, h / 2)
-        )
-        slopes[i] = (4.0 * d_half - d_h) / 3.0
-    t2 = -slopes[where] / w.n
+    t2 = -np.array([w.log_abs_det_slope(rho) for rho in rho_values]) / w.n
     return 1.0 + rho_values * t2, t2
 
 

@@ -18,6 +18,7 @@ constant is collinear with the intercept under a row-standardized W).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,10 +34,10 @@ from .gmrf import (
     DEFAULT_Q_BETA_DIAG,
     RHO_INTERNAL_EPS,
     PrecisionTerms,
-    RhoParam,
     SlmSpec,
     badly_scaled,
     joint_precision,
+    rho_to_external,
     rho_to_internal,
 )
 from .weights import WeightsMatrix
@@ -208,7 +209,6 @@ def build(
             w=slm_w,
             x_design=z_design,
             q_beta=priors.q_beta_diag * np.eye(z_design.shape[1]),
-            tau_fixed=tau_fixed,
         )
         rho_bounds = slm_w.rho_range()
     else:
@@ -340,51 +340,35 @@ def _concentrated_start(y, w: WeightsMatrix, design, lag: bool, rho_bounds) -> t
     return r, -_log_variance(sse(lo + r * (hi - lo)), n)
 
 
+def _log_gamma_dim(name, shape, rate, fixed, init) -> HyperDim:
+    """A log precision with a log-gamma prior (tau ~ Gamma(shape, rate))."""
+    return HyperDim(
+        name=name,
+        log_prior=functools.partial(engine.log_gamma_logpdf, shape=shape, rate=rate),
+        log_prior_slope=functools.partial(engine.log_gamma_slope, shape=shape, rate=rate),
+        fixed=None if fixed is None else math.log(fixed),
+        init=init,
+    )
+
+
 def _layers(kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, y, starts):
+    """The hyperparameter axes, the prior's terms and prior_weights(theta,
+    wrt): the terms' weights, log|Q| and their exact derivatives with
+    respect to the names in wrt (see CompiledModel). The weights are
+    polynomial in rho and proportional to a precision, and log|Q| is
+    linear in each log precision; its rho part, 2 log |I - rho W|, has
+    the slope WeightsMatrix.log_abs_det_slope."""
     n = y.shape[0]
     p_b = b_design.shape[1]
     q_fixed_diag = np.full(p_b, priors.q_beta_diag)
 
-    dims: list[HyperDim] = []
-    if kind != "slx":
-        rho_fixed_internal = None
-        if priors.rho_fixed is not None:
-            rho_fixed_internal = rho_to_internal(priors.rho_fixed, rho_bounds)
-        dims.append(
-            HyperDim(
-                name="rho_internal",
-                log_prior=lambda r, m_=priors.rho_prior_mean, p_=priors.rho_prior_prec: (
-                    engine.logit_gaussian_logpdf(r, m_, p_)
-                ),
-                fixed=rho_fixed_internal,
-                init=starts["rho_internal"],
-            )
-        )
-        dims.append(
-            HyperDim(
-                name="log_tau",
-                log_prior=lambda t, a=priors.tau_shape, b=priors.tau_rate: (
-                    engine.log_gamma_logpdf(t, a, b)
-                ),
-                fixed=None if tau_fixed is None else math.log(tau_fixed),
-                init=starts["log_tau"],
-            )
-        )
-    else:
-        dims.append(
-            HyperDim(
-                name="log_tau_iid",
-                log_prior=lambda t, a=priors.tau_iid_shape, b=priors.tau_iid_rate: (
-                    engine.log_gamma_logpdf(t, a, b)
-                ),
-                fixed=None
-                if priors.tau_iid_fixed is None
-                else math.log(priors.tau_iid_fixed),
-                init=starts["log_tau_iid"],
-            )
-        )
-
     if kind == "slx":
+        dims = (
+            _log_gamma_dim(
+                "log_tau_iid", priors.tau_iid_shape, priors.tau_iid_rate,
+                priors.tau_iid_fixed, starts["log_tau_iid"],
+            ),
+        )
         logdet_fixed = float(np.sum(np.log(q_fixed_diag)))
         prior = PrecisionTerms.union(
             [
@@ -393,24 +377,55 @@ def _layers(kind, slm_spec, b_design, priors, rho_bounds, tau_fixed, y, starts):
             ]
         )
 
-        def prior_weights(theta: Mapping[str, float]):
+        def prior_weights(theta: Mapping[str, float], wrt=()):
             tau_u = math.exp(theta["log_tau_iid"])
-            return np.array([1.0, tau_u]), n * math.log(tau_u) + logdet_fixed
+            logdet = n * math.log(tau_u) + logdet_fixed
+            da = np.tile([0.0, tau_u], (len(wrt), 1))
+            return np.array([1.0, tau_u]), logdet, da, np.full(len(wrt), float(n))
 
-        return tuple(dims), prior, prior_weights
+        return dims, prior, prior_weights
+
+    rho_fixed_internal = None
+    if priors.rho_fixed is not None:
+        rho_fixed_internal = rho_to_internal(priors.rho_fixed, rho_bounds)
+    dims = (
+        HyperDim(
+            name="rho_internal",
+            log_prior=functools.partial(
+                engine.logit_gaussian_logpdf, mean=priors.rho_prior_mean, prec=priors.rho_prior_prec
+            ),
+            log_prior_slope=functools.partial(
+                engine.logit_gaussian_slope, mean=priors.rho_prior_mean, prec=priors.rho_prior_prec
+            ),
+            fixed=rho_fixed_internal,
+            init=starts["rho_internal"],
+        ),
+        _log_gamma_dim("log_tau", priors.tau_shape, priors.tau_rate, tau_fixed, starts["log_tau"]),
+    )
 
     # SLM and SDM carry their coefficients inside the effect; SEM and SDEM
     # join their fixed-effect diagonal to the effect's constant term.
     fixed = q_fixed_diag if kind in ("sem", "sdem") else np.empty(0)
     prior = PrecisionTerms.of(slm_spec, fixed)
     logdet_fixed = float(np.sum(np.log(fixed)))
+    # d rho / d rho_internal.
+    width = rho_bounds[1] - rho_bounds[0]
 
-    def prior_weights(theta: Mapping[str, float]):
-        rho = RhoParam.from_internal(theta["rho_internal"], rho_bounds)
-        jp = joint_precision(slm_spec, rho, math.exp(theta["log_tau"]))
-        return jp.weights, jp.logdet + logdet_fixed
+    def prior_weights(theta: Mapping[str, float], wrt=()):
+        rho = rho_to_external(theta["rho_internal"], rho_bounds)
+        tau = math.exp(theta["log_tau"])
+        jp = joint_precision(slm_spec, rho, tau)
+        # The weights are [1, tau, -tau rho, tau rho^2].
+        da, dlogdet = np.zeros((len(wrt), 4)), np.zeros(len(wrt))
+        for i, name in enumerate(wrt):
+            if name == "log_tau":
+                da[i, 1:], dlogdet[i] = jp.weights[1:], n
+            else:
+                da[i, 2:] = width * tau * np.array([-1.0, 2.0 * rho])
+                dlogdet[i] = 2.0 * width * slm_spec.w.log_abs_det_slope(rho)
+        return jp.weights, jp.logdet + logdet_fixed, da, dlogdet
 
-    return tuple(dims), prior, prior_weights
+    return dims, prior, prior_weights
 
 
 def fit(model: ModelSpec, settings: GridSettings | None = None) -> FitResult:

@@ -14,10 +14,13 @@ rho_max is exactly 1.0.
 The structure of W, not its size, picks the spectral path. A W that
 row_standardize made from a symmetric matrix A is similar to the
 symmetric D^{-1/2} A D^{-1/2} (D the row sums), so up to n = 2000 its
-real spectrum comes from one eigvalsh and serves the bounds and the
-log-determinant. Every other W takes the sparse path: the bounds from
-fixed-start ARPACK solves, log |I - rho W| from sparse LUs in one column
-order, memoised per rho on the instance.
+real spectrum comes from one eigvalsh and serves the bounds, the
+log-determinant and its slope. Every other W takes the sparse path: the
+bounds from fixed-start ARPACK solves, log |I - rho W| and its slope
+d/drho log |I - rho W| = -tr((I - rho W)^{-1} W) from sparse LUs in one
+column order, each memoised per rho on the instance. The slope is a
+complex-step derivative (Squire & Trapp 1998): one LU of
+I - (rho + ih) W, exact to rounding since no difference is taken.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from .errors import InvalidInputError, InvalidParameterError, NumericFailureErro
 
 # Largest symmetric-source W whose spectrum is taken densely (eigvalsh).
 _DENSE_EIG_LIMIT = 2000
+
+# Imaginary step of the complex-step slope: far below rounding of the
+# real part, so the LU's real parts and pivots are those of I - rho W.
+_COMPLEX_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ class WeightsMatrix:
     _spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
     _lu_order: np.ndarray | None = field(default=None, compare=False, repr=False)
     _log_abs_dets: dict = field(default_factory=dict, compare=False, repr=False)
+    _slopes: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.mat
@@ -101,24 +109,46 @@ class WeightsMatrix:
         """log |det(I - rho W)|.
 
         With a spectrum it is sum_i log |1 - rho lambda_i| (Ord 1975).
-        Otherwise it comes from a sparse LU of I - rho W in one column
-        order per matrix, found by the first factorization and reused by
-        every later one; each value is kept per rho on the instance, so a
-        repeated rho costs no LU.
+        Otherwise it is sum_k log |u_kk| over U's diagonal from a sparse
+        LU of I - rho W (_u_diagonal); each value is kept per rho on the
+        instance, so a repeated rho costs no LU.
         """
         lam = self.spectrum()
         if lam is not None:
             return float(np.sum(np.log(np.abs(1.0 - rho * lam))))
         rho = float(rho)
         if rho not in self._log_abs_dets:
-            a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
-            if self._lu_order is None:
-                logdet, order = _logabsdet_sparse(a)
-                object.__setattr__(self, "_lu_order", order)
-            else:
-                logdet = _logabsdet_sparse(a[:, self._lu_order], "NATURAL")[0]
-            self._log_abs_dets[rho] = logdet
+            self._log_abs_dets[rho] = float(np.sum(np.log(np.abs(self._u_diagonal(rho)))))
         return self._log_abs_dets[rho]
+
+    def log_abs_det_slope(self, rho: float) -> float:
+        """d/drho log |det(I - rho W)| = -tr((I - rho W)^{-1} W).
+
+        With a spectrum it is -sum_i lambda_i / (1 - rho lambda_i).
+        Otherwise it is the complex-step derivative of the LU's
+        log-determinant: U's diagonal u_kk at rho + ih, h = _COMPLEX_STEP,
+        is u_kk(rho) + ih u_kk'(rho) to rounding, so the slope is
+        sum_k Im(u_kk) / Re(u_kk) / h. Kept per rho like the values.
+        """
+        lam = self.spectrum()
+        if lam is not None:
+            return float(-np.sum(lam / (1.0 - rho * lam)))
+        rho = float(rho)
+        if rho not in self._slopes:
+            u = self._u_diagonal(complex(rho, _COMPLEX_STEP))
+            self._slopes[rho] = float(np.sum(u.imag / u.real)) / _COMPLEX_STEP
+        return self._slopes[rho]
+
+    def _u_diagonal(self, rho: complex) -> np.ndarray:
+        """U's diagonal from a sparse LU of I - rho W, real or complex, in
+        one column order per matrix: found by the first factorization and
+        reused by every later one."""
+        a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
+        if self._lu_order is None:
+            diag_u, order = _lu_diagonal(a)
+            object.__setattr__(self, "_lu_order", order)
+            return diag_u
+        return _lu_diagonal(a[:, self._lu_order], "NATURAL")[0]
 
     def rho_range(self) -> tuple[float, float]:
         """Admissible open interval for the autocorrelation parameter.
@@ -339,9 +369,10 @@ def _arnoldi_real_eigs(mat: sp.csr_matrix, which: str) -> np.ndarray:
     return np.linalg.eigvals(mat.toarray())
 
 
-def _logabsdet_sparse(a: sp.csc_matrix, permc_spec: str = "COLAMD"):
-    """log |det A| of a general sparse matrix by sparse LU, and the column
-    order the LU pivoted in (A[:, order] factors with no new ordering)."""
+def _lu_diagonal(a: sp.csc_matrix, permc_spec: str = "COLAMD"):
+    """U's diagonal from a sparse LU of A, real or complex, and the column
+    order the LU pivoted in (A[:, order] factors with no new ordering).
+    L has a unit diagonal, so log |det A| is sum log |u_kk|."""
     try:
         lu = spla.splu(a, permc_spec=permc_spec)
     except RuntimeError as exc:
@@ -349,5 +380,4 @@ def _logabsdet_sparse(a: sp.csc_matrix, permc_spec: str = "COLAMD"):
     diag_u = lu.U.diagonal()
     if np.any(diag_u == 0):
         raise NumericFailureError("matrix is singular to working precision")
-    # L has a unit diagonal.
-    return float(np.sum(np.log(np.abs(diag_u)))), np.argsort(lu.perm_c)
+    return diag_u, np.argsort(lu.perm_c)

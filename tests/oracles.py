@@ -19,7 +19,17 @@ from spatecon import (
     knn_adjacency,
     row_standardize,
 )
-from spatecon.gmrf import rho_to_external
+from spatecon.gmrf import PrecisionTerms, SlmSpec, rho_to_external
+
+
+def terms_matrix(terms, weights):
+    """sum_t weights[t] K_t on the terms' pattern, as a CSC matrix. terms
+    is a PrecisionTerms, or an SlmSpec, whose joint precision's terms
+    (PrecisionTerms.of) are built for the weights of joint_precision."""
+    if isinstance(terms, SlmSpec):
+        terms = PrecisionTerms.of(terms)
+    size = terms.indptr.size - 1
+    return sp.csc_matrix((weights @ terms.data, terms.indices, terms.indptr), shape=(size, size))
 
 
 def random_weights(rng, n, k=3):
@@ -165,8 +175,7 @@ def gradient_at_mode(compiled, theta, state):
     """Sup-norm of the log-posterior gradient of (x, c) at the probit mode."""
     from scipy.special import log_ndtr
 
-    a, _ = compiled.prior_weights(theta)
-    q = compiled.prior.matrix(a)
+    q = terms_matrix(compiled.prior, compiled.prior_weights(theta)[0])
     z = np.concatenate([state.mean_x, state.mean_c])
     eta = state.mean_x + compiled.b_design @ state.mean_c
     obs = compiled.obs_idx

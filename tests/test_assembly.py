@@ -124,9 +124,11 @@ def test_probit_assembly_matches_products(kind, monkeypatch):
 
 
 def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
-    splu_calls, evidence_calls, logdet_lus, logdet_rhos = [], [], [], []
+    splu_calls, evidence_calls, real_lus, complex_lus = [], [], [], []
+    value_rhos, slope_rhos = [], []
     real_splu, real_evidence = spla.splu, engine.log_conditional_evidence
-    real_lu, real_log_abs_det = weights._logabsdet_sparse, se.WeightsMatrix.log_abs_det
+    real_lu = weights._lu_diagonal
+    real_log_abs_det, real_slope = se.WeightsMatrix.log_abs_det, se.WeightsMatrix.log_abs_det_slope
 
     def counting_splu(mat, *args, **kwargs):
         splu_calls.append((mat.shape[0], kwargs.get("permc_spec")))
@@ -136,18 +138,23 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
         evidence_calls.append(1)
         return real_evidence(*args, **kwargs)
 
-    def counting_lu(*args, **kwargs):
-        logdet_lus.append(1)
-        return real_lu(*args, **kwargs)
+    def counting_lu(a, *args, **kwargs):
+        (complex_lus if np.iscomplexobj(a.data) else real_lus).append(1)
+        return real_lu(a, *args, **kwargs)
 
     def recording_log_abs_det(self, rho):
-        logdet_rhos.append(rho)
+        value_rhos.append(rho)
         return real_log_abs_det(self, rho)
+
+    def recording_slope(self, rho):
+        slope_rhos.append(rho)
+        return real_slope(self, rho)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(engine, "log_conditional_evidence", counting_evidence)
-    monkeypatch.setattr(weights, "_logabsdet_sparse", counting_lu)
+    monkeypatch.setattr(weights, "_lu_diagonal", counting_lu)
     monkeypatch.setattr(se.WeightsMatrix, "log_abs_det", recording_log_abs_det)
+    monkeypatch.setattr(se.WeightsMatrix, "log_abs_det_slope", recording_slope)
     # Built under the patches: the concentrated-likelihood start's LUs of
     # I - rho W are counted with the fit's.
     model = gaussian_model("slm", n=60)
@@ -163,10 +170,13 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     assert c.n + c.p not in sizes
     assert splu_calls.count((reduced, "MMD_AT_PLUS_A")) == 1
     assert splu_calls.count((reduced, "NATURAL")) == len(evidence_calls)
-    # Each LU of I - rho W is one splu call of its own, one per distinct rho.
-    assert len(logdet_lus) == len(set(logdet_rhos))
-    assert sizes.count(c.n) == len(logdet_lus)
-    assert len(sizes) == 1 + len(evidence_calls) + len(logdet_lus)
+    # Each LU of I - rho W is one splu call of its own: a real one per
+    # distinct rho of a value, a complex one per distinct rho of a slope.
+    assert len(real_lus) == len(set(value_rhos))
+    assert len(complex_lus) == len(set(slope_rhos)) > 0
+    w_lus = len(real_lus) + len(complex_lus)
+    assert sizes.count(c.n) == w_lus
+    assert len(sizes) == 1 + len(evidence_calls) + w_lus
     # One ordering of each pattern, then every factorization reuses it.
     specs = [spec for _, spec in splu_calls]
     assert specs.count("MMD_AT_PLUS_A") == 1
@@ -252,7 +262,7 @@ def test_assembly_keys_do_not_overflow_int32():
     c = model.compiled
     assert c.n + c.p > 46_341
     theta = {"rho_internal": c.hyper_dims[0].fixed, "log_tau": 0.4}
-    a, _ = c.prior_weights(theta)
+    a = c.prior_weights(theta)[0]
     plan = engine._assembly(c)
     got = plan.matrix(a @ plan.term_data)
     assert abs(got - got.T).max() <= 1e-12 * abs(got).max()
@@ -275,7 +285,7 @@ def test_eigen_log_determinant_matches_sparse_lu(make):
     lo, hi = w.rho_range()
     for rho in (0.9 * lo, 0.5 * lo, -0.05, 0.1, 0.5, 0.95 * hi):
         a = sp.csc_matrix(sp.identity(w.n) - rho * w.mat)
-        want, _ = weights._logabsdet_sparse(a)
+        want = float(np.sum(np.log(np.abs(weights._lu_diagonal(a)[0]))))
         got = w.log_abs_det(rho)
         assert abs(got - want) <= 1e-12 * abs(want), rho
 
@@ -304,13 +314,13 @@ def test_sparse_log_determinant_reuses_one_column_order(monkeypatch):
 def test_sparse_log_determinant_repeats_no_lu_at_one_rho(monkeypatch):
     w = random_weights(np.random.default_rng(14), 300, 4)
     calls = []
-    real = weights._logabsdet_sparse
+    real = weights._lu_diagonal
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(weights, "_logabsdet_sparse", counting)
+    monkeypatch.setattr(weights, "_lu_diagonal", counting)
     first = w.log_abs_det(0.4)
     again = w.log_abs_det(0.4)
     assert len(calls) == 1

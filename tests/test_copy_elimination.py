@@ -98,7 +98,7 @@ def assert_paths_agree(model, thetas):
     for theta in thetas:
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
-        a, _ = c.prior_weights(theta)
+        a = c.prior_weights(theta)[0]
         assert engine._copy_system(c, theta, a, c.tau_obs).blocks is c.assembly.blocks
         got, want = (evaluate(path, model, theta) for path in (reduced, whole))
         assert relative(got[0], want[0]) <= 1e-10
@@ -240,7 +240,7 @@ def assert_reduced_terms(model, thetas):
     for theta in thetas:
         gaussian_evidence(c, theta)
         blocks, n_o = c.assembly.blocks, c.obs_idx.size
-        a, _ = c.prior_weights(theta)
+        a = c.prior_weights(theta)[0]
         tau = c.tau_obs
         r = on_r_pattern(blocks, blocks.r_data(a, tau)).toarray()
         assert np.array_equal(r, r.T)
@@ -279,7 +279,7 @@ def assert_spread_matches_the_product(model, thetas):
     for theta in thetas:
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
-        a, _ = c.prior_weights(theta)
+        a = c.prior_weights(theta)[0]
         system = reduced(c, theta, a, c.tau_obs)
         sigma = on_r_pattern(system.blocks, system._sigma)
         want = np.asarray((system.a_ur @ sigma).multiply(system.a_ur).sum(axis=1)).ravel()

@@ -39,7 +39,9 @@ def scalar_model(tau=2.0, y_val=0.7, tau_obs=1e8):
         b_design=np.zeros((1, 0)),
         likelihood="gaussian",
         prior=PrecisionTerms.union([sp.csc_matrix(np.array([[tau]]))]),
-        prior_weights=lambda theta: (np.ones(1), math.log(tau)),
+        prior_weights=lambda theta, wrt=(): (
+            np.ones(1), math.log(tau), np.zeros((0, 1)), np.zeros(0)
+        ),
         hyper_dims=(),
         coef_names=(),
         tau_obs=tau_obs,
@@ -473,7 +475,7 @@ class TestModeCurvature:
     def test_gradient_differences_near_the_rho_bound(self, rho):
         x0 = np.array([rho, 0.3])
         fg, clamped, lo, hi = self.clamp_recording_quadratic(x0)
-        hess = engine._gradient_hessian(fg, x0, lo + engine._DIFF_STEP, hi - engine._DIFF_STEP)
+        hess = engine._gradient_hessian(fg, x0, lo, hi)
         assert len(clamped) == 4 and not any(clamped)
         assert np.array_equal(hess, hess.T)
         assert_allclose(hess, -self.A, rtol=1e-6)

@@ -1,9 +1,11 @@
 """Gaussian evidence gradient, the trust-region mode search it drives, and
 the grid's per-row variances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from oracles import random_weights, simulate_slm
+from oracles import delaunay_weights, random_weights, simulate_slm
 from test_engine_probit import count_evidence_by_stage
 
 import spatecon as se
@@ -219,7 +221,7 @@ class TestGradientModeSearch:
             likelihood="probit",
             prior=compiled.prior,
             prior_weights=compiled.prior_weights,
-            hyper_dims=(rho, HyperDim("log_tau", log_tau.log_prior)),
+            hyper_dims=(rho, HyperDim("log_tau", log_tau.log_prior, log_tau.log_prior_slope)),
             coef_names=compiled.coef_names,
             rho_bounds=compiled.rho_bounds,
         )
@@ -252,6 +254,26 @@ def test_grid_scale_matches_the_reference_hessian(kind):
     fg = engine._log_posterior_and_gradient_fn(model.compiled)
     want = np.sqrt(np.diag(np.linalg.inv(-reference_hessian(fg, fit.grid.mode_point))))
     assert np.all(np.abs(fit.grid.sigma - want) <= 1e-6 * want), (fit.grid.sigma, want)
+
+
+@pytest.mark.parametrize("make", ["delaunay", "knn"])
+@pytest.mark.parametrize("kind", ["sem", "slm", "sdm", "sdem"])
+def test_grid_tracks_a_last_bit_change_of_rho_min(kind, make):
+    # Every derivative of the prior is exact, so no difference step
+    # multiplies the round-off of a 3e-15 relative change of rho_min into
+    # the mode or the grid's scale.
+    rng = np.random.default_rng(41)
+    n = 150
+    w = delaunay_weights(rng, n) if make == "delaunay" else random_weights(rng, n, 5)
+    assert (w.spectrum() is None) == (make == "knn")
+    y, x = simulate_slm(rng, w, [1.0, 0.7, -0.4], 0.5, 0.6)
+    y[rng.choice(n, size=10, replace=False)] = np.nan
+    lo, hi = w.rho_range()
+    moved = dataclasses.replace(w, _rho_bounds=(lo * (1.0 + 3e-15), hi))
+    assert moved.rho_min != lo
+    base, other = (se.fit(se.build(kind, y, x, v)).grid for v in (w, moved))
+    assert np.all(np.abs(other.sigma - base.sigma) <= 1e-10 * base.sigma)
+    assert np.all(np.abs(other.mode_point - base.mode_point) <= 1e-13)
 
 
 class TestGridRowVariances:

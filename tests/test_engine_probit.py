@@ -47,7 +47,9 @@ class TestLaplaceEvidence:
                 b_design=np.zeros((1, 0)),
                 likelihood="probit",
                 prior=prior,
-                prior_weights=lambda theta: (np.ones(1), 0.0),
+                prior_weights=lambda theta, wrt=(): (
+                    np.ones(1), 0.0, np.zeros((0, 1)), np.zeros(0)
+                ),
                 hyper_dims=(),
                 coef_names=(),
                 tau_obs=None,

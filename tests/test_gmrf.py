@@ -26,7 +26,7 @@ from spatecon import (
 from spatecon import gmrf
 from spatecon.gmrf import SymbolicFactor
 
-from oracles import selected_inverse
+from oracles import selected_inverse, terms_matrix
 
 
 def chain_weights(n):
@@ -59,7 +59,7 @@ class TestJointPrecision:
         spec = SlmSpec(w=w, x_design=x, q_beta=np.eye(1))
         tau = 1.7
         jp = joint_precision(spec, RhoParam.from_external(0.0, w.rho_range()), tau)
-        dense = jp.p_mat.toarray()
+        dense = terms_matrix(spec, jp.weights).toarray()
         assert_allclose(dense[:2, :2], tau * np.eye(2), atol=1e-12)
         assert_allclose(dense[:2, 2:], -tau * x, atol=1e-12)
         assert_allclose(dense[2:, 2:], np.eye(1) + tau * x.T @ x, atol=1e-12)
@@ -69,7 +69,7 @@ class TestJointPrecision:
         spec = SlmSpec(w=w, x_design=np.zeros((3, 0)))
         jp = joint_precision(spec, RhoParam.from_external(0.5, w.rho_range()), 2.0)
         a = np.eye(3) - 0.5 * w.toarray()
-        assert_allclose(jp.p_mat.toarray(), 2.0 * a.T @ a, atol=1e-12)
+        assert_allclose(terms_matrix(spec, jp.weights).toarray(), 2.0 * a.T @ a, atol=1e-12)
 
     def test_inverse_matches_assembled_covariance(self):
         rng = np.random.default_rng(8)
@@ -85,7 +85,7 @@ class TestJointPrecision:
             tau = float(rng.uniform(0.5, 3.0))
             jp = joint_precision(spec, RhoParam.from_external(rho, (lo, hi)), tau)
             cov = assemble_covariance(spec, rho, tau)
-            prod = jp.p_mat.toarray() @ cov
+            prod = terms_matrix(spec, jp.weights).toarray() @ cov
             assert np.max(np.abs(prod - np.eye(n + p))) < 1e-8
 
     def test_logdet_matches_slogdet(self):
@@ -93,7 +93,7 @@ class TestJointPrecision:
         w = random_weights(rng, 12, 3)
         spec = SlmSpec(w=w, x_design=rng.normal(size=(12, 2)))
         jp = joint_precision(spec, RhoParam.from_external(0.4, w.rho_range()), 1.3)
-        sign, want = np.linalg.slogdet(jp.p_mat.toarray())
+        sign, want = np.linalg.slogdet(terms_matrix(spec, jp.weights).toarray())
         assert sign > 0
         assert abs(jp.logdet - want) < 1e-8 * max(1.0, abs(want))
 
@@ -105,7 +105,7 @@ class TestJointPrecision:
         jp = joint_precision(spec, RhoParam.from_external(0.3, w.rho_range()), 1.0)
         wm = w.mat
         bound = (wm.T @ wm).nnz + 2 * wm.nnz + n + 2 * n * p + p * p
-        assert jp.p_mat.nnz <= bound
+        assert terms_matrix(spec, jp.weights).nnz <= bound
 
     def test_rho_outside_bounds_rejected(self):
         w = chain_weights(4)
@@ -205,7 +205,7 @@ class TestSelectedInverse:
         w = random_weights(rng, 40, 4)
         spec = SlmSpec(w=w, x_design=rng.normal(size=(40, 3)))
         jp = joint_precision(spec, RhoParam.from_external(0.6, w.rho_range()), 2.0)
-        h = CholeskyHandle.of(jp.p_mat)
+        h = CholeskyHandle.of(terms_matrix(spec, jp.weights))
         assert_matches_dense_on_pattern(h)
         cols = h.inverse_columns([40, 41, 42])
         assert_allclose(cols, h.inverse_dense()[:, 40:], rtol=1e-10, atol=1e-14)

@@ -127,7 +127,7 @@ class TestTracesOverTheRange:
         return delaunay_weights(rng, 300)
 
     @pytest.mark.parametrize("make", ["knn", "delaunay_sparse", "delaunay_eigvalsh"])
-    def test_match_dense_inverse_to_1e_8(self, make, monkeypatch):
+    def test_match_dense_inverse_to_1e_12(self, make, monkeypatch):
         w = self.weights_of(make, monkeypatch)
         assert (w.spectrum() is None) == (make != "delaunay_eigvalsh")
         lo, hi = w.rho_range()
@@ -136,22 +136,43 @@ class TestTracesOverTheRange:
         t1, t2 = trace_functions(w, rhos)
         want_t1, want_t2 = dense_trace_functions(w, rhos)
         # t2(0) = tr(W)/n = 0; atol covers that point alone.
-        assert_allclose(t1, want_t1, rtol=1e-8, atol=0.0)
-        assert_allclose(t2, want_t2, rtol=1e-8, atol=1e-12)
+        assert_allclose(t1, want_t1, rtol=1e-12, atol=0.0)
+        assert_allclose(t2, want_t2, rtol=1e-12, atol=1e-12)
 
-    def test_repeated_rho_is_differenced_once(self, monkeypatch):
+    @pytest.mark.parametrize("make", ["knn", "delaunay_sparse", "delaunay_eigvalsh"])
+    def test_match_dense_inverse_at_the_clamp(self, make, monkeypatch):
+        # The grid's extreme rho: internal 1e-6 from either bound, where
+        # I - rho W is nearly singular.
+        w = self.weights_of(make, monkeypatch)
+        lo, hi = w.rho_range()
+        rhos = [lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo)]
+        t1, t2 = trace_functions(w, rhos)
+        want_t1, want_t2 = dense_trace_functions(w, rhos)
+        assert_allclose(t1, want_t1, rtol=1e-9, atol=0.0)
+        assert_allclose(t2, want_t2, rtol=1e-9, atol=0.0)
+
+    def test_repeated_rho_runs_one_complex_lu(self, monkeypatch):
         w = random_weights(np.random.default_rng(32), 120, 5)
         calls = []
-        real = weights._logabsdet_sparse
+        real = weights._lu_diagonal
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            calls.append(a.dtype)
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(weights, "_logabsdet_sparse", counting)
+        monkeypatch.setattr(weights, "_lu_diagonal", counting)
         t1, t2 = trace_functions(w, [0.3, 0.6, 0.3, 0.6, 0.3])
-        assert len(calls) == 8  # four LUs at each distinct rho
+        # One complex LU at each distinct rho, none for a value.
+        assert calls == [np.complex128, np.complex128]
         assert t1[0] == t1[2] == t1[4] and t2[1] == t2[3]
+
+    def test_eigvalsh_path_refuses_rho_out_of_range(self):
+        w = delaunay_weights(np.random.default_rng(35), 60)
+        assert w.spectrum() is not None
+        lo, hi = w.rho_range()
+        for rho in (hi, 1.01 * hi, lo, 1.01 * lo):
+            with pytest.raises(se.InvalidParameterError, match="admissible"):
+                trace_functions(w, [0.0, rho])
 
 
 class TestAverageIdentities:
@@ -360,13 +381,13 @@ class TestLogDeterminantMemo:
         w = random_weights(rng, 40, 4)
         y, x = simulate_slm(rng, w, [1.0, 0.6, -0.3], 0.3, 0.5)
         calls = []
-        real = weights._logabsdet_sparse
+        real = weights._lu_diagonal
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(weights, "_logabsdet_sparse", counting)
+        monkeypatch.setattr(weights, "_lu_diagonal", counting)
         fit = se.fit(se.build("sdm", y, x, w))
         first = average_impacts(fit)
         lus = len(calls)
