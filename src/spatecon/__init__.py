@@ -4,7 +4,6 @@ from .engine import (
     FitResult,
     GridSettings,
     HyperGrid,
-    explore_hypergrid,
     laplace_inner,
     log_conditional_evidence,
     marginal_likelihood,
@@ -18,7 +17,6 @@ from .errors import (
 from .gmrf import (
     CholeskyHandle,
     JointPrecision,
-    RhoParam,
     SlmSpec,
     joint_precision,
     rho_to_external,
@@ -31,7 +29,6 @@ from .weights import (
     from_dense,
     knn_adjacency,
     lag_covariates,
-    rho_range,
     row_standardize,
 )
 
@@ -48,12 +45,10 @@ __all__ = [
     "ModelPriors",
     "ModelSpec",
     "NumericFailureError",
-    "RhoParam",
     "SlmSpec",
     "SpateconError",
     "WeightsMatrix",
     "build",
-    "explore_hypergrid",
     "fit",
     "from_dense",
     "gaussian_mixture_marginal",
@@ -63,7 +58,6 @@ __all__ = [
     "laplace_inner",
     "log_conditional_evidence",
     "marginal_likelihood",
-    "rho_range",
     "rho_to_external",
     "rho_to_internal",
     "row_standardize",

@@ -290,7 +290,7 @@ def parse_config(path) -> RunConfig:
     if parser.has_section("priors"):
         numeric = {
             "q_beta_diag", "rho_prior_mean", "rho_prior_prec", "tau_shape",
-            "tau_rate", "tau_iid_shape", "tau_iid_rate", "tau_obs",
+            "tau_rate", "tau_iid_shape", "tau_iid_rate",
             "rho_fixed", "tau_fixed", "tau_iid_fixed",
         }
         for key in parser.options("priors"):

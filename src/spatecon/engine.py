@@ -9,19 +9,18 @@ matrix once per fit (Assembly); each theta then costs weighted sums of
 those arrays and one sparse factorization. Two observation layers are
 supported:
 
-* Gaussian: y = eta + e with e at a fixed high "copy" precision, so that
-  the latent effect carries the noise. The conditional evidence
-  pi(y|theta) is then exact.
+* Gaussian: y = eta + e with e at a fixed high "copy" precision,
+  TAU_OBS, so that the latent effect carries the noise. The conditional
+  evidence pi(y|theta) is then exact.
   To keep every intermediate at O(1) scale despite the 1e8 copy
   precision, the quadratic form is evaluated in residual-shifted
   coordinates (the observed-row residual u = y - eta is substituted for
   x as a latent coordinate; the substitution is unimodular, so the log
   determinant is unchanged). The copy precision dominates the u block,
   which is eliminated in closed form, so the factorization has n_mis + p
-  rows (_Reduced). Where the bound on the terms that drops fails (a low
-  copy precision, or a response of small scale, whose latent precision
-  is high), the same class factors the split that eliminates no
-  residual, all n + p rows.
+  rows (_Reduced). Where the bound on the terms that drops fails (a
+  response of small scale, whose latent precision is high), the same
+  class factors the split that eliminates no residual, all n + p rows.
 * Probit: y_i ~ Bernoulli(Phi(eta_i)). The conditional evidence is a
   Laplace approximation at the Newton mode, multiplied by per-site
   Gauss-Hermite correction factors that make it exact when the sites are
@@ -62,6 +61,9 @@ from .gmrf import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * _LOG_2PI
+
+# The Gaussian layer's copy precision: the noise precision of y = eta + e.
+TAU_OBS = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,6 @@ class CompiledModel:
     hyper_dims: tuple[HyperDim, ...]
     coef_names: tuple[str, ...]
     rho_bounds: tuple[float, float] | None = None
-    tau_obs: float = 1e8
     # The prior's terms mapped onto the factored matrix, with the analyses
     # of its patterns: built at the first evaluation, reused by every
     # later one.
@@ -266,7 +267,7 @@ class Assembly:
     term_const remain.
 
     The Gaussian layer uses the residual shift (E maps the observed rows
-    onto -u, F = -X_b on them, z0 = y there) and adds tau_obs on the u
+    onto -u, F = -X_b on them, z0 = y there) and adds TAU_OBS on the u
     diagonal; term_c = -G'K_t z0 and term_const = z0'K_t z0 give the
     linear and constant parts of the quadratic form. It factors one of
     two splits of the pattern: blocks, which eliminates every observed
@@ -337,12 +338,12 @@ class CopyBlocks:
     residuals u, n_o either every observed row or none. In the
     coordinates (u, r), r the rest of v = (u_obs, x_miss) and c, it is
 
-        M = [[tau_obs I + A_uu, A_ur], [A_ru, tau_obs J + A_rr]],
+        M = [[tau I + A_uu, A_ur], [A_ru, tau J + A_rr]],
 
-    with A = sum_t a_t G'K_tG and J the diagonal of ones on the observed
-    residuals r keeps. A_uu and A_ur (the n_o x r block above the
-    diagonal) keep their terms' data on fixed CSC patterns. The reduced
-    matrix of _Reduced,
+    with tau = TAU_OBS, A = sum_t a_t G'K_tG and J the diagonal of ones
+    on the observed residuals r keeps. A_uu and A_ur (the n_o x r block
+    above the diagonal) keep their terms' data on fixed CSC patterns.
+    The reduced matrix of _Reduced,
 
         R = tau J + A_rr - A_ru A_ur / tau + A_ru A_uu A_ur / tau^2,
 
@@ -352,7 +353,7 @@ class CopyBlocks:
     such pair; then J. Each term is exactly symmetric (a pair s < t holds
     both of its orders), and products with a zero block are left out, so
     with n_o = 0 R is M itself, and with every residual eliminated J is
-    empty. A theta then costs the weights r_weights(a, tau) and one
+    empty. A theta then costs the weights r_weights(a) and one
     weighted sum, R's data (r_data); symbolic is the analysis of R's
     pattern.
 
@@ -449,17 +450,18 @@ class CopyBlocks:
         """The analysis of R's pattern, made at its first factorization."""
         return SymbolicFactor(self.r_terms.indptr, self.r_terms.indices)
 
-    def r_data(self, a: np.ndarray, tau: float) -> np.ndarray:
-        """R's data at the prior's weights a and tau = tau_obs, exactly
-        symmetric like its terms: einsum runs the same operations for
-        every entry, where a BLAS matrix-vector product can round an
-        entry and its transpose apart."""
-        return np.einsum("t,tk->k", self.r_weights(a, tau), self.r_terms.data)
+    def r_data(self, a: np.ndarray) -> np.ndarray:
+        """R's data at the prior's weights a, exactly symmetric like its
+        terms: einsum runs the same operations for every entry, where a
+        BLAS matrix-vector product can round an entry and its transpose
+        apart."""
+        return np.einsum("t,tk->k", self.r_weights(a), self.r_terms.data)
 
-    def r_weights(self, a: np.ndarray, tau: float, da: np.ndarray | None = None) -> np.ndarray:
-        """The weights of r_terms at the prior's weights a and tau =
-        tau_obs: [a, -a_s a_t / tau, a_q a_s a_t / tau^2, tau]. Given da,
-        their derivative along da at a fixed tau."""
+    def r_weights(self, a: np.ndarray, da: np.ndarray | None = None) -> np.ndarray:
+        """The weights of r_terms at the prior's weights a, tau = TAU_OBS:
+        [a, -a_s a_t / tau, a_q a_s a_t / tau^2, tau]. Given da, their
+        derivative along da."""
+        tau = TAU_OBS
         s, t = self.pairs.T
         st = a[s] * a[t]
         if da is None:
@@ -655,7 +657,7 @@ def _build_assembly(model: CompiledModel) -> Assembly:
 # Gaussian observation layer
 # ---------------------------------------------------------------------------
 
-# The largest (s / tau_obs)^2, s the largest absolute row sum of A_uu, at
+# The largest (s / TAU_OBS)^2, s the largest absolute row sum of A_uu, at
 # which the evidence eliminates the observed residuals in closed form:
 # the relative size of the terms that elimination drops. Above it the
 # evidence takes the split that eliminates none (_copy_system).
@@ -665,7 +667,7 @@ _EXPANSION_TOL = 1e-10
 class _Reduced:
     """M with the first n_o observed residuals u eliminated in closed form
     (Rue & Held 2005, sec. 2.3), on the split blocks (CopyBlocks). With
-    tau = tau_obs and D = tau I + A_uu,
+    tau = TAU_OBS and D = tau I + A_uu,
 
         log|M| = log|D| + log|R|,   R = tau J + A_rr - A_ru D^{-1} A_ur,
 
@@ -686,16 +688,14 @@ class _Reduced:
     built only for the products of a split that eliminates residuals.
     """
 
-    def __init__(
-        self, model: CompiledModel, theta, a: np.ndarray, tau_obs: float, blocks, uu=None
-    ):
-        self.model, self.blocks, self.a, self.tau_obs = model, blocks, a, tau_obs
+    def __init__(self, model: CompiledModel, theta, a: np.ndarray, blocks, uu=None):
+        self.model, self.blocks, self.a = model, blocks, a
         self.uu = a @ blocks.term_uu if uu is None else uu
         self.ur = a @ blocks.term_ur
         if not blocks.r:
             self.factor = _NoRows()
             return
-        r_data = blocks.r_data(a, tau_obs)
+        r_data = blocks.r_data(a)
         self.factor = CholeskyHandle(blocks.symbolic, r_data, f"theta = {dict(theta)}")
 
     @functools.cached_property
@@ -708,8 +708,7 @@ class _Reduced:
 
     def _d_inv(self, v: np.ndarray) -> np.ndarray:
         """D^{-1} v."""
-        tau = self.tau_obs
-        return (v - (self.a_uu @ v) / tau) / tau
+        return (v - (self.a_uu @ v) / TAU_OBS) / TAU_OBS
 
     @functools.cached_property
     def _sigma(self) -> np.ndarray:
@@ -727,7 +726,7 @@ class _Reduced:
         return float(np.sum(data[self.blocks.uu_diag]))
 
     def logdet(self) -> float:
-        tau, uu = self.tau_obs, self.uu
+        tau, uu = TAU_OBS, self.uu
         log_d = self.blocks.n_o * math.log(tau) + (self._uu_trace(uu) - 0.5 * (uu @ uu) / tau) / tau
         return log_d + self.factor.logdet()
 
@@ -742,14 +741,14 @@ class _Reduced:
         """tr(M^{-1} dM) for dM = da @ Assembly.term_data: tr(D^{-1} dA_uu)
         + tr(R^{-1} dR), with D^{-1} and R as above, so that dR's data is
         r_weights' derivative along da times r_terms' data."""
-        blocks, tau = self.blocks, self.tau_obs
+        blocks, tau = self.blocks, TAU_OBS
         d_uu = da @ blocks.term_uu
-        d_r = blocks.r_weights(self.a, tau, da) @ blocks.r_terms.data
+        d_r = blocks.r_weights(self.a, da) @ blocks.r_terms.data
         return (self._uu_trace(d_uu) - (self.uu @ d_uu) / tau) / tau + float(self._sigma @ d_r)
 
     def variances(self) -> np.ndarray:
         """The variances of (u_obs, x_miss)."""
-        tau = self.tau_obs
+        tau = TAU_OBS
         var_u = (1.0 - (self.uu[self.blocks.uu_diag] - self._spread) / tau) / tau
         n_v = self.blocks.r - self.model.p
         return np.concatenate([var_u, self.factor.marginal_variances(np.arange(n_v))])
@@ -783,17 +782,19 @@ class _NoRows:
         return np.zeros((0, 0))
 
 
-def _copy_system(model: CompiledModel, theta, a: np.ndarray, tau_obs: float) -> _Reduced:
+def _copy_system(model: CompiledModel, theta, a: np.ndarray) -> _Reduced:
     """M at theta on the split that eliminates every observed residual
-    (Assembly.blocks) when (s / tau_obs)^2 <= _EXPANSION_TOL, else on the
-    split that eliminates none (Assembly.whole_blocks)."""
+    (Assembly.blocks) when (s / TAU_OBS)^2 <= _EXPANSION_TOL, else on the
+    split that eliminates none (Assembly.whole_blocks). With the copy
+    precision fixed, only the response's scale (through s) picks the
+    split."""
     plan = model.assembly
     uu = a @ plan.blocks.term_uu
     # A_uu is symmetric, and every column holds its diagonal entry.
     s = float(np.max(np.add.reduceat(np.abs(uu), plan.blocks.uu[0][:-1])))
-    if (s / tau_obs) ** 2 <= _EXPANSION_TOL:
-        return _Reduced(model, theta, a, tau_obs, plan.blocks, uu)
-    return _Reduced(model, theta, a, tau_obs, plan.whole_blocks())
+    if (s / TAU_OBS) ** 2 <= _EXPANSION_TOL:
+        return _Reduced(model, theta, a, plan.blocks, uu)
+    return _Reduced(model, theta, a, plan.whole_blocks())
 
 
 def gaussian_evidence(
@@ -808,8 +809,8 @@ def gaussian_evidence(
     The matrix M of the residual-shifted quadratic form is solved by
     _Reduced with the observed residuals eliminated in closed form, which
     factors a matrix of n_mis + p rows, or, where the bound on the terms
-    that drops fails (a low tau_obs, or a response of small scale), with
-    none eliminated, which factors all n + p rows (_copy_system).
+    that drops fails (a response of small scale), with none eliminated,
+    which factors all n + p rows (_copy_system).
     With wrt (names of hyperparameters), the second item is the gradient
     of log pi(y | theta) with respect to them, from the same system
     (_evidence_gradient). With want_state it is the conditional Gaussian
@@ -821,16 +822,15 @@ def gaussian_evidence(
     """
     a, logdet_qp, da, dlogdet = model.prior_weights(theta, wrt)
     plan = _assembly(model)
-    tau_obs = model.tau_obs
     n, n_o = model.n, model.obs_idx.size
 
-    system = _copy_system(model, theta, a, tau_obs)
+    system = _copy_system(model, theta, a)
     c_vec = a @ plan.term_c
     w = system.solve(c_vec)
     s_min = float(a @ plan.term_const) - float(c_vec @ w)
     log_z = (
         -0.5 * n_o * _LOG_2PI
-        + 0.5 * n_o * math.log(tau_obs)
+        + 0.5 * n_o * math.log(TAU_OBS)
         + 0.5 * logdet_qp
         - 0.5 * system.logdet()
         - 0.5 * s_min
@@ -912,7 +912,7 @@ def _evidence_gradient(
     da/dt @ Assembly.term_data, and the system gives the trace
     (_Reduced.trace, from R's selected inverse and the closed-form u
     block, which is empty when no residual is eliminated and R is M).
-    tau_obs is fixed, so every hyperparameter enters through the prior
+    TAU_OBS is fixed, so every hyperparameter enters through the prior
     alone.
     """
     traces = np.array([system.trace(row) for row in da])
@@ -1466,7 +1466,9 @@ def _mode_and_scale(model: CompiledModel):
     return mode, sigma
 
 
-def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool):
+def _build_grid(model: CompiledModel, settings: GridSettings):
+    """The weighted grid around the posterior mode, and the conditional
+    state at each kept point."""
     # Every exploration starts cold, from no mode and no held factor, so
     # its result does not depend on what was evaluated on the model before.
     model.last_mode = model.last_factor = None
@@ -1500,18 +1502,15 @@ def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool)
     states: list[GaussianState] = []
     # Whole-matrix Gaussian states leave their latent variances pending
     # until the end of their grid row, which shares one Takahashi sweep.
-    pending = [] if want_states else None
+    pending = []
     for g in range(points.shape[0]):
         theta = model.theta_from_vector(points[g])
-        lz, state = log_conditional_evidence(
-            model, theta, want_state=want_states, pending=pending
-        )
+        lz, state = log_conditional_evidence(model, theta, want_state=True, pending=pending)
         log_ev[g] = lz
         log_pr[g] = sum(dim.log_prior(theta[dim.name]) for dim in free)
-        if want_states:
-            states.append(state)
-            if g + 1 == points.shape[0] or rows[g + 1] != rows[g]:
-                _finish_variances(model, pending)
+        states.append(state)
+        if g + 1 == points.shape[0] or rows[g + 1] != rows[g]:
+            _finish_variances(model, pending)
 
     log_post = log_ev + log_pr
     keep = log_post >= log_post.max() - settings.drop
@@ -1525,15 +1524,7 @@ def _build_grid(model: CompiledModel, settings: GridSettings, want_states: bool)
         mode_point=mode,
         sigma=sigma,
     )
-    kept_states = [s for s, k in zip(states, keep) if k] if want_states else None
-    return grid, kept_states
-
-
-def explore_hypergrid(model, settings: GridSettings | None = None) -> HyperGrid:
-    """Locate the hyperparameter mode and lay a weighted grid around it."""
-    compiled = getattr(model, "compiled", model)
-    grid, _ = _build_grid(compiled, settings or GridSettings(), want_states=False)
-    return grid
+    return grid, [s for s, k in zip(states, keep) if k]
 
 
 def marginal_likelihood(grid: HyperGrid) -> float:
@@ -1589,11 +1580,6 @@ class FitResult:
     settings: GridSettings
     kind: str | None = None
     model: object = None
-
-    @property
-    def eta_mean(self) -> np.ndarray:
-        """Posterior (mixture) mean of the linear predictor."""
-        return self.weights @ self.eta_means
 
     def coef_index(self, name_or_idx) -> int:
         if isinstance(name_or_idx, str):
@@ -1665,7 +1651,7 @@ class FitResult:
 def _gaussian_dic(model: CompiledModel, weights, states) -> tuple[float, float]:
     obs = model.obs_idx
     y_o = model.y[obs]
-    tau = model.tau_obs
+    tau = TAU_OBS
     log_norm = np.log(2.0 * math.pi / tau)
     e_d = 0.0
     eta_bar = np.zeros(model.n)
@@ -1709,7 +1695,7 @@ def _predictive_marginals(model: CompiledModel, weights, states) -> dict[int, mg
         variances = np.array([s.var_eta[i] for s in states])
         if model.likelihood == "gaussian":
             out[int(i)] = mg.gaussian_mixture_marginal(
-                means, variances + 1.0 / model.tau_obs, weights, MIXTURE_POINTS
+                means, variances + 1.0 / TAU_OBS, weights, MIXTURE_POINTS
             )
         else:
             out[int(i)] = mg.probit_mixture_marginal(
@@ -1723,7 +1709,7 @@ def fit_compiled(
 ) -> FitResult:
     """Full inference pass: grid, marginals, evidence, DIC, predictions."""
     settings = settings or GridSettings()
-    grid, states = _build_grid(model, settings, want_states=True)
+    grid, states = _build_grid(model, settings)
     # A kept fit holds its results, not the factorization workspace or
     # the last mode and factor; a later evaluation analyses its pattern
     # again and starts Newton from zero.

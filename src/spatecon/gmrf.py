@@ -70,23 +70,6 @@ def rho_to_external(internal: float, bounds: tuple[float, float]) -> float:
 
 
 @dataclass(frozen=True)
-class RhoParam:
-    """Autocorrelation parameter on both scales."""
-
-    internal: float
-    external: float
-    bounds: tuple[float, float]
-
-    @classmethod
-    def from_internal(cls, internal: float, bounds: tuple[float, float]) -> "RhoParam":
-        return cls(internal, rho_to_external(internal, bounds), bounds)
-
-    @classmethod
-    def from_external(cls, external: float, bounds: tuple[float, float]) -> "RhoParam":
-        return cls(rho_to_internal(external, bounds), external, bounds)
-
-
-@dataclass(frozen=True)
 class SlmSpec:
     """Definition of one spatial-lag latent effect.
 
@@ -246,19 +229,14 @@ class JointPrecision:
     logdet: float
 
 
-def joint_precision(spec: SlmSpec, rho: RhoParam | float, tau: float) -> JointPrecision:
-    """The joint precision of (x, beta) at given (rho, tau), as the
-    weights of its fixed terms and its log determinant.
-
-    rho may be a RhoParam or an external-scale float.
-    """
+def joint_precision(spec: SlmSpec, rho: float, tau: float) -> JointPrecision:
+    """The joint precision of (x, beta) at given (rho, tau), rho on the
+    external scale, as the weights of its fixed terms and its log
+    determinant."""
     if not np.isfinite(tau) or tau <= 0:
         raise InvalidParameterError(f"tau must be a positive finite number, got {tau}")
     bounds = spec.bounds()
-    if isinstance(rho, RhoParam):
-        rho_ext = rho.external
-    else:
-        rho_ext = float(rho)
+    rho_ext = float(rho)
     if not bounds[0] < rho_ext < bounds[1]:
         raise InvalidParameterError(
             f"rho = {rho_ext} is at or outside the admissible range {bounds}"
@@ -505,10 +483,9 @@ class CholeskyHandle:
     SPD input is an LDL^T factorization: positive pivots, log-determinant
     from the U diagonal. A handle factors data on an analysed pattern
     (symbolic): the matrix is pre-permuted into the analysis' order and
-    factored in that order, with no ordering of its own. of() factors a
-    general SPD matrix, analysing its pattern unless given the analysis.
-    Marginal variances come from the selected inverse on the pattern of
-    L, in O(nnz(L)) memory. factor_values() is all the selected inverse
+    factored in that order, with no ordering of its own. Marginal
+    variances come from the selected inverse on the pattern of L, in
+    O(nnz(L)) memory. factor_values() is all the selected inverse
     needs: a caller may keep those and drop the handle, with its SuperLU
     factor, before the sweep.
     """
@@ -540,24 +517,6 @@ class CholeskyHandle:
         self._logdet = float(np.sum(np.log(diag)))
         self._sigma = None
         self.shape = (symbolic.n, symbolic.n)
-
-    @classmethod
-    def of(cls, mat, context: str = "", symbolic: SymbolicFactor | None = None) -> "CholeskyHandle":
-        """Factor the SPD matrix mat: put in canonical CSC form (sorted
-        indices, no duplicates) once, its pattern analysed unless
-        symbolic, which must be exactly that pattern's analysis, is given."""
-        mat = sp.csc_matrix(mat)
-        if not mat.has_canonical_format:
-            mat = mat.copy()
-            mat.sum_duplicates()
-        if symbolic is None:
-            symbolic = SymbolicFactor(mat.indptr, mat.indices)
-        elif not (
-            np.array_equal(mat.indptr, symbolic.indptr)
-            and np.array_equal(mat.indices, symbolic.indices)
-        ):
-            raise InvalidInputError("matrix is not on the analysed pattern")
-        return cls(symbolic, mat.data, context)
 
     def logdet(self) -> float:
         return self._logdet

@@ -53,10 +53,6 @@ class Marginal:
     def sd(self) -> float:
         return float(np.sqrt(self.variance()))
 
-    def expectation(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Trapezoid quadrature of f against this density."""
-        return float(np.trapezoid(f(self.support) * self.density, self.support))
-
     def quantile(self, q) -> np.ndarray | float:
         """Quantile(s) by linear interpolation of the cumulative integral."""
         q_arr = np.atleast_1d(np.asarray(q, dtype=float))
@@ -160,14 +156,10 @@ def mixture_moments(means, variances, weights) -> tuple[float, float]:
 def transform_marginal(
     m: Marginal,
     f: Callable[[np.ndarray], np.ndarray],
-    deriv: Callable[[np.ndarray], np.ndarray] | None = None,
+    deriv: Callable[[np.ndarray], np.ndarray],
 ) -> Marginal:
-    """Change of variables through a strictly monotone differentiable map.
-
-    The Jacobian is the analytic derivative when supplied, otherwise a
-    small-step central difference of f (f is a callable, so the stencil
-    step is chosen independently of the support spacing).
-    """
+    """Change of variables through a strictly monotone differentiable map
+    f, with the Jacobian from its exact derivative deriv."""
     x = m.support
     y = np.asarray(f(x), dtype=float)
     dy = np.diff(y)
@@ -177,11 +169,7 @@ def transform_marginal(
         increasing = False
     else:
         raise InvalidParameterError("map is not strictly monotone on the support")
-    if deriv is not None:
-        jac = np.abs(np.asarray(deriv(x), dtype=float))
-    else:
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        jac = np.abs((np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2.0 * h))
+    jac = np.abs(np.asarray(deriv(x), dtype=float))
     if np.any(jac <= 0) or not np.all(np.isfinite(jac)):
         raise InvalidParameterError("map derivative vanishes or is not finite on the support")
     dens = m.density / jac

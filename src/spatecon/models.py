@@ -52,10 +52,11 @@ class ModelPriors:
     """Prior settings and fixed-value overrides.
 
     Defaults: vague diagonal precision on coefficients, Gaussian(0, prec 10)
-    on logit of the internal rho, log-gamma(1, 5e-5) on log precisions, and
-    a copy precision tau_obs of 1e8, always fixed, so that the latent
-    effect carries the noise. Precisions, shapes and rates must be finite
-    and > 0, and rho_prior_mean finite.
+    on logit of the internal rho, and log-gamma(1, 5e-5) on log
+    precisions. The Gaussian likelihood's copy precision is not a prior
+    setting: it is fixed at engine.TAU_OBS, so that the latent effect
+    carries the noise. Precisions, shapes and rates must be finite and
+    > 0, and rho_prior_mean finite.
     """
 
     q_beta_diag: float = DEFAULT_Q_BETA_DIAG
@@ -65,14 +66,13 @@ class ModelPriors:
     tau_rate: float = 5e-5
     tau_iid_shape: float = 1.0
     tau_iid_rate: float = 5e-5
-    tau_obs: float = 1e8
     rho_fixed: float | None = None  # external scale
     tau_fixed: float | None = None
     tau_iid_fixed: float | None = None
 
     def __post_init__(self):
         for name in (
-            "q_beta_diag", "tau_obs", "tau_shape", "tau_rate", "tau_iid_shape",
+            "q_beta_diag", "tau_shape", "tau_rate", "tau_iid_shape",
             "tau_iid_rate", "rho_prior_prec", "tau_fixed", "tau_iid_fixed",
         ):
             value = getattr(self, name)
@@ -252,7 +252,6 @@ def build(
         hyper_dims=hyper_dims,
         coef_names=coef_names,
         rho_bounds=rho_bounds,
-        tau_obs=priors.tau_obs,
     )
     return ModelSpec(
         kind=kind,

@@ -69,9 +69,6 @@ class ModelSet:
     def best(self) -> ModelSetEntry:
         return self.entries[int(np.argmax(self.posterior_probs))]
 
-    def labels(self) -> list[str]:
-        return [e.label for e in self.entries]
-
 
 def model_set(labeled_fits, prior_probs=None) -> ModelSet:
     """Wrap (label, FitResult) pairs into a comparable set."""

@@ -142,8 +142,18 @@ class WeightsMatrix:
     def _u_diagonal(self, rho: complex) -> np.ndarray:
         """U's diagonal from a sparse LU of I - rho W, real or complex, in
         one column order per matrix: found by the first factorization and
-        reused by every later one."""
-        a = sp.csc_matrix(sp.identity(self.n, format="csc") - rho * self.mat)
+        reused by every later one. The matrix keeps every entry of W, an
+        explicit zero at rho = 0, so the order comes from the pattern of
+        I + W whatever rho comes first."""
+        n, w = self.n, self.mat.tocoo()
+        diag = np.arange(n)
+        a = sp.csc_matrix(
+            (
+                np.concatenate([np.ones(n), -rho * w.data]),
+                (np.concatenate([diag, w.row]), np.concatenate([diag, w.col])),
+            ),
+            shape=(n, n),
+        )
         if self._lu_order is None:
             diag_u, order = _lu_diagonal(a)
             object.__setattr__(self, "_lu_order", order)
@@ -300,11 +310,6 @@ def row_standardize(w: WeightsMatrix) -> WeightsMatrix:
         has_islands=bool(np.any(~nonzero)),
         _symmetric_scale=np.sqrt(1.0 / scale) if symmetric else None,
     )
-
-
-def rho_range(w: WeightsMatrix) -> tuple[float, float]:
-    """(rho_min, rho_max) for a standardized matrix. See WeightsMatrix.rho_range."""
-    return w.rho_range()
 
 
 def lag_covariates(x: np.ndarray, w: WeightsMatrix) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here is computed from the generative model definitions with
 dense linear algebra or quadrature, deliberately avoiding the package's
-sparse-factorization code paths.
+sparse-factorization code paths. The one exception is cholesky_of, which
+factors a whole SPD matrix through CholeskyHandle for the tests of the
+factorization itself.
 """
 
 import math
@@ -13,13 +15,16 @@ from scipy import stats
 from scipy.spatial import Delaunay
 
 from spatecon import (
+    CholeskyHandle,
+    InvalidInputError,
     InvalidParameterError,
     NumericFailureError,
     from_dense,
     knn_adjacency,
     row_standardize,
 )
-from spatecon.gmrf import PrecisionTerms, SlmSpec, rho_to_external
+from spatecon.engine import TAU_OBS
+from spatecon.gmrf import PrecisionTerms, SlmSpec, SymbolicFactor, rho_to_external
 
 
 def terms_matrix(terms, weights):
@@ -61,7 +66,6 @@ def dense_cov_y(model, theta):
     """Covariance of the observed response assembled from the model form."""
     c = model.compiled
     n = c.n
-    tau_obs = c.tau_obs
     if model.kind in ("slm", "sdm"):
         spec = model.slm
         rho = rho_to_external(theta["rho_internal"], spec.w.rho_range())
@@ -69,7 +73,7 @@ def dense_cov_y(model, theta):
         a_inv = np.linalg.inv(np.eye(n) - rho * spec.w.toarray())
         x = spec.x_design
         inner = x @ np.linalg.solve(spec.q_beta, x.T) if spec.p else np.zeros((n, n))
-        return a_inv @ (inner + np.eye(n) / tau) @ a_inv.T + np.eye(n) / tau_obs
+        return a_inv @ (inner + np.eye(n) / tau) @ a_inv.T + np.eye(n) / TAU_OBS
     if model.kind in ("sem", "sdem"):
         spec = model.slm
         rho = rho_to_external(theta["rho_internal"], spec.w.rho_range())
@@ -78,13 +82,13 @@ def dense_cov_y(model, theta):
         xf = c.b_design
         qf = model.priors.q_beta_diag
         fixed = xf @ xf.T / qf if xf.shape[1] else np.zeros((n, n))
-        return fixed + a_inv @ a_inv.T / tau + np.eye(n) / tau_obs
+        return fixed + a_inv @ a_inv.T / tau + np.eye(n) / TAU_OBS
     # slx
     tau_u = math.exp(theta["log_tau_iid"])
     xf = c.b_design
     qf = model.priors.q_beta_diag
     fixed = xf @ xf.T / qf if xf.shape[1] else np.zeros((n, n))
-    return fixed + np.eye(n) / tau_u + np.eye(n) / tau_obs
+    return fixed + np.eye(n) / tau_u + np.eye(n) / TAU_OBS
 
 
 def dense_evidence(model, theta):
@@ -135,10 +139,9 @@ def dense_posterior_z(model, theta):
     """Gaussian-conditional mean and covariance of (x, c) by dense GLS."""
     c = model.compiled
     obs = c.obs_idx
-    tau_obs = c.tau_obs
     cov_z = dense_cov_z(model, theta)
     b = np.hstack([np.eye(c.n), c.b_design])[obs]
-    cov_y = b @ cov_z @ b.T + np.eye(obs.size) / tau_obs
+    cov_y = b @ cov_z @ b.T + np.eye(obs.size) / TAU_OBS
     gain = cov_z @ b.T @ np.linalg.inv(cov_y)
     mean = gain @ c.y[obs]
     cov = cov_z - gain @ b @ cov_z
@@ -265,17 +268,16 @@ def reference_gaussian_system(model, theta):
     linear algebra."""
     c = model.compiled
     n_o = c.obs_idx.size
-    tau_obs = c.tau_obs
     g, z0 = residual_shift(model)
     q, logdet_q = reference_prior(model, theta)
-    shift = np.concatenate([np.full(n_o, tau_obs), np.zeros(c.n + c.p - n_o)])
+    shift = np.concatenate([np.full(n_o, TAU_OBS), np.zeros(c.n + c.p - n_o)])
     a = (g.T @ (q @ g) + sp.diags(shift)).toarray()
     qz0 = q @ z0
     c_vec = -(g.T @ qz0)
     s_min = float(z0 @ qz0) - float(c_vec @ np.linalg.solve(a, c_vec))
     log_z = (
         -0.5 * n_o * math.log(2 * math.pi)
-        + 0.5 * n_o * math.log(tau_obs)
+        + 0.5 * n_o * math.log(TAU_OBS)
         + 0.5 * logdet_q
         - 0.5 * np.linalg.slogdet(a)[1]
         - 0.5 * s_min
@@ -447,6 +449,24 @@ def monte_carlo_moments(samples):
     mean, sd = float(samples.mean()), float(samples.std())
     se_var = float(np.std((samples - mean) ** 2)) / math.sqrt(n)
     return mean, sd, sd / math.sqrt(n), se_var / (2.0 * sd)
+
+
+def cholesky_of(mat, context="", symbolic=None):
+    """A CholeskyHandle of the SPD matrix mat: put in canonical CSC form
+    (sorted indices, no duplicates) once, its pattern analysed unless
+    symbolic, which must be exactly that pattern's analysis, is given."""
+    mat = sp.csc_matrix(mat)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    if symbolic is None:
+        symbolic = SymbolicFactor(mat.indptr, mat.indices)
+    elif not (
+        np.array_equal(mat.indptr, symbolic.indptr)
+        and np.array_equal(mat.indices, symbolic.indices)
+    ):
+        raise InvalidInputError("matrix is not on the analysed pattern")
+    return CholeskyHandle(symbolic, mat.data, context)
 
 
 def selected_inverse(handle):

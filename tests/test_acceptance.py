@@ -29,7 +29,7 @@ from scipy import integrate, stats
 import spatecon as se
 from spatecon import selection
 from spatecon.engine import laplace_inner, log_conditional_evidence
-from spatecon.gmrf import RhoParam, SlmSpec, joint_precision
+from spatecon.gmrf import SlmSpec, joint_precision
 from spatecon.impacts import average_impacts, trace_functions
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -62,7 +62,7 @@ def test_criterion_1_gmrf_correctness():
         # keep enough conditioning headroom for the 1e-8 sup-norm check
         rho = float(rng.uniform(max(lo, -1.5) * 0.85, hi * 0.85))
         tau = float(rng.uniform(0.5, 3.0))
-        jp = joint_precision(spec, RhoParam.from_external(rho, (lo, hi)), tau)
+        jp = joint_precision(spec, rho, tau)
 
         a_inv = np.linalg.inv(np.eye(n) - rho * w.toarray())
         q_inv = np.linalg.inv(spec.q_beta) if p else np.zeros((0, 0))

@@ -4,9 +4,9 @@ The reference is the assembly as products at each theta, in
 tests/oracles.py: (I - rho W)'(I - rho W) in a block matrix, then
 G'(Q G) plus the copy shift for the Gaussian layer, or Q plus the
 curvature blocks for the probit Hessian. A Gaussian evidence factors
-that matrix only where the copy precision is too low to eliminate the
-observed residuals in closed form; the assembled matrix is checked on
-that path.
+that matrix only where the latent precision is too high, against the
+copy precision, to eliminate the observed residuals in closed form; the
+assembled matrix is checked on that path.
 
 The per-fit set-up itself (the prior's terms, the assembled pattern and
 its terms, the splits and R's terms), built from the sparse x block and
@@ -58,9 +58,9 @@ def record_factored(monkeypatch):
     return seen
 
 
-def whole(c, theta, a, tau):
+def whole(c, theta, a):
     """The Gaussian system on the split that eliminates no residual."""
-    return engine._Reduced(c, theta, a, tau, c.assembly.whole_blocks())
+    return engine._Reduced(c, theta, a, c.assembly.whole_blocks())
 
 
 def assert_same_matrix(got, want):
@@ -347,6 +347,18 @@ def test_sparse_log_determinant_does_not_depend_on_call_order():
         fresh = se.WeightsMatrix(w.mat.copy(), w.standardized, w.has_islands)
         backward = [fresh.log_abs_det(rho) for rho in rhos[::-1]][::-1]
         assert forward == backward
+
+
+def test_sparse_log_determinant_orders_from_w_at_rho_zero():
+    # I - 0 W keeps W's entries as explicit zeros, so a first LU at rho = 0
+    # finds the order of W's pattern, not of the identity: a later rho then
+    # returns a fresh instance's bits (n = 2100 kNN, k = 6).
+    coords = np.random.default_rng(0).uniform(size=(2100, 2))
+    w = se.row_standardize(se.knn_adjacency(coords, 6))
+    fresh = se.WeightsMatrix(w.mat.copy(), w.standardized, w.has_islands)
+    assert w.log_abs_det(0.0) == 0.0
+    assert w.log_abs_det(0.5) == fresh.log_abs_det(0.5)
+    assert np.array_equal(w._lu_order, fresh._lu_order)
 
 
 @pytest.mark.parametrize("kind", se.KINDS)

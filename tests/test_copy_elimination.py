@@ -5,9 +5,9 @@ factors a matrix of n_mis + p rows; on the split that eliminates none it
 factors the whole (n + p) matrix. The evidence takes the first wherever
 the bound on the terms it drops holds. Called directly, the two splits
 agree on the evidence, its gradient and every field of the conditional
-Gaussian; where the bound fails (a low copy precision, or a response of
-small scale) the evidence factors the whole matrix and matches the dense
-oracle of tests/oracles.py.
+Gaussian; where the bound fails (a response of small scale, whose latent
+precision is high) the evidence factors the whole matrix and matches the
+dense oracle of tests/oracles.py.
 """
 
 import dataclasses
@@ -38,7 +38,8 @@ THETAS = {
     ],
     "slx": [{"log_tau_iid": 0.4}, {"log_tau_iid": 1.3}, {"log_tau_iid": 2.2}],
     "fixed_rho": [{"log_tau": 0.4}, {"log_tau": 1.3}, {"log_tau": 2.2}],
-    # Around the mode of small_scale_slm: noise sd about 0.005.
+    # Around the modes of small_scale_slm and of gaussian_model at scale
+    # 0.01: noise sd about 0.005.
     "small_scale": [
         {"rho_internal": 0.6, "log_tau": 10.0},
         {"rho_internal": 0.7, "log_tau": 10.6},
@@ -47,19 +48,20 @@ THETAS = {
 }
 
 
-def gaussian_model(kind, missing=4, n=40, seed=81, **priors):
+def gaussian_model(kind, missing=4, n=40, seed=81, scale=1.0, **priors):
     rng = np.random.default_rng(seed)
     w = random_weights(rng, n, 4)
     y, x = simulate_slm(rng, w, [1.0, 0.7, -0.4], 0.5, 0.6)
-    y = y + rng.normal(scale=0.2, size=n)
+    y = scale * (y + rng.normal(scale=0.2, size=n))
     y[rng.choice(n, size=missing, replace=False)] = np.nan
     return se.build(kind, y, x, w, priors=se.ModelPriors(**priors))
 
 
 def small_scale_slm(seed, scale=0.01, missing=()):
     """A Delaunay SLM at the default priors with y scaled by 0.01: its
-    latent precision near the mode, about 4e4, fails the bound at tau_obs
-    = 1e8. The responses at the indices in missing are set missing."""
+    latent precision near the mode, about 4e4, fails the bound at the
+    copy precision engine.TAU_OBS = 1e8. The responses at the indices in
+    missing are set missing."""
     rng = np.random.default_rng(seed)
     w = delaunay_weights(rng, 60)
     y, x = simulate_slm(rng, w, [1.0, 0.8, -0.6], 0.6, 0.5)
@@ -68,14 +70,14 @@ def small_scale_slm(seed, scale=0.01, missing=()):
     return se.build("slm", y, x, w)
 
 
-def reduced(c, theta, a, tau):
+def reduced(c, theta, a):
     """_Reduced on the split that eliminates every observed residual."""
-    return engine._Reduced(c, theta, a, tau, c.assembly.blocks)
+    return engine._Reduced(c, theta, a, c.assembly.blocks)
 
 
-def whole(c, theta, a, tau):
+def whole(c, theta, a):
     """_Reduced on the split that eliminates none: M factored whole."""
-    return engine._Reduced(c, theta, a, tau, c.assembly.whole_blocks())
+    return engine._Reduced(c, theta, a, c.assembly.whole_blocks())
 
 
 def evaluate(path, model, theta, **kwargs):
@@ -99,7 +101,7 @@ def assert_paths_agree(model, thetas):
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
         a = c.prior_weights(theta)[0]
-        assert engine._copy_system(c, theta, a, c.tau_obs).blocks is c.assembly.blocks
+        assert engine._copy_system(c, theta, a).blocks is c.assembly.blocks
         got, want = (evaluate(path, model, theta) for path in (reduced, whole))
         assert relative(got[0], want[0]) <= 1e-10
         _, got = evaluate(reduced, model, theta, wrt=names)
@@ -137,14 +139,14 @@ def test_every_response_observed_and_no_coefficients():
 
 
 @pytest.mark.parametrize("kind", ["slm", "sdem", "small_scale_slm"])
-def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
-    # With tau_obs = 1e4, or a noise sd of about 0.005 at the default
-    # 1e8, the bound (s / tau_obs)^2 <= 1e-10 fails: every evidence
-    # factors the n + p matrix once.
+def test_small_scale_response_factors_the_whole_matrix(kind, monkeypatch):
+    # With a noise sd of about 0.005 the bound (s / TAU_OBS)^2 <= 1e-10
+    # fails near the mode: every evidence factors the n + p matrix once.
     if kind == "small_scale_slm":
-        model, thetas = small_scale_slm(1), THETAS["small_scale"]
+        model = small_scale_slm(1)
     else:
-        model, thetas = gaussian_model(kind, tau_obs=1e4), THETAS["lag"]
+        model = gaussian_model(kind, scale=0.01)
+    thetas = THETAS["small_scale"]
     c = model.compiled
     calls = []
     real_splu = spla.splu
@@ -169,7 +171,7 @@ def test_low_copy_precision_factors_the_whole_matrix(kind, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_small_scale_response_fits_run_to_the_end(seed, monkeypatch):
-    # At the default tau_obs a noise sd of about 0.005 fails the bound, so
+    # A noise sd of about 0.005 fails the bound, so
     # these fits factor the whole matrix.
     paths = set()
     real = engine._copy_system
@@ -241,16 +243,16 @@ def assert_reduced_terms(model, thetas):
         gaussian_evidence(c, theta)
         blocks, n_o = c.assembly.blocks, c.obs_idx.size
         a = c.prior_weights(theta)[0]
-        tau = c.tau_obs
-        r = on_r_pattern(blocks, blocks.r_data(a, tau)).toarray()
+        tau = engine.TAU_OBS
+        r = on_r_pattern(blocks, blocks.r_data(a)).toarray()
         assert np.array_equal(r, r.T)
         m = reference_gaussian_matrix(model, theta).toarray()
         a_uu, a_ur = m[:n_o, :n_o], m[:n_o, n_o:]
         d_inv = np.eye(n_o) / tau - a_uu / tau**2
         assert relative(r, m[n_o:, n_o:] - a_ur.T @ d_inv @ a_ur) <= 1e-13
         da, h = a * rng.uniform(0.5, 1.5, size=a.size), 1e-6
-        want = (blocks.r_weights(a + h * da, tau) - blocks.r_weights(a - h * da, tau)) / (2.0 * h)
-        got = blocks.r_weights(a, tau, da)
+        want = (blocks.r_weights(a + h * da) - blocks.r_weights(a - h * da)) / (2.0 * h)
+        got = blocks.r_weights(a, da)
         assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want)), (theta, got, want)
 
 
@@ -280,7 +282,7 @@ def assert_spread_matches_the_product(model, thetas):
         theta = c.theta_from_vector([theta[name] for name in names])
         gaussian_evidence(c, theta)
         a = c.prior_weights(theta)[0]
-        system = reduced(c, theta, a, c.tau_obs)
+        system = reduced(c, theta, a)
         sigma = on_r_pattern(system.blocks, system._sigma)
         want = np.asarray((system.a_ur @ sigma).multiply(system.a_ur).sum(axis=1)).ravel()
         assert system._spread.shape == want.shape == (c.obs_idx.size,)

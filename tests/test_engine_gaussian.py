@@ -31,7 +31,7 @@ from spatecon.gmrf import RHO_INTERNAL_EPS, PrecisionTerms
 from spatecon.marginals import mixture_moments
 
 
-def scalar_model(tau=2.0, y_val=0.7, tau_obs=1e8):
+def scalar_model(tau=2.0, y_val=0.7):
     """One observation, one latent, no coefficients, fixed precision."""
 
     return CompiledModel(
@@ -44,17 +44,16 @@ def scalar_model(tau=2.0, y_val=0.7, tau_obs=1e8):
         ),
         hyper_dims=(),
         coef_names=(),
-        tau_obs=tau_obs,
     )
 
 
 class TestConditionalEvidence:
     def test_scalar_conjugate_convolution(self):
-        # y = x + e with x ~ N(0, 1/tau), e ~ N(0, 1/tau_obs)
-        tau, y_val, tau_obs = 2.0, 0.7, 1e8
-        model = scalar_model(tau, y_val, tau_obs)
+        # y = x + e with x ~ N(0, 1/tau), e ~ N(0, 1/TAU_OBS)
+        tau, y_val = 2.0, 0.7
+        model = scalar_model(tau, y_val)
         lz, state = gaussian_evidence(model, {}, want_state=True)
-        want = stats.norm.logpdf(y_val, scale=math.sqrt(1 / tau + 1 / tau_obs))
+        want = stats.norm.logpdf(y_val, scale=math.sqrt(1 / tau + 1 / engine.TAU_OBS))
         assert abs(lz - want) < 1e-10
         # posterior of x concentrates at y
         assert abs(state.mean_x[0] - y_val) < 1e-6
@@ -148,7 +147,7 @@ class TestHyperGrid:
         rng = np.random.default_rng(2)
         w = random_weights(rng, 25, 3)
         y, x = simulate_slm(rng, w, [1.0, 0.8], 0.4, 0.6)
-        grid = se.explore_hypergrid(se.build("slm", y, x, w))
+        grid = se.fit(se.build("slm", y, x, w)).grid
         assert abs(grid.weights.sum() - 1.0) < 1e-10
         assert grid.dims == ("rho_internal", "log_tau")
         # the located mode is one of the grid points

@@ -22,11 +22,11 @@ THETAS = {
 }
 
 
-def gaussian_model(kind, missing=3, n=40, seed=71, **priors):
+def gaussian_model(kind, missing=3, n=40, seed=71, scale=1.0, **priors):
     rng = np.random.default_rng(seed)
     w = random_weights(rng, n, 4)
     y, x = simulate_slm(rng, w, [1.0, 0.7, -0.4], 0.5, 0.6)
-    y = y + rng.normal(scale=0.2, size=n)
+    y = scale * (y + rng.normal(scale=0.2, size=n))
     y[rng.choice(n, size=missing, replace=False)] = np.nan
     return se.build(kind, y, x, w, priors=se.ModelPriors(**priors))
 
@@ -278,7 +278,7 @@ def test_grid_tracks_a_last_bit_change_of_rho_min(kind, make):
 
 class TestGridRowVariances:
     @staticmethod
-    def stacks_of_matching_fit(kind, tau_obs, monkeypatch):
+    def stacks_of_matching_fit(kind, scale, monkeypatch):
         """Fit, and check that each grid point's state, kept by the fit,
         gives the same numbers as that point evaluated again, but for the
         rounding of a new analysis (fit_compiled drops the model's).
@@ -291,7 +291,7 @@ class TestGridRowVariances:
             return real_stack(symbolic, values, indices)
 
         monkeypatch.setattr(engine, "marginal_variance_stack", recording_stack)
-        model = gaussian_model(kind, seed=77, tau_obs=tau_obs)
+        model = gaussian_model(kind, seed=77, scale=scale)
         fit = se.fit(model)
         for g in range(fit.grid.points.shape[0]):
             _, state = engine.log_conditional_evidence(
@@ -305,12 +305,13 @@ class TestGridRowVariances:
 
     @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
     def test_row_sweep_matches_per_point_states(self, kind, monkeypatch):
-        # At the default tau_obs every state reads its variances off the
-        # reduced system, with no sweep of the whole matrix.
-        assert self.stacks_of_matching_fit(kind, 1e8, monkeypatch) == []
+        # At data scale every state reads its variances off the reduced
+        # system, with no sweep of the whole matrix.
+        assert self.stacks_of_matching_fit(kind, 1.0, monkeypatch) == []
 
     @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
     def test_stacked_row_sweep_matches_per_point_states(self, kind, monkeypatch):
-        # At tau_obs = 1e4 the whole matrix is factored, and each grid
-        # row's 7 states share one stacked sweep.
-        assert set(self.stacks_of_matching_fit(kind, 1e4, monkeypatch)) == {7}
+        # With y x 0.01 the latent precision is high enough that the whole
+        # matrix is factored, and each grid row's 7 states share one
+        # stacked sweep.
+        assert set(self.stacks_of_matching_fit(kind, 0.01, monkeypatch)) == {7}

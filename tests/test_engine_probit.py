@@ -52,7 +52,6 @@ class TestLaplaceEvidence:
                 ),
                 hyper_dims=(),
                 coef_names=(),
-                tau_obs=None,
             )
             lz, _ = laplace_inner(model, {})
             assert abs(lz - site_quadrature(y_val, 1.0)) < 1e-6
@@ -124,7 +123,7 @@ class TestProbitGrid:
         x = rng.normal(size=(15, 1))
         y = (rng.uniform(size=15) < 0.5).astype(float)
         model = se.build("slm", y, x, w, likelihood="probit")
-        grid = se.explore_hypergrid(model)
+        grid = se.fit(model).grid
         assert grid.dims == ("rho_internal",)
         assert abs(grid.weights.sum() - 1.0) < 1e-10
 

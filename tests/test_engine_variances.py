@@ -39,13 +39,13 @@ def dense_reference(monkeypatch):
 
 def dense_gaussian_states(monkeypatch):
     """Read every Gaussian state off the dense inverse of the (n + p)
-    matrix M = [[tau_obs I + A_uu, A_ur], [A_ru, A_rr]] that the reduced
+    matrix M = [[TAU_OBS I + A_uu, A_ur], [A_ru, A_rr]] that the reduced
     system stands for, assembled from the fit's terms."""
 
     def inverse(system):
         plan = system.model.assembly
         data = system.a @ plan.term_data
-        data[plan.obs_pos] += system.tau_obs
+        data[plan.obs_pos] += engine.TAU_OBS
         return np.linalg.inv(plan.matrix(data).toarray())
 
     monkeypatch.setattr(

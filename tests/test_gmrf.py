@@ -14,7 +14,6 @@ from spatecon import (
     InvalidInputError,
     InvalidParameterError,
     NumericFailureError,
-    RhoParam,
     SlmSpec,
     from_dense,
     joint_precision,
@@ -26,7 +25,7 @@ from spatecon import (
 from spatecon import gmrf
 from spatecon.gmrf import SymbolicFactor
 
-from oracles import selected_inverse, terms_matrix
+from oracles import cholesky_of, selected_inverse, terms_matrix
 
 
 def chain_weights(n):
@@ -58,7 +57,7 @@ class TestJointPrecision:
         x = np.ones((2, 1))
         spec = SlmSpec(w=w, x_design=x, q_beta=np.eye(1))
         tau = 1.7
-        jp = joint_precision(spec, RhoParam.from_external(0.0, w.rho_range()), tau)
+        jp = joint_precision(spec, 0.0, tau)
         dense = terms_matrix(spec, jp.weights).toarray()
         assert_allclose(dense[:2, :2], tau * np.eye(2), atol=1e-12)
         assert_allclose(dense[:2, 2:], -tau * x, atol=1e-12)
@@ -67,7 +66,7 @@ class TestJointPrecision:
     def test_chain_matches_dense_product(self):
         w = chain_weights(3)
         spec = SlmSpec(w=w, x_design=np.zeros((3, 0)))
-        jp = joint_precision(spec, RhoParam.from_external(0.5, w.rho_range()), 2.0)
+        jp = joint_precision(spec, 0.5, 2.0)
         a = np.eye(3) - 0.5 * w.toarray()
         assert_allclose(terms_matrix(spec, jp.weights).toarray(), 2.0 * a.T @ a, atol=1e-12)
 
@@ -83,7 +82,7 @@ class TestJointPrecision:
             lo, hi = w.rho_range()
             rho = float(rng.uniform(max(lo * 0.8, -3), hi * 0.8))
             tau = float(rng.uniform(0.5, 3.0))
-            jp = joint_precision(spec, RhoParam.from_external(rho, (lo, hi)), tau)
+            jp = joint_precision(spec, rho, tau)
             cov = assemble_covariance(spec, rho, tau)
             prod = terms_matrix(spec, jp.weights).toarray() @ cov
             assert np.max(np.abs(prod - np.eye(n + p))) < 1e-8
@@ -92,7 +91,7 @@ class TestJointPrecision:
         rng = np.random.default_rng(13)
         w = random_weights(rng, 12, 3)
         spec = SlmSpec(w=w, x_design=rng.normal(size=(12, 2)))
-        jp = joint_precision(spec, RhoParam.from_external(0.4, w.rho_range()), 1.3)
+        jp = joint_precision(spec, 0.4, 1.3)
         sign, want = np.linalg.slogdet(terms_matrix(spec, jp.weights).toarray())
         assert sign > 0
         assert abs(jp.logdet - want) < 1e-8 * max(1.0, abs(want))
@@ -102,7 +101,7 @@ class TestJointPrecision:
         n, p = 30, 2
         w = random_weights(rng, n, 3)
         spec = SlmSpec(w=w, x_design=rng.normal(size=(n, p)))
-        jp = joint_precision(spec, RhoParam.from_external(0.3, w.rho_range()), 1.0)
+        jp = joint_precision(spec, 0.3, 1.0)
         wm = w.mat
         bound = (wm.T @ wm).nnz + 2 * wm.nnz + n + 2 * n * p + p * p
         assert terms_matrix(spec, jp.weights).nnz <= bound
@@ -118,7 +117,7 @@ class TestJointPrecision:
 
 class TestFactorize:
     def test_identity(self):
-        h = CholeskyHandle.of(sp.identity(6, format="csc"))
+        h = cholesky_of(sp.identity(6, format="csc"))
         assert abs(h.logdet()) < 1e-14
         b = np.arange(6.0)
         assert_allclose(h.solve(b), b, atol=1e-14)
@@ -127,7 +126,7 @@ class TestFactorize:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5))
         spd = a @ a.T + 5 * np.eye(5)
-        h = CholeskyHandle.of(sp.csc_matrix(spd))
+        h = cholesky_of(sp.csc_matrix(spd))
         want = float(np.sum(np.log(np.linalg.eigvalsh(spd))))
         assert abs(h.logdet() - want) < 1e-9
 
@@ -135,7 +134,7 @@ class TestFactorize:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(20, 20))
         spd = sp.csc_matrix(a @ a.T + 20 * np.eye(20))
-        h = CholeskyHandle.of(spd)
+        h = cholesky_of(spd)
         b = rng.normal(size=20)
         z = h.solve(b)
         assert np.max(np.abs(spd @ z - b)) < 1e-9 * np.max(np.abs(b))
@@ -143,13 +142,13 @@ class TestFactorize:
     def test_non_spd_detected(self):
         indef = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
         with pytest.raises(NumericFailureError):
-            CholeskyHandle.of(indef)
+            cholesky_of(indef)
 
     def test_marginal_variances(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        h = CholeskyHandle.of(sp.csc_matrix(spd))
+        h = cholesky_of(sp.csc_matrix(spd))
         inv = np.linalg.inv(spd)
         assert_allclose(h.marginal_variances([0, 3, 7]), inv[[0, 3, 7], [0, 3, 7]], rtol=1e-9)
 
@@ -187,7 +186,7 @@ class TestSelectedInverse:
         fused_seen = set()
         for _ in range(8):
             n = int(rng.integers(5, 60))
-            h = CholeskyHandle.of(random_spd(rng, n, p))
+            h = cholesky_of(random_spd(rng, n, p))
             sel = assert_matches_dense_on_pattern(h)
             # The pattern holds at least the diagonal and every entry of A.
             assert sel.nnz >= n + p
@@ -204,8 +203,8 @@ class TestSelectedInverse:
         rng = np.random.default_rng(33)
         w = random_weights(rng, 40, 4)
         spec = SlmSpec(w=w, x_design=rng.normal(size=(40, 3)))
-        jp = joint_precision(spec, RhoParam.from_external(0.6, w.rho_range()), 2.0)
-        h = CholeskyHandle.of(terms_matrix(spec, jp.weights))
+        jp = joint_precision(spec, 0.6, 2.0)
+        h = cholesky_of(terms_matrix(spec, jp.weights))
         assert_matches_dense_on_pattern(h)
         cols = h.inverse_columns([40, 41, 42])
         assert_allclose(cols, h.inverse_dense()[:, 40:], rtol=1e-10, atol=1e-14)
@@ -217,7 +216,7 @@ class TestSelectedInverse:
         lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]])
         a = sp.csc_matrix(lower @ np.diag([4.0, 2.0, 3.0]) @ lower.T)
         natural = SymbolicFactor(a.indptr, a.indices, np.arange(3))
-        h = CholeskyHandle.of(a, symbolic=natural)
+        h = cholesky_of(a, symbolic=natural)
         assert h.symbolic is natural
         assert h._lu.L.nnz < natural.l_pattern()[1].size
         sel = assert_matches_dense_on_pattern(h)
@@ -227,7 +226,7 @@ class TestSelectedInverse:
     def test_data_off_the_analysed_pattern_is_refused(self):
         rng = np.random.default_rng(35)
         a = random_spd(rng, 25, 2)
-        symbolic = CholeskyHandle.of(a).symbolic
+        symbolic = cholesky_of(a).symbolic
         with pytest.raises(InvalidInputError):
             CholeskyHandle(symbolic, a.data[:-1])
         # Dropping one off-diagonal pair, or adding one, leaves the pattern.
@@ -239,7 +238,7 @@ class TestSelectedInverse:
             b = sp.csc_matrix(b)
             b.eliminate_zeros()
             with pytest.raises(InvalidInputError):
-                CholeskyHandle.of(b, symbolic=symbolic)
+                cholesky_of(b, symbolic=symbolic)
 
 
 def same_pattern_stack(rng, n, p, count):
@@ -293,8 +292,8 @@ class TestStackedSelectedInverse:
         fused_seen = set()
         for _ in range(5):
             mats = same_pattern_stack(rng, int(rng.integers(8, 50)), p, count)
-            first = CholeskyHandle.of(mats[0])
-            handles = [first] + [CholeskyHandle.of(m, symbolic=first.symbolic) for m in mats[1:]]
+            first = cholesky_of(mats[0])
+            handles = [first] + [cholesky_of(m, symbolic=first.symbolic) for m in mats[1:]]
             assert all(h.symbolic is first.symbolic for h in handles)
             self.assert_stack_matches(handles)
             fused_seen |= set(first.symbolic.l_pattern()[3].tolist())
@@ -308,7 +307,7 @@ class TestStackedSelectedInverse:
         pivots = ([4.0, 2.0, 3.0], [1.0, 5.0, 2.0], [3.0, 3.0, 0.5])[:count]
         mats = [sp.csc_matrix(lower @ np.diag(d) @ lower.T) for d in pivots]
         natural = SymbolicFactor(mats[0].indptr, mats[0].indices, np.arange(3))
-        handles = [CholeskyHandle.of(m, symbolic=natural) for m in mats]
+        handles = [cholesky_of(m, symbolic=natural) for m in mats]
         assert all(h._lu.L.nnz < natural.l_pattern()[1].size for h in handles)
         self.assert_stack_matches(handles)
         sigma = stacked_sigma(handles)
@@ -322,7 +321,7 @@ class TestStackedSelectedInverse:
         # pattern is one dot product with B's data.
         rng = np.random.default_rng(44)
         a = random_spd(rng, 40, 3)
-        h = CholeskyHandle.of(a)
+        h = cholesky_of(a)
         sigma = h.inverse_on_pattern()
         assert sigma.shape == a.data.shape
         dense = np.linalg.inv(a.toarray())

@@ -77,7 +77,7 @@ class TestProbitMixture:
 class TestTransform:
     def test_identity(self):
         m = gaussian_marginal(0.3, 1.1)
-        t = transform_marginal(m, lambda x: x)
+        t = transform_marginal(m, lambda x: x, deriv=np.ones_like)
         assert_allclose(t.support, m.support, atol=1e-12)
         assert_allclose(t.density, m.density, atol=1e-9)
 
@@ -85,7 +85,7 @@ class TestTransform:
         # fine source grid so the renormalization quadrature on the
         # exponentially stretched image grid stays below the tolerance
         m = gaussian_marginal(0.0, 1.0, n_points=8001)
-        t = transform_marginal(m, np.exp)
+        t = transform_marginal(m, np.exp, deriv=np.exp)
         y = t.support
         lognorm = np.exp(-0.5 * np.log(y) ** 2) / (y * np.sqrt(2 * np.pi))
         assert np.max(np.abs(t.density - lognorm)) < 1e-6
@@ -93,30 +93,40 @@ class TestTransform:
     def test_affine_maps_support_into_target_interval(self):
         internal = gaussian_marginal(0.5, 0.08)
         lo, hi = -1.0, 1.0
-        t = transform_marginal(internal, lambda r: lo + r * (hi - lo))
+        t = transform_marginal(
+            internal, lambda r: lo + r * (hi - lo), deriv=lambda r: np.full_like(r, hi - lo)
+        )
         assert t.support[0] > lo - 1e-9
         assert t.support[-1] < hi + 1e-9
 
     def test_decreasing_map(self):
         m = gaussian_marginal(1.0, 0.5)
-        t = transform_marginal(m, lambda x: -x)
+        t = transform_marginal(m, lambda x: -x, deriv=lambda x: np.full_like(x, -1.0))
         assert abs(t.mean() + m.mean()) < 1e-9
 
     def test_non_monotone_rejected(self):
         m = gaussian_marginal(0.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            transform_marginal(m, lambda x: x**2)
+            transform_marginal(m, lambda x: x**2, deriv=lambda x: 2.0 * x)
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf])
+    def test_vanishing_or_infinite_derivative_rejected(self, bad):
+        m = gaussian_marginal(0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="derivative"):
+            transform_marginal(m, lambda x: x, deriv=lambda x: np.full_like(x, bad))
 
     def test_renormalized(self):
         m = gaussian_marginal(0.0, 1.0)
-        t = transform_marginal(m, lambda x: 3.0 * x + 1.0)
+        t = transform_marginal(m, lambda x: 3.0 * x + 1.0, deriv=lambda x: np.full_like(x, 3.0))
         assert abs(t.integral() - 1.0) < 1e-6
 
     @given(scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0))
     @settings(max_examples=20, deadline=None)
     def test_property_affine_moments(self, scale, shift):
         m = gaussian_marginal(0.7, 1.3)
-        t = transform_marginal(m, lambda x: scale * x + shift)
+        t = transform_marginal(
+            m, lambda x: scale * x + shift, deriv=lambda x: np.full_like(x, scale)
+        )
         assert abs(t.mean() - (scale * m.mean() + shift)) < 1e-6 * max(1, abs(shift) + scale)
         assert abs(t.sd() - scale * m.sd()) < 1e-6 * scale
 

@@ -100,7 +100,7 @@ class TestNeighborScan:
         monkeypatch.setattr(selection.models, "fit", flaky_fit)
         with pytest.warns(UserWarning, match="dropped"):
             mset = selection.neighbor_scan(coords, y, x, "slm", [3, 4, 5])
-        assert mset.labels() == ["k=3", "k=5"]
+        assert [e.label for e in mset.entries] == ["k=3", "k=5"]
         assert abs(mset.posterior_probs.sum() - 1.0) < 1e-12
         assert abs(sum(e.prior_prob for e in mset.entries) - 1.0) < 1e-12
 

@@ -13,7 +13,6 @@ from spatecon import (
     from_dense,
     knn_adjacency,
     lag_covariates,
-    rho_range,
     row_standardize,
 )
 from spatecon import weights
@@ -140,13 +139,13 @@ class TestRowStandardize:
 class TestRhoRange:
     def test_two_region_symmetric(self):
         w = from_dense([[0.0, 1.0], [1.0, 0.0]], standardized=True)
-        lo, hi = rho_range(w)
+        lo, hi = w.rho_range()
         assert_allclose([lo, hi], [-1.0, 1.0], atol=1e-12)
 
     def test_matches_dense_eig_oracle(self):
         rng = np.random.default_rng(17)
         w = random_standardized(rng, 20, 4)
-        lo, hi = rho_range(w)
+        lo, hi = w.rho_range()
         eigs = np.linalg.eigvals(w.toarray())
         real = eigs.real[np.abs(eigs.imag) < 1e-9]
         assert_allclose(hi, 1.0 / real[real > 0].max(), rtol=1e-10)
@@ -162,7 +161,7 @@ class TestRhoRange:
         # graphs, to about eps^(1/3), which leaves the oracle no use.
         for seed in range(5):
             w = random_standardized(np.random.default_rng(seed), n, k)
-            lo, hi = rho_range(w)
+            lo, hi = w.rho_range()
             eigs = np.linalg.eigvals(w.toarray())
             real = eigs.real[np.abs(eigs.imag) < 1e-6]
             assert hi == 1.0
@@ -177,7 +176,7 @@ class TestRhoRange:
         coords = np.random.default_rng(0).uniform(size=(10, 2))
         w = knn_adjacency(coords, 2)
         with pytest.raises(InvalidParameterError):
-            rho_range(w)
+            w.rho_range()
 
 
 def island_weights(rng, n, k=3):
@@ -211,7 +210,7 @@ class TestSparseRhoRange:
     @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
     def test_matches_dense_eig_oracle(self, case):
         w = SPARSE_CASES[case]()
-        lo, hi = rho_range(w)
+        lo, hi = w.rho_range()
         want_lo, want_hi = self.dense_bounds(w)
         assert_allclose(lo, want_lo, rtol=1e-10)
         if w.has_islands:
@@ -223,7 +222,7 @@ class TestSparseRhoRange:
     def test_fresh_instances_agree_bit_for_bit(self, case):
         w = SPARSE_CASES[case]()
         again = weights.WeightsMatrix(w.mat.copy(), w.standardized, w.has_islands)
-        assert rho_range(w) == rho_range(again)
+        assert w.rho_range() == again.rho_range()
 
     @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
     def test_one_arpack_call_unless_lambda_max_is_needed(self, case, monkeypatch):
@@ -236,7 +235,7 @@ class TestSparseRhoRange:
             return real_eigs(*args, **kwargs)
 
         monkeypatch.setattr(spla, "eigs", counting_eigs)
-        rho_range(w)
+        w.rho_range()
         assert calls == (["SR", "LR"] if w.has_islands else ["SR"])
 
     def test_complex_pair_first_asks_for_more_eigenvalues(self, monkeypatch):
@@ -251,7 +250,7 @@ class TestSparseRhoRange:
             return real_eigs(*args, **kwargs)
 
         monkeypatch.setattr(spla, "eigs", counting_eigs)
-        lo, hi = rho_range(w)
+        lo, hi = w.rho_range()
         assert ks == [2, 4]
         assert_allclose(lo, self.dense_bounds(w)[0], rtol=1e-10)
         assert hi == 1.0
