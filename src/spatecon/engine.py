@@ -924,15 +924,16 @@ def _evidence_gradient(
 # ---------------------------------------------------------------------------
 
 
-def _probit_site_derivs(eta: np.ndarray, y: np.ndarray):
-    """Per-site log-likelihood, gradient and negative curvature."""
-    t = 2.0 * y - 1.0
-    u = t * eta
-    loglik = log_ndtr(u)
+def _probit_loglik(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-site log-likelihood log Phi(t eta), t = 2 y - 1."""
+    return log_ndtr((2.0 * y - 1.0) * eta)
+
+
+def _probit_slopes(t: np.ndarray, u: np.ndarray, loglik: np.ndarray):
+    """Per-site gradient and negative curvature at u = t eta, given the
+    site log-likelihoods log Phi(u)."""
     zeta = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - loglik)
-    grad = t * zeta
-    curv = zeta * (u + zeta)  # -d2/deta2, positive
-    return loglik, grad, curv
+    return t * zeta, zeta * (u + zeta)  # curvature -d2/deta2, positive
 
 
 # Caps of the probit inner search: Hessian factorizations, and steps
@@ -989,25 +990,27 @@ def laplace_inner(
 
     sign = 2.0 * y_o - 1.0
 
-    def objective(z):
-        # The log-likelihood alone: log_ndtr as in _probit_site_derivs.
-        ll = log_ndtr(sign * eta_of(z)[obs])
-        return float(-0.5 * z @ (q_prior @ z) + ll.sum())
+    def point(z):
+        """The objective at z, with what the next step reuses: eta, u =
+        sign eta on the observed sites, log Phi(u) and Q z."""
+        eta = eta_of(z)
+        u = sign * eta[obs]
+        ll = log_ndtr(u)
+        qz = q_prior @ z
+        return float(-0.5 * z @ qz + ll.sum()), eta, u, ll, qz
 
     z = np.zeros(n + p) if model.last_mode is None else model.last_mode
     # The model lets go of the held factor, so a fresh one replaces it
     # rather than joining it.
     factor, model.last_factor = model.last_factor, None
-    obj = objective(z)
+    obj, eta, u, ll, qz = point(z)
     last_size = math.inf
     factorizations = 0
     converged = False
     for _ in range(_NEWTON_MAX_STEPS):
-        eta = eta_of(z)
-        ll, s_site, d_site = _probit_site_derivs(eta[obs], y_o)
+        s_site, d_site = _probit_slopes(sign, u, ll)
         s_full = np.zeros(n)
         s_full[obs] = s_site
-        qz = q_prior @ z
         grad = -qz + np.concatenate([s_full, xb.T @ s_full])
         gnorm = float(np.max(np.abs(grad)))
         size = math.nan
@@ -1032,11 +1035,12 @@ def laplace_inner(
         t = 1.0
         while True:
             z_next = z + t * delta
-            obj_next = objective(z_next)
-            if obj_next >= obj - 1e-12 * max(1.0, abs(obj)) or t < 2.0**-30:
+            accepted = point(z_next)
+            if accepted[0] >= obj - 1e-12 * max(1.0, abs(obj)) or t < 2.0**-30:
                 break
             t *= 0.5
-        z, obj, last_size = z_next, obj_next, size
+        z, last_size = z_next, size
+        obj, eta, u, ll, qz = accepted
     if not converged:
         raise NumericFailureError(
             f"probit Newton did not converge (last gradient sup-norm {gnorm:.3e})"
@@ -1055,7 +1059,7 @@ def laplace_inner(
     cov_c = cols[n:].copy()
     var_eta = np.maximum(_with_design_variance(var_x, cols[:n], cov_c, xb), 0.0)
 
-    log_z = log_laplace + _site_corrections(eta[obs], y_o, var_eta[obs])
+    log_z = log_laplace + _site_corrections(eta[obs], y_o, var_eta[obs], (ll, s_site, d_site))
     if not want_state:
         return log_z, None
     state = GaussianState(
@@ -1087,19 +1091,20 @@ def _gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u_nodes, w_nodes
 
 
-def _site_corrections(eta_hat, y_o, var_eta_o, nodes: int = 41) -> float:
+def _site_corrections(eta_hat, y_o, var_eta_o, site_derivs, nodes: int = 41) -> float:
     """Sum of log E[exp(remainder)] over sites.
 
     remainder_i(s) = l_i(eta_i + s) - l_i(eta_i) - l_i'(eta_i) s
                      + (1/2) D_i s^2 under s ~ N(0, var_i),
     i.e. the part of the site log likelihood the Gaussian approximation
-    drops. Evaluated with probabilists' Gauss-Hermite nodes.
+    drops, given site_derivs = (l_i, l_i', D_i) at eta_hat. Evaluated with
+    probabilists' Gauss-Hermite nodes.
     """
     u_nodes, w_nodes = _gauss_hermite(nodes)
     log_w = np.log(w_nodes) - 0.5 * math.log(2.0 * math.pi)
-    ll0, g0, d0 = _probit_site_derivs(eta_hat, y_o)
+    ll0, g0, d0 = site_derivs
     s = np.sqrt(np.maximum(var_eta_o, 0.0))[:, None] * u_nodes[None, :]
-    ll_s, _, _ = _probit_site_derivs(eta_hat[:, None] + s, y_o[:, None])
+    ll_s = _probit_loglik(eta_hat[:, None] + s, y_o[:, None])
     r = ll_s - ll0[:, None] - g0[:, None] * s + 0.5 * d0[:, None] * s * s
     return float(np.sum(logsumexp(log_w[None, :] + r, axis=1)))
 
@@ -1675,7 +1680,7 @@ def _probit_dic(
     eta_bar = np.zeros(model.n)
     for w_g, state in zip(weights, states):
         s = np.sqrt(state.var_eta[obs])[:, None] * u_nodes[None, :]
-        ll, _, _ = _probit_site_derivs(state.mean_eta[obs][:, None] + s, y_o[:, None])
+        ll = _probit_loglik(state.mean_eta[obs][:, None] + s, y_o[:, None])
         e_d += w_g * float(-2.0 * np.sum(ll @ wbar))
         eta_bar += w_g * state.mean_eta
     p_hat = ndtr(eta_bar[obs])

@@ -19,12 +19,16 @@ Marginal variances come from selected inversion (Takahashi, Fagan & Chen
 the pattern of the factor L, in O(nnz(L)) memory rather than the (n+p)^2
 of a dense inverse. The work splits in two (Rue & Held 2005, sec. 2.4).
 A SymbolicFactor analyses one sparsity pattern, from the pattern alone:
-its fill-reducing order, the symbolic pattern of L and the recursion's
-gather plan. A CholeskyHandle is one numeric factorization of data on an
-analysed pattern, pre-permuted into its order; every factor, the first
-included, runs that one path. One recursion, _takahashi, serves a single
-factor and a stack of factors on one analysis alike: stacked, each
-column's gather, product and dot run once for the whole stack
+its fill-reducing order, then the pattern of L from one factor of an
+M-matrix on the pattern (which cannot cancel), checked to be the
+symbolic one, and the sweep's plan. A CholeskyHandle is one numeric
+factorization of data on an analysed pattern, pre-permuted into its
+order; every factor, the first included, runs that one path. The sweep,
+_takahashi, is supernodal (Lin et al. 2011, "SelInv"): each run of
+columns with shared rows below is one dense block, and the supernodes at
+one depth of the supernodal elimination tree run as one batched numpy
+call per block shape, from the roots down. A stack of factors on one
+analysis runs through the same calls on a leading batch axis
 (marginal_variance_stack). The same selected inverse, read on the
 analysed pattern (CholeskyHandle.inverse_on_pattern, in the pattern's
 storage order), gives the trace tr(A^{-1} B) of any B on that pattern as
@@ -34,6 +38,7 @@ one dot product with B's data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,12 +255,13 @@ class SymbolicFactor:
     """Analysis of one symmetric sparsity pattern, made once and shared by
     every matrix on it.
 
-    Holds the analysed CSC pattern, its fill-reducing order (order[k] is
-    the original index of the k-th pivot) and, built on first use, the
-    symbolic pattern of the factor L of the permuted matrix together with
-    the gather plan of the Takahashi recursion. The order comes from the
-    pattern alone: SuperLU's minimum degree on A + A', run on a diagonally
-    dominant stand-in with that pattern. A test may pass its own order.
+    Holds the analysed CSC pattern (symmetric), its fill-reducing order
+    (order[k] is the original index of the k-th pivot) and, built on
+    first use, the symbolic pattern of the factor L of the permuted matrix
+    together with the supernodal sweep's plan (l_pattern). The order comes
+    from the pattern alone: SuperLU's minimum degree on A + A', run on a
+    diagonally dominant stand-in with that pattern. A test may pass its
+    own order.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, order: np.ndarray | None = None):
@@ -292,59 +298,12 @@ class SymbolicFactor:
             shape=(self.n, self.n),
         )
 
-    def l_pattern(self):
-        """(indptr, indices, keys, fused, plan, plan_ptr) of L, built once.
-
-        Column j of L has the rows struct_j = {j} + lower(A_j) + the union
-        of struct_c - {c} over the children c of j in the elimination tree
-        (Davis 2006, ch. 4); parent(j) is the second entry of struct_j.
-        With S_j = struct_j - {j}, column j is fused when S_j = {j + 1} +
-        S_{j+1} (j and j + 1 lie in one supernode): Sigma[S_j, S_j] is then
-        Sigma[S_{j+1}, S_{j+1}] bordered by column j + 1 of Sigma. For every
-        other column, plan[plan_ptr[j]:plan_ptr[j + 1]] holds the storage
-        positions of Sigma[S_j, S_j] in row-major order.
-        """
-        if self._l_pattern is not None:
-            return self._l_pattern
-        n = self.n
-        # The structure of A + A', as SuperLU's symmetric mode factors it.
-        marks = sp.csc_matrix(
-            (np.ones(self._perm_indices.size), self._perm_indices, self._perm_indptr),
-            shape=(n, n),
-        )
-        both = sp.csc_matrix(marks + marks.T)
-        both.sort_indices()
-        indptr, indices = both.indptr, both.indices
-        children: list[list[int]] = [[] for _ in range(n)]
-        structs = []
-        for j in range(n):
-            col = indices[indptr[j] : indptr[j + 1]]
-            parts = [np.array([j]), col[col > j]]
-            parts.extend(structs[c][1:] for c in children[j])
-            s = np.unique(np.concatenate(parts))
-            structs.append(s)
-            if s.size > 1:
-                children[s[1]].append(j)
-        l_indptr = np.zeros(n + 1, dtype=np.intp)
-        l_indptr[1:] = np.cumsum([s.size for s in structs])
-        l_indices = np.concatenate(structs).astype(np.intp)
-        l_keys = _pattern_keys(l_indptr, l_indices, n)
-        sizes = np.diff(l_indptr)
-        fused = np.zeros(n, dtype=bool)
-        fused[:-1] = (sizes[:-1] == sizes[1:] + 1) & (
-            l_indices[l_indptr[:-2] + 1] == np.arange(1, n)
-        )
-        plan_ptr = np.zeros(n + 1, dtype=np.intp)
-        plan_ptr[1:] = np.cumsum(np.where(fused, 0, (sizes - 1) ** 2))
-        plan = np.empty(plan_ptr[-1], dtype=np.intp)
-        for j in np.flatnonzero(~fused & (sizes > 1)):
-            rows = structs[j][1:]
-            lo = np.minimum.outer(rows, rows)
-            hi = np.maximum.outer(rows, rows)
-            plan[plan_ptr[j] : plan_ptr[j + 1]] = np.searchsorted(
-                l_keys, (lo * n + hi).ravel()
-            )
-        self._l_pattern = (l_indptr, l_indices, l_keys, fused, plan, plan_ptr)
+    def l_pattern(self) -> "LPattern":
+        """The symbolic pattern of L and the sweep's plan, built once
+        (_factor_pattern, _sweep_plan)."""
+        if self._l_pattern is None:
+            indptr, indices = self._perm_indptr, self._perm_indices
+            self._l_pattern = _sweep_plan(indptr, indices, *_factor_pattern(indptr, indices))
         return self._l_pattern
 
     def l_values(self, lu_l: sp.csc_matrix) -> np.ndarray:
@@ -357,7 +316,7 @@ class SymbolicFactor:
         if layout is None or not (
             np.array_equal(layout[0], lu_l.indptr) and np.array_equal(layout[1], lu_l.indices)
         ):
-            l_keys = self.l_pattern()[2]
+            l_keys = self.l_pattern().keys
             keys = _pattern_keys(lu_l.indptr, lu_l.indices, self.n)
             pos = np.searchsorted(l_keys, keys)
             outside = np.flatnonzero(l_keys.take(pos, mode="clip") != keys)
@@ -366,7 +325,7 @@ class SymbolicFactor:
         _, _, pos, outside = layout
         if np.any(lu_l.data[outside] != 0.0):
             raise NumericFailureError("factor has entries outside its symbolic pattern")
-        size = self.l_pattern()[2].size
+        size = self.l_pattern().keys.size
         values = np.zeros(size + 1)
         values[pos] = lu_l.data
         return values[:size]
@@ -376,7 +335,7 @@ class SymbolicFactor:
         its (symmetric) entry in the selected inverse, built once."""
         if self._positions is None:
             n = self.n
-            l_keys = self.l_pattern()[2]
+            l_keys = self.l_pattern().keys
             rank = np.empty(n, dtype=np.int64)
             rank[self.order] = np.arange(n)
             rows = rank[self.indices]
@@ -541,7 +500,7 @@ class CholeskyHandle:
 
     def _selected(self) -> np.ndarray:
         """Sigma = A^{-1} on the pattern of L (permuted order): the
-        Takahashi recursion on a stack of one."""
+        supernodal sweep on a stack of one."""
         if self._sigma is None:
             self._sigma = _takahashi(self.symbolic.l_pattern(), *self.factor_values())
         return self._sigma
@@ -573,7 +532,7 @@ def marginal_variance_stack(
     symbolic: SymbolicFactor, values: list[tuple[np.ndarray, np.ndarray]], indices
 ) -> np.ndarray:
     """Diagonal entries of G inverses at the requested coordinates, as a
-    (G, len(indices)) array, from one Takahashi sweep over the stacked
+    (G, len(indices)) array, from one supernodal sweep over the stacked
     factor_values() of G factors analysed by `symbolic`."""
     l_vals = np.stack([v[0] for v in values], axis=-1)
     d = np.stack([v[1] for v in values], axis=-1)
@@ -583,64 +542,252 @@ def marginal_variance_stack(
 def _diagonal(symbolic: SymbolicFactor, sigma: np.ndarray) -> np.ndarray:
     """The diagonal of the selected inverse(s) sigma, original order."""
     diag = np.empty((symbolic.n,) + sigma.shape[1:])
-    diag[symbolic.order] = sigma[symbolic.l_pattern()[0][:-1]]
+    diag[symbolic.order] = sigma[symbolic.l_pattern().indptr[:-1]]
     return diag
 
 
-def _takahashi(l_pattern, l_vals: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sigma = A^{-1} on the pattern of L (permuted order) for A = L D L',
-    by the Takahashi recursion from the last column to the first:
+# Columns of one supernode at most: a longer run of fused columns is cut,
+# which bounds the cost of each block's dense inverse.
+_SUPERNODE_WIDTH = 32
 
-        Sigma[S_j, j] = -Sigma[S_j, S_j] L[S_j, j],
-        Sigma[j, j] = 1 / d_j - L[S_j, j]' Sigma[S_j, j]
 
-    (Takahashi, Fagan & Chen 1973; Rue & Held 2005, sec. 2.3). l_vals and
-    d are (nnz(L),) and (n,) for one factor, or (nnz(L), G) and (n, G)
-    for a stack of G factors on one pattern, which then share every
-    column's gather, product and dot. Sigma overwrites l_vals: column j
-    reads its own L values once, before it writes its own Sigma entries,
-    and otherwise reads only Sigma of the columns after it.
+class SweepGroup(NamedTuple):
+    """Supernodes at one depth of the supernodal elimination tree, in one
+    class of widths |J| and one class of heights |R| (powers of two),
+    padded to the largest of each, as positions in the sweep's storage
+    (_takahashi): panel (B, Jb + Rb + 1, Jb) reads L[J + R, J] and, in its
+    last row, 1/d_J; out (B, Jb + Rb, Jb) takes Sigma[J + R, J] on the
+    pattern of L; above (B, Rb, Rb) reads Sigma[R, R]."""
 
-    A run of fused columns j0 < ... < j1 (a supernode: S_j = {j + 1} +
-    S_{j+1}) fills one buffer from the bottom right: the block of j1 is
-    gathered by the plan, and each column's block Sigma[S_j, S_j] is the
-    block below it bordered by column j + 1 of Sigma.
+    panel: np.ndarray
+    out: np.ndarray
+    above: np.ndarray
+
+
+class LPattern(NamedTuple):
+    """The symbolic pattern of L (CSC, rows sorted), its keys col * n + row,
+    the width of every supernode in column order, and the sweep's groups,
+    parents before children."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    keys: np.ndarray
+    widths: np.ndarray
+    groups: tuple
+
+
+def _factor_pattern(indptr: np.ndarray, indices: np.ndarray):
+    """(indptr, indices) of L for a symmetric CSC pattern, factored in its
+    own order: SuperLU's factor of the M-matrix with that pattern, -1 off
+    the diagonal and the column count + 1 on it. Its elimination adds
+    terms of one sign only, so no entry cancels and L has every entry of
+    the symbolic pattern (_sweep_plan checks it)."""
+    n = indptr.size - 1
+    counts = np.diff(indptr)
+    cols = np.repeat(np.arange(n), counts)
+    stand_in = sp.csc_matrix(
+        (np.where(indices == cols, counts[cols] + 1.0, -1.0), indices, indptr), shape=(n, n)
+    )
+    try:
+        lower = _splu(stand_in, "NATURAL").L
+    except RuntimeError as exc:
+        raise NumericFailureError(f"pattern cannot be analysed: {exc}") from exc
+    lower.sort_indices()
+    return lower.indptr, lower.indices
+
+
+def _ragged(counts: np.ndarray):
+    """(owner, local): for each element of blocks of the given sizes laid
+    end to end, its block and its index in the block."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+def _size_class(m: np.ndarray) -> np.ndarray:
+    """0 for 0, else 1 + ceil(log2 m): sizes within a factor of two."""
+    return np.where(m > 0, np.ceil(np.log2(np.maximum(m, 1))).astype(np.intp) + 1, 0)
+
+
+def _sweep_plan(indptr, indices, l_indptr, l_indices) -> LPattern:
+    """The sweep's plan for a factor pattern (l_indptr, l_indices) of the
+    symmetric pattern (indptr, indices), from array passes alone.
+
+    Check: the pattern holds lower(A) and is closed under the elimination
+    tree, every row of column j below parent(j) (its second row) in
+    column parent(j). A factor never has entries outside the symbolic
+    pattern, and the symbolic pattern is the smallest closed one holding
+    lower(A), so the two are equal; otherwise NumericFailureError.
+
+    Supernodes: column j joins j + 1 when S_j = {j + 1} + S_{j+1} (S_j the
+    rows of column j below j), up to _SUPERNODE_WIDTH columns J; then
+    every column of J has the rows R below J. Closure is checked on this
+    structure: a fused pair's rows match exactly, and the rows R of each
+    supernode lie in its parent's J + R (one searchsorted, which also
+    gives their ranks there). Depths come from pointer jumping on the
+    supernode parents, and Sigma[R, R]'s positions from the parent's
+    symmetric block of positions, gathered level by level.
     """
-    l_indptr, _, _, fused, plan, plan_ptr = l_pattern
-    stack = l_vals.shape[1:]
-    sigma = l_vals
-    inv_d = 1.0 / d
-    starts, plans, fused = l_indptr.tolist(), plan_ptr.tolist(), fused.tolist()
-    if stack:
-        # Buffers hold the stack first: (G, m, m) blocks times (G, m, 1).
-        def product(block, col):
-            return np.matmul(block, col.T[..., None])[..., 0].T
-    else:
-        product = np.matmul
-    j = len(starts) - 2
-    while j >= 0:
-        top = j
-        while top > 0 and fused[top - 1]:
-            top -= 1
-        a, b = starts[j], starts[j + 1]
-        m = b - a - 1
-        k = j - top  # Sigma[S_j, S_j] is buf[..., k:, k:]
-        buf = np.empty(stack + (m + k, m + k))
-        buf[..., k:, k:] = sigma[plan[plans[j] : plans[j + 1]]].T.reshape(stack + (m, m))
-        while True:
-            l_col = l_vals[a + 1 : b]
-            t = product(buf[..., k:, k:], l_col)  # -Sigma[S_j, j]
-            sigma[a] = inv_d[j] + np.vecdot(l_col, t, axis=0)
-            np.negative(t, out=sigma[a + 1 : b])
-            if k == 0:
-                break
-            j, k, b, m = j - 1, k - 1, a, m + 1
-            a = starts[j]
-            border = sigma[b : b + m].T
-            buf[..., k, k:] = border
-            buf[..., k:, k] = border
-        j -= 1
-    return sigma
+    n = indptr.size - 1
+    l_indptr, l_indices = l_indptr.astype(np.intp), l_indices.astype(np.intp)
+    nnz = l_indices.size
+    sizes = np.diff(l_indptr)
+    heads = l_indptr[:-1]
+    if np.any(sizes == 0) or not np.array_equal(l_indices[heads], np.arange(n)):
+        raise NumericFailureError("factor pattern lacks its diagonal")
+    keys = np.repeat(np.arange(n), sizes) * n + l_indices
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    lower = indices >= cols
+    wanted = cols[lower] * n + indices[lower]
+    if not np.array_equal(keys.take(np.searchsorted(keys, wanted), mode="clip"), wanted):
+        raise NumericFailureError("factor pattern lacks an entry of the matrix")
+    parent = np.full(n, n)
+    parent[sizes > 1] = l_indices[heads[sizes > 1] + 1]
+    fused = (sizes[:-1] == sizes[1:] + 1) & (parent[:-1] == np.arange(1, n))
+    f_cols = np.flatnonzero(fused)
+    owner, local = _ragged(sizes[f_cols + 1])
+    nested = np.array_equal(
+        l_indices[heads[f_cols][owner] + 1 + local], l_indices[heads[f_cols + 1][owner] + local]
+    )
+    start = np.ones(n, dtype=bool)
+    start[1:] = ~fused
+    run = np.maximum.accumulate(np.where(start, np.arange(n), 0))
+    start[1:] |= (np.arange(1, n) - run[1:]) % _SUPERNODE_WIDTH == 0
+    first = np.flatnonzero(start)
+    ns = first.size
+    width = np.diff(np.append(first, n))
+    last = first + width - 1
+    height = sizes[last] - 1
+    up = np.full(ns + 1, ns)  # ns: above every root
+    up[:ns][height > 0] = np.repeat(np.arange(ns), width)[parent[last[height > 0]]]
+    depth = (up != ns).astype(np.intp)
+    anc = up.copy()
+    while np.any(anc != ns):
+        depth = depth + depth[anc]
+        anc = anc[anc]
+    # Groups of supernodes in sweep order, t, and their padded shapes.
+    key = np.stack([depth[:ns], _size_class(width), _size_class(height)])
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    bounds = np.concatenate(
+        [[0], np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1, [ns]]
+    )
+    per = np.diff(bounds)
+    w, h, f0 = width[order], height[order], first[order]
+    jb = np.repeat(np.maximum.reduceat(w, bounds[:-1]), per)
+    rb = np.repeat(np.maximum.reduceat(h, bounds[:-1]), per)
+    ub = jb + rb
+    t_of = np.empty(ns + 1, dtype=np.intp)
+    t_of[order] = np.arange(ns)
+    has_child = np.zeros(ns + 1, dtype=bool)
+    has_child[up[:ns]] = True
+    has_child = has_child[order]
+    # Positions on (J + R + 1)^2 for the groups that hold a parent.
+    block = np.where(np.repeat(np.maximum.reduceat(has_child, bounds[:-1]), per), (ub + 1) ** 2, 0)
+    b_off = np.cumsum(block) - block
+    # The rows R of each supernode, padded to Rb, as indices into its
+    # parent's padded J + R; padding points at the parent's last index.
+    r_owner, r_local = _ragged(rb)
+    real = r_local < h[r_owner]
+    rows = l_indices[l_indptr[last[order]][r_owner] + 1 + np.minimum(r_local, h[r_owner] - 1)]
+    p = up[order][r_owner]
+    pt = t_of[p]
+    in_j = rows < (f0 + w)[pt]
+    s_owner, s_local = _ragged(height)
+    table = s_owner * n + l_indices[heads[last][s_owner] + 1 + s_local]  # sorted
+    found = np.searchsorted(table, p * n + rows)
+    if not (nested and np.all(in_j | ~real | (table.take(found, mode="clip") == p * n + rows))):
+        raise NumericFailureError("factor pattern is not closed under its elimination tree")
+    rel = np.where(in_j, rows - f0[pt], jb[pt] + found - (np.cumsum(height) - height)[p])
+    rel = np.where(real, rel, ub[pt])
+    high, low = rel * (ub[pt] + 1), rel + b_off[pt]
+    # Panels: positions of L[J + R, J] (padding reads 0, 1 on the diagonal
+    # of J) and of 1/d_J, and where Sigma[J + R, J] goes.
+    zero, one, dump = nnz + n, nnz + n + 1, nnz + n + 2
+    e_owner, e_local = _ragged((ub + 1) * jb)
+    e_jb, e_w, e_ub = jb[e_owner], w[e_owner], ub[e_owner]
+    u, v = np.divmod(e_local, e_jb)
+    del e_local
+    u_rank = np.where(u < e_jb, np.where(u < e_w, u, -1), e_w + u - e_jb)
+    on_l = (v < e_w) & (u_rank >= v) & (u - e_jb < h[e_owner])
+    at = np.where(on_l, l_indptr[f0[e_owner] + np.minimum(v, e_w - 1)] + u_rank - v, zero)
+    del u_rank
+    panel = np.where(u == v, np.where(v < e_w, at, one), at)
+    panel = np.where(u == e_ub, np.where(v < e_w, nnz + f0[e_owner] + v, zero), panel)
+    out = np.where(on_l, at, dump)
+    # Each parent's symmetric block of Sigma's positions on its padded
+    # J + R, with a last row and column of zeros.
+    positions = np.empty(int(block.sum()), dtype=np.intp)
+    for a, b, mask in ((u, v, u >= v), (v, u, u > v)):
+        keep = mask & has_child[e_owner] & (u < e_ub)
+        positions[(b_off[e_owner] + a * (e_ub + 1) + b)[keep]] = at[keep]
+    del e_owner, e_jb, e_w, e_ub, u, v, on_l, at
+    z_owner, z_local = _ragged(np.where(has_child, ub + 1, 0))
+    z_ub = ub[z_owner]
+    positions[b_off[z_owner] + z_ub * (z_ub + 1) + z_local] = zero
+    positions[b_off[z_owner] + z_local * (z_ub + 1) + z_ub] = zero
+    e_off = np.cumsum((ub + 1) * jb) - (ub + 1) * jb
+    r_off = np.cumsum(rb) - rb
+    groups = []
+    for t0, t1 in zip(bounds[:-1], bounds[1:]):
+        b, jw, rw = t1 - t0, int(jb[t0]), int(rb[t0])
+        r = slice(r_off[t0], r_off[t0] + b * rw)
+        above = positions.take(high[r].reshape(b, rw, 1) + low[r].reshape(b, 1, rw))
+        if has_child[t0:t1].any():
+            mine = positions[b_off[t0] : b_off[t0] + b * (jw + rw + 1) ** 2]
+            mine.reshape(b, jw + rw + 1, jw + rw + 1)[:, jw:-1, jw:-1] = above
+        e = slice(e_off[t0], e_off[t0] + b * (jw + rw + 1) * jw)
+        shape = (b, jw + rw + 1, jw)
+        groups.append(SweepGroup(panel[e].reshape(shape), out[e].reshape(shape)[:, :-1], above))
+    return LPattern(l_indptr, l_indices, keys, width, tuple(groups))
+
+
+def _takahashi(l_pattern: LPattern, l_vals: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sigma = A^{-1} on the pattern of L (permuted order) for A = L D L'.
+
+    For a supernode of columns J with rows R below them (Takahashi, Fagan
+    & Chen 1973; Lin et al. 2011, "SelInv"), Sigma L = L^{-T} D^{-1} on
+    the columns J gives, with Y = L_RJ L_JJ^{-1},
+
+        Sigma[R, J] = -Sigma[R, R] Y,
+        Sigma[J, J] = L_JJ^{-T} D_J^{-1} L_JJ^{-1} - Sigma[R, J]' Y,
+
+    which reads Sigma only on rows R, all of them ancestors in the
+    elimination tree. Supernodes at one depth of the supernodal tree are
+    independent, and each group of them (SweepGroup) runs as one batched
+    gather, inverse, product and scatter, from the roots down. l_vals and
+    d are (nnz(L),) and (n,) for one factor, or (nnz(L), G) and (n, G)
+    for G factors on one pattern, which run on a leading batch axis of
+    the same calls.
+    """
+    nnz, n = l_vals.shape[0], d.shape[0]
+    count = l_vals.shape[1] if l_vals.ndim > 1 else 1
+    # One row per factor: L's values, 1/d, then a 0, a 1 and a slot that
+    # takes whatever padding writes.
+    store = np.empty((count, nnz + n + 3))
+    store[:, :nnz] = l_vals.T
+    np.divide(1.0, d.T, out=store[:, nnz : nnz + n])
+    store[:, nnz + n :] = (0.0, 1.0, 0.0)
+    for group in l_pattern.groups:
+        jw = group.panel.shape[2]
+        panel = store.take(group.panel, axis=1)
+        above = store.take(group.above, axis=1)
+        l_rj, inv_d = panel[:, :, jw:-1], panel[:, :, -1:]
+        out = np.empty((count,) + group.out.shape)
+        s_rj, s_jj = out[:, :, jw:], out[:, :, :jw]
+        if jw == 1:  # L_JJ = 1, Y = L_RJ
+            np.matmul(above, l_rj, out=s_rj)
+            np.negative(s_rj, out=s_rj)
+            np.subtract(inv_d, s_rj.mT @ l_rj, out=s_jj)
+        else:
+            l_inv = np.linalg.inv(panel[:, :, :jw])
+            y = l_rj @ l_inv
+            np.matmul(above, y, out=s_rj)
+            np.negative(s_rj, out=s_rj)
+            np.matmul(l_inv.mT, inv_d.mT * l_inv, out=s_jj)
+            s_jj -= s_rj.mT @ y
+        store[:, group.out] = out
+    sigma = store[:, :nnz]
+    return sigma.T if l_vals.ndim > 1 else sigma[0]
 
 
 def _splu(mat: sp.csc_matrix, permc_spec: str):

@@ -66,6 +66,8 @@ class WeightsMatrix:
     _rho_bounds: tuple[float, float] | None = field(default=None, compare=False)
     _spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
     _lu_order: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # I - rho W's CSC pattern in that order, and where 1, ..., 1, -rho w go.
+    _lu_pattern: tuple | None = field(default=None, compare=False, repr=False)
     _log_abs_dets: dict = field(default_factory=dict, compare=False, repr=False)
     _slopes: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -144,21 +146,39 @@ class WeightsMatrix:
         one column order per matrix: found by the first factorization and
         reused by every later one. The matrix keeps every entry of W, an
         explicit zero at rho = 0, so the order comes from the pattern of
-        I + W whatever rho comes first."""
-        n, w = self.n, self.mat.tocoo()
-        diag = np.arange(n)
-        a = sp.csc_matrix(
-            (
-                np.concatenate([np.ones(n), -rho * w.data]),
-                (np.concatenate([diag, w.row]), np.concatenate([diag, w.col])),
-            ),
-            shape=(n, n),
-        )
-        if self._lu_order is None:
+        I + W whatever rho comes first. That pattern, permuted into the
+        order, is built once; each later LU scatters 1 and -rho w onto it."""
+        n = self.n
+        if self._lu_pattern is None:
+            w = self.mat.tocoo()
+            w.sum_duplicates()
+            diag = np.arange(n)
+            # Each entry's index in [1, ..., 1, w], plus one.
+            marks = sp.csc_matrix(
+                (
+                    np.arange(1.0, n + w.nnz + 1.0),
+                    (np.concatenate([diag, w.row]), np.concatenate([diag, w.col])),
+                ),
+                shape=(n, n),
+            )
+            values = np.concatenate([np.ones(n), -rho * w.data])
+            a = sp.csc_matrix(
+                (values[marks.data.astype(np.intp) - 1], marks.indices, marks.indptr), shape=(n, n)
+            )
             diag_u, order = _lu_diagonal(a)
+            marks = marks[:, order]
             object.__setattr__(self, "_lu_order", order)
+            object.__setattr__(
+                self,
+                "_lu_pattern",
+                (marks.indptr, marks.indices, marks.data.astype(np.intp) - 1, w.data),
+            )
             return diag_u
-        return _lu_diagonal(a[:, self._lu_order], "NATURAL")[0]
+        indptr, indices, source, w_data = self._lu_pattern
+        values = np.concatenate([np.ones(n), -rho * w_data])
+        return _lu_diagonal(
+            sp.csc_matrix((values[source], indices, indptr), shape=(n, n)), "NATURAL"
+        )[0]
 
     def rho_range(self) -> tuple[float, float]:
         """Admissible open interval for the autocorrelation parameter.

@@ -488,6 +488,57 @@ def selected_inverse(handle):
     )
 
 
+def reference_l_pattern(symbolic):
+    """(indptr, indices) of L for an analysed pattern, by the union
+    recursion column by column: struct_j = {j} + lower(A_j) + the union of
+    struct_c - {c} over the children c of j in the elimination tree
+    (Davis 2006, ch. 4), parent(j) the second entry of struct_j."""
+    n = symbolic.n
+    marks = sp.csc_matrix(
+        (np.ones(symbolic._perm_indices.size), symbolic._perm_indices, symbolic._perm_indptr),
+        shape=(n, n),
+    )
+    both = sp.csc_matrix(marks + marks.T)
+    both.sort_indices()
+    children = [[] for _ in range(n)]
+    structs = []
+    for j in range(n):
+        col = both.indices[both.indptr[j] : both.indptr[j + 1]]
+        parts = [np.array([j]), col[col > j]]
+        parts.extend(structs[c][1:] for c in children[j])
+        s = np.unique(np.concatenate(parts))
+        structs.append(s)
+        if s.size > 1:
+            children[s[1]].append(j)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    indptr[1:] = np.cumsum([s.size for s in structs])
+    return indptr, np.concatenate(structs).astype(np.intp)
+
+
+def reference_takahashi(l_indptr, l_indices, l_vals, d):
+    """Sigma = A^{-1} on the pattern of L for A = L D L', by the Takahashi
+    recursion one column at a time from the last to the first:
+
+        Sigma[S_j, j] = -Sigma[S_j, S_j] L[S_j, j],
+        Sigma[j, j] = 1 / d_j - L[S_j, j]' Sigma[S_j, j]
+
+    (Takahashi, Fagan & Chen 1973; Rue & Held 2005, sec. 2.3). l_vals and
+    d are (nnz(L),) and (n,), or (nnz(L), G) and (n, G) for G factors."""
+    n = d.shape[0]
+    keys = _keys(l_indptr, l_indices, n)
+    sigma = np.array(l_vals, dtype=float)
+    for j in range(n - 1, -1, -1):
+        a, b = l_indptr[j], l_indptr[j + 1]
+        rows = l_indices[a + 1 : b]
+        lo, hi = np.minimum.outer(rows, rows), np.maximum.outer(rows, rows)
+        block = sigma[np.searchsorted(keys, (lo * n + hi).ravel())]
+        block = block.reshape((rows.size, rows.size) + sigma.shape[1:])
+        col = np.einsum("ik...,k...->i...", block, sigma[a + 1 : b])
+        sigma[a] = 1.0 / d[j] + np.einsum("k...,k...->...", sigma[a + 1 : b], col)
+        sigma[a + 1 : b] = -col
+    return sigma
+
+
 # ---------------------------------------------------------------------------
 # The per-fit set-up as generic sparse products: the reference the engine's
 # block-form construction (PrecisionTerms.of, engine._build_assembly,

@@ -25,7 +25,13 @@ from spatecon import (
 from spatecon import gmrf
 from spatecon.gmrf import SymbolicFactor
 
-from oracles import cholesky_of, selected_inverse, terms_matrix
+from oracles import (
+    cholesky_of,
+    reference_l_pattern,
+    reference_takahashi,
+    selected_inverse,
+    terms_matrix,
+)
 
 
 def chain_weights(n):
@@ -183,21 +189,21 @@ class TestSelectedInverse:
     @pytest.mark.parametrize("p", [0, 3])
     def test_random_spd_matches_dense_inverse(self, p):
         rng = np.random.default_rng(31 + p)
-        fused_seen = set()
+        multi_seen = set()
         for _ in range(8):
             n = int(rng.integers(5, 60))
             h = cholesky_of(random_spd(rng, n, p))
             sel = assert_matches_dense_on_pattern(h)
             # The pattern holds at least the diagonal and every entry of A.
             assert sel.nnz >= n + p
-            fused_seen |= set(h.symbolic.l_pattern()[3].tolist())
+            multi_seen |= set((h.symbolic.l_pattern().widths > 1).tolist())
             assert_allclose(
                 h.marginal_variances(np.arange(n + p)),
                 np.diag(h.inverse_dense()),
                 rtol=1e-10,
             )
-        # Both ways of forming Sigma[S_j, S_j] ran: gathered and bordered.
-        assert fused_seen == {False, True}
+        # Both single-column and multi-column supernodes ran.
+        assert multi_seen == {False, True}
 
     def test_joint_precision_pattern_holds_coefficient_columns(self):
         rng = np.random.default_rng(33)
@@ -241,11 +247,11 @@ class TestSelectedInverse:
                 cholesky_of(b, symbolic=symbolic)
 
 
-def same_pattern_stack(rng, n, p, count):
+def same_pattern_stack(rng, n, p, count, density=0.08):
     """count SPD matrices on one pattern: random_spd's with its
     off-diagonal entries scaled by symmetric factors in [0.2, 1], which
     keeps them diagonally dominant."""
-    base = random_spd(rng, n, p).toarray()
+    base = random_spd(rng, n, p, density).toarray()
     diag = np.diag(np.diag(base))
     out = []
     for _ in range(count):
@@ -289,15 +295,16 @@ class TestStackedSelectedInverse:
     @pytest.mark.parametrize("p", [0, 3])
     def test_matches_dense_inverse(self, count, p):
         rng = np.random.default_rng(41 + p + count)
-        fused_seen = set()
+        multi_seen = set()
         for _ in range(5):
             mats = same_pattern_stack(rng, int(rng.integers(8, 50)), p, count)
             first = cholesky_of(mats[0])
             handles = [first] + [cholesky_of(m, symbolic=first.symbolic) for m in mats[1:]]
             assert all(h.symbolic is first.symbolic for h in handles)
             self.assert_stack_matches(handles)
-            fused_seen |= set(first.symbolic.l_pattern()[3].tolist())
-        assert fused_seen == {False, True}
+            multi_seen |= set((first.symbolic.l_pattern().widths > 1).tolist())
+        # Both single-column and multi-column supernodes ran.
+        assert multi_seen == {False, True}
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_cancelled_factor_entry(self, count):
@@ -335,6 +342,84 @@ class TestStackedSelectedInverse:
         assert np.array_equal(b.indptr, a.indptr) and np.array_equal(b.indices, a.indices)
         want = np.trace(dense @ b.toarray())
         assert abs(sigma @ b.data - want) <= 1e-10 * np.abs(b.data).sum()
+
+
+def assert_sweep_matches_references(handles):
+    """The supernodal sweep over the stacked factors equals the column
+    recursion to 1e-12 sqrt(Sigma_ii Sigma_jj), and each factor's dense
+    inverse to 1e-10; the analysed pattern of L equals the union loop's."""
+    symbolic = handles[0].symbolic
+    pattern = symbolic.l_pattern()
+    indptr, indices = reference_l_pattern(symbolic)
+    assert np.array_equal(pattern.indptr, indptr) and np.array_equal(pattern.indices, indices)
+    values = [h.factor_values() for h in handles]
+    l_vals = np.stack([v[0] for v in values], axis=-1)
+    d = np.stack([v[1] for v in values], axis=-1)
+    sigma = gmrf._takahashi(pattern, l_vals, d)
+    want = reference_takahashi(indptr, indices, l_vals, d)
+    rows = symbolic.order[indices]
+    cols = symbolic.order[np.repeat(np.arange(symbolic.n), np.diff(indptr))]
+    for g, h in enumerate(handles):
+        dense = h.inverse_dense()
+        diag = np.diag(dense)
+        scale = np.sqrt(diag[rows] * diag[cols])
+        assert np.all(np.abs(sigma[:, g] - want[:, g]) <= 1e-12 * scale)
+        assert np.all(np.abs(sigma[:, g] - dense[rows, cols]) <= 1e-10 * scale)
+        assert np.array_equal(h._selected(), gmrf._takahashi(pattern, *h.factor_values()))
+
+
+class TestSupernodalSweep:
+    """The sweep and its analysis against the column recursion and the
+    union loop they replace (tests/oracles.py)."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 45),
+        p=st.sampled_from([0, 3]),
+        count=st.sampled_from([1, 3]),
+        density=st.floats(0.02, 0.3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_recursion_and_dense_inverse(self, seed, n, p, count, density):
+        mats = same_pattern_stack(np.random.default_rng(seed), n, p, count, density)
+        first = cholesky_of(mats[0])
+        handles = [first] + [cholesky_of(m, symbolic=first.symbolic) for m in mats[1:]]
+        assert_sweep_matches_references(handles)
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_scan_hessian_pattern_equals_union_loop(self, k):
+        # The probit scan's analysed Hessian patterns: n = 673 on the
+        # benchmark's fixed map, kNN W, intercept and three covariates.
+        from spatecon import build
+        from spatecon.engine import _assembly
+
+        coords = np.random.default_rng(0).uniform(size=(673, 2))
+        rng = np.random.default_rng(k)
+        w = row_standardize(knn_adjacency(coords, k))
+        x = rng.normal(size=(673, 3))
+        y = (rng.uniform(size=673) < 0.5).astype(float)
+        symbolic = _assembly(build("slm", y, x, w, likelihood="probit").compiled).symbolic
+        pattern = symbolic.l_pattern()
+        indptr, indices = reference_l_pattern(symbolic)
+        assert np.array_equal(pattern.indptr, indptr)
+        assert np.array_equal(pattern.indices, indices)
+        assert set((pattern.widths > 1).tolist()) == {False, True}
+
+    def test_pattern_missing_an_entry_fails_the_closure_check(self):
+        rng = np.random.default_rng(45)
+        symbolic = cholesky_of(random_spd(rng, 40, 3)).symbolic
+        indptr, indices = symbolic._perm_indptr, symbolic._perm_indices
+        pattern = symbolic.l_pattern()
+        cols = np.repeat(np.arange(symbolic.n), np.diff(pattern.indptr))
+        off = np.flatnonzero(pattern.indices != cols)
+        # Every off-diagonal entry, whether of A or fill, is needed.
+        for q in rng.choice(off, 25, replace=False):
+            l_indptr = pattern.indptr.copy()
+            l_indptr[cols[q] + 1 :] -= 1
+            with pytest.raises(NumericFailureError):
+                gmrf._sweep_plan(indptr, indices, l_indptr, np.delete(pattern.indices, q))
+        # The untouched pattern passes.
+        gmrf._sweep_plan(indptr, indices, pattern.indptr, pattern.indices)
 
 
 class TestRhoTransform:
