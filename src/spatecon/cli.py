@@ -83,9 +83,10 @@ def _fit_outputs(fit, kind: str, out: _OutputTracker) -> None:
         json.dumps(summary, sort_keys=True, indent=2, allow_nan=True) + "\n",
     )
 
+    margs = {name: fit.coef_marginal(name) for name in fit.coef_names}
     rows = []
-    for name in fit.coef_names:
-        s = fit.coef_marginal(name).summary()
+    for name, marg in margs.items():
+        s = marg.summary()
         rows.append(
             (name, fmt(s["mean"]), fmt(s["sd"]), fmt(s["0.025quant"]), fmt(s["0.975quant"]))
         )
@@ -112,11 +113,11 @@ def _fit_outputs(fit, kind: str, out: _OutputTracker) -> None:
             f"{kind}_density_tau.csv",
             _marginal_csv(fit.tau_marginal, "precision posterior density (precision scale)"),
         )
-    for name in fit.coef_names:
+    for name, marg in margs.items():
         safe = name.replace("(", "").replace(")", "").replace(".", "_")
         out.write_text(
             f"{kind}_density_{safe}.csv",
-            _marginal_csv(fit.coef_marginal(name), f"posterior density of {name}"),
+            _marginal_csv(marg, f"posterior density of {name}"),
         )
 
     if fit.predictive:
@@ -313,6 +314,13 @@ def validate_config(config: RunConfig) -> list[str]:
         issues.append("covariate scales differ by more than 1e4; consider rescaling")
     if not config.kinds:
         issues.append("no model kinds requested")
+    for kind in config.kinds:
+        if kind not in models.KINDS:
+            issues.append(f"unknown model kind {kind!r}; expected one of {models.KINDS}")
+    if config.likelihood not in models.LIKELIHOODS:
+        issues.append(
+            f"unknown likelihood {config.likelihood!r}; expected one of {models.LIKELIHOODS}"
+        )
     if w.has_islands:
         issues.append("weights matrix contains empty rows (islands)")
     return issues

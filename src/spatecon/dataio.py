@@ -6,7 +6,7 @@ Weights file: a plain-text sparse format with a single header line
 missing-response token is the literal string NA.
 
 Run configuration is an INI-style file (key/value grouped in sections);
-see RunConfig for the recognized keys.
+_KEYS lists every section and key it may hold.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -211,130 +211,96 @@ class RunConfig:
         return read_data_csv(self.data_csv, self.response, self.covariates)
 
 
-def _get(parser, section, key, default=None):
-    if parser.has_option(section, key):
-        val = parser.get(section, key).strip()
-        return val if val else default
-    return default
-
-
-def _typed(parser, path, section, key, convert):
-    """[section] key converted by convert (int or float); None if unset."""
-    val = _get(parser, section, key)
-    if val is None:
-        return None
-    try:
-        return convert(val)
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: [{section}] {key}: {exc}") from exc
-
-
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _flag(parser, path, section, key, default: bool) -> bool:
-    """[section] key as a boolean (1/true/yes/on or 0/false/no/off, any
-    case); default if unset."""
-    val = _get(parser, section, key)
-    if val is None:
-        return default
-    if val.lower() in _TRUE:
-        return True
-    if val.lower() in _FALSE:
-        return False
-    raise InvalidInputError(
-        f"{path}: [{section}] {key}: expected one of {'/'.join(_TRUE + _FALSE)}, got {val!r}"
-    )
+def _flag(value: str) -> bool:
+    """1/true/yes/on or 0/false/no/off, any case."""
+    if value.lower() in _TRUE + _FALSE:
+        return value.lower() in _TRUE
+    raise ValueError(f"expected one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
+
+
+def _names(value: str) -> list[str]:
+    return [name.strip() for name in value.split(",")]
+
+
+def _kinds(value: str) -> list[str]:
+    return [kind.lower() for kind in _names(value) if kind]
+
+
+# Every section and key a config may hold, with the function that reads a
+# non-empty value (a ValueError from it is an input error naming the key).
+_KEYS = {
+    "data": {
+        "data_csv": Path, "response": str, "covariates": _names,
+        "weights_file": Path, "points_csv": Path, "k": int,
+    },
+    "model": {"kinds": _kinds, "likelihood": str.lower},
+    "priors": dict.fromkeys((f.name for f in fields(ModelPriors)), float),
+    "grid": {f.name: type(f.default) for f in fields(GridSettings)},
+    "impacts": {"enabled": _flag},
+    "scan": {"kind": str.lower, "k_min": int, "k_max": int, "prior": str},
+    "output": {"directory": Path},
+}
 
 
 def parse_config(path) -> RunConfig:
+    """Read a run config. An unknown section or key, [DEFAULT] included, is
+    an InvalidInputError; an empty value leaves its key unset."""
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    # No header can name the empty section, so [DEFAULT] is an ordinary
+    # section here, refused as unknown, and no key leaks into the others.
+    parser = configparser.ConfigParser(default_section="")
+    values = {section: {} for section in _KEYS}
     try:
         parser.read(path)
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise InvalidInputError(f"{path}: unknown section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in _KEYS[section]:
+                    raise InvalidInputError(f"{path}: [{section}] unknown key {key!r}")
+                if raw := raw.strip():
+                    try:
+                        values[section][key] = _KEYS[section][key](raw)
+                    except ValueError as exc:
+                        raise InvalidInputError(f"{path}: [{section}] {key}: {exc}") from exc
     except configparser.Error as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
     if not parser.has_section("data"):
         raise InvalidInputError(f"{path}: missing [data] section")
-    base = path.parent
-
-    def resolve(p):
-        return None if p is None else (base / p if not Path(p).is_absolute() else Path(p))
-
-    data_csv = resolve(_get(parser, "data", "data_csv"))
-    if data_csv is None:
-        raise InvalidInputError(f"{path}: [data] data_csv is required")
-    response = _get(parser, "data", "response")
-    if response is None:
-        raise InvalidInputError(f"{path}: [data] response is required")
-    covariates = _get(parser, "data", "covariates")
-    covariates = [c.strip() for c in covariates.split(",")] if covariates else None
-    weights_file = resolve(_get(parser, "data", "weights_file"))
-    points_csv = resolve(_get(parser, "data", "points_csv"))
-    if (weights_file is None) == (points_csv is None):
+    data, model, scan = values["data"], values["model"], values["scan"]
+    for key in ("data_csv", "response"):
+        if key not in data:
+            raise InvalidInputError(f"{path}: [data] {key} is required")
+    if ("weights_file" in data) == ("points_csv" in data):
         raise InvalidInputError(
             f"{path}: [data] needs exactly one of weights_file or points_csv"
         )
-    knn_k = _typed(parser, path, "data", "k", int)
-
-    kinds_raw = _get(parser, "model", "kinds", "slm") if parser.has_section("model") else "slm"
-    kinds = [k.strip().lower() for k in kinds_raw.split(",") if k.strip()]
+    kinds = model.get("kinds", ["slm"])
     if not kinds:
         raise InvalidInputError(f"{path}: [model] kinds must be nonempty")
-    likelihood = (_get(parser, "model", "likelihood", "gaussian") or "gaussian").lower()
-
-    prior_kwargs = {}
-    if parser.has_section("priors"):
-        numeric = {
-            "q_beta_diag", "rho_prior_mean", "rho_prior_prec", "tau_shape",
-            "tau_rate", "tau_iid_shape", "tau_iid_rate",
-            "rho_fixed", "tau_fixed", "tau_iid_fixed",
-        }
-        for key in parser.options("priors"):
-            val = _get(parser, "priors", key)
-            if val is None:
-                continue
-            if key not in numeric:
-                raise InvalidInputError(f"{path}: [priors] unknown key {key!r}")
-            prior_kwargs[key] = _typed(parser, path, "priors", key, float)
-    priors = ModelPriors(**prior_kwargs)
-
-    grid_kwargs = {}
-    for key, convert in (("k", int), ("step", float), ("drop", float)):
-        val = _typed(parser, path, "grid", key, convert)
-        if val is not None:
-            grid_kwargs[key] = val
-    grid = GridSettings(**grid_kwargs)
-
-    out_dir = resolve(_get(parser, "output", "directory", "out") or "out")
-
-    scan_kind = _get(parser, "scan", "kind") if parser.has_section("scan") else None
-    scan_k_min = _typed(parser, path, "scan", "k_min", int)
-    scan_k_max = _typed(parser, path, "scan", "k_max", int)
-    scan_prior = (
-        _get(parser, "scan", "prior", "uniform") if parser.has_section("scan") else "uniform"
-    ) or "uniform"
-
-    impacts_enabled = _flag(parser, path, "impacts", "enabled", True)
-
+    # Relative paths are read from the config's directory.
+    base = path.parent
     return RunConfig(
-        data_csv=data_csv,
-        response=response,
-        covariates=covariates,
-        weights_file=weights_file,
-        points_csv=points_csv,
-        knn_k=knn_k,
+        data_csv=base / data["data_csv"],
+        response=data["response"],
+        covariates=data.get("covariates"),
+        weights_file=base / data["weights_file"] if "weights_file" in data else None,
+        points_csv=base / data["points_csv"] if "points_csv" in data else None,
+        knn_k=data.get("k"),
         kinds=kinds,
-        likelihood=likelihood,
-        priors=priors,
-        grid=grid,
-        output_dir=out_dir,
-        scan_kind=scan_kind.lower() if scan_kind else None,
-        scan_k_min=scan_k_min,
-        scan_k_max=scan_k_max,
-        scan_prior=scan_prior,
-        impacts_enabled=impacts_enabled,
+        likelihood=model.get("likelihood", "gaussian"),
+        priors=ModelPriors(**values["priors"]),
+        grid=GridSettings(**values["grid"]),
+        output_dir=base / values["output"].get("directory", "out"),
+        scan_kind=scan.get("kind"),
+        scan_k_min=scan.get("k_min"),
+        scan_k_max=scan.get("k_max"),
+        scan_prior=scan.get("prior", "uniform"),
+        impacts_enabled=values["impacts"].get("enabled", True),
     )

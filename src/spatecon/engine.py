@@ -123,6 +123,9 @@ _DIC_GH_NODES = 21
 _HYPER_MARGINAL_POINTS = 201
 MIXTURE_POINTS = 401
 
+# The response likelihoods a model may take.
+LIKELIHOODS = ("gaussian", "probit")
+
 
 @dataclass(frozen=True)
 class GridSettings:
@@ -193,7 +196,7 @@ class CompiledModel:
             raise InvalidInputError("design and response lengths differ")
         if len(self.coef_names) != self.b_design.shape[1]:
             raise InvalidInputError("one name per coefficient required")
-        if self.likelihood not in ("gaussian", "probit"):
+        if self.likelihood not in LIKELIHOODS:
             raise InvalidInputError(f"unknown likelihood {self.likelihood!r}")
         self.obs_idx = np.flatnonzero(~np.isnan(self.y))
         self.miss_idx = np.flatnonzero(np.isnan(self.y))

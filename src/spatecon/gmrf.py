@@ -258,10 +258,10 @@ class SymbolicFactor:
     Holds the analysed CSC pattern (symmetric), its fill-reducing order
     (order[k] is the original index of the k-th pivot) and, built on
     first use, the symbolic pattern of the factor L of the permuted matrix
-    together with the supernodal sweep's plan (l_pattern). The order comes
-    from the pattern alone: SuperLU's minimum degree on A + A', run on a
-    diagonally dominant stand-in with that pattern. A test may pass its
-    own order.
+    together with the supernodal sweep's plan (l_pattern). Both come from
+    the pattern alone, from one factor of its M-matrix stand-in
+    (_factor_pattern) under SuperLU's minimum degree on A + A'. A test may
+    pass its own order, which the stand-in is then factored in.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, order: np.ndarray | None = None):
@@ -272,16 +272,9 @@ class SymbolicFactor:
         marks = sp.csc_matrix(
             (np.arange(1.0, indices.size + 1.0), indices, indptr), shape=(n, n)
         )
+        self._l_factor = None
         if order is None:
-            # At most n - 1 off-diagonal ones per row: a diagonal of n dominates.
-            cols = np.repeat(np.arange(n), np.diff(indptr))
-            stand_in = sp.csc_matrix(
-                (np.where(indices == cols, float(n), 1.0), indices, indptr), shape=(n, n)
-            )
-            try:
-                order = np.argsort(_splu(stand_in, "MMD_AT_PLUS_A").perm_c)
-            except RuntimeError as exc:
-                raise NumericFailureError(f"pattern cannot be analysed: {exc}") from exc
+            order, self._l_factor = _factor_pattern(indptr, indices, "MMD_AT_PLUS_A")
         self.order = order
         permuted = sp.csc_matrix(marks[order][:, order])
         permuted.sort_indices()
@@ -303,7 +296,9 @@ class SymbolicFactor:
         (_factor_pattern, _sweep_plan)."""
         if self._l_pattern is None:
             indptr, indices = self._perm_indptr, self._perm_indices
-            self._l_pattern = _sweep_plan(indptr, indices, *_factor_pattern(indptr, indices))
+            l_factor = self._l_factor or _factor_pattern(indptr, indices, "NATURAL")[1]
+            self._l_pattern = _sweep_plan(indptr, indices, *l_factor)
+            self._l_factor = None
         return self._l_pattern
 
     def l_values(self, lu_l: sp.csc_matrix) -> np.ndarray:
@@ -576,12 +571,15 @@ class LPattern(NamedTuple):
     groups: tuple
 
 
-def _factor_pattern(indptr: np.ndarray, indices: np.ndarray):
-    """(indptr, indices) of L for a symmetric CSC pattern, factored in its
-    own order: SuperLU's factor of the M-matrix with that pattern, -1 off
-    the diagonal and the column count + 1 on it. Its elimination adds
-    terms of one sign only, so no entry cancels and L has every entry of
-    the symbolic pattern (_sweep_plan checks it)."""
+def _factor_pattern(indptr: np.ndarray, indices: np.ndarray, permc_spec: str):
+    """(order, (indptr, indices) of L) for a symmetric CSC pattern, from
+    SuperLU's factor, in the column order permc_spec picks, of the M-matrix
+    with that pattern: -1 off the diagonal and the column count + 1 on it.
+    The matrix is strictly diagonally dominant, so every pivot is on the
+    diagonal (rows are permuted as columns) and L is the factor of the
+    symmetrically permuted matrix. Its elimination adds terms of one sign
+    only, so no entry cancels and L has every entry of the symbolic
+    pattern (_sweep_plan checks it)."""
     n = indptr.size - 1
     counts = np.diff(indptr)
     cols = np.repeat(np.arange(n), counts)
@@ -589,11 +587,12 @@ def _factor_pattern(indptr: np.ndarray, indices: np.ndarray):
         (np.where(indices == cols, counts[cols] + 1.0, -1.0), indices, indptr), shape=(n, n)
     )
     try:
-        lower = _splu(stand_in, "NATURAL").L
+        lu = _splu(stand_in, permc_spec)
     except RuntimeError as exc:
         raise NumericFailureError(f"pattern cannot be analysed: {exc}") from exc
+    lower = lu.L
     lower.sort_indices()
-    return lower.indptr, lower.indices
+    return np.argsort(lu.perm_c), (lower.indptr, lower.indices)
 
 
 def _ragged(counts: np.ndarray):

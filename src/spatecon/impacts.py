@@ -12,12 +12,14 @@ indirect = total - direct. Given the hyperparameters theta_g of a grid
 point, every average is linear in the coefficients c:
 
     direct   = t1(rho_g) beta_r + t2(rho_g) gamma_r
-    total    = (beta_r + gamma_r) / (1 - rho_g)
+    total    = a(rho_g) beta_r + b(rho_g) gamma_r
 
 with t1 = tr((I - rho W)^{-1})/n and t2 = tr((I - rho W)^{-1} W)/n for
 SLM/SDM, read off the exact slope of log |I - rho W| (trace_functions),
-and t1 = 1, t2 = 0, a total factor of 1 for
-SEM/SDEM/SLX (gamma_r = 0 for SEM and SLM).
+and t1 = 1, t2 = 0 for SEM/SDEM/SLX, which take rho = 0 in the totals
+(gamma_r = 0 for SEM and SLM). The total factors are
+a = 1'(I - rho W)^{-1} 1 / n and b = 1'(I - rho W)^{-1} W 1 / n, both
+1 / (1 - rho) when every row of W sums to one (_total_factors).
 Since c | theta_g is Gaussian, each impact's posterior is the exact
 Gaussian mixture sum_g w_g N(a_g . mu_g, a_g' Sigma_g a_g) over the
 grid. A probit fit scales each row a_g by the link derivative averaged
@@ -31,13 +33,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import marginals as mg
 from .engine import MIXTURE_POINTS, FitResult
 from .errors import InvalidInputError, InvalidParameterError
 from .gmrf import rho_to_external
 from .marginals import Marginal
-from .weights import WeightsMatrix
+from .weights import WeightsMatrix, _row_stochastic
+
 
 def trace_functions(w: WeightsMatrix, rho_values) -> tuple[np.ndarray, np.ndarray]:
     """(t1, t2) = (tr((I - rho W)^{-1})/n, tr((I - rho W)^{-1} W)/n) for
@@ -54,6 +59,22 @@ def trace_functions(w: WeightsMatrix, rho_values) -> tuple[np.ndarray, np.ndarra
         raise InvalidParameterError(f"rho outside the admissible range ({lo}, {hi})")
     t2 = -np.array([w.log_abs_det_slope(rho) for rho in rho_values]) / w.n
     return 1.0 + rho_values * t2, t2
+
+
+def _total_factors(w: WeightsMatrix, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) = (1'(I - rho W)^{-1} 1 / n, 1'(I - rho W)^{-1} W 1 / n) for
+    each rho: the weights of beta_r and gamma_r in the average total impact.
+    A row-stochastic W has W1 = 1, so a = b = 1 / (1 - rho); any other W
+    (islands, or a file marked standardized whose rows do not sum to one)
+    takes one sparse solve of (I - rho W)'z = 1 per distinct rho."""
+    if _row_stochastic(w.mat):
+        factor = 1.0 / (1.0 - rho)
+        return factor, factor
+    distinct, inverse = np.unique(rho, return_inverse=True)
+    eye, w_t = sp.identity(w.n, format="csc"), w.mat.T.tocsc()
+    z = np.array([spla.spsolve(eye - r * w_t, np.ones(w.n)) for r in distinct])
+    w1 = np.asarray(w.mat.sum(axis=1)).ravel()
+    return z.sum(axis=1)[inverse] / w.n, (z @ w1)[inverse] / w.n
 
 
 @dataclass(frozen=True)
@@ -104,9 +125,9 @@ def average_impacts(fit: FitResult, covariates=None) -> dict[str, ImpactSummary]
             ]
         )
         t1, t2 = trace_functions(fit.model.slm.w, rho)
-        total_factor = 1.0 / (1.0 - rho)
     else:
-        t1, t2, total_factor = np.ones(g_count), np.zeros(g_count), np.ones(g_count)
+        rho, t1, t2 = np.zeros(g_count), np.ones(g_count), np.zeros(g_count)
+    total_beta, total_gamma = _total_factors(fit.model.w, rho)
     if fit.likelihood == "probit":
         scale, method = probit_scaling(fit)[:, None], "probit_scaled"
     else:
@@ -121,7 +142,7 @@ def average_impacts(fit: FitResult, covariates=None) -> dict[str, ImpactSummary]
         if gamma_name is not None:
             gamma[fit.coef_index(gamma_name)] = 1.0
         direct = scale * (t1[:, None] * beta + t2[:, None] * gamma)
-        total = scale * (total_factor[:, None] * (beta + gamma))
+        total = scale * (total_beta[:, None] * beta + total_gamma[:, None] * gamma)
         stats = []
         for rows in (direct, total - direct, total):
             means, variances = fit.combination_mixture(rows)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import engine, univariate
-from .engine import CompiledModel, FitResult, GridSettings, HyperDim
+from .engine import LIKELIHOODS, CompiledModel, FitResult, GridSettings, HyperDim
 from .errors import InvalidInputError, InvalidParameterError
 from .gmrf import (
     DEFAULT_Q_BETA_DIAG,
@@ -141,7 +141,7 @@ def build(
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown model kind {kind!r}; expected one of {KINDS}")
     likelihood = likelihood.lower()
-    if likelihood not in ("gaussian", "probit"):
+    if likelihood not in LIKELIHOODS:
         raise InvalidParameterError(f"unknown likelihood {likelihood!r}")
     priors = priors or ModelPriors()
 

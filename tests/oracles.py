@@ -24,7 +24,7 @@ from spatecon import (
     row_standardize,
 )
 from spatecon.engine import TAU_OBS
-from spatecon.gmrf import PrecisionTerms, SlmSpec, SymbolicFactor, rho_to_external
+from spatecon.gmrf import PrecisionTerms, SlmSpec, SymbolicFactor, _splu, rho_to_external
 
 
 def terms_matrix(terms, weights):
@@ -486,6 +486,18 @@ def selected_inverse(handle):
         ),
         shape=handle.shape,
     )
+
+
+def reference_order(indptr, indices):
+    """The fill-reducing order of a symmetric CSC pattern from SuperLU's
+    minimum degree on A + A', run on a diagonally dominant stand-in with
+    that pattern (n on the diagonal, 1 off it): an ordering run of its own."""
+    n = indptr.size - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    stand_in = sp.csc_matrix(
+        (np.where(indices == cols, float(n), 1.0), indices, indptr), shape=(n, n)
+    )
+    return np.argsort(_splu(stand_in, "MMD_AT_PLUS_A").perm_c)
 
 
 def reference_l_pattern(symbolic):

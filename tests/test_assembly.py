@@ -164,20 +164,20 @@ def test_gaussian_fit_runs_one_splu_per_evidence(monkeypatch):
     c = model.compiled
     sizes = [size for size, _ in splu_calls]
     # No factorization of the n + p matrix at the default copy precision:
-    # the reduced system of n_mis + p rows is analysed once (its ordering
-    # run, then the stand-in factor that gives the pattern of L), and each
-    # evidence factors it once in that order.
+    # the reduced system of n_mis + p rows is analysed once (one stand-in
+    # factor gives its order and the pattern of L), and each evidence
+    # factors it once in that order.
     reduced = c.miss_idx.size + c.p
     assert c.n + c.p not in sizes
     assert splu_calls.count((reduced, "MMD_AT_PLUS_A")) == 1
-    assert splu_calls.count((reduced, "NATURAL")) == len(evidence_calls) + 1
+    assert splu_calls.count((reduced, "NATURAL")) == len(evidence_calls)
     # Each LU of I - rho W is one splu call of its own: a real one per
     # distinct rho of a value, a complex one per distinct rho of a slope.
     assert len(real_lus) == len(set(value_rhos))
     assert len(complex_lus) == len(set(slope_rhos)) > 0
     w_lus = len(real_lus) + len(complex_lus)
     assert sizes.count(c.n) == w_lus
-    assert len(sizes) == 2 + len(evidence_calls) + w_lus
+    assert len(sizes) == 1 + len(evidence_calls) + w_lus
     # One ordering of each pattern, then every factorization reuses it.
     specs = [spec for _, spec in splu_calls]
     assert specs.count("MMD_AT_PLUS_A") == 1

@@ -1,6 +1,7 @@
 """Batch front end: config parsing, outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +151,11 @@ class TestFitVerb:
             ("data", "k = x", "[data] k:"),
             ("scan", "k_min = 2.5", "[scan] k_min:"),
             ("scan", "k_max = many", "[scan] k_max:"),
+            ("prior", "rho_prior_prec = 1", "unknown section [prior]"),
+            ("grid", "stpe = 0.5", "[grid] unknown key 'stpe'"),
+            ("grid", "kk = 1", "[grid] unknown key 'kk'"),
+            ("data", "respnse = y", "[data] unknown key 'respnse'"),
+            ("DEFAULT", "directory = elsewhere", "unknown section [DEFAULT]"),
         ],
     )
     def test_bad_config_value_exits_2_without_outputs(
@@ -162,9 +168,10 @@ class TestFitVerb:
         else:
             text += f"\n[{section}]\n{line}\n"
         cfg.write_text(text)
-        assert main(["fit", "--config", str(cfg)]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for verb in ("fit", "scan", "impacts", "validate"):
+            assert main([verb, "--config", str(cfg)]) == 2, verb
+            assert message in capsys.readouterr().err, verb
+            assert not (tmp_path / "out").exists(), verb
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -212,6 +219,18 @@ class TestFitVerb:
         assert main(["fit", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_readme_config_block_parses_and_names_every_key(self, tmp_path):
+        from spatecon.dataio import _KEYS
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "run.ini").write_text(block)
+        config = parse_config(tmp_path / "run.ini")
+        assert config.kinds == ["sem", "slm", "sdm"] and config.grid.drop == 6.0
+        # Keys set in the block or shown in a comment.
+        shown = {line.lstrip("; ").split("=")[0].strip() for line in block.splitlines()}
+        assert {key for keys in _KEYS.values() for key in keys} <= shown
 
     def test_impacts_switched_off_writes_no_impact_tables(self, tmp_path):
         cfg = make_inputs(tmp_path, kinds="slm")
@@ -342,6 +361,20 @@ kinds = slm
         )
         issues = validate_config(parse_config(tmp_path / "run.ini"))
         assert any("rescal" in issue for issue in issues)
+
+    @pytest.mark.parametrize(
+        "line, value, issue",
+        [
+            ("kinds = sem,slm", "kinds = sem,slmm", "unknown model kind 'slmm'"),
+            ("likelihood = gaussian", "likelihood = probitt", "unknown likelihood 'probitt'"),
+        ],
+    )
+    def test_unknown_kind_or_likelihood_named(self, tmp_path, capsys, line, value, issue):
+        cfg = make_inputs(tmp_path)
+        cfg.write_text(cfg.read_text().replace(line, value))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert f"issue: {issue}" in capsys.readouterr().out
+        assert main(["fit", "--config", str(cfg)]) == 2
 
     def test_validate_exits_zero_even_with_issues(self, tmp_path, capsys):
         cfg = make_inputs(tmp_path, likelihood="gaussian")

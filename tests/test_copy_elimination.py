@@ -163,11 +163,10 @@ def test_small_scale_response_factors_the_whole_matrix(kind, monkeypatch):
         ref = reference_gaussian_state(model, theta)
         for name, value in ref.items():
             assert relative(getattr(state, name), value) <= 1e-10, name
-    # One analysis of the pattern (its ordering run, then the stand-in
-    # factor that gives the pattern of L), and one factorization per
-    # evidence in that order.
+    # One analysis of the pattern (one stand-in factor gives its order and
+    # the pattern of L), and one factorization per evidence in that order.
     calls = [call for call in calls if call[0] != c.n]
-    assert calls == [(c.n + c.p, "MMD_AT_PLUS_A")] + [(c.n + c.p, "NATURAL")] * (len(thetas) + 1)
+    assert calls == [(c.n + c.p, "MMD_AT_PLUS_A")] + [(c.n + c.p, "NATURAL")] * len(thetas)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

@@ -28,6 +28,7 @@ from spatecon.gmrf import SymbolicFactor
 from oracles import (
     cholesky_of,
     reference_l_pattern,
+    reference_order,
     reference_takahashi,
     selected_inverse,
     terms_matrix,
@@ -386,10 +387,10 @@ class TestSupernodalSweep:
         handles = [first] + [cholesky_of(m, symbolic=first.symbolic) for m in mats[1:]]
         assert_sweep_matches_references(handles)
 
-    @pytest.mark.parametrize("k", [6, 9, 12])
-    def test_scan_hessian_pattern_equals_union_loop(self, k):
-        # The probit scan's analysed Hessian patterns: n = 673 on the
-        # benchmark's fixed map, kNN W, intercept and three covariates.
+    @staticmethod
+    def scan_hessian_symbolic(k):
+        """The analysis of a probit scan's Hessian pattern: n = 673 on the
+        benchmark's fixed map, kNN W, intercept and three covariates."""
         from spatecon import build
         from spatecon.engine import _assembly
 
@@ -398,12 +399,42 @@ class TestSupernodalSweep:
         w = row_standardize(knn_adjacency(coords, k))
         x = rng.normal(size=(673, 3))
         y = (rng.uniform(size=673) < 0.5).astype(float)
-        symbolic = _assembly(build("slm", y, x, w, likelihood="probit").compiled).symbolic
+        return _assembly(build("slm", y, x, w, likelihood="probit").compiled).symbolic
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_scan_hessian_pattern_equals_union_loop(self, k):
+        symbolic = self.scan_hessian_symbolic(k)
         pattern = symbolic.l_pattern()
         indptr, indices = reference_l_pattern(symbolic)
         assert np.array_equal(pattern.indptr, indptr)
         assert np.array_equal(pattern.indices, indices)
         assert set((pattern.widths > 1).tolist()) == {False, True}
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_one_stand_in_factor_gives_order_and_pattern(self, k, monkeypatch):
+        # One SuperLU run per analysis gives the minimum-degree order of an
+        # ordering run of its own and the union loop's pattern of L; an
+        # order passed in is kept, with one NATURAL run for the pattern.
+        analysed = self.scan_hessian_symbolic(k)
+        indptr, indices = analysed.indptr, analysed.indices
+        want_order = reference_order(indptr, indices)
+        calls = []
+        real_splu = gmrf._splu
+
+        def counting(mat, permc_spec):
+            calls.append(permc_spec)
+            return real_splu(mat, permc_spec)
+
+        monkeypatch.setattr(gmrf, "_splu", counting)
+        for order, specs in ((None, ["MMD_AT_PLUS_A"]), (want_order, ["NATURAL"])):
+            calls.clear()
+            symbolic = SymbolicFactor(indptr, indices, order)
+            pattern = symbolic.l_pattern()
+            assert calls == specs
+            assert np.array_equal(symbolic.order, want_order)
+            want = reference_l_pattern(symbolic)
+            assert np.array_equal(pattern.indptr, want[0])
+            assert np.array_equal(pattern.indices, want[1])
 
     def test_pattern_missing_an_entry_fails_the_closure_check(self):
         rng = np.random.default_rng(45)

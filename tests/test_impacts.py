@@ -301,6 +301,26 @@ class TestApproxImpacts:
                 assert abs(stat.mean - mean) <= 1e-10 * abs(mean), (name, which)
                 assert abs(stat.sd - sd) <= 1e-10 * sd, (name, which)
 
+    @pytest.mark.parametrize("kind", ["slm", "sdm", "sdem"])
+    def test_islands_match_dense_grid_mixture(self, kind):
+        # Five isolated regions leave rows of W that sum to zero, where the
+        # closed forms (beta + gamma) / (1 - rho) and beta + gamma fail.
+        rng = np.random.default_rng(0)
+        a = se.knn_adjacency(rng.uniform(size=(60, 2)), 4).toarray()
+        a = np.maximum(a, a.T)
+        a[:5], a[:, :5] = 0.0, 0.0
+        with pytest.warns(UserWarning, match="islands"):
+            w = se.row_standardize(se.from_dense(a))
+        assert not weights._row_stochastic(w.mat)
+        y, x = simulate_slm(rng, w, [1.0, 0.8, -0.3], 0.4, 0.5)
+        fit = se.fit(se.build(kind, y, x, w))
+        got = average_impacts(fit)
+        for name in ("x1", "x2"):
+            for which, (mean, sd) in impact_mixture(fit, w, name).items():
+                stat = getattr(got[name], which)
+                assert abs(stat.mean - mean) <= 1e-10 * abs(mean), (name, which)
+                assert abs(stat.sd - sd) <= 1e-10 * sd, (name, which)
+
     def test_reported_marginals_are_gaussian_with_stated_moments(self):
         # the marginal is the Gaussian mixture whose moments are reported
         rng = np.random.default_rng(12)
