@@ -10,6 +10,7 @@ units and scale, which makes repeated runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -296,16 +297,31 @@ def cmd_impacts(config: RunConfig, out: _OutputTracker) -> int:
 
 
 def validate_config(config: RunConfig) -> list[str]:
-    """Dry-run checks; returns a list of human-readable issues."""
+    """Dry-run checks; returns a list of human-readable issues. The [scan]
+    kind, prior and k range are checked as the scan checks them; with no
+    [data] k, a point file's weights are built at [scan] k_min."""
     issues: list[str] = []
     try:
         y, x, cov_names = config.load_data()
     except InvalidInputError as exc:
         return [str(exc)]
+    if config.scan_kind is not None and config.scan_kind not in models.KINDS:
+        issues.append(f"unknown [scan] kind {config.scan_kind!r}; expected one of {models.KINDS}")
+    if config.scan_prior not in selection.SCAN_PRIORS:
+        issues.append(
+            f"unknown [scan] prior {config.scan_prior!r}; expected one of {selection.SCAN_PRIORS}"
+        )
+    if config.scan_k_min is not None and config.scan_k_max is not None:
+        scan_range = range(config.scan_k_min, config.scan_k_max + 1)
+        issue = selection.k_range_issue(scan_range, y.shape[0])
+        if issue is not None:
+            issues.append(f"[scan] k_min = {config.scan_k_min}, k_max = {config.scan_k_max}: {issue}")
+        elif config.knn_k is None:
+            config = dataclasses.replace(config, knn_k=config.scan_k_min)
     try:
         w = config.load_weights()
     except InvalidInputError as exc:
-        return [str(exc)]
+        return issues + [str(exc)]
     if w.n != y.shape[0]:
         issues.append(f"weights are {w.n} x {w.n} but data has {y.shape[0]} rows")
     if config.likelihood == "probit" and not binary_response(y):

@@ -56,7 +56,6 @@ from .gmrf import (
     SymbolicFactor,
     _pattern_keys,
     gather,
-    marginal_variance_stack,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -240,10 +239,7 @@ def _clamp_theta(theta: dict[str, float]) -> dict[str, float]:
 
 @dataclass
 class GaussianState:
-    """Conditional Gaussian of z = (x, c) given theta and the data.
-
-    var_x and var_eta are None while a grid row's variances are pending
-    (gaussian_evidence)."""
+    """Conditional Gaussian of z = (x, c) given theta and the data."""
 
     mean_x: np.ndarray
     var_x: np.ndarray
@@ -805,7 +801,6 @@ def gaussian_evidence(
     theta: Mapping[str, float],
     want_state: bool = False,
     wrt: Sequence[str] = (),
-    pending: list | None = None,
 ) -> tuple[float, GaussianState | np.ndarray | None]:
     """Exact log pi(y | theta) for the Gaussian copy likelihood.
 
@@ -817,11 +812,8 @@ def gaussian_evidence(
     With wrt (names of hyperparameters), the second item is the gradient
     of log pi(y | theta) with respect to them, from the same system
     (_evidence_gradient). With want_state it is the conditional Gaussian
-    of z; given a pending list, the latent variances of a state that
-    eliminated no residual are left for _finish_variances, which reads
-    those of a whole grid row off one Takahashi sweep. The list keeps the
-    factor's L and D values; the factor itself, with its SuperLU object,
-    is dropped on return.
+    of z, its latent variances read off the same system's selected
+    inverse (_Reduced.variances).
     """
     a, logdet_qp, da, dlogdet = model.prior_weights(theta, wrt)
     plan = _assembly(model)
@@ -847,52 +839,26 @@ def gaussian_evidence(
     mean_x, mean_c = mean_z[:n], mean_z[n:]
     cols = system.columns()
     # cov_c is copied so that a kept state holds p x p, not (n+p) x p.
-    state = GaussianState(
-        mean_x=mean_x,
-        var_x=None,
-        mean_c=mean_c,
-        cov_c=cols[n:].copy(),
-        mean_eta=mean_x + model.b_design @ mean_c,
-        var_eta=None,
-    )
-    if pending is not None and system.blocks.n_o == 0:
-        pending.append((state, system.factor.symbolic, system.factor.factor_values(), cols))
-    else:
-        _set_variances(model, state, system.variances(), cols)
-    return log_z, state
-
-
-def _set_variances(model: CompiledModel, state: GaussianState, var_z, cols) -> None:
-    """Fill in var_x and var_eta from the variances var_z of (u_obs,
-    x_miss) and the coefficient columns of the inverse."""
+    cov_c = cols[n:].copy()
+    # var_z: the variances of (u_obs, x_miss). Observed rows: eta = y - u,
+    # so Var(eta) is the u-block diagonal and Var(x) = Var(u + X_b c).
+    # Missing rows: x is a coordinate of its own.
+    var_z = system.variances()
     obs, mis = model.obs_idx, model.miss_idx
-    n_o = obs.size
-    var_eta = np.empty(model.n)
-    var_x = np.empty(model.n)
-    # Observed rows: eta = y - u, so Var(eta) is the u-block diagonal and
-    # Var(x) = Var(u + X_b c). Missing rows: x is a coordinate of its own.
+    var_eta = np.empty(n)
+    var_x = np.empty(n)
     var_eta[obs] = var_z[:n_o]
-    var_x[obs] = _with_design_variance(
-        var_z[:n_o], cols[:n_o], state.cov_c, model.b_design[obs]
-    )
+    var_x[obs] = _with_design_variance(var_z[:n_o], cols[:n_o], cov_c, model.b_design[obs])
     var_x[mis] = var_z[n_o:]
-    var_eta[mis] = _with_design_variance(
-        var_z[n_o:], cols[n_o : model.n], state.cov_c, model.b_design[mis]
+    var_eta[mis] = _with_design_variance(var_z[n_o:], cols[n_o:n], cov_c, model.b_design[mis])
+    return log_z, GaussianState(
+        mean_x=mean_x,
+        var_x=np.maximum(var_x, 0.0),
+        mean_c=mean_c,
+        cov_c=cov_c,
+        mean_eta=mean_x + model.b_design @ mean_c,
+        var_eta=np.maximum(var_eta, 0.0),
     )
-    state.var_x = np.maximum(var_x, 0.0)
-    state.var_eta = np.maximum(var_eta, 0.0)
-
-
-def _finish_variances(model: CompiledModel, pending: list) -> None:
-    """Set the variances of the states gaussian_evidence left pending,
-    with one Takahashi sweep per run of states on one analysis (a grid
-    row normally shares one), and empty the list."""
-    for symbolic, run in itertools.groupby(pending, key=lambda item: item[1]):
-        run = list(run)
-        var_z = marginal_variance_stack(symbolic, [item[2] for item in run], np.arange(model.n))
-        for (state, _, _, cols), var in zip(run, var_z):
-            _set_variances(model, state, var, cols)
-    pending.clear()
 
 
 def _evidence_gradient(
@@ -1117,20 +1083,17 @@ def log_conditional_evidence(
     theta: Mapping[str, float],
     want_state: bool = True,
     wrt: Sequence[str] = (),
-    pending: list | None = None,
 ) -> tuple[float, GaussianState | np.ndarray | None]:
     """log pi(y | theta) and the conditional Gaussian for any likelihood.
 
-    wrt and pending are for the Gaussian likelihood (gaussian_evidence):
-    with wrt the second item is the gradient of log pi(y | theta) with
-    respect to the named hyperparameters; with pending the latent
-    variances of a state that eliminated no residual wait for
-    _finish_variances.
+    wrt is for the Gaussian likelihood (gaussian_evidence): with it the
+    second item is the gradient of log pi(y | theta) with respect to the
+    named hyperparameters.
     """
     compiled = getattr(model, "compiled", model)
     theta = _clamp_theta(dict(theta))
     if compiled.likelihood == "gaussian":
-        return gaussian_evidence(compiled, theta, want_state, wrt, pending)
+        return gaussian_evidence(compiled, theta, want_state, wrt)
     if wrt:
         raise InvalidInputError("evidence gradients need the Gaussian likelihood")
     return laplace_inner(compiled, theta, want_state)
@@ -1487,38 +1450,30 @@ def _build_grid(model: CompiledModel, settings: GridSettings):
 
     if d == 0:
         points = np.zeros((1, 0))
-        rows = np.zeros(1, dtype=int)
         delta = 1.0
     else:
         offsets = np.arange(-settings.k, settings.k + 1)
         axes = [mode[j] + settings.step * sigma[j] * offsets for j in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
-        # A grid row: the 2k + 1 consecutive points along the last axis.
-        rows = np.arange(points.shape[0]) // offsets.size
         # rho stays strictly inside (0, 1); out-of-domain points are dropped
         # rather than piled up at the boundary.
         keep = np.ones(points.shape[0], dtype=bool)
         for j, dim in enumerate(free):
             if dim.name == "rho_internal":
                 keep &= (points[:, j] > 0.0) & (points[:, j] < 1.0)
-        points, rows = points[keep], rows[keep]
+        points = points[keep]
         delta = float(np.prod(settings.step * sigma))
 
     log_ev = np.empty(points.shape[0])
     log_pr = np.empty(points.shape[0])
     states: list[GaussianState] = []
-    # Whole-matrix Gaussian states leave their latent variances pending
-    # until the end of their grid row, which shares one Takahashi sweep.
-    pending = []
     for g in range(points.shape[0]):
         theta = model.theta_from_vector(points[g])
-        lz, state = log_conditional_evidence(model, theta, want_state=True, pending=pending)
+        lz, state = log_conditional_evidence(model, theta, want_state=True)
         log_ev[g] = lz
         log_pr[g] = sum(dim.log_prior(theta[dim.name]) for dim in free)
         states.append(state)
-        if g + 1 == points.shape[0] or rows[g + 1] != rows[g]:
-            _finish_variances(model, pending)
 
     log_post = log_ev + log_pr
     keep = log_post >= log_post.max() - settings.drop

@@ -27,12 +27,11 @@ order; every factor, the first included, runs that one path. The sweep,
 _takahashi, is supernodal (Lin et al. 2011, "SelInv"): each run of
 columns with shared rows below is one dense block, and the supernodes at
 one depth of the supernodal elimination tree run as one batched numpy
-call per block shape, from the roots down. A stack of factors on one
-analysis runs through the same calls on a leading batch axis
-(marginal_variance_stack). The same selected inverse, read on the
-analysed pattern (CholeskyHandle.inverse_on_pattern, in the pattern's
-storage order), gives the trace tr(A^{-1} B) of any B on that pattern as
-one dot product with B's data.
+call per block shape, from the roots down. Each factor runs its own
+sweep. The same selected inverse, read on the analysed pattern
+(CholeskyHandle.inverse_on_pattern, in the pattern's storage order),
+gives the trace tr(A^{-1} B) of any B on that pattern as one dot product
+with B's data.
 """
 
 from __future__ import annotations
@@ -439,9 +438,7 @@ class CholeskyHandle:
     (symbolic): the matrix is pre-permuted into the analysis' order and
     factored in that order, with no ordering of its own. Marginal
     variances come from the selected inverse on the pattern of L, in
-    O(nnz(L)) memory. factor_values() is all the selected inverse
-    needs: a caller may keep those and drop the handle, with its SuperLU
-    factor, before the sweep.
+    O(nnz(L)) memory.
     """
 
     def __init__(self, symbolic: SymbolicFactor, data: np.ndarray, context: str = ""):
@@ -495,7 +492,7 @@ class CholeskyHandle:
 
     def _selected(self) -> np.ndarray:
         """Sigma = A^{-1} on the pattern of L (permuted order): the
-        supernodal sweep on a stack of one."""
+        supernodal sweep."""
         if self._sigma is None:
             self._sigma = _takahashi(self.symbolic.l_pattern(), *self.factor_values())
         return self._sigma
@@ -508,7 +505,9 @@ class CholeskyHandle:
     def marginal_variances(self, indices) -> np.ndarray:
         """Diagonal entries of the inverse at the requested coordinates."""
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        return _diagonal(self.symbolic, self._selected())[indices]
+        diag = np.empty(self.symbolic.n)
+        diag[self.symbolic.order] = self._selected()[self.symbolic.l_pattern().indptr[:-1]]
+        return diag[indices]
 
     def inverse_on_pattern(self) -> np.ndarray:
         """The entries of A^{-1} on the analysed pattern, as data in that
@@ -521,24 +520,6 @@ class CholeskyHandle:
         rhs = np.zeros((self.shape[0], indices.size))
         rhs[indices, np.arange(indices.size)] = 1.0
         return self.solve(rhs)
-
-
-def marginal_variance_stack(
-    symbolic: SymbolicFactor, values: list[tuple[np.ndarray, np.ndarray]], indices
-) -> np.ndarray:
-    """Diagonal entries of G inverses at the requested coordinates, as a
-    (G, len(indices)) array, from one supernodal sweep over the stacked
-    factor_values() of G factors analysed by `symbolic`."""
-    l_vals = np.stack([v[0] for v in values], axis=-1)
-    d = np.stack([v[1] for v in values], axis=-1)
-    return _diagonal(symbolic, _takahashi(symbolic.l_pattern(), l_vals, d))[indices].T
-
-
-def _diagonal(symbolic: SymbolicFactor, sigma: np.ndarray) -> np.ndarray:
-    """The diagonal of the selected inverse(s) sigma, original order."""
-    diag = np.empty((symbolic.n,) + sigma.shape[1:])
-    diag[symbolic.order] = sigma[symbolic.l_pattern().indptr[:-1]]
-    return diag
 
 
 # Columns of one supernode at most: a longer run of fused columns is cut,
@@ -754,39 +735,36 @@ def _takahashi(l_pattern: LPattern, l_vals: np.ndarray, d: np.ndarray) -> np.nda
     elimination tree. Supernodes at one depth of the supernodal tree are
     independent, and each group of them (SweepGroup) runs as one batched
     gather, inverse, product and scatter, from the roots down. l_vals and
-    d are (nnz(L),) and (n,) for one factor, or (nnz(L), G) and (n, G)
-    for G factors on one pattern, which run on a leading batch axis of
-    the same calls.
+    d are one factor's (nnz(L),) values of L and (n,) pivots
+    (CholeskyHandle.factor_values).
     """
-    nnz, n = l_vals.shape[0], d.shape[0]
-    count = l_vals.shape[1] if l_vals.ndim > 1 else 1
-    # One row per factor: L's values, 1/d, then a 0, a 1 and a slot that
-    # takes whatever padding writes.
-    store = np.empty((count, nnz + n + 3))
-    store[:, :nnz] = l_vals.T
-    np.divide(1.0, d.T, out=store[:, nnz : nnz + n])
-    store[:, nnz + n :] = (0.0, 1.0, 0.0)
+    nnz, n = l_vals.size, d.size
+    # L's values, 1/d, then a 0, a 1 and a slot that takes whatever
+    # padding writes.
+    store = np.empty(nnz + n + 3)
+    store[:nnz] = l_vals
+    np.divide(1.0, d, out=store[nnz : nnz + n])
+    store[nnz + n :] = (0.0, 1.0, 0.0)
     for group in l_pattern.groups:
         jw = group.panel.shape[2]
-        panel = store.take(group.panel, axis=1)
-        above = store.take(group.above, axis=1)
-        l_rj, inv_d = panel[:, :, jw:-1], panel[:, :, -1:]
-        out = np.empty((count,) + group.out.shape)
-        s_rj, s_jj = out[:, :, jw:], out[:, :, :jw]
+        panel = store.take(group.panel)
+        above = store.take(group.above)
+        l_rj, inv_d = panel[:, jw:-1], panel[:, -1:]
+        out = np.empty(group.out.shape)
+        s_rj, s_jj = out[:, jw:], out[:, :jw]
         if jw == 1:  # L_JJ = 1, Y = L_RJ
             np.matmul(above, l_rj, out=s_rj)
             np.negative(s_rj, out=s_rj)
             np.subtract(inv_d, s_rj.mT @ l_rj, out=s_jj)
         else:
-            l_inv = np.linalg.inv(panel[:, :, :jw])
+            l_inv = np.linalg.inv(panel[:, :jw])
             y = l_rj @ l_inv
             np.matmul(above, y, out=s_rj)
             np.negative(s_rj, out=s_rj)
             np.matmul(l_inv.mT, inv_d.mT * l_inv, out=s_jj)
             s_jj -= s_rj.mT @ y
-        store[:, group.out] = out
-    sigma = store[:, :nnz]
-    return sigma.T if l_vals.ndim > 1 else sigma[0]
+        store[group.out] = out
+    return store[:nnz]
 
 
 def _splu(mat: sp.csc_matrix, permc_spec: str):

@@ -21,6 +21,10 @@ from .errors import InvalidInputError, InvalidParameterError
 from .marginals import Marginal, combine_on_common_support
 from .weights import knn_adjacency, knn_truncate, row_standardize
 
+# The priors on k a neighbour scan takes: uniform, or proportional to 1/k^2
+# under either of its two names.
+SCAN_PRIORS = ("uniform", "inverse_square", "1/k^2")
+
 
 def posterior_model_probs(log_mliks, prior_probs=None) -> np.ndarray:
     """Softmax of log marginal likelihood + log prior, max-subtracted."""
@@ -82,6 +86,15 @@ def model_set(labeled_fits, prior_probs=None) -> ModelSet:
     return ModelSet(entries)
 
 
+def k_range_issue(k_range, n: int) -> str | None:
+    """Why a neighbour scan over n regions refuses k_range, or None."""
+    if not k_range:
+        return "k_range must be nonempty"
+    if any(k < 1 or k >= n for k in k_range):
+        return f"every k must satisfy 1 <= k < n = {n}"
+    return None
+
+
 def neighbor_scan(
     coords,
     y,
@@ -96,21 +109,26 @@ def neighbor_scan(
     threads: int = 1,
 ) -> ModelSet:
     """Fit one model kind across kNN adjacencies for each k in k_range,
-    on up to `threads` worker threads."""
+    on up to `threads` worker threads. The arguments are checked before
+    the neighbour query."""
     k_range = [int(k) for k in k_range]
-    if not k_range:
-        raise InvalidParameterError("k_range must be nonempty")
     if threads < 1:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
-    n = np.asarray(y).shape[0]
-    if any(k < 1 or k >= n for k in k_range):
-        raise InvalidParameterError(f"every k must satisfy 1 <= k < n = {n}")
+    issue = k_range_issue(k_range, np.asarray(y).shape[0])
+    if issue is not None:
+        raise InvalidParameterError(issue)
+    if kind not in models.KINDS:
+        raise InvalidParameterError(f"unknown model kind {kind!r}; expected one of {models.KINDS}")
+    if likelihood not in models.LIKELIHOODS:
+        raise InvalidParameterError(
+            f"unknown likelihood {likelihood!r}; expected one of {models.LIKELIHOODS}"
+        )
+    if prior not in SCAN_PRIORS:
+        raise InvalidParameterError(f"unknown scan prior {prior!r}; expected one of {SCAN_PRIORS}")
     if prior == "uniform":
         prior_weights = np.ones(len(k_range))
-    elif prior in ("inverse_square", "1/k^2"):
-        prior_weights = 1.0 / np.asarray(k_range, dtype=float) ** 2
     else:
-        raise InvalidParameterError(f"unknown scan prior {prior!r}")
+        prior_weights = 1.0 / np.asarray(k_range, dtype=float) ** 2
     prior_weights = prior_weights / prior_weights.sum()
     # One neighbour query at the largest k; every k reads its graph off it.
     widest = knn_adjacency(coords, max(k_range))

@@ -8,6 +8,7 @@ import pytest
 from oracles import random_weights, simulate_slm
 
 import spatecon as se
+from spatecon import selection
 from spatecon.cli import main, validate_config
 from spatecon.dataio import parse_config, write_weights
 
@@ -285,7 +286,8 @@ class TestImpactsVerb:
 
 
 class TestScanVerb:
-    def test_scan_writes_table(self, tmp_path):
+    @pytest.fixture
+    def scan_config(self, tmp_path):
         rng = np.random.default_rng(7)
         n = 30
         coords = rng.uniform(size=(n, 2))
@@ -317,11 +319,43 @@ prior = inverse_square
 directory = out
 """
         )
-        assert main(["scan", "--config", str(tmp_path / "run.ini")]) == 0
-        scan_lines = (tmp_path / "out" / "scan.csv").read_text().strip().splitlines()
+        return tmp_path / "run.ini"
+
+    def test_scan_writes_table(self, scan_config):
+        assert main(["scan", "--config", str(scan_config)]) == 0
+        scan_lines = (scan_config.parent / "out" / "scan.csv").read_text().strip().splitlines()
         assert scan_lines[1] == "k,log_mlik,dic,prior_prob,posterior_prob"
         assert len(scan_lines) == 2 + 3
-        assert (tmp_path / "out" / "scan_bma_x1.csv").exists()
+        assert (scan_config.parent / "out" / "scan_bma_x1.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line, value, issue",
+        [
+            # With no [data] k, validate builds the weights at [scan] k_min.
+            ("k = 4\n", "", None),
+            ("kind = slm\n", "kind = slmm\n", "unknown [scan] kind 'slmm'"),
+            ("prior = inverse_square", "prior = unifrom", "unknown [scan] prior 'unifrom'"),
+            ("k_max = 5", "k_max = 30", "every k must satisfy 1 <= k < n = 30"),
+            ("k_min = 3", "k_min = 6", "k_range must be nonempty"),
+            ("kinds = slm\n", "kinds = slm\nlikelihood = probitt\n", "unknown likelihood 'probitt'"),
+        ],
+        ids=["no_data_k", "kind", "prior", "k_beyond_n", "empty_range", "likelihood"],
+    )
+    def test_scan_section_checked_before_any_work(
+        self, scan_config, capsys, monkeypatch, line, value, issue
+    ):
+        scan_config.write_text(scan_config.read_text().replace(line, value))
+        assert main(["validate", "--config", str(scan_config)]) == 0
+        printed = capsys.readouterr().out
+        if issue is None:
+            assert printed == "ok: no issues found\n"
+            return
+        assert printed.startswith("issue: ") and issue in printed
+        queries = []
+        monkeypatch.setattr(selection, "knn_adjacency", lambda *args: queries.append(args))
+        assert main(["scan", "--config", str(scan_config)]) == 2
+        assert queries == []
+        assert not (scan_config.parent / "out" / "scan.csv").exists()
 
 
 class TestValidateVerb:

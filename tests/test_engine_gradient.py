@@ -1,5 +1,5 @@
 """Gaussian evidence gradient, the trust-region mode search it drives, and
-the grid's per-row variances."""
+the grid's kept states."""
 
 import dataclasses
 
@@ -276,42 +276,18 @@ def test_grid_tracks_a_last_bit_change_of_rho_min(kind, make):
     assert np.all(np.abs(other.mode_point - base.mode_point) <= 1e-13)
 
 
-class TestGridRowVariances:
-    @staticmethod
-    def stacks_of_matching_fit(kind, scale, monkeypatch):
-        """Fit, and check that each grid point's state, kept by the fit,
-        gives the same numbers as that point evaluated again, but for the
-        rounding of a new analysis (fit_compiled drops the model's).
-        Returns the number of states in each stacked sweep."""
-        stacks = []
-        real_stack = engine.marginal_variance_stack
-
-        def recording_stack(symbolic, values, indices):
-            stacks.append(len(values))
-            return real_stack(symbolic, values, indices)
-
-        monkeypatch.setattr(engine, "marginal_variance_stack", recording_stack)
-        model = gaussian_model(kind, seed=77, scale=scale)
-        fit = se.fit(model)
-        for g in range(fit.grid.points.shape[0]):
-            _, state = engine.log_conditional_evidence(
-                model, fit.grid.theta_at(g), want_state=True
-            )
-            for got, want in ((fit.x_vars[g], state.var_x), (fit.eta_vars[g], state.var_eta)):
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-            got, want = fit.coef_means[g], state.mean_c
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        return stacks
-
-    @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
-    def test_row_sweep_matches_per_point_states(self, kind, monkeypatch):
-        # At data scale every state reads its variances off the reduced
-        # system, with no sweep of the whole matrix.
-        assert self.stacks_of_matching_fit(kind, 1.0, monkeypatch) == []
-
-    @pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
-    def test_stacked_row_sweep_matches_per_point_states(self, kind, monkeypatch):
-        # With y x 0.01 the latent precision is high enough that the whole
-        # matrix is factored, and each grid row's 7 states share one
-        # stacked sweep.
-        assert set(self.stacks_of_matching_fit(kind, 0.01, monkeypatch)) == {7}
+@pytest.mark.parametrize("kind", ["sem", "slm", "slx"])
+@pytest.mark.parametrize("scale", [1.0, 0.01])
+def test_kept_states_match_per_point_states(kind, scale):
+    # Each grid point's state, kept by the fit, gives the same numbers as
+    # that point evaluated again, but for the rounding of a new analysis
+    # (fit_compiled drops the model's). With y x 0.01 the latent precision
+    # is high enough that the whole matrix is factored.
+    model = gaussian_model(kind, seed=77, scale=scale)
+    fit = se.fit(model)
+    for g in range(fit.grid.points.shape[0]):
+        _, state = engine.log_conditional_evidence(model, fit.grid.theta_at(g), want_state=True)
+        for got, want in ((fit.x_vars[g], state.var_x), (fit.eta_vars[g], state.var_eta)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        got, want = fit.coef_means[g], state.mean_c
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

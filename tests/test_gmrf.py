@@ -247,82 +247,6 @@ class TestSelectedInverse:
             with pytest.raises(InvalidInputError):
                 cholesky_of(b, symbolic=symbolic)
 
-
-def same_pattern_stack(rng, n, p, count, density=0.08):
-    """count SPD matrices on one pattern: random_spd's with its
-    off-diagonal entries scaled by symmetric factors in [0.2, 1], which
-    keeps them diagonally dominant."""
-    base = random_spd(rng, n, p, density).toarray()
-    diag = np.diag(np.diag(base))
-    out = []
-    for _ in range(count):
-        f = rng.uniform(0.2, 1.0, size=base.shape)
-        out.append(sp.csc_matrix(diag + (base - diag) * (f + f.T) / 2.0))
-    return out
-
-
-def stacked_sigma(handles):
-    symbolic = handles[0].symbolic
-    values = [h.factor_values() for h in handles]
-    l_vals = np.stack([v[0] for v in values], axis=-1)
-    d = np.stack([v[1] for v in values], axis=-1)
-    return gmrf._takahashi(symbolic.l_pattern(), l_vals, d)
-
-
-class TestStackedSelectedInverse:
-    """One Takahashi sweep over a stack of factors on one analysis."""
-
-    def assert_stack_matches(self, handles):
-        symbolic = handles[0].symbolic
-        l_indptr, l_indices = symbolic.l_pattern()[:2]
-        rows = symbolic.order[l_indices]
-        cols = symbolic.order[np.repeat(np.arange(symbolic.n), np.diff(l_indptr))]
-        sigma = stacked_sigma(handles)
-        assert sigma.shape == (l_indices.size, len(handles))
-        variances = gmrf.marginal_variance_stack(
-            symbolic, [h.factor_values() for h in handles], np.arange(symbolic.n)
-        )
-        for g, h in enumerate(handles):
-            own = h._selected()
-            diag = np.diag(h.inverse_dense())
-            scale = np.sqrt(diag[rows] * diag[cols])
-            # The stack reproduces each factor's own sweep...
-            assert np.all(np.abs(sigma[:, g] - own) <= 1e-12 * scale)
-            # ...which matches the dense inverse on the pattern of L.
-            assert_matches_dense_on_pattern(h)
-            assert_allclose(variances[g], diag, rtol=1e-10)
-
-    @pytest.mark.parametrize("count", [1, 3])
-    @pytest.mark.parametrize("p", [0, 3])
-    def test_matches_dense_inverse(self, count, p):
-        rng = np.random.default_rng(41 + p + count)
-        multi_seen = set()
-        for _ in range(5):
-            mats = same_pattern_stack(rng, int(rng.integers(8, 50)), p, count)
-            first = cholesky_of(mats[0])
-            handles = [first] + [cholesky_of(m, symbolic=first.symbolic) for m in mats[1:]]
-            assert all(h.symbolic is first.symbolic for h in handles)
-            self.assert_stack_matches(handles)
-            multi_seen |= set((first.symbolic.l_pattern().widths > 1).tolist())
-        # Both single-column and multi-column supernodes ran.
-        assert multi_seen == {False, True}
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_cancelled_factor_entry(self, count):
-        # L[2, 1] cancels in the natural order whatever the pivots (see
-        # TestSelectedInverse); every factor of the stack fills it with 0.
-        lower = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]])
-        pivots = ([4.0, 2.0, 3.0], [1.0, 5.0, 2.0], [3.0, 3.0, 0.5])[:count]
-        mats = [sp.csc_matrix(lower @ np.diag(d) @ lower.T) for d in pivots]
-        natural = SymbolicFactor(mats[0].indptr, mats[0].indices, np.arange(3))
-        handles = [cholesky_of(m, symbolic=natural) for m in mats]
-        assert all(h._lu.L.nnz < natural.l_pattern()[1].size for h in handles)
-        self.assert_stack_matches(handles)
-        sigma = stacked_sigma(handles)
-        for g, m in enumerate(mats):
-            inverse = np.linalg.inv(m.toarray())
-            assert_allclose(sigma[:, g], inverse[[0, 1, 2, 1, 2, 2], [0, 0, 0, 1, 1, 2]], rtol=1e-12)
-
     def test_inverse_on_pattern(self):
         # A^{-1} on A's own pattern, in A's storage order: its entries
         # match the dense inverse, and tr(A^{-1} B) for a B on that
@@ -345,28 +269,37 @@ class TestStackedSelectedInverse:
         assert abs(sigma @ b.data - want) <= 1e-10 * np.abs(b.data).sum()
 
 
-def assert_sweep_matches_references(handles):
-    """The supernodal sweep over the stacked factors equals the column
-    recursion to 1e-12 sqrt(Sigma_ii Sigma_jj), and each factor's dense
-    inverse to 1e-10; the analysed pattern of L equals the union loop's."""
-    symbolic = handles[0].symbolic
+def same_pattern_matrices(rng, n, p, count, density=0.08):
+    """count SPD matrices on one pattern: random_spd's with its
+    off-diagonal entries scaled by symmetric factors in [0.2, 1], which
+    keeps them diagonally dominant."""
+    base = random_spd(rng, n, p, density).toarray()
+    diag = np.diag(np.diag(base))
+    out = []
+    for _ in range(count):
+        f = rng.uniform(0.2, 1.0, size=base.shape)
+        out.append(sp.csc_matrix(diag + (base - diag) * (f + f.T) / 2.0))
+    return out
+
+
+def assert_sweep_matches_references(h):
+    """The supernodal sweep of one factor equals the column recursion to
+    1e-12 sqrt(Sigma_ii Sigma_jj), and its dense inverse to 1e-10; the
+    analysed pattern of L equals the union loop's."""
+    symbolic = h.symbolic
     pattern = symbolic.l_pattern()
     indptr, indices = reference_l_pattern(symbolic)
     assert np.array_equal(pattern.indptr, indptr) and np.array_equal(pattern.indices, indices)
-    values = [h.factor_values() for h in handles]
-    l_vals = np.stack([v[0] for v in values], axis=-1)
-    d = np.stack([v[1] for v in values], axis=-1)
+    l_vals, d = h.factor_values()
     sigma = gmrf._takahashi(pattern, l_vals, d)
     want = reference_takahashi(indptr, indices, l_vals, d)
     rows = symbolic.order[indices]
     cols = symbolic.order[np.repeat(np.arange(symbolic.n), np.diff(indptr))]
-    for g, h in enumerate(handles):
-        dense = h.inverse_dense()
-        diag = np.diag(dense)
-        scale = np.sqrt(diag[rows] * diag[cols])
-        assert np.all(np.abs(sigma[:, g] - want[:, g]) <= 1e-12 * scale)
-        assert np.all(np.abs(sigma[:, g] - dense[rows, cols]) <= 1e-10 * scale)
-        assert np.array_equal(h._selected(), gmrf._takahashi(pattern, *h.factor_values()))
+    dense = h.inverse_dense()
+    diag = np.diag(dense)
+    scale = np.sqrt(diag[rows] * diag[cols])
+    assert np.all(np.abs(sigma - want) <= 1e-12 * scale)
+    assert np.all(np.abs(sigma - dense[rows, cols]) <= 1e-10 * scale)
 
 
 class TestSupernodalSweep:
@@ -377,15 +310,16 @@ class TestSupernodalSweep:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 45),
         p=st.sampled_from([0, 3]),
-        count=st.sampled_from([1, 3]),
         density=st.floats(0.02, 0.3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_matches_recursion_and_dense_inverse(self, seed, n, p, count, density):
-        mats = same_pattern_stack(np.random.default_rng(seed), n, p, count, density)
-        first = cholesky_of(mats[0])
-        handles = [first] + [cholesky_of(m, symbolic=first.symbolic) for m in mats[1:]]
-        assert_sweep_matches_references(handles)
+    def test_property_matches_recursion_and_dense_inverse(self, seed, n, p, density):
+        # Two matrices on one pattern: the second is factored on the
+        # first's analysis.
+        first, second = same_pattern_matrices(np.random.default_rng(seed), n, p, 2, density)
+        h = cholesky_of(first)
+        for handle in (h, cholesky_of(second, symbolic=h.symbolic)):
+            assert_sweep_matches_references(handle)
 
     @staticmethod
     def scan_hessian_symbolic(k):

@@ -151,6 +151,23 @@ class TestNeighborScan:
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got.mat, part), getattr(want, part)), (k, part)
 
+    @pytest.mark.parametrize(
+        "kind, likelihood, match",
+        [
+            ("slmm", "gaussian", "unknown model kind 'slmm'"),
+            ("slm", "probitt", "unknown likelihood 'probitt'"),
+        ],
+    )
+    def test_unknown_kind_or_likelihood_refused_before_the_neighbour_query(
+        self, monkeypatch, kind, likelihood, match
+    ):
+        coords, y, x = self.make_data(np.random.default_rng(6), n=10)
+        queries = []
+        monkeypatch.setattr(selection, "knn_adjacency", lambda *args: queries.append(args))
+        with pytest.raises(se.InvalidParameterError, match=match):
+            selection.neighbor_scan(coords, y, x, kind, [3, 4], likelihood=likelihood)
+        assert queries == []
+
     def test_bad_k_rejected(self):
         rng = np.random.default_rng(6)
         coords, y, x = self.make_data(rng, n=10)
